@@ -227,6 +227,18 @@ def _threshold_rule(an: BinaryAnalysis, threshold: float) -> Estimator:
     return Estimator(np.vstack([first, 1.0 - first]))
 
 
+def _distinct_breakpoints(an: BinaryAnalysis) -> list[tuple[float, float]]:
+    """Nonzero raw breakpoints with their thresholds, each repeat once."""
+    out: list[tuple[float, float]] = []
+    for bp, thr in zip(an.breakpoints, an.thresholds):
+        if bp <= _TIE_TOL:
+            continue
+        if out and abs(bp - out[-1][0]) <= _TIE_TOL:
+            continue
+        out.append((float(bp), float(thr)))
+    return out
+
+
 def breakpoint_estimators(
     problem: Problem, analysis: BinaryAnalysis | None = None
 ) -> list[tuple[float, Estimator]]:
@@ -236,16 +248,7 @@ def breakpoint_estimators(
     rule and are reported once.
     """
     an = analysis if analysis is not None else analyze(problem)
-    out: list[tuple[float, Estimator]] = []
-    seen: list[float] = []
-    for bp, thr in zip(an.breakpoints, an.thresholds):
-        if bp <= _TIE_TOL:
-            continue
-        if seen and abs(bp - seen[-1]) <= _TIE_TOL:
-            continue
-        seen.append(float(bp))
-        out.append((float(bp), _threshold_rule(an, float(thr))))
-    return out
+    return [(bp, _threshold_rule(an, thr)) for bp, thr in _distinct_breakpoints(an)]
 
 
 def zero_perception_estimator(problem: Problem, analysis: BinaryAnalysis | None = None) -> Estimator:
@@ -294,18 +297,24 @@ def estimator_at(
     if p_level < 0:
         raise ProblemError("perception level must be >= 0")
     an = analysis if analysis is not None else analyze(problem)
-    supports: list[tuple[float, Estimator]] = [(0.0, zero_perception_estimator(problem, an))]
-    supports.extend(sorted(breakpoint_estimators(problem, an), key=lambda t: t[0]))
-    levels = [p for p, _ in supports]
+    # levels of the supports: 0 for the exact-marginal rule, then the
+    # breakpoints; only the one or two rules around p_level are built
+    thresholds = sorted(_distinct_breakpoints(an), key=lambda t: t[0])
+    levels = [0.0] + [bp for bp, _ in thresholds]
+
+    def rule(i: int) -> Estimator:
+        if i == 0:
+            return zero_perception_estimator(problem, an)
+        return _threshold_rule(an, thresholds[i - 1][1])
+
     if p_level >= levels[-1]:
-        return supports[-1][1]
+        return rule(len(levels) - 1)
     hi = bisect_right(levels, p_level)
-    p0, q0 = supports[hi - 1]
-    p1, q1 = supports[hi]
+    p0, p1 = levels[hi - 1], levels[hi]
     if p_level <= p0:
-        return q0
+        return rule(hi - 1)
     alpha = (p_level - p0) / (p1 - p0)
-    return Estimator((1.0 - alpha) * q0.q + alpha * q1.q)
+    return Estimator((1.0 - alpha) * rule(hi - 1).q + alpha * rule(hi).q)
 
 
 def reduced_dual_objective(

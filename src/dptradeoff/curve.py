@@ -332,12 +332,18 @@ def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
 
 
 def _segment_endpoint_estimators(problem, curve, solves, form):
-    """One estimator per segment endpoint: level 0 and every breakpoint."""
+    """One estimator per segment endpoint: level 0 and every breakpoint.
+
+    A sampled level within ``_ZERO_LEN_TOL`` of an endpoint stands for
+    it: the envelope recomputes each breakpoint from a line crossing, a
+    few ulps away from the level where the sweep sampled that crossing.
+    """
     supports = [0.0] + [float(b) for b in curve.breakpoints]
     out = []
     count = 0
     for p in supports:
-        hit = solves.get(round(p, 15))
+        near = min(solves, key=lambda s: abs(s - p), default=None)
+        hit = solves[near] if near is not None and abs(near - p) <= _ZERO_LEN_TOL else None
         if hit is None:
             hit = solve_dp_at(problem, p, form=form)
             count += 1

@@ -15,14 +15,16 @@ Phase one detects linearly dependent equality rows and drops them instead
 of failing: several programs in this package carry one dependent row by
 construction.
 
-Also provided: brute-force vertex enumeration for small H-polyhedra
-``{p : g p <= h}`` by solving every d-by-d active-row system, used for
-dual feasible sets whose vertices determine entire tradeoff curves.
+Also provided: vertex enumeration for small pointed H-polyhedra
+``{p : g p <= h}`` by a walk over the graph of feasible bases with
+lexicographic pivoting (Balinski 1961; Avis and Fukuda 1992), used for
+dual feasible sets whose vertices determine entire tradeoff curves.  Its
+cost grows with the number of bases visited, not with the C(k, d)
+candidate row subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +39,10 @@ from .errors import (
 
 _RED_COST_TOL = 1e-10  # reduced cost considered improving below -tol
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
-_FEAS_TOL = 1e-9  # phase-1 residual accepted as feasible
+FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
+_TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
+_DEDUP_TOL = 1e-7  # vertices closer than this are one vertex
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +232,7 @@ def solve(lp: StandardLP, *, pivot_rule: str = "bland", max_iter: int | None = N
     if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
         raise SolverError("phase one ended in an impossible state")
 
-    feas_tol = _FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+    feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
     if tab.objective() > feas_tol:
         return LPSolution(
             status="infeasible",
@@ -339,25 +343,23 @@ class HPolyhedron:
         return self.g.shape[1]
 
 
-def enumerate_vertices(
-    poly: HPolyhedron,
-    *,
-    budget: int = 10_000_000,
-    feas_tol: float = 1e-9,
-    dedup_tol: float = 1e-7,
-    singular_tol: float = 1e-11,
-    chunk: int = 65536,
-) -> np.ndarray:
+def enumerate_vertices(poly: HPolyhedron, *, budget: int = 10_000_000) -> np.ndarray:
     """All vertices of a small pointed polyhedron, lexicographically sorted.
 
-    Every d-subset of rows with a well-conditioned square system is
-    solved in batch; candidate points are kept when they satisfy all k
-    inequalities within ``feas_tol``.  Degenerate vertices are produced
-    by several bases and collapsed by deduplication at ``dedup_tol``.
-    The caller must guarantee the polyhedron contains no line.
+    Walks the graph of feasible bases (d rows with a nonsingular matrix)
+    from one start vertex, pivoting along every bounded edge; directions
+    that no row bounds are rays and are skipped.  Degenerate vertices
+    carry several bases.  A lexicographic perturbation of the right-hand
+    side, row i moved by ``eps**rank(i)`` with distinct ranks, keeps the
+    walk on bases that stay feasible for every small eps: the ratio test
+    then picks exactly one entering row, and the walk reaches every
+    vertex.  Each basis costs one d-by-d inverse.  Bases of one vertex
+    are collapsed by deduplication at ``_DEDUP_TOL``.  An empty
+    polyhedron, or one that contains a line, has no vertices.
 
-    Raises BudgetExceededError when C(k, d) exceeds ``budget`` so callers
-    can fall back to sweep-style methods.
+    Raises BudgetExceededError when C(k, d), the number of candidate
+    bases, exceeds ``budget`` so callers can fall back to sweep-style
+    methods.
     """
     k, d = poly.k, poly.d
     if d > 16:
@@ -371,57 +373,94 @@ def enumerate_vertices(
         )
 
     g, h = poly.g, poly.h
-    # a basis whose rows miss some coordinate is singular outright; the
-    # support bitmasks rule those out before any linear algebra
-    row_mask = np.zeros(k, dtype=np.uint32)
-    for j in range(d):
-        row_mask |= (g[:, j] != 0.0).astype(np.uint32) << j
-    full_mask = np.uint32((1 << d) - 1)
-
-    found: list[np.ndarray] = []
-    combos = itertools.combinations(range(k), d)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        idx = np.array(block, dtype=int)
-        covered = np.bitwise_or.reduce(row_mask[idx], axis=1) == full_mask
-        if not np.any(covered):
-            continue
-        idx = idx[covered]
-        mats = g[idx]  # (B, d, d)
-        rhs = h[idx]  # (B, d)
-        dets = np.abs(np.linalg.det(mats))
-        # Hadamard bound: |det| <= prod of row norms; the ratio grades conditioning
-        scale = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-        solvable = dets > singular_tol * np.maximum(scale, 1e-12)
-        if not np.any(solvable):
-            continue
-        pts = np.linalg.solve(mats[solvable], rhs[solvable][..., None])[..., 0]
-        exact = (
-            np.max(np.abs(np.einsum("bij,bj->bi", mats[solvable], pts) - rhs[solvable]), axis=1)
-            <= feas_tol
-        )
-        pts = pts[exact]
-        if pts.size == 0:
-            continue
-        feasible = np.all(pts @ g.T <= h[None, :] + feas_tol, axis=1)
-        if np.any(feasible):
-            found.append(pts[feasible])
-
-    if not found:
+    start = _start_basis(g, h)
+    if start is None:
         return np.empty((0, d))
-    pts = np.vstack(found)
+
+    # perturbed right-hand side as coefficients of [1, eps^1 .. eps^k],
+    # row i moved by eps^(1 + rank[i]): the start basis takes the smallest
+    # perturbations, so every row that is tight at the start vertex but
+    # not in its basis is strictly slack for small eps
+    rank = np.empty(k, dtype=int)
+    rank[[i for i in range(k) if i not in start] + list(start)] = np.arange(k)
+    rhs = np.zeros((k, k + 1))
+    rhs[:, 0] = h
+    rhs[np.arange(k), 1 + rank] = 1.0
+    zero = FEAS_TOL * max(1.0, float(np.abs(h).max()))
+
+    points = []
+    seen = {tuple(sorted(start))}
+    stack = [list(start)]
+    while stack:
+        basis = stack.pop()
+        inv = np.linalg.inv(g[basis])
+        point = inv @ rhs[basis]  # (d, k + 1): the vertex and its perturbation
+        points.append(point[:, 0])
+        slack = rhs - g @ point
+        slack[np.abs(slack[:, 0]) <= zero, 0] = 0.0
+        rates = -(g @ inv)  # rates[i, j]: row i's growth along edge j
+        rates[basis] = 0.0
+        limit = _PIVOT_COL_TOL * np.abs(inv).max(axis=0)
+        for j in range(d):
+            rows = np.nonzero(rates[:, j] > limit[j])[0]
+            if rows.size == 0:
+                continue  # unbounded edge: a ray
+            ratios = slack[rows] / rates[rows, j, None]
+            for col in range(k + 1):
+                best = ratios[:, col].min()
+                tied = ratios[:, col] <= best + _TIE_TOL * max(1.0, abs(best))
+                rows, ratios = rows[tied], ratios[tied]
+                if rows.size == 1:
+                    break
+            nxt = basis.copy()
+            nxt[j] = int(rows[0])
+            key = tuple(sorted(nxt))
+            if key not in seen:
+                seen.add(key)
+                stack.append(nxt)
+
     # two-stage dedup: rounding keys collapse near-identical copies (the
-    # original coordinates are kept), then a tolerance merge
+    # original coordinates are kept), then a tolerance merge.  np.unique
+    # sorts the keys, so the order is lexicographic on coordinates rounded
+    # to 1e-9 and does not hang on rounding error in a tied coordinate.
+    pts = np.asarray(points)
     _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
-    pts = pts[first]
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
     reps: list[np.ndarray] = []
-    for p in pts:
-        if reps and np.min(np.linalg.norm(np.asarray(reps) - p, axis=1)) <= dedup_tol:
+    for p in pts[first]:
+        if reps and np.min(np.linalg.norm(np.asarray(reps) - p, axis=1)) <= _DEDUP_TOL:
             continue
         reps.append(p)
-    out = np.asarray(reps)
-    return out[np.lexsort(out.T[::-1])]
+    return np.asarray(reps)
+
+
+def _start_basis(g: np.ndarray, h: np.ndarray) -> list[int] | None:
+    """Rows of one vertex of ``{p : g p <= h}``, or None if there is none.
+
+    A feasible point comes from the simplex on ``[g, -g, I]``; the point
+    then moves inside the null space of its independent tight rows until
+    d of them are tight.  Each move follows the projection of a row onto
+    that null space, so the row that stops it is independent of the rest.
+    """
+    k, d = g.shape
+    sol = solve(StandardLP(np.hstack([g, -g, np.eye(k)]), h, np.zeros(2 * d + k)))
+    if sol.status != "optimal":
+        return None
+    p = sol.x[:d] - sol.x[d : 2 * d]
+    basis: list[int] = []
+    while len(basis) < d:
+        if basis:
+            null = np.linalg.svd(g[basis])[2][len(basis) :]
+        else:
+            null = np.eye(d)
+        proj = g @ null.T  # rows seen inside the null space
+        norms = np.linalg.norm(proj, axis=1)
+        if norms.max() <= _PIVOT_COL_TOL * max(1.0, float(np.abs(g).max())):
+            return None  # every row is constant along a line
+        z = null.T @ proj[int(np.argmax(norms))]
+        rate = g @ z
+        rows = np.nonzero(rate > _PIVOT_COL_TOL * np.abs(z).max())[0]
+        steps = np.maximum(h[rows] - g[rows] @ p, 0.0) / rate[rows]
+        stop = int(rows[np.argmin(steps)])
+        p = p + steps.min() * z
+        basis.append(stop)
+    return basis

@@ -256,18 +256,6 @@ class Estimator:
         q[assignment, np.arange(assignment.size)] = 1.0
         return cls(q)
 
-    @classmethod
-    def cleaned(cls, q: np.ndarray, tol: float = 1e-10) -> "Estimator":
-        """Clip solver round-off (tiny negatives) and renormalize columns."""
-        q = np.asarray(q, dtype=float)
-        if np.any(q < -tol):
-            raise ProblemError("estimator entry below the cleanup tolerance")
-        q = np.clip(q, 0.0, None)
-        colsum = q.sum(axis=0)
-        if np.any(np.abs(colsum - 1.0) > tol):
-            raise ProblemError("estimator columns not stochastic after cleanup")
-        return cls(q / colsum)
-
     @property
     def n_x(self) -> int:
         return self.q.shape[0]

@@ -331,6 +331,33 @@ class SolveReport:
     iterations: int = 0
 
 
+def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> Estimator:
+    """Column-stochastic estimator from the solver's estimator block.
+
+    The solver meets each stochasticity row ``p_y * sum(q[:, y]) = p_y``
+    within ``tol`` in mass units, so a column's own sum may be off by
+    ``tol / p_y``: the column of a symbol with almost no mass can come
+    back as zeros.  Residuals are judged in mass units; a column with a
+    positive sum is renormalized, and one that sums to about 0 takes the
+    column of the unconstrained optimum, which moves the distortion and
+    the output law by at most that symbol's mass.
+    """
+    p_y = problem.p_y
+    if np.any(p_y * q < -tol):
+        raise SolverError("estimator entry negative beyond the solver tolerance")
+    q = np.clip(q, 0.0, None)
+    colsum = q.sum(axis=0)
+    residual = p_y * np.abs(colsum - 1.0)
+    if np.any(residual > tol):
+        raise SolverError(
+            f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
+        )
+    empty = colsum <= tol
+    q = q / np.where(empty, 1.0, colsum)
+    q[:, empty] = problem.minimum[1].q[:, empty]
+    return Estimator(q)
+
+
 def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:
     """Minimal expected distortion at one perception level, with certificates."""
     if form == "ot":
@@ -346,9 +373,8 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
             f"distortion program ended with status {sol.status} at P={p_level!r}"
         )
 
-    # residuals on the stochasticity rows are amplified by 1/p_y, so the
-    # cleanup tolerance is looser than the final column-sum guarantee
-    estimator = Estimator.cleaned(lay.extract_q(sol.x), tol=1e-7)
+    tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
+    estimator = _stochastic_estimator(problem, lay.extract_q(sol.x), tol)
     out = output_distribution(estimator, problem.p_y)
 
     if form == "ot":

@@ -112,6 +112,64 @@ def binary_dp_oracle(problem, p_level):
     return min(allocated_cost(m) for m in candidates)
 
 
+def brute_force_vertices(poly, *, feas_tol=1e-9, dedup_tol=1e-7):
+    """Vertices of ``{p : g p <= h}`` by solving every d-subset of rows.
+
+    Candidate bases whose rows miss a coordinate, or whose matrix is
+    ill-conditioned against the Hadamard bound, are skipped; the solved
+    points that satisfy all k rows within ``feas_tol`` are deduplicated
+    at ``dedup_tol`` and sorted lexicographically on coordinates rounded
+    to 1e-9.  Cost is C(k, d) small solves, so keep k and d small.
+    """
+    singular_tol, chunk = 1e-11, 65536
+    g, h = poly.g, poly.h
+    k, d = g.shape
+    if k < d:
+        return np.empty((0, d))
+    row_mask = np.zeros(k, dtype=np.uint32)
+    for j in range(d):
+        row_mask |= (g[:, j] != 0.0).astype(np.uint32) << j
+    full_mask = np.uint32((1 << d) - 1)
+
+    found = []
+    combos = itertools.combinations(range(k), d)
+    while True:
+        block = list(itertools.islice(combos, chunk))
+        if not block:
+            break
+        idx = np.array(block, dtype=int)
+        idx = idx[np.bitwise_or.reduce(row_mask[idx], axis=1) == full_mask]
+        if idx.size == 0:
+            continue
+        mats = g[idx]
+        rhs = h[idx]
+        dets = np.abs(np.linalg.det(mats))
+        scale = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+        solvable = dets > singular_tol * np.maximum(scale, 1e-12)
+        if not np.any(solvable):
+            continue
+        mats, rhs = mats[solvable], rhs[solvable]
+        pts = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        exact = np.max(np.abs(np.einsum("bij,bj->bi", mats, pts) - rhs), axis=1) <= feas_tol
+        pts = pts[exact]
+        feasible = np.all(pts @ g.T <= h[None, :] + feas_tol, axis=1)
+        found.append(pts[feasible])
+
+    pts = np.vstack([np.empty((0, d))] + found)
+    if pts.shape[0] == 0:
+        return pts
+    _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
+    pts = pts[first]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    reps = []
+    for p in pts:
+        if reps and np.min(np.linalg.norm(np.asarray(reps) - p, axis=1)) <= dedup_tol:
+            continue
+        reps.append(p)
+    out = np.asarray(reps)
+    return out[np.lexsort(np.round(out, 9).T[::-1])]
+
+
 def random_distribution(rng, n):
     p = rng.uniform(0.0, 1.0, n) + 1e-9
     return p / p.sum()

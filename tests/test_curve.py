@@ -152,6 +152,13 @@ class TestCurveBySweep:
         )
         assert np.allclose(by_sweep.curve.slopes, by_vertex.curve.slopes, atol=1e-8)
 
+    def test_endpoints_reuse_sampled_levels(self):
+        # recomputed breakpoints land up to 3e-14 away from the sampled
+        # crossings; each must reuse its sample, not solve it again
+        prob = random_problem(1, 5, 10, random_distortion=True)
+        report = curve_by_sweep(prob)
+        assert report.solve_count == len(report.s2_points)
+
     def test_grid_mode_covers_interior(self, bsc_problem):
         report = curve_by_sweep(bsc_problem, np.linspace(0.0, 1.0, 5))
         assert abs(report.curve.value(0.0) - 0.8 / 7.0) <= 1e-9

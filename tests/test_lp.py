@@ -15,6 +15,10 @@ from dptradeoff import (
     solve,
     tv_distance,
 )
+from dptradeoff.lp import _DEDUP_TOL
+from dptradeoff.programs import dual_polyhedron
+
+from conftest import brute_force_vertices, random_problem
 
 
 def random_feasible_lp(rng, m, n):
@@ -197,3 +201,60 @@ class TestVertexEnumeration:
         sol = solve(StandardLP(a, h, cc))
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(best, abs=1e-8)
+
+
+class TestWalkAgainstBruteForce:
+    """The basis walk returns what solving every d-subset of rows returns."""
+
+    @staticmethod
+    def assert_same(poly):
+        walk = enumerate_vertices(poly)
+        brute = brute_force_vertices(poly)
+        assert walk.shape == brute.shape
+        assert np.max(np.abs(walk - brute), initial=0.0) <= _DEDUP_TOL
+
+    @pytest.mark.parametrize("n_x,n_y", [(2, 3), (2, 5), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("random_metric", [False, True])
+    @pytest.mark.parametrize("random_distortion", [False, True])
+    def test_dual_polyhedra(self, n_x, n_y, random_metric, random_distortion):
+        prob = random_problem(
+            n_x + n_y, n_x, n_y,
+            random_distortion=random_distortion, random_metric=random_metric,
+        )
+        self.assert_same(dual_polyhedron(prob))
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_boxes_with_random_cuts(self, seed):
+        # the two generators of TestVertexEnumeration, on the same seeds
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        g = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(6, d))])
+        h = np.concatenate([np.ones(2 * d), np.abs(rng.normal(size=6)) + 0.5])
+        self.assert_same(HPolyhedron(g, h))
+
+        rng = np.random.default_rng(500 + seed)
+        d = int(rng.integers(2, 5))
+        cuts = rng.normal(size=(5, d))
+        levels = np.abs(rng.normal(size=5)) + 1.0
+        g = np.vstack([np.eye(d), -np.eye(d), cuts])
+        h = np.concatenate([np.ones(d), np.zeros(d), levels])
+        self.assert_same(HPolyhedron(g, h))
+
+    def test_duplicated_rows(self):
+        # unit cube with its corner (1, 1, 1) cut off through three vertices,
+        # every row written twice: each vertex is tight on at least six rows
+        g = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+        h = np.concatenate([np.ones(3), np.zeros(3), [2.0]])
+        poly = HPolyhedron(np.vstack([g, g]), np.concatenate([h, h]))
+        assert enumerate_vertices(poly).shape == (7, 3)
+        self.assert_same(poly)
+
+    def test_unbounded_polyhedron(self):
+        # the nonnegative quadrant shifted to (1, 2): one vertex, two rays
+        g = -np.eye(2)
+        verts = enumerate_vertices(HPolyhedron(g, np.array([-1.0, -2.0])))
+        assert np.allclose(verts, [[1.0, 2.0]])
+
+    def test_polyhedron_with_a_line(self):
+        g = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert enumerate_vertices(HPolyhedron(g, np.ones(2))).shape == (0, 2)

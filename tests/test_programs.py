@@ -5,6 +5,7 @@ import pytest
 
 from dptradeoff import (
     ProblemError,
+    SolverError,
     build_ot_form,
     build_tv_form,
     dual_polyhedron,
@@ -13,6 +14,7 @@ from dptradeoff import (
     solve_dp_at,
     tv_distance,
 )
+from dptradeoff.programs import _stochastic_estimator
 
 from conftest import binary_dp_oracle, random_problem
 
@@ -149,6 +151,21 @@ class TestSolveAt:
         floor = prob.distortion_floor
         for p in np.linspace(0.0, 1.0, 7):
             assert solve_dp_at(prob, float(p)).value >= floor - 1e-10
+
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_symbol_with_almost_no_mass(self, form):
+        # the solver returns the 3e-11 column as zeros, within its tolerance
+        prob = make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]])
+        rep = solve_dp_at(prob, 0.0, form=form)
+        assert rep.value == pytest.approx(0.4, abs=1e-9)
+        q = rep.estimator.q
+        assert np.all(q >= 0.0)
+        assert np.allclose(q.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_stochasticity_residual_is_a_solver_error(self, bsc_problem):
+        q = np.array([[0.5, 1.0], [0.0, 0.0]])  # column 0 short by mass 0.3
+        with pytest.raises(SolverError, match="off stochastic"):
+            _stochastic_estimator(bsc_problem, q, 1e-9)
 
     def test_estimator_transport_feasibility(self):
         prob = random_problem(77, 3, 4, random_distortion=True, random_metric=True)
