@@ -21,13 +21,12 @@ linear mixtures of the neighboring threshold rules in between.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import PiecewiseLinearCurve, mix_supports
 from .errors import ProblemError
-from .curve import PiecewiseLinearCurve
 from .model import Estimator, Problem
 
 CASE_UNDER = "x1_underallocated"
@@ -43,31 +42,30 @@ class StepCdf:
 
     points: np.ndarray  # sorted distinct jump locations
     cumulative: np.ndarray  # mass at or below each location
-    tie_tol: float = _TIE_TOL
 
     @classmethod
-    def from_samples(cls, values, masses, tie_tol: float = _TIE_TOL) -> "StepCdf":
+    def from_samples(cls, values, masses) -> "StepCdf":
         values = np.asarray(values, dtype=float)
         masses = np.asarray(masses, dtype=float)
         order = np.argsort(values, kind="stable")
         pts: list[float] = []
         acc: list[float] = []
         for v, m in zip(values[order], masses[order]):
-            if pts and v - pts[-1] <= tie_tol:
+            if pts and v - pts[-1] <= _TIE_TOL:
                 acc[-1] += m
             else:
                 pts.append(float(v))
                 acc.append(float(m))
-        return cls(np.asarray(pts), np.cumsum(acc), tie_tol)
+        return cls(np.asarray(pts), np.cumsum(acc))
 
     def at(self, u: float) -> float:
-        """Mass of levels <= u (levels within tie_tol of u count as equal)."""
-        idx = int(np.searchsorted(self.points, u + self.tie_tol, side="right"))
+        """Mass of levels <= u (levels within _TIE_TOL of u count as equal)."""
+        idx = int(np.searchsorted(self.points, u + _TIE_TOL, side="right"))
         return float(self.cumulative[idx - 1]) if idx else 0.0
 
     def left(self, u: float) -> float:
         """Left limit: mass of levels strictly below u."""
-        idx = int(np.searchsorted(self.points, u - self.tie_tol, side="left"))
+        idx = int(np.searchsorted(self.points, u - _TIE_TOL, side="left"))
         return float(self.cumulative[idx - 1]) if idx else 0.0
 
 
@@ -290,15 +288,11 @@ def estimator_at(
 ) -> Estimator:
     """Optimal estimator at any perception level, without solving anything.
 
-    Between breakpoints the two neighboring threshold rules are mixed
-    with weight proportional to the position inside the interval; below
-    the last breakpoint the mix runs toward the exact-marginal rule.
+    The supports are the exact-marginal rule at level 0 and the threshold
+    rules at the breakpoints; ``mix_supports`` builds only the one or two
+    around ``p_level`` and mixes them.
     """
-    if p_level < 0:
-        raise ProblemError("perception level must be >= 0")
     an = analysis if analysis is not None else analyze(problem)
-    # levels of the supports: 0 for the exact-marginal rule, then the
-    # breakpoints; only the one or two rules around p_level are built
     thresholds = sorted(_distinct_breakpoints(an), key=lambda t: t[0])
     levels = [0.0] + [bp for bp, _ in thresholds]
 
@@ -307,14 +301,7 @@ def estimator_at(
             return zero_perception_estimator(problem, an)
         return _threshold_rule(an, thresholds[i - 1][1])
 
-    if p_level >= levels[-1]:
-        return rule(len(levels) - 1)
-    hi = bisect_right(levels, p_level)
-    p0, p1 = levels[hi - 1], levels[hi]
-    if p_level <= p0:
-        return rule(hi - 1)
-    alpha = (p_level - p0) / (p1 - p0)
-    return Estimator((1.0 - alpha) * rule(hi - 1).q + alpha * rule(hi).q)
+    return mix_supports(levels, rule, p_level)
 
 
 def reduced_dual_objective(

@@ -17,7 +17,8 @@ from . import binary as binmod
 from . import curve as curvemod
 from . import problemio, svgplot
 from .errors import BudgetExceededError, ProblemError, SolverError
-from .model import Distribution, GroundMetric
+from .model import Distribution, GroundMetric, wasserstein1
+from .problemio import _fmt
 from .programs import solve_dp_at
 from .verify import cross_verify
 
@@ -26,10 +27,6 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write(path: str, text: str) -> None:
@@ -98,14 +95,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _emit_curve_outputs(args, curve, estimators, method, s2=None, hull=None) -> None:
+def _emit_curve_outputs(args, curve, estimators, method, scatter=None) -> None:
+    """Write the requested files; ``scatter`` is a report whose S2 points to plot."""
     if args.out_json:
         _write(args.out_json, _curve_json(curve, estimators, method, args.tol))
     if args.out_csv:
         _write(args.out_csv, _curve_csv(curve))
     if args.out_svg:
         _write(args.out_svg, svgplot.curve_svg(curve, title="distortion-perception curve"))
-        if s2 is not None and s2.size:
+        if scatter is not None and scatter.s2_points.size:
             scatter_path = (
                 args.out_svg[:-4] + ".s2.svg"
                 if args.out_svg.endswith(".svg")
@@ -114,60 +112,54 @@ def _emit_curve_outputs(args, curve, estimators, method, s2=None, hull=None) -> 
             _write(
                 scatter_path,
                 svgplot.scatter_svg(
-                    s2,
-                    hull if hull is not None else [],
-                    _active_indices(curve, s2),
+                    scatter.s2_points,
+                    scatter.hull_extreme_indices,
+                    _active_indices(curve, scatter.s2_points),
                     title="projected dual vertices and hull extremes",
                 ),
             )
 
 
-def cmd_curve(args) -> int:
-    problem, _ = problemio.load_problem(args.input)
-    if args.method == "closed-form":
-        analysis = binmod.analyze(problem)
-        curve = binmod.closed_form_curve(problem, analysis)
-        ests = [(0.0, binmod.zero_perception_estimator(problem, analysis))]
-        ests += binmod.breakpoint_estimators(problem, analysis)
-        ests.sort(key=lambda t: t[0])
-        _emit_curve_outputs(args, curve, ests, "closed-form")
-    elif args.method == "vertex":
-        report = curvemod.curve_by_vertices(problem, budget=args.budget)
-        curve = report.curve
-        _emit_curve_outputs(
-            args,
-            curve,
-            report.estimators,
-            "vertex",
-            s2=report.s2_points,
-            hull=report.hull_extreme_indices,
-        )
-    else:
-        report = curvemod.curve_by_sweep(problem)
-        curve = report.curve
-        _emit_curve_outputs(args, curve, report.estimators, "sweep")
-    print(f"breakpoints = [{', '.join(_fmt(b) for b in curve.breakpoints)}]")
-    print(f"slopes = [{', '.join(_fmt(s) for s in curve.slopes)}]")
-    print(f"p_star = {_fmt(curve.p_star)}")
-    print(f"d_star = {_fmt(curve.d_star)}")
-    print(f"tolerance = {_fmt(args.tol)}")
-    return EXIT_OK
-
-
-def cmd_binary(args) -> int:
-    problem, _ = problemio.load_problem(args.input)
+def _closed_form_outputs(args, problem):
+    """Closed-form curve and its estimators, written to the requested files."""
     analysis = binmod.analyze(problem)
     curve = binmod.closed_form_curve(problem, analysis)
     ests = [(0.0, binmod.zero_perception_estimator(problem, analysis))]
     ests += binmod.breakpoint_estimators(problem, analysis)
     ests.sort(key=lambda t: t[0])
     _emit_curve_outputs(args, curve, ests, "closed-form")
-    print(f"case = {analysis.case}")
+    return analysis, curve
+
+
+def _print_curve(curve, tol: float) -> None:
     print(f"breakpoints = [{', '.join(_fmt(b) for b in curve.breakpoints)}]")
     print(f"slopes = [{', '.join(_fmt(s) for s in curve.slopes)}]")
     print(f"p_star = {_fmt(curve.p_star)}")
     print(f"d_star = {_fmt(curve.d_star)}")
-    print(f"tolerance = {_fmt(args.tol)}")
+    print(f"tolerance = {_fmt(tol)}")
+
+
+def cmd_curve(args) -> int:
+    problem, _ = problemio.load_problem(args.input)
+    if args.method == "closed-form":
+        _, curve = _closed_form_outputs(args, problem)
+    elif args.method == "vertex":
+        report = curvemod.curve_by_vertices(problem, budget=args.budget)
+        curve = report.curve
+        _emit_curve_outputs(args, curve, report.estimators, "vertex", scatter=report)
+    else:
+        report = curvemod.curve_by_sweep(problem)
+        curve = report.curve
+        _emit_curve_outputs(args, curve, report.estimators, "sweep")
+    _print_curve(curve, args.tol)
+    return EXIT_OK
+
+
+def cmd_binary(args) -> int:
+    problem, _ = problemio.load_problem(args.input)
+    analysis, curve = _closed_form_outputs(args, problem)
+    print(f"case = {analysis.case}")
+    _print_curve(curve, args.tol)
     return EXIT_OK
 
 
@@ -190,7 +182,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     problem, spec = problemio.load_problem(args.input)
-    grid = np.linspace(0.0, 1.0, args.points)
+    grid = np.linspace(0.0, 1.0, max(args.points, 0))  # cross_verify rejects an empty grid
     report = cross_verify(
         problem,
         grid,
@@ -212,8 +204,6 @@ def _parse_vector(text: str) -> Distribution:
 
 
 def cmd_w1(args) -> int:
-    from .model import wasserstein1
-
     p = _parse_vector(args.p)
     q = _parse_vector(args.q)
     if args.input:

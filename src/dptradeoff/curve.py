@@ -32,24 +32,9 @@ from .programs import SolveReport, dual_polyhedron, solve_dp_at
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
-
-
-@dataclass(frozen=True, eq=False)
-class DualVertex:
-    """A vertex of the dual feasible set, in the pinned chart."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-
-@dataclass(frozen=True)
-class ProjectedPoint:
-    """A dual vertex seen as the line ``intercept + slope * P``."""
-
-    intercept: float
-    slope: float
+_SWEEP_MAX_SOLVES = 256  # cold solves one sweep may spend
+_SWEEP_SLOPE_TOL = 1e-7  # neighbouring samples this close in slope share a segment
+_SWEEP_VALUE_TOL = 1e-9  # a sample this close to its neighbours' envelope adds nothing
 
 
 def intercept_weights(problem: Problem) -> np.ndarray:
@@ -63,15 +48,16 @@ def intercept_weights(problem: Problem) -> np.ndarray:
     )
 
 
-def project_vertex(vertex, problem: Problem) -> ProjectedPoint:
-    """Project a dual vertex to its (intercept, slope) pair."""
-    coords = vertex.coords if isinstance(vertex, DualVertex) else np.asarray(vertex, float)
-    if coords.shape != (problem.n_y + 2 * problem.n_x,):
+def project_vertex(vertex, problem: Problem) -> np.ndarray:
+    """Project dual vertices to the lines ``intercept + slope * P``.
+
+    ``vertex`` is one vertex or a stack of them, one per row; the result
+    is one (intercept, slope) pair or an ``(n, 2)`` array to match.
+    """
+    coords = np.asarray(vertex, dtype=float)
+    if coords.ndim not in (1, 2) or coords.shape[-1] != problem.n_y + 2 * problem.n_x:
         raise ProblemError("vertex has the wrong dimension for this problem")
-    return ProjectedPoint(
-        intercept=float(coords @ intercept_weights(problem)),
-        slope=-float(coords[-1]),
-    )
+    return np.stack([coords @ intercept_weights(problem), -coords[..., -1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +103,6 @@ class PiecewiseLinearCurve:
             raise ProblemError("p_star must equal the last breakpoint")
         object.__setattr__(self, "breakpoints", _freeze(bp))
         object.__setattr__(self, "segments", _freeze(seg))
-
-    def segment_index(self, p: float) -> int:
-        return bisect_right(self.breakpoints.tolist(), p)
 
     def value(self, p):
         """Curve value; exact plateau (bitwise d_star) for p >= p_star."""
@@ -176,10 +159,7 @@ def assemble_curve(lines, d_star: float) -> PiecewiseLinearCurve:
     feasible dual value at every level, and carrying it verbatim keeps
     the plateau bitwise equal to the unconstrained floor.
     """
-    arr = np.asarray(
-        [(p.intercept, p.slope) if isinstance(p, ProjectedPoint) else tuple(p) for p in lines],
-        dtype=float,
-    ).reshape(-1, 2)
+    arr = np.asarray(lines, dtype=float).reshape(-1, 2)
     arr = np.vstack([arr, [d_star, 0.0]])
     # numerically-zero slopes collapse onto the exact plateau
     arr[np.abs(arr[:, 1]) <= 1e-11, 1] = 0.0
@@ -266,10 +246,7 @@ def hull_extremes(points) -> np.ndarray:
     hull edge are convex combinations of its ends and never required.
     Duplicate coordinates report their first occurrence.
     """
-    pts = np.asarray(
-        [(p.intercept, p.slope) if isinstance(p, ProjectedPoint) else tuple(p) for p in points],
-        dtype=float,
-    ).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=int)
     uniq, first = np.unique(pts, axis=0, return_index=True)
@@ -306,10 +283,7 @@ def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
     Every realized breakpoint of the envelope is a crossing of two active
     lines, hence a member of this set.
     """
-    pts = np.asarray(
-        [(p.intercept, p.slope) if isinstance(p, ProjectedPoint) else tuple(p) for p in points],
-        dtype=float,
-    ).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 2:
         return np.empty(0)
     a = pts[:, 0]
@@ -331,7 +305,7 @@ def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
     return np.asarray(out)
 
 
-def _segment_endpoint_estimators(problem, curve, solves, form):
+def _segment_endpoint_estimators(problem, curve, solves):
     """One estimator per segment endpoint: level 0 and every breakpoint.
 
     A sampled level within ``_ZERO_LEN_TOL`` of an endpoint stands for
@@ -345,88 +319,60 @@ def _segment_endpoint_estimators(problem, curve, solves, form):
         near = min(solves, key=lambda s: abs(s - p), default=None)
         hit = solves[near] if near is not None and abs(near - p) <= _ZERO_LEN_TOL else None
         if hit is None:
-            hit = solve_dp_at(problem, p, form=form)
+            hit = solve_dp_at(problem, p)
             count += 1
         out.append((p, hit.estimator))
     return tuple(out), count
 
 
-def curve_by_vertices(
-    problem: Problem, *, budget: int = 10_000_000, form: str = "ot"
-) -> CurveReport:
+def curve_by_vertices(problem: Problem, *, budget: int = 10_000_000) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 
     Raises BudgetExceededError when the basis count is out of reach; use
     ``curve_by_sweep`` then.
     """
-    poly = dual_polyhedron(problem)
-    verts = lpmod.enumerate_vertices(poly, budget=budget)
-    weights = intercept_weights(problem)
-    if verts.shape[0]:
-        s2 = np.column_stack([verts @ weights, -verts[:, -1]])
-    else:  # pathological; the floor line alone carries the curve
-        s2 = np.empty((0, 2))
+    verts = lpmod.enumerate_vertices(dual_polyhedron(problem), budget=budget)
+    s2 = project_vertex(verts, problem)  # no vertices: the floor line alone
     curve = assemble_curve(s2, problem.distortion_floor)
-    estimators, n_solves = _segment_endpoint_estimators(problem, curve, {}, form)
+    estimators, n_solves = _segment_endpoint_estimators(problem, curve, {})
     return CurveReport(
         curve=curve,
         method="vertex",
         s2_points=s2,
-        hull_extreme_indices=hull_extremes(s2) if s2.size else np.empty(0, dtype=int),
+        hull_extreme_indices=hull_extremes(s2),
         estimators=estimators,
         solve_count=n_solves,
         vertices=verts,
     )
 
 
-def curve_by_sweep(
-    problem: Problem,
-    p_grid=None,
-    *,
-    form: str = "ot",
-    max_solves: int = 256,
-    slope_cluster_tol: float = 1e-7,
-    value_tol: float = 1e-9,
-) -> CurveReport:
+def curve_by_sweep(problem: Problem) -> CurveReport:
     """Curve reconstruction from repeated single-level solves.
 
     Each solve at level P contributes the supporting line
-    ``value + price * P  -  price * p``; recursion between neighboring
-    samples either certifies that their lines meet on the curve (then the
-    crossing is the breakpoint) or finds a hidden segment and descends.
-    A convex piecewise-linear function is recovered exactly this way.
+    ``value + price * P  -  price * p``.  Starting from the levels 0 and
+    1, recursion between neighboring samples either certifies that their
+    lines meet on the curve (then the crossing is the breakpoint) or
+    finds a hidden segment and descends.  A convex piecewise-linear
+    function is recovered exactly this way.  Raises BudgetExceededError
+    after ``_SWEEP_MAX_SOLVES`` solves.
     """
-    if p_grid is None:
-        grid = [0.0, 1.0]
-    else:
-        grid = sorted(float(p) for p in p_grid)
-        if len(grid) < 2:
-            raise ProblemError("sweep grid needs at least two levels")
-        if grid[0] < 0 or grid[-1] > 1:
-            raise ProblemError("sweep grid must lie within [0, 1]")
-        if grid[0] > 0.0:
-            grid.insert(0, 0.0)
-        if grid[-1] < 1.0:
-            grid.append(1.0)
-
     solves: dict[float, SolveReport] = {}
-    budget = {"left": int(max_solves)}
 
     def sample(p: float) -> tuple[float, float]:
         key = round(p, 15)
         rep = solves.get(key)
         if rep is None:
-            if budget["left"] <= 0:
+            if len(solves) >= _SWEEP_MAX_SOLVES:
                 raise BudgetExceededError(
-                    f"sweep exceeded its solve budget of {max_solves}"
+                    f"sweep exceeded its solve budget of {_SWEEP_MAX_SOLVES}"
                 )
-            budget["left"] -= 1
-            rep = solve_dp_at(problem, p, form=form)
+            rep = solve_dp_at(problem, p)
             solves[key] = rep
         price = rep.dual.perception_price
         return rep.value + price * p, -price  # (intercept, slope)
 
-    lines = {p: sample(p) for p in grid}
+    lines = {p: sample(p) for p in (0.0, 1.0)}
 
     def line_at(line, p):
         return line[0] + line[1] * p
@@ -434,7 +380,7 @@ def curve_by_sweep(
     def refine(pa, la, pb, lb, depth=0):
         if pb - pa <= 1e-9 or depth >= 48:
             return
-        if abs(la[1] - lb[1]) <= slope_cluster_tol:
+        if abs(la[1] - lb[1]) <= _SWEEP_SLOPE_TOL:
             return
         pc = (la[0] - lb[0]) / (lb[1] - la[1])
         if pc <= pa + 1e-12 or pc >= pb - 1e-12:
@@ -444,18 +390,16 @@ def curve_by_sweep(
         lc = sample(pc)
         lines[pc] = lc
         envelope = max(line_at(la, pc), line_at(lb, pc))
-        if lc[0] + lc[1] * pc <= envelope + value_tol:
+        if lc[0] + lc[1] * pc <= envelope + _SWEEP_VALUE_TOL:
             return
         refine(pa, la, pc, lc, depth + 1)
         refine(pc, lc, pb, lb, depth + 1)
 
-    keys = sorted(lines)
-    for left, right in zip(keys[:-1], keys[1:]):
-        refine(left, lines[left], right, lines[right])
+    refine(0.0, lines[0.0], 1.0, lines[1.0])
 
     support_lines = np.asarray(sorted(lines.values()), dtype=float).reshape(-1, 2)
     curve = assemble_curve(support_lines, problem.distortion_floor)
-    estimators, extra = _segment_endpoint_estimators(problem, curve, solves, form)
+    estimators, extra = _segment_endpoint_estimators(problem, curve, solves)
     return CurveReport(
         curve=curve,
         method="sweep",
@@ -466,27 +410,36 @@ def curve_by_sweep(
     )
 
 
+def mix_supports(levels, rule, p_level: float) -> Estimator:
+    """An optimal estimator at ``p_level`` from rules optimal at ``levels``.
+
+    ``levels`` is sorted, and ``rule(i)`` builds the rule optimal at
+    ``levels[i]``; only the one or two rules around ``p_level`` are
+    built.  At or past the last level its rule is returned; between two
+    levels their rules are mixed linearly.  Mean distortion is linear in
+    the rule and the perception index is convex, so on a segment of the
+    curve the mixture stays feasible and lands exactly on the segment.
+    """
+    if not np.isfinite(p_level) or p_level < 0:
+        raise ProblemError(f"perception level must be finite and >= 0, got {p_level!r}")
+    if p_level >= levels[-1]:
+        return rule(len(levels) - 1)
+    hi = bisect_right(levels, p_level)
+    p0, p1 = levels[hi - 1], levels[hi]
+    if p_level <= p0:
+        return rule(hi - 1)
+    alpha = (p_level - p0) / (p1 - p0)
+    return Estimator((1.0 - alpha) * rule(hi - 1).q + alpha * rule(hi).q)
+
+
 def estimator_on_curve(problem: Problem, report: CurveReport, p_level: float) -> Estimator:
     """An estimator achieving the curve value at ``p_level``, solver-free.
 
-    Segment endpoints carry precomputed estimators; inside a segment the
-    two endpoint rules are mixed linearly.  Mean distortion is linear in
-    the rule and the perception index is convex, so the mixture stays
-    feasible and lands exactly on the segment line.
+    Segment endpoints carry precomputed estimators, mixed by
+    ``mix_supports`` inside a segment; from level 1 on, the unconstrained
+    optimum.
     """
-    if p_level < 0:
-        raise ProblemError("perception level must be >= 0")
-    if p_level >= 1.0:
+    if 1.0 <= p_level < np.inf:
         return problem.minimum[1]
     supports = report.estimators
-    levels = [p for p, _ in supports]
-    if p_level >= levels[-1]:
-        return supports[-1][1]
-    hi = bisect_right(levels, p_level)
-    lo = hi - 1
-    p0, q0 = supports[lo]
-    p1, q1 = supports[hi]
-    if p_level <= p0:
-        return q0
-    alpha = (p_level - p0) / (p1 - p0)
-    return Estimator((1.0 - alpha) * q0.q + alpha * q1.q)
+    return mix_supports([p for p, _ in supports], lambda i: supports[i][1], p_level)

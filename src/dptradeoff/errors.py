@@ -13,9 +13,5 @@ class IterationLimitError(SolverError):
     """Pivot budget exhausted before reaching a terminal simplex state."""
 
 
-class CyclingError(SolverError):
-    """The same basis was revisited (possible only without Bland's rule)."""
-
-
 class BudgetExceededError(SolverError):
     """A combinatorial enumeration would exceed its configured budget."""

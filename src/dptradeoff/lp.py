@@ -4,10 +4,8 @@ Solves equality-standard-form programs
 
     min c.x   subject to   a x = b,  x >= 0
 
-with a two-phase primal simplex.  Bland's rule is the default pivot rule
-(termination guaranteed); Dantzig's rule is available behind a flag for
-speed comparisons, with basis-revisit detection since it may cycle.  The
-tableau is dense and refactorized from the basis periodically and at
+with a two-phase primal simplex under Bland's rule, which cannot cycle.
+The tableau is dense and refactorized from the basis periodically and at
 termination, so the reported point, dual vector, and objective come from
 a fresh solve against the original data rather than accumulated updates.
 
@@ -30,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    CyclingError,
-    IterationLimitError,
-    SolverError,
-)
+from .errors import BudgetExceededError, IterationLimitError, SolverError
 
 _RED_COST_TOL = 1e-10  # reduced cost considered improving below -tol
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
@@ -143,15 +136,13 @@ class _Tableau:
         return x
 
 
-def _entering(tab: _Tableau, allowed: np.ndarray, rule: str) -> int | None:
+def _entering(tab: _Tableau, allowed: np.ndarray) -> int | None:
     basic = np.zeros(tab.n, dtype=bool)
     basic[tab.basis] = True
     mask = allowed & ~basic & (tab.red < -_RED_COST_TOL)
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         return None
-    if rule == "dantzig":
-        return int(idx[np.argmin(tab.red[idx])])
     return int(idx[0])  # Bland: smallest improving index
 
 
@@ -168,16 +159,15 @@ def _leaving(tab: _Tableau, col: int) -> int | None:
     return int(tied[np.argmin(basis[tied])])
 
 
-def _optimize(tab: _Tableau, allowed, budget, rule):
+def _optimize(tab: _Tableau, allowed, budget):
     """Run pivots to a terminal state; returns ('optimal'|'unbounded', ray)."""
-    seen = set() if rule == "dantzig" else None
     iters = 0
     since_refresh = 0
     while True:
-        col = _entering(tab, allowed, rule)
+        col = _entering(tab, allowed)
         if col is None:
             tab.refactor()  # confirm optimality against fresh data
-            col = _entering(tab, allowed, rule)
+            col = _entering(tab, allowed)
             if col is None:
                 return "optimal", None, iters
         row = _leaving(tab, col)
@@ -192,21 +182,14 @@ def _optimize(tab: _Tableau, allowed, budget, rule):
         if since_refresh >= _REFRESH_EVERY:
             tab.refactor()
             since_refresh = 0
-        if seen is not None:
-            key = tuple(sorted(tab.basis))
-            if key in seen:
-                raise CyclingError(
-                    "basis revisited under Dantzig's rule; rerun with Bland's rule"
-                )
-            seen.add(key)
         if iters > budget:
             raise IterationLimitError(
-                f"pivot budget {budget} exhausted under {rule}'s rule "
-                "(cycling is impossible under Bland; consider raising max_iter)"
+                f"pivot budget {budget} exhausted (cycling is impossible "
+                "under Bland's rule; consider raising max_iter)"
             )
 
 
-def solve(lp: StandardLP, *, pivot_rule: str = "bland", max_iter: int | None = None) -> LPSolution:
+def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
     """Two-phase simplex on an equality-form program.
 
     Returns a basic optimal solution with its dual certificate, an
@@ -214,8 +197,6 @@ def solve(lp: StandardLP, *, pivot_rule: str = "bland", max_iter: int | None = N
     a Farkas certificate.  Dependent equality rows are detected in phase
     one and dropped (reported via ``dropped_rows``).
     """
-    if pivot_rule not in ("bland", "dantzig"):
-        raise SolverError(f"unknown pivot rule {pivot_rule!r}")
     m, n = lp.m, lp.n
     budget = max_iter if max_iter is not None else 100 * (m + n)
 
@@ -228,7 +209,7 @@ def solve(lp: StandardLP, *, pivot_rule: str = "bland", max_iter: int | None = N
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     allowed1 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
     tab = _Tableau(a1, b, c1, list(range(n, n + m)))
-    status, _, iters1 = _optimize(tab, allowed1, budget, pivot_rule)
+    status, _, iters1 = _optimize(tab, allowed1, budget)
     if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
         raise SolverError("phase one ended in an impossible state")
 
@@ -262,7 +243,7 @@ def solve(lp: StandardLP, *, pivot_rule: str = "bland", max_iter: int | None = N
 
     tab2 = _Tableau(a2, b2, lp.c, basis2)
     allowed2 = np.ones(n, dtype=bool)
-    status, ray, iters2 = _optimize(tab2, allowed2, budget, pivot_rule)
+    status, ray, iters2 = _optimize(tab2, allowed2, budget)
     iterations = iters1 + iters2
 
     if status == "unbounded":

@@ -24,30 +24,15 @@ safe to share across threads; the operations below are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ProblemError, SolverError
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances used during validation and comparisons.
-
-    Attributes:
-        validation: normalization checks on input probabilities.
-        stochastic: column-stochasticity and coupling-marginal checks.
-        equality: generic equality comparisons between computed scalars.
-    """
-
-    validation: float = 1e-12
-    stochastic: float = 1e-10
-    equality: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+_MASS_TOL = 1e-12  # input probabilities and metric entries: sums, signs, zeros
+_STOCHASTIC_TOL = 1e-10  # estimator column sums and coupling marginals
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -66,17 +51,16 @@ class Distribution:
     """A probability vector: nonnegative entries summing to one."""
 
     p: np.ndarray
-    tol: float = 1e-12
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         if p.ndim != 1 or p.size < 1:
             raise ProblemError("distribution must be a nonempty vector")
         _require_finite(p, "distribution")
-        if np.any(p < -self.tol):
+        if np.any(p < -_MASS_TOL):
             raise ProblemError(f"distribution has negative entry {p.min():g}")
         total = float(p.sum())
-        if abs(total - 1.0) > self.tol:
+        if abs(total - 1.0) > _MASS_TOL:
             raise ProblemError(f"distribution sums to {total!r}, expected 1")
         object.__setattr__(self, "p", _readonly(p))
 
@@ -90,7 +74,7 @@ def _as_prob_vector(dist, name: str = "distribution") -> np.ndarray:
         return dist.p
     p = np.atleast_1d(np.asarray(dist, dtype=float))
     _require_finite(p, name)
-    if np.any(p < -1e-12):
+    if np.any(p < -_MASS_TOL):
         raise ProblemError(f"{name} has a negative entry")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ProblemError(f"{name} does not sum to 1")
@@ -108,21 +92,20 @@ class JointChannel:
     """
 
     p_xy: np.ndarray
-    tol: float = 1e-12
 
     def __post_init__(self):
         p = np.asarray(self.p_xy, dtype=float)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ProblemError("joint matrix must be 2-D and nonempty")
         _require_finite(p, "joint matrix")
-        if np.any(p < -self.tol):
+        if np.any(p < -_MASS_TOL):
             i, j = np.unravel_index(int(np.argmin(p)), p.shape)
             raise ProblemError(f"joint matrix entry ({i},{j}) is negative")
         total = float(p.sum())
-        if abs(total - 1.0) > self.tol:
+        if abs(total - 1.0) > _MASS_TOL:
             raise ProblemError(f"joint matrix sums to {total!r}, expected 1")
         col = p.sum(axis=0)
-        dead = np.nonzero(col <= self.tol)[0]
+        dead = np.nonzero(col <= _MASS_TOL)[0]
         if dead.size:
             raise ProblemError(
                 f"observation column {int(dead[0])} has zero probability; "
@@ -182,18 +165,17 @@ class GroundMetric:
     """
 
     h: np.ndarray
-    tol: float = 1e-12
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
             raise ProblemError("metric matrix must be square and nonempty")
         _require_finite(h, "metric")
-        if np.any(np.abs(np.diag(h)) > self.tol):
+        if np.any(np.abs(np.diag(h)) > _MASS_TOL):
             raise ProblemError("metric diagonal must be zero")
-        if np.any(np.abs(h - h.T) > self.tol):
+        if np.any(np.abs(h - h.T) > _MASS_TOL):
             raise ProblemError("metric must be symmetric")
-        if np.any(h < -self.tol) or np.any(h > 1.0 + self.tol):
+        if np.any(h < -_MASS_TOL) or np.any(h > 1.0 + _MASS_TOL):
             raise ProblemError(
                 "metric entries must lie in [0, 1]; rescale the metric and "
                 "the perception level jointly"
@@ -201,7 +183,7 @@ class GroundMetric:
         n = h.shape[0]
         if n > 1:
             off = h[~np.eye(n, dtype=bool)]
-            if np.any(off <= self.tol):
+            if np.any(off <= _MASS_TOL):
                 raise ProblemError("metric must be positive off the diagonal")
         # min_j (h[i,j] + h[j,k]) >= h[i,k] for all i, k
         via = np.min(h[:, :, None] + h[None, :, :], axis=1)
@@ -222,7 +204,7 @@ class GroundMetric:
 
     @property
     def is_hamming(self) -> bool:
-        return bool(np.all(np.abs(self.h - (1.0 - np.eye(self.n))) <= 1e-12))
+        return bool(np.all(np.abs(self.h - (1.0 - np.eye(self.n))) <= _MASS_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,17 +212,16 @@ class Estimator:
     """Column-stochastic reconstruction matrix ``q[xhat, y]``."""
 
     q: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
             raise ProblemError("estimator must be a 2-D matrix")
         _require_finite(q, "estimator")
-        if np.any(q < -1e-12):
+        if np.any(q < -_MASS_TOL):
             raise ProblemError("estimator has a negative entry")
         colsum = q.sum(axis=0)
-        bad = np.nonzero(np.abs(colsum - 1.0) > self.tol)[0]
+        bad = np.nonzero(np.abs(colsum - 1.0) > _STOCHASTIC_TOL)[0]
         if bad.size:
             j = int(bad[0])
             raise ProblemError(
@@ -266,7 +247,7 @@ class Estimator:
 
     @property
     def is_deterministic(self) -> bool:
-        return bool(np.all((self.q <= 1e-12) | (np.abs(self.q - 1.0) <= 1e-12)))
+        return bool(np.all((self.q <= _MASS_TOL) | (np.abs(self.q - 1.0) <= _MASS_TOL)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +257,6 @@ class Coupling:
     pi: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -285,11 +265,11 @@ class Coupling:
         if pi.shape != (row.size, col.size):
             raise ProblemError("coupling shape does not match its marginals")
         _require_finite(pi, "coupling")
-        if np.any(pi < -1e-12):
+        if np.any(pi < -_MASS_TOL):
             raise ProblemError("coupling has a negative entry")
-        if np.max(np.abs(pi.sum(axis=1) - row)) > self.tol:
+        if np.max(np.abs(pi.sum(axis=1) - row)) > _STOCHASTIC_TOL:
             raise ProblemError("coupling row sums do not match the marginal")
-        if np.max(np.abs(pi.sum(axis=0) - col)) > self.tol:
+        if np.max(np.abs(pi.sum(axis=0) - col)) > _STOCHASTIC_TOL:
             raise ProblemError("coupling column sums do not match the marginal")
         object.__setattr__(self, "pi", _readonly(pi))
         object.__setattr__(self, "row_marginal", _readonly(row))
@@ -408,7 +388,6 @@ class Problem:
     channel: JointChannel
     distortion: DistortionMatrix
     metric: GroundMetric
-    tols: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         n_x = self.channel.n_x
@@ -471,10 +450,7 @@ class Problem:
 
 
 def validate_problem(
-    channel: JointChannel,
-    distortion: DistortionMatrix,
-    metric: GroundMetric,
-    tols: Tolerances | None = None,
+    channel: JointChannel, distortion: DistortionMatrix, metric: GroundMetric
 ) -> Problem:
     """Check dimensional consistency and return a cached problem handle.
 
@@ -482,13 +458,13 @@ def validate_problem(
     columns) are enforced by the component constructors; this adds the
     cross-checks between them.
     """
-    return Problem(channel, distortion, metric, tols or DEFAULT_TOLERANCES)
+    return Problem(channel, distortion, metric)
 
 
-def make_problem(p_xy, distortion=None, metric=None, tols=None) -> Problem:
+def make_problem(p_xy, distortion=None, metric=None) -> Problem:
     """Convenience builder from raw arrays; costs and metric default to Hamming."""
     channel = JointChannel(p_xy)
     n = channel.n_x
     d = DistortionMatrix(distortion) if distortion is not None else DistortionMatrix.hamming(n)
     h = GroundMetric(metric) if metric is not None else GroundMetric.hamming(n)
-    return validate_problem(channel, d, h, tols)
+    return validate_problem(channel, d, h)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .binary import closed_form_curve
 from .curve import curve_by_sweep, curve_by_vertices
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ProblemError
 from .model import Problem, wasserstein1
 from .programs import solve_dp_at
 
@@ -44,6 +44,11 @@ def _simplex_grid(steps: int, parts: int) -> np.ndarray:
     return np.asarray(rows, dtype=float) / steps
 
 
+def _require_steps(steps: int) -> None:
+    if steps < 1:
+        raise ProblemError(f"grid oracle needs at least 1 step, got {steps}")
+
+
 def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> float:
     """Upper bound on the curve value from exhaustive grid search.
 
@@ -56,6 +61,7 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     ``n_y * (max d - min d) / steps`` of it whenever a near-optimal
     feasible grid point exists.
     """
+    _require_steps(steps_per_dof)
     n_x, n_y = problem.n_x, problem.n_y
     dof = (n_x - 1) * n_y
     if dof > 9:
@@ -150,7 +156,6 @@ def cross_verify(
     *,
     instance: str = "",
     exact_tol: float = 1e-8,
-    vertex_budget: int = 10_000_000,
     grid_steps: int | None = None,
     inject_slope_error: float = 0.0,
 ) -> VerifyReport:
@@ -162,6 +167,10 @@ def cross_verify(
     so the failure path itself can be exercised and observed.
     """
     ps = np.asarray(p_grid if p_grid is not None else np.linspace(0.0, 1.0, 21), dtype=float)
+    if ps.size == 0:
+        raise ProblemError("perception grid is empty")
+    if grid_steps is not None:
+        _require_steps(grid_steps)
     values: dict[str, np.ndarray] = {}
 
     sweep = curve_by_sweep(problem)
@@ -176,7 +185,7 @@ def cross_verify(
         values["closed_form"] = np.asarray(closed.value(ps), dtype=float)
 
     try:
-        vertex = curve_by_vertices(problem, budget=vertex_budget)
+        vertex = curve_by_vertices(problem)
         values["vertex"] = np.asarray(vertex.curve.value(ps), dtype=float)
     except BudgetExceededError:
         pass

@@ -8,7 +8,9 @@ from dptradeoff import (
     analyze,
     breakpoint_estimators,
     closed_form_curve,
+    curve_by_vertices,
     estimator_at,
+    estimator_on_curve,
     make_problem,
     reduced_dual_objective,
     reduced_dual_optimum,
@@ -230,12 +232,37 @@ class TestEstimatorAt:
                 curve.value(float(p)), abs=1e-9
             )
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -0.1])
+    def test_level_must_be_finite_and_nonnegative(self, bsc_problem, level):
+        with pytest.raises(ProblemError, match="finite and >= 0"):
+            estimator_at(bsc_problem, analyze(bsc_problem), level)
+
     def test_zero_estimator_matches_source_marginal(self):
         for seed in range(10):
             prob = random_problem(1900 + seed, 2, 7, random_distortion=True)
             est = zero_perception_estimator(prob)
             out = est.q @ prob.p_y
             assert np.allclose(out, prob.p_x, atol=1e-12)
+
+
+class TestMixedSupports:
+    def test_closed_form_and_vertex_supports_reach_the_curve(self):
+        # estimator_at mixes threshold rules, estimator_on_curve mixes
+        # solved endpoint rules; both go through one mixing rule
+        prob = random_problem(1, 2, 8, random_distortion=True)
+        an = analyze(prob)
+        curve = closed_form_curve(prob, an)
+        report = curve_by_vertices(prob)
+        ends = [0.0, *curve.breakpoints, 1.0]
+        levels = [0.5 * (a + b) for a, b in zip(ends[:-1], ends[1:])]
+        assert len(levels) >= 3
+        for p in levels:
+            for est in (estimator_at(prob, an, p), estimator_on_curve(prob, report, p)):
+                assert prob.expected_distortion(est) == pytest.approx(
+                    curve.value(p), abs=1e-9
+                )
+                w1, _ = prob.perception_of(est)
+                assert w1 <= p + 1e-9
 
 
 class TestReducedDual:

@@ -196,6 +196,22 @@ class TestBinarySubcommand:
         path.write_text(serialize_instance(generate_instance(2, 3, 3)))
         assert main(["binary", "--input", str(path)]) == 1
 
+    def test_same_outputs_as_closed_form_curve(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(serialize_instance(generate_instance(1, 2, 8, random_distortion=True)))
+        a, b = tmp_path / "binary.json", tmp_path / "curve.json"
+        assert main(["binary", "--input", str(path), "--out-json", str(a)]) == 0
+        by_binary = capsys.readouterr().out.splitlines()
+        assert main(
+            ["curve", "--input", str(path), "--method", "closed-form", "--out-json", str(b)]
+        ) == 0
+        by_curve = capsys.readouterr().out.splitlines()
+        assert a.read_bytes() == b.read_bytes()
+        assert by_binary[0].startswith("case = ")
+        assert by_binary[1:] == by_curve
+        keys = [line.split(" = ")[0] for line in by_curve]
+        assert keys == ["breakpoints", "slopes", "p_star", "d_star", "tolerance"]
+
 
 class TestVerify:
     def test_bsc_passes(self, bsc_file, capsys):
@@ -213,6 +229,17 @@ class TestVerify:
         )
         assert code == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_empty_perception_grid_is_input_error(self, bsc_file, capsys, value):
+        assert main(["verify", "--input", bsc_file, "--points", value]) == 1
+        assert "input error: perception grid is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_grid_steps_below_one_is_input_error(self, bsc_file, capsys, value):
+        code = main(["verify", "--input", bsc_file, "--points", "5", "--grid-steps", value])
+        assert code == 1
+        assert "input error: grid oracle needs at least 1 step" in capsys.readouterr().err
 
 
 class TestW1:

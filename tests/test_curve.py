@@ -6,7 +6,6 @@ import pytest
 from dptradeoff import (
     PiecewiseLinearCurve,
     ProblemError,
-    ProjectedPoint,
     breakpoint_candidates,
     curve_by_sweep,
     curve_by_vertices,
@@ -23,13 +22,13 @@ class TestProjection:
     def test_floor_vertex_projects_to_floor_line(self, bsc_problem):
         w = bsc_problem.conditional.min(axis=0)
         coords = np.concatenate([w, np.zeros(4)])
-        pt = project_vertex(coords, bsc_problem)
-        assert pt.intercept == pytest.approx(bsc_problem.distortion_floor, abs=1e-12)
-        assert pt.slope == 0.0
+        intercept, slope = project_vertex(coords, bsc_problem)
+        assert intercept == pytest.approx(bsc_problem.distortion_floor, abs=1e-12)
+        assert slope == 0.0
 
     def test_zero_price_means_zero_slope(self, bsc_problem):
         coords = np.concatenate([np.zeros(5), [0.0]])
-        assert project_vertex(coords, bsc_problem).slope == 0.0
+        assert project_vertex(coords, bsc_problem)[1] == 0.0
 
     def test_active_vertex_matches_closed_form(self, bsc_problem):
         # some projected vertex carries the left-segment line exactly
@@ -42,6 +41,13 @@ class TestProjection:
         first = report.curve.segments[0]
         assert first[0] == pytest.approx(0.8 / 7.0, abs=1e-9)
         assert first[1] == pytest.approx(-5.0 / 7.0, abs=1e-9)
+
+    def test_stack_projects_row_by_row(self, bsc_problem):
+        verts = curve_by_vertices(bsc_problem).vertices
+        lines = project_vertex(verts, bsc_problem)
+        assert lines.shape == (verts.shape[0], 2)
+        for vertex, line in zip(verts, lines):
+            assert np.allclose(project_vertex(vertex, bsc_problem), line, rtol=0.0, atol=1e-15)
 
     def test_wrong_dimension_rejected(self, bsc_problem):
         with pytest.raises(ProblemError):
@@ -91,27 +97,23 @@ class TestCurveByVertices:
 
 class TestBreakpointCandidates:
     def test_two_lines(self):
-        pts = [ProjectedPoint(0.4, 0.0), ProjectedPoint(0.48, -0.2)]
+        pts = [(0.4, 0.0), (0.48, -0.2)]
         cands = breakpoint_candidates(pts)
         assert np.allclose(cands, [0.4])
 
     def test_parallel_lines_empty(self):
-        pts = [ProjectedPoint(0.1, -0.5), ProjectedPoint(0.7, -0.5)]
+        pts = [(0.1, -0.5), (0.7, -0.5)]
         assert breakpoint_candidates(pts).size == 0
 
     def test_concurrent_lines_deduplicated(self):
         # three lines through the point (0.5, 0.5)
-        pts = [
-            ProjectedPoint(0.5, 0.0),
-            ProjectedPoint(0.75, -0.5),
-            ProjectedPoint(1.0, -1.0),
-        ]
+        pts = [(0.5, 0.0), (0.75, -0.5), (1.0, -1.0)]
         cands = breakpoint_candidates(pts)
         assert cands.shape == (1,)
         assert cands[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_crossings_outside_unit_interval_dropped(self):
-        pts = [ProjectedPoint(0.0, 0.0), ProjectedPoint(3.0, -1.0)]
+        pts = [(0.0, 0.0), (3.0, -1.0)]
         assert breakpoint_candidates(pts).size == 0
 
     @pytest.mark.parametrize("seed", [7, 11])
@@ -125,7 +127,7 @@ class TestBreakpointCandidates:
 
 class TestCurveBySweep:
     def test_flat_curve_from_two_solves(self, noiseless_problem):
-        report = curve_by_sweep(noiseless_problem, [0.0, 1.0])
+        report = curve_by_sweep(noiseless_problem)
         assert report.curve.breakpoints.size == 0
         assert report.curve.value(0.37) == 0.0
 
@@ -158,10 +160,6 @@ class TestCurveBySweep:
         prob = random_problem(1, 5, 10, random_distortion=True)
         report = curve_by_sweep(prob)
         assert report.solve_count == len(report.s2_points)
-
-    def test_grid_mode_covers_interior(self, bsc_problem):
-        report = curve_by_sweep(bsc_problem, np.linspace(0.0, 1.0, 5))
-        assert abs(report.curve.value(0.0) - 0.8 / 7.0) <= 1e-9
 
 
 class TestEstimatorOnCurve:
@@ -199,10 +197,16 @@ class TestEstimatorOnCurve:
         with pytest.raises(ProblemError):
             estimator_on_curve(bsc_problem, report, -0.1)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_nonfinite_level_rejected(self, bsc_problem, level):
+        report = curve_by_sweep(bsc_problem)
+        with pytest.raises(ProblemError, match="finite and >= 0"):
+            estimator_on_curve(bsc_problem, report, level)
+
 
 class TestHullExtremes:
     def test_single_point(self):
-        assert hull_extremes([ProjectedPoint(0.3, -0.1)]).tolist() == [0]
+        assert hull_extremes([(0.3, -0.1)]).tolist() == [0]
 
     def test_square_with_center(self):
         pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float)

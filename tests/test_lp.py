@@ -80,19 +80,6 @@ class TestSolve:
         with pytest.raises(SolverError, match="non-finite"):
             StandardLP([[np.nan]], [1.0], [1.0])
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(SolverError, match="pivot rule"):
-            solve(StandardLP([[1.0]], [1.0], [1.0]), pivot_rule="steepest")
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_dantzig_agrees_with_bland(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        lp = random_feasible_lp(rng, int(rng.integers(2, 8)), int(rng.integers(4, 14)))
-        a = solve(lp, pivot_rule="bland")
-        b = solve(lp, pivot_rule="dantzig")
-        assert a.status == b.status == "optimal"
-        assert a.value == pytest.approx(b.value, abs=1e-8)
-
 
 class TestRandomInstances:
     def test_500_random_feasible_bounded_lps(self):

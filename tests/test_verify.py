@@ -7,6 +7,7 @@ import pytest
 
 from dptradeoff import (
     BudgetExceededError,
+    ProblemError,
     cross_verify,
     grid_oracle,
     make_problem,
@@ -56,6 +57,11 @@ class TestGridOracle:
             exact = solve_dp_at(prob, float(p)).value
             val = grid_oracle(prob, float(p), steps)
             assert exact - 1e-9 <= val <= exact + band + 1e-9
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, bsc_problem, steps):
+        with pytest.raises(ProblemError, match="at least 1 step"):
+            grid_oracle(bsc_problem, 0.5, steps)
 
     def test_general_metric_fallback_path(self):
         # unequal off-diagonal distances force transport solves near the
