@@ -8,7 +8,8 @@ offered:
 
 * ``curve_by_vertices``: enumerate all dual vertices, project to the
   (intercept, slope) plane, and take the exact upper envelope on [0, 1].
-* ``curve_by_sweep``: solve the program at sampled levels; every solve
+* ``curve_by_sweep``: solve the program at sampled levels, each solve
+  warm-started from the nearest level already solved; every solve
   yields a supporting line of the convex curve (value plus price times
   offset), and recursive refinement between samples certifies that no
   segment is missed.  Intended as the fallback when enumeration is over
@@ -32,7 +33,7 @@ from .programs import SolveReport, dual_polyhedron, solve_dp_at
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
-_SWEEP_MAX_SOLVES = 256  # cold solves one sweep may spend
+_SWEEP_MAX_SOLVES = 256  # solves one sweep may spend
 _SWEEP_SLOPE_TOL = 1e-7  # neighbouring samples this close in slope share a segment
 _SWEEP_VALUE_TOL = 1e-9  # a sample this close to its neighbours' envelope adds nothing
 
@@ -305,24 +306,31 @@ def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
     return np.asarray(out)
 
 
+def _nearest(solves: dict, p: float):
+    """The solved level nearest to ``p`` and its report, or (None, None)."""
+    near = min(solves, key=lambda s: abs(s - p), default=None)
+    return near, solves.get(near)
+
+
 def _segment_endpoint_estimators(problem, curve, solves):
     """One estimator per segment endpoint: level 0 and every breakpoint.
 
     A sampled level within ``_ZERO_LEN_TOL`` of an endpoint stands for
     it: the envelope recomputes each breakpoint from a line crossing, a
     few ulps away from the level where the sweep sampled that crossing.
+    Any other endpoint is solved warm from the nearest level solved so
+    far, sampled or endpoint; with no samples, from the previous endpoint.
     """
     supports = [0.0] + [float(b) for b in curve.breakpoints]
+    pool = dict(solves)
     out = []
-    count = 0
     for p in supports:
-        near = min(solves, key=lambda s: abs(s - p), default=None)
-        hit = solves[near] if near is not None and abs(near - p) <= _ZERO_LEN_TOL else None
-        if hit is None:
-            hit = solve_dp_at(problem, p)
-            count += 1
-        out.append((p, hit.estimator))
-    return tuple(out), count
+        near, rep = _nearest(pool, p)
+        if near is None or abs(near - p) > _ZERO_LEN_TOL:
+            rep = solve_dp_at(problem, p, start=rep)
+            pool[p] = rep
+        out.append((p, rep.estimator))
+    return tuple(out), len(pool) - len(solves)
 
 
 def curve_by_vertices(problem: Problem, *, budget: int = 10_000_000) -> CurveReport:
@@ -356,6 +364,15 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
     finds a hidden segment and descends.  A convex piecewise-linear
     function is recovered exactly this way.  Raises BudgetExceededError
     after ``_SWEEP_MAX_SOLVES`` solves.
+
+    Only level 0 is solved cold.  Every later level, and every segment
+    endpoint that no sample stands for, starts from the optimal basis of
+    the nearest level solved before it: the programs differ only in the
+    perception entry of the right-hand side, so that basis is dual
+    feasible and a dual simplex reaches the new optimum in a few pivots.
+    Where the optimum is not unique, a warm solve may return another
+    optimal basis, and so another estimator or supporting line, than a
+    cold one; the curve is the same.
     """
     solves: dict[float, SolveReport] = {}
 
@@ -367,7 +384,7 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
                 raise BudgetExceededError(
                     f"sweep exceeded its solve budget of {_SWEEP_MAX_SOLVES}"
                 )
-            rep = solve_dp_at(problem, p)
+            rep = solve_dp_at(problem, p, start=_nearest(solves, p)[1])
             solves[key] = rep
         price = rep.dual.perception_price
         return rep.value + price * p, -price  # (intercept, slope)

@@ -6,12 +6,23 @@ Solves equality-standard-form programs
 
 with a two-phase primal simplex under Bland's rule, which cannot cycle.
 The tableau is dense and refactorized from the basis periodically and at
-termination, so the reported point, dual vector, and objective come from
-a fresh solve against the original data rather than accumulated updates.
+termination (unless no pivot came after the last refactorization), so
+the reported point, dual vector, and objective come from a fresh solve
+against the original data rather than accumulated updates.
 
 Phase one detects linearly dependent equality rows and drops them instead
 of failing: several programs in this package carry one dependent row by
 construction.
+
+A warm start skips phase one.  Given the optimal solution of a program
+with the same ``a`` and ``c``, ``solve(lp, start=...)`` refactors that
+basis against the new ``b``.  The basis stays dual feasible, because the
+reduced costs do not depend on ``b``, so a dual simplex (Bertsimas and
+Tsitsiklis, *Introduction to Linear Optimization*, section 4.5) pivots
+it to primal feasibility, or to a Farkas certificate, and phase two
+finishes from there.  Programs that differ only in the right-hand side,
+such as the distortion program at two perception levels, then take a
+few pivots instead of a cold solve.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -30,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, IterationLimitError, SolverError
 
-_RED_COST_TOL = 1e-10  # reduced cost considered improving below -tol
+_RED_COST_TOL = 1e-10  # reduced cost improving, or basic value infeasible, below -tol
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
 FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
@@ -113,6 +124,7 @@ class _Tableau:
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
         self.red = self.c - self.y @ self.a
+        self.fresh = True  # no pivot since the last refactorization
 
     def pivot(self, row, col):
         piv = self.binv_a[row, col]
@@ -126,6 +138,7 @@ class _Tableau:
         self.xb -= factors * self.xb[row]
         self.red = self.red - self.red[col] * self.binv_a[row]
         self.basis[row] = col
+        self.fresh = False
 
     def objective(self) -> float:
         return float(self.c[self.basis] @ self.xb)
@@ -159,68 +172,59 @@ def _leaving(tab: _Tableau, col: int) -> int | None:
     return int(tied[np.argmin(basis[tied])])
 
 
+def _step(tab: _Tableau, row: int, col: int, iters: int, budget: int) -> int:
+    """One counted pivot, with the periodic refactorization and the budget."""
+    tab.pivot(row, col)
+    iters += 1
+    if iters % _REFRESH_EVERY == 0:
+        tab.refactor()
+    if iters > budget:
+        raise IterationLimitError(
+            f"pivot budget {budget} exhausted (cycling is impossible "
+            "under Bland's rule; consider raising max_iter)"
+        )
+    return iters
+
+
 def _optimize(tab: _Tableau, allowed, budget):
-    """Run pivots to a terminal state; returns ('optimal'|'unbounded', ray)."""
+    """Run pivots to a terminal state; returns ('optimal'|'unbounded', ray).
+
+    An ``optimal`` tableau is always fresh: its point and duals come from
+    a refactorization, not from accumulated updates.
+    """
     iters = 0
-    since_refresh = 0
     while True:
         col = _entering(tab, allowed)
-        if col is None:
+        if col is None and not tab.fresh:
             tab.refactor()  # confirm optimality against fresh data
             col = _entering(tab, allowed)
-            if col is None:
-                return "optimal", None, iters
+        if col is None:
+            return "optimal", None, iters
         row = _leaving(tab, col)
         if row is None:
             ray = np.zeros(tab.n)
             ray[col] = 1.0
             ray[tab.basis] = -tab.binv_a[:, col]
             return "unbounded", ray, iters
-        tab.pivot(row, col)
-        iters += 1
-        since_refresh += 1
-        if since_refresh >= _REFRESH_EVERY:
-            tab.refactor()
-            since_refresh = 0
-        if iters > budget:
-            raise IterationLimitError(
-                f"pivot budget {budget} exhausted (cycling is impossible "
-                "under Bland's rule; consider raising max_iter)"
-            )
+        iters = _step(tab, row, col, iters, budget)
 
 
-def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
-    """Two-phase simplex on an equality-form program.
+def _phase_one(a, b, c, feas_tol, budget):
+    """A first feasible basis by minimizing the total artificial mass.
 
-    Returns a basic optimal solution with its dual certificate, an
-    unbounded status with an improving ray, or an infeasible status with
-    a Farkas certificate.  Dependent equality rows are detected in phase
-    one and dropped (reported via ``dropped_rows``).
+    Returns ``(tableau, dropped, pivots, certificate)``: the phase-two
+    tableau over the rows kept, or None and a Farkas certificate.
     """
-    m, n = lp.m, lp.n
-    budget = max_iter if max_iter is not None else 100 * (m + n)
-
-    flip = np.where(lp.b < 0, -1.0, 1.0)
-    a = lp.a * flip[:, None]
-    b = lp.b * flip
-
-    # phase one: minimize the total artificial mass
+    m, n = a.shape
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     allowed1 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
     tab = _Tableau(a1, b, c1, list(range(n, n + m)))
-    status, _, iters1 = _optimize(tab, allowed1, budget)
+    status, _, iters = _optimize(tab, allowed1, budget)
     if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
         raise SolverError("phase one ended in an impossible state")
-
-    feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
     if tab.objective() > feas_tol:
-        return LPSolution(
-            status="infeasible",
-            value=math.inf,
-            certificate=flip * tab.y,
-            iterations=iters1,
-        )
+        return None, [], iters, tab.y
 
     # drive artificials out of the basis; rows that resist are dependent
     dropped: list[int] = []
@@ -235,15 +239,107 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
             dropped.append(row)
 
     keep = [r for r in range(m) if r not in dropped]
-    a2 = a[keep]
-    b2 = b[keep]
-    basis2 = [tab.basis[r] for r in keep]
-    if any(col >= n for col in basis2):
+    basis = [tab.basis[r] for r in keep]
+    if any(col >= n for col in basis):
         raise SolverError("artificial variable survived phase one")
+    return _Tableau(a[keep], b[keep], c, basis), dropped, iters, None
 
-    tab2 = _Tableau(a2, b2, lp.c, basis2)
-    allowed2 = np.ones(n, dtype=bool)
-    status, ray, iters2 = _optimize(tab2, allowed2, budget)
+
+def _dual_phase(a, b, c, start: LPSolution, feas_tol, budget):
+    """A first feasible basis by dual simplex from ``start``'s optimal basis.
+
+    Dual form of Bland's rule: the infeasible basic variable with the
+    smallest column index leaves, and the column with the smallest ratio
+    ``red[j] / -row[j]`` enters, ties to the smallest index.  When no
+    column can enter, row r of the tableau has no negative entry while
+    its basic value is negative, so minus row r of B^-1 is a Farkas
+    certificate.  A dropped row is a combination of the kept rows; a
+    ``b`` that breaks that combination is infeasible too.  Returns what
+    ``_phase_one`` returns.
+    """
+    m, n = a.shape
+    if start.status != "optimal":
+        raise SolverError(f"a warm start needs an optimal solution, got {start.status}")
+    dropped = sorted(start.dropped_rows)
+    if len(start.basis) + len(dropped) != m:
+        raise SolverError(
+            f"start basis covers {len(start.basis) + len(dropped)} rows, the program has {m}"
+        )
+    if not all(0 <= j < n for j in start.basis) or not all(0 <= r < m for r in dropped):
+        raise SolverError("start basis names a column or row out of range")
+    keep = [r for r in range(m) if r not in dropped]
+    tab = _Tableau(a[keep], b[keep], c, start.basis)
+    certificate = np.zeros(m)
+    for r in dropped:  # a[r] = weights @ a[keep], so b must agree
+        weights = np.linalg.solve(tab.a[:, tab.basis].T, a[r, tab.basis])
+        gap = b[r] - weights @ tab.b
+        if abs(gap) > feas_tol:
+            certificate[keep] = -weights
+            certificate[r] = 1.0
+            return None, dropped, 0, np.sign(gap) * certificate
+
+    tol = _RED_COST_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+    iters = 0
+    while True:
+        rows = np.nonzero(tab.xb < -tol)[0]
+        if rows.size:
+            row = int(rows[np.argmin(np.asarray(tab.basis)[rows])])
+            line = tab.binv_a[row]
+            cols = np.nonzero(line < -_PIVOT_COL_TOL)[0]
+        if rows.size == 0 or cols.size == 0:
+            if not tab.fresh:
+                tab.refactor()  # confirm the terminal state against fresh data
+                continue
+            if rows.size == 0:
+                return tab, dropped, iters, None
+            unit = np.zeros(len(keep))
+            unit[row] = 1.0
+            certificate[keep] = -np.linalg.solve(tab.a[:, tab.basis].T, unit)
+            return None, dropped, iters, certificate
+        ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
+        col = int(cols[ratios <= ratios.min() + 1e-12][0])
+        iters = _step(tab, row, col, iters, budget)
+
+
+def solve(
+    lp: StandardLP, *, max_iter: int | None = None, start: LPSolution | None = None
+) -> LPSolution:
+    """Two-phase simplex on an equality-form program.
+
+    Returns a basic optimal solution with its dual certificate, an
+    unbounded status with an improving ray, or an infeasible status with
+    a Farkas certificate.  Dependent equality rows are detected in phase
+    one and dropped (reported via ``dropped_rows``).
+
+    ``start``, an optimal solution of a program with the same ``a`` and
+    ``c``, replaces phase one: its basis and dropped rows are refactored
+    against this ``b`` and a dual simplex restores primal feasibility,
+    after which phase two runs as usual, so a start that is off by
+    rounding still ends optimal.  A start of another row count, or one
+    naming a column out of range, raises SolverError, as does a singular
+    start basis.
+    """
+    m, n = lp.m, lp.n
+    budget = max_iter if max_iter is not None else 100 * (m + n)
+
+    flip = np.where(lp.b < 0, -1.0, 1.0)
+    a = lp.a * flip[:, None]
+    b = lp.b * flip
+    feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+
+    if start is None:
+        tab2, dropped, iters1, certificate = _phase_one(a, b, lp.c, feas_tol, budget)
+    else:
+        tab2, dropped, iters1, certificate = _dual_phase(a, b, lp.c, start, feas_tol, budget)
+    if tab2 is None:
+        return LPSolution(
+            status="infeasible",
+            value=math.inf,
+            certificate=flip * certificate,
+            iterations=iters1,
+        )
+
+    status, ray, iters2 = _optimize(tab2, np.ones(n, dtype=bool), budget)
     iterations = iters1 + iters2
 
     if status == "unbounded":
@@ -256,13 +352,12 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
             iterations=iterations,
         )
 
-    tab2.refactor()
     x = tab2.point()
     residual = float(np.max(np.abs(lp.a @ x - lp.b), initial=0.0))
     if residual > 1e-7 * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
         raise SolverError(f"dropped rows are inconsistent (residual {residual:g})")
     dual = np.zeros(m)
-    dual[keep] = tab2.y
+    dual[[r for r in range(m) if r not in dropped]] = tab2.y
     dual *= flip
     return LPSolution(
         status="optimal",

@@ -330,11 +330,16 @@ def minimum_distortion(
 
 
 def output_distribution(estimator: Estimator, p_y) -> Distribution:
-    """Marginal of the reconstruction: q matrix applied to the observation law."""
+    """Marginal of the reconstruction: q matrix applied to the observation law.
+
+    An estimator's columns may sum to 1 within ``_STOCHASTIC_TOL``, looser
+    than a distribution's ``_MASS_TOL``, so the product is renormalized.
+    """
     p = _as_prob_vector(p_y, "observation marginal")
     if estimator.n_y != p.size:
         raise ProblemError("estimator width does not match the marginal")
-    return Distribution(estimator.q @ p)
+    out = estimator.q @ p
+    return Distribution(out / out.sum())
 
 
 def tv_distance(p, q) -> float:

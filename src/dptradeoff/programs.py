@@ -29,7 +29,7 @@ in the chart that pins its last coordinate to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -317,7 +317,9 @@ class SolveReport:
     ``perception`` certifies estimator feasibility: for the transport
     form it is the transported mass of the returned coupling (an upper
     bound on the true transport distance), for the sign form the exact
-    total variation.
+    total variation.  ``solution`` is the optimal LP solution the report
+    was read from; passed back as ``solve_dp_at(..., start=report)``, its
+    basis seeds the solve at another level.
     """
 
     p_level: float
@@ -328,6 +330,7 @@ class SolveReport:
     gap: float
     form: str
     perception: float
+    solution: lpmod.LPSolution = field(repr=False)
     iterations: int = 0
 
 
@@ -358,8 +361,22 @@ def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> Estima
     return Estimator(q)
 
 
-def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:
-    """Minimal expected distortion at one perception level, with certificates."""
+def solve_dp_at(
+    problem: Problem, p_level: float, form: str = "ot", *, start: SolveReport | None = None
+) -> SolveReport:
+    """Minimal expected distortion at one perception level, with certificates.
+
+    ``start`` is a report of the same problem and form at another level.
+    The two programs differ only in the right-hand side, so its optimal
+    basis stays dual feasible here, and the solve runs a dual simplex
+    from it instead of phase one (see ``lp.solve``).  A start from the
+    other form, or from a problem of another shape, raises ProblemError.
+    """
+    if start is not None and (start.form, start.estimator.q.shape) != (form, problem.cost.shape):
+        raise ProblemError(
+            f"start comes from a {start.estimator.q.shape} problem in the {start.form!r} form, "
+            f"not a {problem.cost.shape} one in the {form!r} form"
+        )
     if form == "ot":
         lp, lay = build_ot_form(problem, p_level)
     elif form == "tv":
@@ -367,7 +384,7 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
     else:
         raise ProblemError(f"unknown program form {form!r}")
 
-    sol = lpmod.solve(lp)
+    sol = lpmod.solve(lp, start=start.solution if start is not None else None)
     if sol.status != "optimal":
         raise SolverError(
             f"distortion program ended with status {sol.status} at P={p_level!r}"
@@ -398,4 +415,5 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
         form=form,
         perception=perception,
         iterations=sol.iterations,
+        solution=sol,
     )

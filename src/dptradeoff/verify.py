@@ -9,7 +9,10 @@ Lipschitz band, and the report keeps that honest.
 ``cross_verify`` runs every applicable construction (closed form for
 binary sources, vertex enumeration when affordable, the sweep always,
 the grid oracle when tiny) on a shared grid of perception levels and
-compares the results pairwise.
+compares the results pairwise.  Its pointwise column solves every level
+cold, on purpose: the sweep's solves and the vertex method's endpoint
+solves start from the bases of earlier solves, and cold solves, which
+share no basis with them, are the independent check on that warm path.
 """
 
 from __future__ import annotations

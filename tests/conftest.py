@@ -112,6 +112,40 @@ def binary_dp_oracle(problem, p_level):
     return min(allocated_cost(m) for m in candidates)
 
 
+def highs_dp_oracle(problem, p_level):
+    """Curve value from scipy's HiGHS on the transport form, built here.
+
+    Variables are the estimator ``q[xhat, y]`` and a coupling
+    ``pi[x, xhat]`` between the source marginal and the output marginal
+    ``q p_y``; the perception budget is an inequality row.  Callers skip
+    the test when scipy is missing.
+    """
+    from scipy.optimize import linprog
+
+    p_xy = np.asarray(problem.channel.p_xy, float)
+    d, h = problem.distortion.d, problem.metric.h
+    n_x, n_y = p_xy.shape
+    p_x, p_y = p_xy.sum(axis=1), p_xy.sum(axis=0)
+    nq = n_x * n_y
+    a_eq = np.zeros((n_y + 2 * n_x, nq + n_x * n_x))
+    for y in range(n_y):
+        a_eq[y, y:nq:n_y] = 1.0  # column y of q sums to 1
+    for x in range(n_x):
+        a_eq[n_y + x, nq + x * n_x : nq + (x + 1) * n_x] = 1.0  # row x of pi is p_x[x]
+    for xhat in range(n_x):
+        a_eq[n_y + n_x + xhat, xhat * n_y : (xhat + 1) * n_y] = p_y
+        a_eq[n_y + n_x + xhat, nq + xhat :: n_x] = -1.0  # column xhat of pi is the output mass
+    b_eq = np.concatenate([np.ones(n_y), p_x, np.zeros(n_x)])
+    a_ub = np.concatenate([np.zeros(nq), h.reshape(-1)])[None, :]
+    c = np.concatenate([(d.T @ p_xy).reshape(-1), np.zeros(n_x * n_x)])
+    res = linprog(
+        c, A_ub=a_ub, b_ub=[p_level], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def brute_force_vertices(poly, *, feas_tol=1e-9, dedup_tol=1e-7):
     """Vertices of ``{p : g p <= h}`` by solving every d-subset of rows.
 

@@ -15,7 +15,7 @@ from dptradeoff import (
     solve_dp_at,
 )
 
-from conftest import random_problem
+from conftest import highs_dp_oracle, random_problem
 
 
 class TestProjection:
@@ -160,6 +160,37 @@ class TestCurveBySweep:
         prob = random_problem(1, 5, 10, random_distortion=True)
         report = curve_by_sweep(prob)
         assert report.solve_count == len(report.s2_points)
+
+    @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
+    @pytest.mark.parametrize("shape", [(5, 10), (8, 20)], ids=["5x10", "8x20"])
+    def test_matches_highs(self, shape, random_metric):
+        pytest.importorskip("scipy")
+        prob = random_problem(1, *shape, random_distortion=True, random_metric=random_metric)
+        curve = curve_by_sweep(prob).curve
+        ends = np.concatenate([[0.0], curve.breakpoints, [1.0]])
+        levels = np.unique(np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])]))
+        for p in levels:
+            assert curve.value(p) == pytest.approx(highs_dp_oracle(prob, p), abs=1e-8), p
+
+    def test_warm_solves_save_pivots(self, monkeypatch):
+        # a warm start that quietly fell back to cold would pay full pivots
+        from dptradeoff import lp as lpmod
+
+        cold_solve = lpmod.solve
+        calls = []
+
+        def counting(lp, **kwargs):
+            sol = cold_solve(lp, **kwargs)
+            calls.append((lp, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", counting)
+        prob = random_problem(1, 5, 10, random_distortion=True)
+        curve_by_sweep(prob)
+        assert len(calls) > 2
+        warm = sum(pivots for _, pivots in calls)
+        cold = sum(cold_solve(lp).iterations for lp, _ in calls)
+        assert 5 * warm <= cold
 
 
 class TestEstimatorOnCurve:

@@ -98,6 +98,106 @@ class TestRandomInstances:
             assert int(np.sum(sol.x > 1e-9)) <= m
 
 
+def transport_lp(p, q):
+    """Couplings of (p, q) under the Hamming cost; one marginal row is dependent."""
+    n = len(p)
+    a = np.zeros((2 * n, n * n))
+    for i in range(n):
+        a[i, i * n : (i + 1) * n] = 1.0
+        a[n + i, i::n] = 1.0
+    return StandardLP(a, np.concatenate([p, q]), GroundMetric.hamming(n).h.reshape(-1))
+
+
+class TestWarmStart:
+    def test_same_b_takes_no_pivots(self):
+        rng = np.random.default_rng(3)
+        lps = [random_feasible_lp(rng, 6, 14) for _ in range(10)]
+        lps.append(transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6]))
+        for lp in lps:
+            cold = solve(lp)
+            warm = solve(lp, start=cold)
+            assert warm.status == "optimal"
+            assert warm.iterations == 0
+            assert warm.basis == cold.basis
+            assert warm.dropped_rows == cold.dropped_rows
+            assert warm.value == pytest.approx(cold.value, abs=1e-12)
+
+    def test_perturbed_b_matches_cold(self):
+        rng = np.random.default_rng(42)
+        warm_pivots = cold_pivots = 0
+        for trial in range(200):
+            m = int(rng.integers(1, 21))
+            n = int(rng.integers(m, 41))
+            lp = random_feasible_lp(rng, m, n)
+            first = solve(lp)
+            # a @ (x0 + u / 10) for the generator's feasible x0
+            moved = StandardLP(lp.a, lp.b + lp.a @ rng.uniform(0.0, 0.1, n), lp.c)
+            cold = solve(moved)
+            warm = solve(moved, start=first)
+            assert warm.status == cold.status == "optimal", f"trial {trial}"
+            assert warm.value == pytest.approx(cold.value, abs=1e-9), f"trial {trial}"
+            scale = max(1.0, np.abs(moved.b).max())
+            assert np.max(np.abs(moved.a @ warm.x - moved.b)) <= 1e-9 * scale
+            assert np.min(warm.x) >= -1e-10
+            assert dual_check(moved, warm) <= 1e-8
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+        assert warm_pivots < cold_pivots
+
+    def test_infeasible_b_gives_certificate(self):
+        # x1 + x2 = b1, x1 - x3 = b2: infeasible once b1 < 0 or b2 > b1
+        lp = StandardLP([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [1.0, 0.5], [1.0, 2.0, 0.0])
+        first = solve(lp)
+        assert first.status == "optimal"
+        for b in ([1.0, 2.0], [-1.0, -3.0]):
+            moved = StandardLP(lp.a, b, lp.c)
+            warm = solve(moved, start=first)
+            assert solve(moved).status == warm.status == "infeasible"
+            y = warm.certificate
+            assert np.all(y @ moved.a <= 1e-9)
+            assert y @ moved.b > 0
+
+    def test_inconsistent_dropped_row_is_infeasible(self):
+        first = solve(transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6]))
+        assert first.dropped_rows
+        moved = transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.7])  # masses 1 and 1.1
+        warm = solve(moved, start=first)
+        assert solve(moved).status == warm.status == "infeasible"
+        y = warm.certificate
+        assert np.all(y @ moved.a <= 1e-9)
+        assert y @ moved.b > 0
+
+    def test_pivot_budget_applies(self):
+        rng = np.random.default_rng(8)
+        lp = random_feasible_lp(rng, 8, 16)
+        first = solve(lp)
+        moved = StandardLP(lp.a, -lp.b, lp.c)  # every basic value flips sign
+        assert solve(moved, start=first).iterations > 0
+        with pytest.raises(IterationLimitError, match="budget"):
+            solve(moved, start=first, max_iter=0)
+
+    def test_start_of_another_shape_raises(self):
+        rng = np.random.default_rng(5)
+        small = solve(random_feasible_lp(rng, 4, 9))
+        with pytest.raises(SolverError, match="rows"):
+            solve(random_feasible_lp(rng, 5, 9), start=small)
+        with pytest.raises(SolverError, match="out of range"):
+            solve(random_feasible_lp(rng, 4, 6), start=small)
+
+    def test_singular_or_unsolved_start_raises(self):
+        import dataclasses
+
+        rng = np.random.default_rng(6)
+        lp = random_feasible_lp(rng, 3, 7)
+        sol = solve(lp)
+        twice = dataclasses.replace(sol, basis=(sol.basis[0],) * 3)
+        with pytest.raises(SolverError, match="singular"):
+            solve(lp, start=twice)
+        infeasible = solve(StandardLP([[1.0]], [-1.0], [0.0]))
+        with pytest.raises(SolverError, match="optimal"):
+            solve(StandardLP([[1.0]], [1.0], [0.0]), start=infeasible)
+
+
 class TestDualCheck:
     def test_gap_small_on_optimal(self):
         rng = np.random.default_rng(7)

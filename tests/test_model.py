@@ -272,6 +272,17 @@ class TestOutputDistribution:
         with pytest.raises(ProblemError):
             output_distribution(Estimator(np.eye(2)), [1.0])
 
+    def test_accepts_columns_off_by_the_estimator_tolerance(self):
+        # column sums 1 + 5e-11 pass Estimator's check; the output law must
+        # still pass Distribution's tighter one
+        prob = make_problem([[0.3, 0.2], [0.1, 0.4]])
+        est = Estimator([[0.6 + 5e-11, 0.5], [0.4, 0.5 + 5e-11]])
+        out = output_distribution(est, prob.p_y)
+        assert out.p.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(out.p, est.q @ prob.p_y, atol=1e-10)
+        value, _ = prob.perception_of(est)
+        assert value == pytest.approx(wasserstein1(prob.p_x, out, prob.metric)[0], abs=1e-15)
+
 
 class TestTotalVariation:
     def test_disjoint_support(self):

@@ -175,6 +175,34 @@ class TestSolveAt:
             assert w1 <= p + 1e-8
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_chain_of_levels_matches_cold(self, form):
+        # Hamming 5x10, 21 levels, each solve started from the previous level
+        prob = random_problem(1, 5, 10)
+        prev = None
+        warm_pivots = cold_pivots = 0
+        for p in np.linspace(0.0, 1.0, 21):
+            cold = solve_dp_at(prob, float(p), form=form)
+            warm = solve_dp_at(prob, float(p), form=form, start=prev)
+            assert warm.value == pytest.approx(cold.value, abs=1e-12), p
+            assert warm.gap <= 1e-8
+            assert warm.perception <= p + 1e-8
+            assert prob.expected_distortion(warm.estimator) == pytest.approx(warm.value, abs=1e-9)
+            assert warm.dual.feasibility_violation(prob) <= 1e-9
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+            prev = warm
+        assert 5 * warm_pivots <= cold_pivots
+
+    def test_start_from_another_form_or_shape_raises(self, bsc_problem):
+        start = solve_dp_at(bsc_problem, 0.1, form="tv")
+        with pytest.raises(ProblemError, match="form"):
+            solve_dp_at(bsc_problem, 0.2, form="ot", start=start)
+        with pytest.raises(ProblemError, match="form"):
+            solve_dp_at(random_problem(2, 2, 3), 0.2, form="tv", start=start)
+
+
 class TestDualPolyhedron:
     def test_counts_2x2(self, bsc_problem):
         poly = dual_polyhedron(bsc_problem)
