@@ -9,7 +9,7 @@ offered:
 * ``curve_by_vertices``: enumerate all dual vertices, project to the
   (intercept, slope) plane, and take the exact upper envelope on [0, 1].
 * ``curve_by_sweep``: solve the program at sampled levels, each solve
-  warm-started from the nearest level already solved; every solve
+  started from the nearest level already solved; every solve
   yields a supporting line of the convex curve (value plus price times
   offset), and recursive refinement between samples certifies that no
   segment is missed.  Intended as the fallback when enumeration is over
@@ -365,14 +365,15 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
     function is recovered exactly this way.  Raises BudgetExceededError
     after ``_SWEEP_MAX_SOLVES`` solves.
 
-    Only level 0 is solved cold.  Every later level, and every segment
-    endpoint that no sample stands for, starts from the optimal basis of
-    the nearest level solved before it: the programs differ only in the
+    Level 0 starts from the closed-form optimal basis at P = 1 (see
+    ``solve_dp_at``).  Every later level, and every segment endpoint
+    that no sample stands for, starts from the optimal basis of the
+    nearest level solved before it: the programs differ only in the
     perception entry of the right-hand side, so that basis is dual
     feasible and a dual simplex reaches the new optimum in a few pivots.
-    Where the optimum is not unique, a warm solve may return another
-    optimal basis, and so another estimator or supporting line, than a
-    cold one; the curve is the same.
+    Where the optimum is not unique, the start decides which optimal
+    basis, and so which estimator or supporting line, a solve returns;
+    the curve is the same.
     """
     solves: dict[float, SolveReport] = {}
 

@@ -10,19 +10,20 @@ termination (unless no pivot came after the last refactorization), so
 the reported point, dual vector, and objective come from a fresh solve
 against the original data rather than accumulated updates.
 
-Phase one detects linearly dependent equality rows and drops them instead
-of failing: several programs in this package carry one dependent row by
-construction.
+Phase one is for programs without a known basis.  It detects linearly
+dependent equality rows and drops them instead of failing: several
+programs in this package carry one dependent row by construction.
 
-A warm start skips phase one.  Given the optimal solution of a program
-with the same ``a`` and ``c``, ``solve(lp, start=...)`` refactors that
-basis against the new ``b``.  The basis stays dual feasible, because the
-reduced costs do not depend on ``b``, so a dual simplex (Bertsimas and
-Tsitsiklis, *Introduction to Linear Optimization*, section 4.5) pivots
-it to primal feasibility, or to a Farkas certificate, and phase two
-finishes from there.  Programs that differ only in the right-hand side,
-such as the distortion program at two perception levels, then take a
-few pivots instead of a cold solve.
+A start skips phase one.  Given an optimal basis (and its dropped rows)
+of a program with the same ``a`` and ``c``, ``solve(lp, start=...)``
+refactors that basis against the new ``b``.  The basis stays dual
+feasible, because the reduced costs do not depend on ``b``, so a dual
+simplex (Bertsimas and Tsitsiklis, *Introduction to Linear
+Optimization*, section 4.5) pivots it to primal feasibility, or to a
+Farkas certificate, and phase two finishes from there.  The distortion
+programs always start this way: from the solution at another
+perception level, or from their optimal basis at P = 1, which is known
+in closed form.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -134,8 +135,9 @@ class _Tableau:
         self.xb[row] /= piv
         factors = self.binv_a[:, col].copy()
         factors[row] = 0.0
-        self.binv_a -= np.outer(factors, self.binv_a[row])
-        self.xb -= factors * self.xb[row]
+        rows = np.flatnonzero(factors)  # rows with a zero factor keep their values
+        self.binv_a[rows] -= np.outer(factors[rows], self.binv_a[row])
+        self.xb[rows] -= factors[rows] * self.xb[row]
         self.red = self.red - self.red[col] * self.binv_a[row]
         self.basis[row] = col
         self.fresh = False

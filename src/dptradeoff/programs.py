@@ -9,8 +9,7 @@ Two equivalent primal builds are provided:
   observation marginal), coupling row marginals pinned to the source
   marginal, coupling column marginals tied to the reconstruction
   marginal, and the transported-mass budget ``pi . h + eps = P``.  One of
-  these rows is linearly dependent by construction; the simplex phase one
-  drops it.
+  these rows is linearly dependent by construction; the solve drops it.
 
 * sign form ("tv"): valid only under the Hamming metric, where the
   perception index is total variation.  The absolute-value constraint is
@@ -361,16 +360,63 @@ def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> Estima
     return Estimator(q)
 
 
+def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LPSolution:
+    """The optimal basis of the program at P = 1, in closed form.
+
+    Every metric entry is at most 1, so at P = 1 the budget is slack and
+    the MAP estimator (``problem.minimum``, same ties) is optimal.  Its
+    basis prices only the stochasticity rows, at the cheapest conditional
+    cost, so every reduced cost is nonnegative whatever the level.
+
+    Transport form: the MAP estimator entries, the ``2 n_x - 1`` cells a
+    north-west-corner walk visits on a plan from the source marginal to
+    the MAP output marginal, and the budget slack.  The walk is a
+    staircase from the first cell to the last, so its cells span the
+    source and output rows whatever the rounding.  The last output
+    row depends on the others and is dropped, which prices it at 0, the
+    pinned chart.  Sign form: the MAP estimator entries and every pattern
+    slack; at P = 1 slack ``s`` is ``2 + s.(out - p_x) >= 0``.
+    """
+    picks = np.argmin(problem.cost, axis=0)
+    basis = [lay.ix_q(int(xhat), y) for y, xhat in enumerate(picks)]
+    if isinstance(lay, TvFormLayout):
+        basis += [lay.ix_slack(i) for i in range(lay.n_patterns)]
+        return lpmod.LPSolution(status="optimal", basis=tuple(sorted(basis)))
+    last = problem.n_x - 1
+    rp = problem.p_x.copy()
+    rm = np.bincount(picks, weights=problem.p_y, minlength=problem.n_x)
+    i = j = 0
+    while True:
+        basis.append(lay.ix_pi(i, j))
+        if i == j == last:
+            break
+        t = min(rp[i], rm[j])
+        rp[i] -= t
+        rm[j] -= t
+        if (rp[i] <= rm[j] and i < last) or j == last:
+            i += 1
+        else:
+            j += 1
+    basis.append(lay.ix_eps)
+    return lpmod.LPSolution(
+        status="optimal",
+        basis=tuple(sorted(basis)),
+        dropped_rows=(lay.row_output_marginal(last),),
+    )
+
+
 def solve_dp_at(
     problem: Problem, p_level: float, form: str = "ot", *, start: SolveReport | None = None
 ) -> SolveReport:
     """Minimal expected distortion at one perception level, with certificates.
 
-    ``start`` is a report of the same problem and form at another level.
-    The two programs differ only in the right-hand side, so its optimal
-    basis stays dual feasible here, and the solve runs a dual simplex
-    from it instead of phase one (see ``lp.solve``).  A start from the
-    other form, or from a problem of another shape, raises ProblemError.
+    Programs at two levels differ only in the right-hand side, so an
+    optimal basis at one level stays dual feasible at every other, and
+    the solve runs a dual simplex from one (see ``lp.solve``) instead of
+    phase one.  ``start`` is a report of the same problem and form at
+    another level; without it the solve starts from the closed-form
+    optimal basis at P = 1 (``_crash_basis``).  A start from the other
+    form, or from a problem of another shape, raises ProblemError.
     """
     if start is not None and (start.form, start.estimator.q.shape) != (form, problem.cost.shape):
         raise ProblemError(
@@ -384,7 +430,7 @@ def solve_dp_at(
     else:
         raise ProblemError(f"unknown program form {form!r}")
 
-    sol = lpmod.solve(lp, start=start.solution if start is not None else None)
+    sol = lpmod.solve(lp, start=_crash_basis(problem, lay) if start is None else start.solution)
     if sol.status != "optimal":
         raise SolverError(
             f"distortion program ended with status {sol.status} at P={p_level!r}"

@@ -9,10 +9,11 @@ Lipschitz band, and the report keeps that honest.
 ``cross_verify`` runs every applicable construction (closed form for
 binary sources, vertex enumeration when affordable, the sweep always,
 the grid oracle when tiny) on a shared grid of perception levels and
-compares the results pairwise.  Its pointwise column solves every level
-cold, on purpose: the sweep's solves and the vertex method's endpoint
-solves start from the bases of earlier solves, and cold solves, which
-share no basis with them, are the independent check on that warm path.
+compares the results pairwise.  Its pointwise column solves each level's
+transport-form program by phase one, on purpose: every ``solve_dp_at``
+runs a dual simplex from a known basis (the closed-form optimum at
+P = 1, or an earlier level's), and a phase-one solve, which shares no
+basis with them, is the independent check on that path.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from functools import reduce
 
 import numpy as np
 
+from . import lp as lpmod
 from .binary import closed_form_curve
 from .curve import curve_by_sweep, curve_by_vertices
 from .errors import BudgetExceededError, ProblemError
 from .model import Problem, wasserstein1
-from .programs import solve_dp_at
+from .programs import build_ot_form
 
 
 def _simplex_grid(steps: int, parts: int) -> np.ndarray:
@@ -193,7 +195,9 @@ def cross_verify(
     except BudgetExceededError:
         pass
 
-    values["pointwise"] = np.asarray([solve_dp_at(problem, p).value for p in ps])
+    values["pointwise"] = np.asarray(
+        [lpmod.solve(build_ot_form(problem, p)[0]).value for p in ps]
+    )
 
     band = None
     if grid_steps is not None:

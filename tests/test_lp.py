@@ -15,8 +15,8 @@ from dptradeoff import (
     solve,
     tv_distance,
 )
-from dptradeoff.lp import _DEDUP_TOL
-from dptradeoff.programs import dual_polyhedron
+from dptradeoff.lp import _DEDUP_TOL, _Tableau
+from dptradeoff.programs import build_ot_form, dual_polyhedron
 
 from conftest import brute_force_vertices, random_problem
 
@@ -196,6 +196,43 @@ class TestWarmStart:
         infeasible = solve(StandardLP([[1.0]], [-1.0], [0.0]))
         with pytest.raises(SolverError, match="optimal"):
             solve(StandardLP([[1.0]], [1.0], [0.0]), start=infeasible)
+
+
+def _dense_pivot(tab, row, col):
+    """The rank-one update over every row, which the row-sparse one replaces."""
+    piv = tab.binv_a[row, col]
+    tab.binv_a[row] /= piv
+    tab.xb[row] /= piv
+    factors = tab.binv_a[:, col].copy()
+    factors[row] = 0.0
+    tab.binv_a -= np.outer(factors, tab.binv_a[row])
+    tab.xb -= factors * tab.xb[row]
+    tab.red = tab.red - tab.red[col] * tab.binv_a[row]
+    tab.basis[row] = col
+    tab.fresh = False
+
+
+class TestRowSparsePivot:
+    def test_same_results_as_dense_update(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        runs = []
+        for _ in range(200):  # the generator of TestRandomInstances, cold solves
+            m = int(rng.integers(1, 21))
+            runs.append((random_feasible_lp(rng, m, int(rng.integers(m, 41))), None))
+        # a transport-form program, cold and from another level's basis
+        prob = random_problem(1, 5, 10, random_distortion=True, random_metric=True)
+        ot = build_ot_form(prob, 0.1)[0]
+        runs += [(ot, None), (build_ot_form(prob, 0.0)[0], solve(ot))]
+
+        sparse = [solve(lp, start=start) for lp, start in runs]
+        monkeypatch.setattr(_Tableau, "pivot", _dense_pivot)
+        dense = [solve(lp, start=start) for lp, start in runs]
+        assert sum(sol.iterations for sol in sparse) > 0
+        for one, two in zip(sparse, dense):
+            assert (one.status, one.basis) == (two.status, two.basis)
+            assert one.iterations == two.iterations
+            assert np.array_equal(one.x, two.x)
+            assert np.array_equal(one.dual, two.dual)
 
 
 class TestDualCheck:

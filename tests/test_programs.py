@@ -8,15 +8,19 @@ from dptradeoff import (
     SolverError,
     build_ot_form,
     build_tv_form,
+    dual_check,
     dual_polyhedron,
     make_problem,
     sign_patterns,
     solve_dp_at,
     tv_distance,
 )
+from dptradeoff import lp as lpmod
 from dptradeoff.programs import _stochastic_estimator
 
-from conftest import binary_dp_oracle, random_problem
+from conftest import binary_dp_oracle, highs_dp_oracle, random_problem
+
+BUILD = {"ot": build_ot_form, "tv": build_tv_form}
 
 
 class TestTransportForm:
@@ -178,12 +182,13 @@ class TestSolveAt:
 class TestWarmStart:
     @pytest.mark.parametrize("form", ["ot", "tv"])
     def test_chain_of_levels_matches_cold(self, form):
-        # Hamming 5x10, 21 levels, each solve started from the previous level
+        # Hamming 5x10, 21 levels, each solve started from the previous level;
+        # the cold baseline is a phase-one solve of the same program
         prob = random_problem(1, 5, 10)
         prev = None
         warm_pivots = cold_pivots = 0
         for p in np.linspace(0.0, 1.0, 21):
-            cold = solve_dp_at(prob, float(p), form=form)
+            cold = lpmod.solve(BUILD[form](prob, float(p))[0])
             warm = solve_dp_at(prob, float(p), form=form, start=prev)
             assert warm.value == pytest.approx(cold.value, abs=1e-12), p
             assert warm.gap <= 1e-8
@@ -201,6 +206,107 @@ class TestWarmStart:
             solve_dp_at(bsc_problem, 0.2, form="ot", start=start)
         with pytest.raises(ProblemError, match="form"):
             solve_dp_at(random_problem(2, 2, 3), 0.2, form="tv", start=start)
+
+
+def _crash_cases():
+    """(problem, form) cases on 2x2 and 3x5, Hamming and a random metric."""
+    probs = {
+        "2x2": make_problem([[0.54, 0.06], [0.04, 0.36]]),
+        "3x5": random_problem(3, 3, 5),
+        "3x5-distortion": random_problem(4, 3, 5, random_distortion=True),
+        "3x5-metric": random_problem(5, 3, 5, random_distortion=True, random_metric=True),
+    }
+    return [
+        pytest.param(prob, form, id=f"{name}-{form}")
+        for name, prob in probs.items()
+        for form in (("ot", "tv") if prob.metric.is_hamming else ("ot",))
+    ]
+
+
+def _edge_cases():
+    """(problem, form) cases: one source symbol, tied MAP costs, a 3e-11 mass."""
+    ties = [[0.2, 0.2, 0.1, 0.05], [0.2, 0.2, 0.1, 0.05], [0.02, 0.02, 0.06, 0.0]]
+    probs = {
+        "1x3": make_problem([[0.3, 0.5, 0.2]]),
+        "tied-uniform": make_problem(np.full((2, 2), 0.25)),
+        "tied-columns": make_problem(np.asarray(ties) / np.sum(ties)),
+        "skewed": make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]]),
+    }
+    return [
+        pytest.param(prob, form, id=f"{name}-{form}")
+        for name, prob in probs.items()
+        for form in ("ot", "tv")
+    ]
+
+
+class TestCrashStart:
+    @pytest.mark.parametrize("prob, form", _crash_cases())
+    def test_optimal_at_one_without_pivots(self, prob, form):
+        rep = solve_dp_at(prob, 1.0, form=form)
+        assert rep.iterations == 0
+        assert np.allclose(rep.estimator.q, prob.minimum[1].q, rtol=0.0, atol=1e-15)
+        assert abs(rep.value - prob.distortion_floor) <= 1e-15
+
+    @pytest.mark.parametrize("prob, form", _crash_cases())
+    def test_never_enters_phase_one(self, prob, form, monkeypatch):
+        # the sign form's coupling still comes from a phase-one transport solve
+        shape = BUILD[form](prob, 0.0)[0].a.shape
+        phase_one = lpmod._phase_one
+
+        def guarded(a, *args):
+            assert a.shape != shape, "the distortion program entered phase one"
+            return phase_one(a, *args)
+
+        monkeypatch.setattr(lpmod, "_phase_one", guarded)
+        for p in (0.0, 0.05, 0.2, 1.0):
+            assert solve_dp_at(prob, p, form=form).gap <= 1e-8
+
+    @pytest.mark.parametrize("prob, form", _edge_cases())
+    def test_edge_cases_match_phase_one(self, prob, form):
+        for p in (0.0, 0.05, 0.3, 1.0):
+            lp = BUILD[form](prob, p)[0]
+            rep = solve_dp_at(prob, p, form=form)
+            assert rep.value == pytest.approx(lpmod.solve(lp).value, abs=1e-9), p
+            assert dual_check(lp, rep.solution) <= 1e-9
+            assert rep.perception <= p + 1e-9
+
+
+def _highs_cases():
+    """Seeded instances up to 10x40: plain, tied and skewed masses, two metrics."""
+    cases = []
+    for seed, (n_x, n_y) in enumerate([(2, 3), (3, 5), (4, 8), (5, 10), (8, 20), (10, 40)]):
+        rng = np.random.default_rng(seed)
+        for masses in ("plain", "tied", "skewed"):
+            p_xy = rng.uniform(size=(n_x, n_y))
+            if masses == "tied":  # two source rows and two observation columns repeat
+                p_xy[1] = p_xy[0]
+                p_xy[:, 1] = p_xy[:, 0]
+            elif masses == "skewed":
+                p_xy = p_xy**8
+            p_xy /= p_xy.sum()
+            metric = rng.uniform(0.5, 1.0, size=(n_x, n_x))
+            metric = 0.5 * (metric + metric.T)
+            np.fill_diagonal(metric, 0.0)
+            for random_metric in (False, True):
+                prob = make_problem(p_xy, metric=metric if random_metric else None)
+                kind = "metric" if random_metric else "hamming"
+                forms = ("ot",) if random_metric or n_x > 8 else ("ot", "tv")
+                cases += [
+                    pytest.param(prob, form, id=f"{n_x}x{n_y}-{masses}-{kind}-{form}")
+                    for form in forms
+                ]
+    return cases
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("prob, form", _highs_cases())
+    def test_matches_highs(self, prob, form):
+        pytest.importorskip("scipy")
+        for p in (0.0, 0.05, 0.2, 0.6):
+            rep = solve_dp_at(prob, p, form=form)
+            assert rep.value == pytest.approx(highs_dp_oracle(prob, p), abs=1e-8), p
+            assert rep.perception <= p + 1e-8
+            assert prob.expected_distortion(rep.estimator) == pytest.approx(rep.value, abs=1e-9)
 
 
 class TestDualPolyhedron:
