@@ -8,12 +8,10 @@ offered:
 
 * ``curve_by_vertices``: enumerate all dual vertices, project to the
   (intercept, slope) plane, and take the exact upper envelope on [0, 1].
-* ``curve_by_sweep``: solve the program at sampled levels, each solve
-  started from the nearest level already solved; every solve
-  yields a supporting line of the convex curve (value plus price times
-  offset), and recursive refinement between samples certifies that no
-  segment is missed.  Intended as the fallback when enumeration is over
-  budget.
+* ``curve_by_sweep``: walk the transport form's optimal bases from
+  P = 1 down to 0 by the parametric dual simplex; each basis is optimal
+  on one segment and gives its line.  No enumeration, so it reaches
+  problems whose dual polyhedron is too large to enumerate.
 
 Both return the same breakpoints and slopes up to solver tolerance; the
 terminal plateau is pinned bitwise to the unconstrained floor.
@@ -27,15 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lpmod
-from .errors import BudgetExceededError, ProblemError
+from .errors import ProblemError
 from .model import Estimator, Problem
-from .programs import SolveReport, dual_polyhedron, solve_dp_at
+from .programs import _crash_basis, _stochastic_estimator, build_ot_form
+from .programs import dual_polyhedron, solve_dp_at
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
-_SWEEP_MAX_SOLVES = 256  # solves one sweep may spend
-_SWEEP_SLOPE_TOL = 1e-7  # neighbouring samples this close in slope share a segment
-_SWEEP_VALUE_TOL = 1e-9  # a sample this close to its neighbours' envelope adds nothing
 
 
 def intercept_weights(problem: Problem) -> np.ndarray:
@@ -225,10 +221,11 @@ class CurveReport:
     """A constructed curve plus the evidence behind it.
 
     ``s2_points`` holds the projected lines the envelope was built from
-    (all dual vertices for the vertex method, the observed supporting
-    lines for the sweep).  ``estimators`` are solved once per segment
+    (all dual vertices for the vertex method, one line per basis walked
+    for the sweep).  ``estimators`` hold one estimator per segment
     endpoint, so querying an estimator anywhere on the curve later needs
-    no further solves.
+    no further solves.  ``solve_count`` is the number of LP solves: one
+    per endpoint for the vertex method, 1 for the walk.
     """
 
     curve: PiecewiseLinearCurve
@@ -306,31 +303,17 @@ def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
     return np.asarray(out)
 
 
-def _nearest(solves: dict, p: float):
-    """The solved level nearest to ``p`` and its report, or (None, None)."""
-    near = min(solves, key=lambda s: abs(s - p), default=None)
-    return near, solves.get(near)
-
-
-def _segment_endpoint_estimators(problem, curve, solves):
+def _segment_endpoint_estimators(problem, curve):
     """One estimator per segment endpoint: level 0 and every breakpoint.
 
-    A sampled level within ``_ZERO_LEN_TOL`` of an endpoint stands for
-    it: the envelope recomputes each breakpoint from a line crossing, a
-    few ulps away from the level where the sweep sampled that crossing.
-    Any other endpoint is solved warm from the nearest level solved so
-    far, sampled or endpoint; with no samples, from the previous endpoint.
+    Level 0 is solved from the closed-form basis at P = 1, and every
+    breakpoint warm from the endpoint before it, the nearest level solved.
     """
-    supports = [0.0] + [float(b) for b in curve.breakpoints]
-    pool = dict(solves)
-    out = []
-    for p in supports:
-        near, rep = _nearest(pool, p)
-        if near is None or abs(near - p) > _ZERO_LEN_TOL:
-            rep = solve_dp_at(problem, p, start=rep)
-            pool[p] = rep
+    out, rep = [], None
+    for p in [0.0] + [float(b) for b in curve.breakpoints]:
+        rep = solve_dp_at(problem, p, start=rep)
         out.append((p, rep.estimator))
-    return tuple(out), len(pool) - len(solves)
+    return tuple(out)
 
 
 def curve_by_vertices(problem: Problem, *, budget: int = 10_000_000) -> CurveReport:
@@ -342,89 +325,48 @@ def curve_by_vertices(problem: Problem, *, budget: int = 10_000_000) -> CurveRep
     verts = lpmod.enumerate_vertices(dual_polyhedron(problem), budget=budget)
     s2 = project_vertex(verts, problem)  # no vertices: the floor line alone
     curve = assemble_curve(s2, problem.distortion_floor)
-    estimators, n_solves = _segment_endpoint_estimators(problem, curve, {})
+    estimators = _segment_endpoint_estimators(problem, curve)
     return CurveReport(
         curve=curve,
         method="vertex",
         s2_points=s2,
         hull_extreme_indices=hull_extremes(s2),
         estimators=estimators,
-        solve_count=n_solves,
+        solve_count=len(estimators),
         vertices=verts,
     )
 
 
 def curve_by_sweep(problem: Problem) -> CurveReport:
-    """Curve reconstruction from repeated single-level solves.
+    """Curve from one parametric walk of the transport form, P from 1 to 0.
 
-    Each solve at level P contributes the supporting line
-    ``value + price * P  -  price * p``.  Starting from the levels 0 and
-    1, recursion between neighboring samples either certifies that their
-    lines meet on the curve (then the crossing is the breakpoint) or
-    finds a hidden segment and descends.  A convex piecewise-linear
-    function is recovered exactly this way.  Raises BudgetExceededError
-    after ``_SWEEP_MAX_SOLVES`` solves.
-
-    Level 0 starts from the closed-form optimal basis at P = 1 (see
-    ``solve_dp_at``).  Every later level, and every segment endpoint
-    that no sample stands for, starts from the optimal basis of the
-    nearest level solved before it: the programs differ only in the
-    perception entry of the right-hand side, so that basis is dual
-    feasible and a dual simplex reaches the new optimum in a few pivots.
-    Where the optimum is not unique, the start decides which optimal
-    basis, and so which estimator or supporting line, a solve returns;
-    the curve is the same.
+    Only the perception entry of the right-hand side depends on P, so an
+    optimal basis gives the curve one line on the levels where it stays
+    optimal.  ``lp.walk_down`` starts at the closed-form optimal basis at
+    P = 1 (``_crash_basis``) and meets an optimal basis at every level
+    down to 0, so the envelope of their lines is the curve.  The point
+    of the basis whose walk level is nearest a breakpoint is that
+    breakpoint's estimator; the last basis gives level 0's.  Where the
+    optimum is not unique, the pivot rule picks the basis and so the
+    estimator; the curve is the same.
     """
-    solves: dict[float, SolveReport] = {}
-
-    def sample(p: float) -> tuple[float, float]:
-        key = round(p, 15)
-        rep = solves.get(key)
-        if rep is None:
-            if len(solves) >= _SWEEP_MAX_SOLVES:
-                raise BudgetExceededError(
-                    f"sweep exceeded its solve budget of {_SWEEP_MAX_SOLVES}"
-                )
-            rep = solve_dp_at(problem, p, start=_nearest(solves, p)[1])
-            solves[key] = rep
-        price = rep.dual.perception_price
-        return rep.value + price * p, -price  # (intercept, slope)
-
-    lines = {p: sample(p) for p in (0.0, 1.0)}
-
-    def line_at(line, p):
-        return line[0] + line[1] * p
-
-    def refine(pa, la, pb, lb, depth=0):
-        if pb - pa <= 1e-9 or depth >= 48:
-            return
-        if abs(la[1] - lb[1]) <= _SWEEP_SLOPE_TOL:
-            return
-        pc = (la[0] - lb[0]) / (lb[1] - la[1])
-        if pc <= pa + 1e-12 or pc >= pb - 1e-12:
-            # both samples support the curve at a shared kink; a line
-            # hidden between them would have to beat the curve there
-            return
-        lc = sample(pc)
-        lines[pc] = lc
-        envelope = max(line_at(la, pc), line_at(lb, pc))
-        if lc[0] + lc[1] * pc <= envelope + _SWEEP_VALUE_TOL:
-            return
-        refine(pa, la, pc, lc, depth + 1)
-        refine(pc, lc, pb, lb, depth + 1)
-
-    refine(0.0, lines[0.0], 1.0, lines[1.0])
-
-    support_lines = np.asarray(sorted(lines.values()), dtype=float).reshape(-1, 2)
-    curve = assemble_curve(support_lines, problem.distortion_floor)
-    estimators, extra = _segment_endpoint_estimators(problem, curve, solves)
+    lp, lay = build_ot_form(problem, 1.0)
+    walk = lpmod.walk_down(lp, _crash_basis(problem, lay), lay.ix_eps)
+    lines = np.asarray([(lp.c @ x - slope * level, slope) for level, x, slope in walk])
+    curve = assemble_curve(lines, problem.distortion_floor)
+    levels = np.asarray([level for level, _, _ in walk])
+    tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
+    estimators = []
+    for p in [0.0] + [float(b) for b in curve.breakpoints]:
+        x = walk[int(np.argmin(np.abs(levels - p)))][1]
+        estimators.append((p, _stochastic_estimator(problem, lay.extract_q(x), tol)))
     return CurveReport(
         curve=curve,
         method="sweep",
-        s2_points=support_lines,
-        hull_extreme_indices=hull_extremes(support_lines),
-        estimators=estimators,
-        solve_count=len(solves) + extra,
+        s2_points=lines,
+        hull_extreme_indices=hull_extremes(lines),
+        estimators=tuple(estimators),
+        solve_count=1,
     )
 
 

@@ -25,6 +25,11 @@ programs always start this way: from the solution at another
 perception level, or from their optimal basis at P = 1, which is known
 in closed form.
 
+``walk_down`` follows one entry of ``b`` from its value down to 0 with
+the same dual simplex, one optimal basis per interval of that entry:
+the parametric right-hand side of Bertsimas and Tsitsiklis, section
+5.2.  The whole distortion-perception curve is one such walk.
+
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
 lexicographic pivoting (Balinski 1961; Avis and Fukuda 1992), used for
@@ -247,17 +252,31 @@ def _phase_one(a, b, c, feas_tol, budget):
     return _Tableau(a[keep], b[keep], c, basis), dropped, iters, None
 
 
+def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
+    """The leaving row of ``rows`` and the entering column, by the dual Bland rule.
+
+    The row whose basic column has the smallest index leaves; the column
+    with the smallest ratio ``red[j] / -row[j]`` enters, ties to the
+    smallest index, or None if the row has no negative entry.
+    """
+    row = int(rows[np.argmin(np.asarray(tab.basis)[rows])])
+    line = tab.binv_a[row]
+    cols = np.nonzero(line < -_PIVOT_COL_TOL)[0]
+    if cols.size == 0:
+        return row, None
+    ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
+    return row, int(cols[ratios <= ratios.min() + 1e-12][0])
+
+
 def _dual_phase(a, b, c, start: LPSolution, feas_tol, budget):
     """A first feasible basis by dual simplex from ``start``'s optimal basis.
 
-    Dual form of Bland's rule: the infeasible basic variable with the
-    smallest column index leaves, and the column with the smallest ratio
-    ``red[j] / -row[j]`` enters, ties to the smallest index.  When no
-    column can enter, row r of the tableau has no negative entry while
-    its basic value is negative, so minus row r of B^-1 is a Farkas
-    certificate.  A dropped row is a combination of the kept rows; a
-    ``b`` that breaks that combination is infeasible too.  Returns what
-    ``_phase_one`` returns.
+    Pivots by ``_dual_bland`` over the infeasible rows.  When no column
+    can enter, row r of the tableau has no negative entry while its basic
+    value is negative, so minus row r of B^-1 is a Farkas certificate.
+    A dropped row is a combination of the kept rows; a ``b`` that breaks
+    that combination is infeasible too.  Returns what ``_phase_one``
+    returns.
     """
     m, n = a.shape
     if start.status != "optimal":
@@ -284,22 +303,17 @@ def _dual_phase(a, b, c, start: LPSolution, feas_tol, budget):
     iters = 0
     while True:
         rows = np.nonzero(tab.xb < -tol)[0]
-        if rows.size:
-            row = int(rows[np.argmin(np.asarray(tab.basis)[rows])])
-            line = tab.binv_a[row]
-            cols = np.nonzero(line < -_PIVOT_COL_TOL)[0]
-        if rows.size == 0 or cols.size == 0:
+        row, col = _dual_bland(tab, rows) if rows.size else (None, None)
+        if col is None:
             if not tab.fresh:
                 tab.refactor()  # confirm the terminal state against fresh data
                 continue
-            if rows.size == 0:
+            if row is None:
                 return tab, dropped, iters, None
             unit = np.zeros(len(keep))
             unit[row] = 1.0
             certificate[keep] = -np.linalg.solve(tab.a[:, tab.basis].T, unit)
             return None, dropped, iters, certificate
-        ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
-        col = int(cols[ratios <= ratios.min() + 1e-12][0])
         iters = _step(tab, row, col, iters, budget)
 
 
@@ -370,6 +384,47 @@ def solve(
         dropped_rows=tuple(dropped),
         iterations=iterations,
     )
+
+
+def walk_down(lp: StandardLP, start: LPSolution, slack: int) -> list[tuple[float, np.ndarray, float]]:
+    """Optimal bases of ``lp`` as ``b[r]`` falls to 0, from optimal basis ``start``.
+
+    Column ``slack`` of ``a`` is the unit vector of row r, so the same
+    column of the tableau is ``B^-1 e_r``: lowering ``b[r]`` by t moves
+    the basic values by ``-t`` times it and keeps the reduced costs, so a
+    basis stays optimal until a basic value reaches 0.  ``_dual_bland``
+    over the rows that reach 0 together then pivots as the dual simplex
+    just below that level would, so degenerate steps cannot cycle.
+    Refactorizes every ``_REFRESH_EVERY`` pivots and at the end.
+
+    Returns ``(level, x, slope)`` per basis, in walk order: the level
+    down to which it is optimal (0 for the last), its point there, and
+    ``c_B B^-1 e_r``, the slope of the value in ``b[r]``.
+    """
+    keep = [r for r in range(lp.m) if r not in start.dropped_rows]
+    tab = _Tableau(lp.a[keep], lp.b[keep], lp.c, start.basis)
+    row = int(np.argmax(tab.a[:, slack]))
+    level = float(tab.b[row])
+    tol = _RED_COST_TOL * max(1.0, float(np.abs(tab.b).max(initial=0.0)))
+    iters, walk = 0, []
+    while True:
+        rate = tab.binv_a[:, slack]
+        rows = np.nonzero(rate > _PIVOT_COL_TOL)[0]
+        steps = np.maximum(tab.xb[rows], 0.0) / rate[rows]
+        last = np.all(tab.xb[rows] - level * rate[rows] >= -tol)  # feasible at 0, as _dual_phase judges
+        step = level if last else float(steps.min())
+        level -= step
+        tab.xb -= step * rate
+        tab.b[row] = level
+        if last and not tab.fresh:
+            tab.refactor()
+        walk.append((level, tab.point(), float(tab.c[tab.basis] @ tab.binv_a[:, slack])))
+        if last:
+            return walk
+        leave, col = _dual_bland(tab, rows[steps <= step + 1e-12])
+        if col is None:
+            raise SolverError(f"program infeasible below level {level!r}")
+        iters = _step(tab, leave, col, iters, 100 * (lp.m + lp.n))
 
 
 def dual_check(lp: StandardLP, sol: LPSolution, *, tol: float = 1e-9) -> float:

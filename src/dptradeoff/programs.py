@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError, SolverError
-from .model import Coupling, Estimator, Problem, output_distribution, tv_distance, wasserstein1
+from .model import Coupling, Estimator, Problem, output_distribution, tv_distance
 
 
 def sign_patterns(n_x: int) -> np.ndarray:
@@ -447,7 +447,10 @@ def solve_dp_at(
         dual = _dual_from_ot(problem, sol.dual, p_level)
     else:
         perception = tv_distance(problem.p_x, out)
-        _, coupling = wasserstein1(problem.p_x, out, problem.metric)
+        # the maximal coupling, optimal under Hamming: it moves exactly the TV
+        diag = np.minimum(problem.p_x, out.p)
+        moved = np.outer(problem.p_x - diag, out.p - diag) / (perception or 1.0)
+        coupling = Coupling(np.diag(diag) + moved, problem.p_x, out.p)
         dual = _dual_from_tv(problem, sol.dual, lay, p_level)
 
     gap = abs(sol.value - dual.objective)

@@ -7,13 +7,13 @@ cannot certify an optimum, only an upper bound within a declared
 Lipschitz band, and the report keeps that honest.
 
 ``cross_verify`` runs every applicable construction (closed form for
-binary sources, vertex enumeration when affordable, the sweep always,
-the grid oracle when tiny) on a shared grid of perception levels and
-compares the results pairwise.  Its pointwise column solves each level's
-transport-form program by phase one, on purpose: every ``solve_dp_at``
-runs a dual simplex from a known basis (the closed-form optimum at
-P = 1, or an earlier level's), and a phase-one solve, which shares no
-basis with them, is the independent check on that path.
+binary sources, vertex enumeration when affordable, the sweep's
+parametric walk always, the grid oracle when tiny) on a shared grid of
+perception levels and compares the results pairwise.  Its pointwise
+column solves each level's transport-form program by phase one, on
+purpose: the walk and every ``solve_dp_at`` move by dual simplex from
+the closed-form optimal basis at P = 1 or an earlier level's, and a
+phase-one solve shares no basis with them.
 """
 
 from __future__ import annotations

@@ -43,6 +43,17 @@ def random_problem(seed, n_x, n_y, *, random_distortion=False, random_metric=Fal
     return instance_to_problem(spec)
 
 
+def edge_problems():
+    """Named edge instances: one source symbol, tied MAP costs, a 3e-11 mass."""
+    ties = [[0.2, 0.2, 0.1, 0.05], [0.2, 0.2, 0.1, 0.05], [0.02, 0.02, 0.06, 0.0]]
+    return {
+        "1x3": make_problem([[0.3, 0.5, 0.2]]),
+        "tied-uniform": make_problem(np.full((2, 2), 0.25)),
+        "tied-columns": make_problem(np.asarray(ties) / np.sum(ties)),
+        "skewed": make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]]),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

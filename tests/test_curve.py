@@ -11,11 +11,12 @@ from dptradeoff import (
     curve_by_vertices,
     estimator_on_curve,
     hull_extremes,
+    make_problem,
     project_vertex,
     solve_dp_at,
 )
 
-from conftest import highs_dp_oracle, random_problem
+from conftest import edge_problems, highs_dp_oracle, random_problem
 
 
 class TestProjection:
@@ -81,8 +82,6 @@ class TestCurveByVertices:
     def test_plateau_starting_exactly_at_one(self):
         # a deterministic source whose cheap reconstruction is the other
         # symbol: the budget binds all the way to the domain edge
-        from dptradeoff import make_problem
-
         prob = make_problem(
             [[0.5, 0.5], [0.0, 0.0]], distortion=[[5.0, 0.0], [1.0, 1.0]]
         )
@@ -125,6 +124,29 @@ class TestBreakpointCandidates:
             assert np.min(np.abs(cands - bp)) <= 1e-9
 
 
+def _walk_cases():
+    """Seeded 3x4 instances, the edge instances, and a degenerate first step."""
+    cases = [
+        pytest.param(random_problem(seed, 3, 4, random_distortion=True), id=str(seed))
+        for seed in (3, 7, 19)
+    ]
+    cases += [
+        pytest.param(
+            random_problem(seed, 3, 4, random_distortion=True, random_metric=True),
+            id=f"metric-{seed}",
+        )
+        for seed in (3, 7, 19)
+    ]
+    cases += [pytest.param(prob, id=name) for name, prob in edge_problems().items()]
+    # every MAP pick is the symbol the source never takes, so the crash
+    # basis moves all mass a distance 1 and its budget slack is 0 at P = 1
+    eps_zero = make_problem(
+        [[0.3, 0.1, 0.2], [0.1, 0.25, 0.05], [0.0, 0.0, 0.0]],
+        distortion=[[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [1.0, 1.0, 0.0]],
+    )
+    return cases + [pytest.param(eps_zero, id="eps-zero-at-one")]
+
+
 class TestCurveBySweep:
     def test_flat_curve_from_two_solves(self, noiseless_problem):
         report = curve_by_sweep(noiseless_problem)
@@ -143,9 +165,8 @@ class TestCurveBySweep:
         assert abs(report.curve.breakpoints[0] - 0.02) <= 1e-6
         assert abs(report.curve.slopes[0] + 5.0 / 7.0) <= 1e-6
 
-    @pytest.mark.parametrize("seed", [3, 7, 19])
-    def test_sweep_agrees_with_vertices(self, seed):
-        prob = random_problem(seed, 3, 4, random_distortion=True)
+    @pytest.mark.parametrize("prob", _walk_cases())
+    def test_sweep_agrees_with_vertices(self, prob):
         by_sweep = curve_by_sweep(prob)
         by_vertex = curve_by_vertices(prob)
         assert by_sweep.curve.breakpoints.shape == by_vertex.curve.breakpoints.shape
@@ -154,12 +175,40 @@ class TestCurveBySweep:
         )
         assert np.allclose(by_sweep.curve.slopes, by_vertex.curve.slopes, atol=1e-8)
 
-    def test_endpoints_reuse_sampled_levels(self):
-        # recomputed breakpoints land up to 3e-14 away from the sampled
-        # crossings; each must reuse its sample, not solve it again
-        prob = random_problem(1, 5, 10, random_distortion=True)
-        report = curve_by_sweep(prob)
-        assert report.solve_count == len(report.s2_points)
+    def test_one_build_and_no_solves(self, monkeypatch):
+        # the walk builds the program once and never solves it level by level
+        from dptradeoff import curve as curvemod
+        from dptradeoff import lp as lpmod
+        from dptradeoff import programs
+
+        build = curvemod.build_ot_form
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep solved a program")
+
+        monkeypatch.setattr(curvemod, "build_ot_form", counting)
+        for module, name in ((lpmod, "solve"), (curvemod, "solve_dp_at"), (programs, "solve_dp_at")):
+            monkeypatch.setattr(module, name, forbidden)
+        report = curve_by_sweep(random_problem(1, 5, 10, random_distortion=True))
+        assert len(builds) == 1
+        assert report.solve_count == 1
+        assert report.curve.breakpoints.size > 1
+
+    def test_estimators_at_every_endpoint(self):
+        for random_metric in (False, True):
+            prob = random_problem(1, 5, 10, random_distortion=True, random_metric=random_metric)
+            report = curve_by_sweep(prob)
+            assert [p for p, _ in report.estimators] == [0.0] + list(report.curve.breakpoints)
+            for p, est in report.estimators:
+                assert prob.expected_distortion(est) == pytest.approx(
+                    report.curve.value(p), abs=1e-9
+                )
+                assert prob.perception_of(est)[0] <= p + 1e-8
 
     @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
     @pytest.mark.parametrize("shape", [(5, 10), (8, 20)], ids=["5x10", "8x20"])
@@ -171,26 +220,6 @@ class TestCurveBySweep:
         levels = np.unique(np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])]))
         for p in levels:
             assert curve.value(p) == pytest.approx(highs_dp_oracle(prob, p), abs=1e-8), p
-
-    def test_warm_solves_save_pivots(self, monkeypatch):
-        # a warm start that quietly fell back to cold would pay full pivots
-        from dptradeoff import lp as lpmod
-
-        cold_solve = lpmod.solve
-        calls = []
-
-        def counting(lp, **kwargs):
-            sol = cold_solve(lp, **kwargs)
-            calls.append((lp, sol.iterations))
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve", counting)
-        prob = random_problem(1, 5, 10, random_distortion=True)
-        curve_by_sweep(prob)
-        assert len(calls) > 2
-        warm = sum(pivots for _, pivots in calls)
-        cold = sum(cold_solve(lp).iterations for lp, _ in calls)
-        assert 5 * warm <= cold
 
 
 class TestEstimatorOnCurve:

@@ -18,7 +18,7 @@ from dptradeoff import (
 from dptradeoff import lp as lpmod
 from dptradeoff.programs import _stochastic_estimator
 
-from conftest import binary_dp_oracle, highs_dp_oracle, random_problem
+from conftest import binary_dp_oracle, edge_problems, highs_dp_oracle, random_problem
 
 BUILD = {"ot": build_ot_form, "tv": build_tv_form}
 
@@ -224,17 +224,10 @@ def _crash_cases():
 
 
 def _edge_cases():
-    """(problem, form) cases: one source symbol, tied MAP costs, a 3e-11 mass."""
-    ties = [[0.2, 0.2, 0.1, 0.05], [0.2, 0.2, 0.1, 0.05], [0.02, 0.02, 0.06, 0.0]]
-    probs = {
-        "1x3": make_problem([[0.3, 0.5, 0.2]]),
-        "tied-uniform": make_problem(np.full((2, 2), 0.25)),
-        "tied-columns": make_problem(np.asarray(ties) / np.sum(ties)),
-        "skewed": make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]]),
-    }
+    """(problem, form) cases over ``edge_problems``, in both forms."""
     return [
         pytest.param(prob, form, id=f"{name}-{form}")
-        for name, prob in probs.items()
+        for name, prob in edge_problems().items()
         for form in ("ot", "tv")
     ]
 
@@ -249,13 +242,8 @@ class TestCrashStart:
 
     @pytest.mark.parametrize("prob, form", _crash_cases())
     def test_never_enters_phase_one(self, prob, form, monkeypatch):
-        # the sign form's coupling still comes from a phase-one transport solve
-        shape = BUILD[form](prob, 0.0)[0].a.shape
-        phase_one = lpmod._phase_one
-
-        def guarded(a, *args):
-            assert a.shape != shape, "the distortion program entered phase one"
-            return phase_one(a, *args)
+        def guarded(*args):
+            raise AssertionError("a single-level solve entered phase one")
 
         monkeypatch.setattr(lpmod, "_phase_one", guarded)
         for p in (0.0, 0.05, 0.2, 1.0):
@@ -269,6 +257,8 @@ class TestCrashStart:
             assert rep.value == pytest.approx(lpmod.solve(lp).value, abs=1e-9), p
             assert dual_check(lp, rep.solution) <= 1e-9
             assert rep.perception <= p + 1e-9
+            moved = np.sum(rep.coupling.pi * prob.metric.h)
+            assert moved == pytest.approx(rep.perception, abs=1e-12)
 
 
 def _highs_cases():
