@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: solve, curve, binary, gen, verify, w1.  Exit codes: 0 ok,
-1 input error, 2 solver failure, 3 enumeration budget exceeded,
+1 input error, 2 solver failure, 3 vertex walk past its bases budget,
 4 verification failure.
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from . import binary as binmod
 from . import curve as curvemod
+from . import lp as lpmod
 from . import problemio, svgplot
 from .errors import BudgetExceededError, ProblemError, SolverError
 from .model import Distribution, GroundMetric, wasserstein1
@@ -250,7 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument(
         "--method", choices=["vertex", "sweep", "closed-form"], default="vertex"
     )
-    p_curve.add_argument("--budget", type=int, default=10_000_000)
+    p_curve.add_argument(
+        "--budget",
+        type=int,
+        default=lpmod.VERTEX_BUDGET,
+        help="most bases the vertex walk may visit before exit 3",
+    )
     p_curve.set_defaults(func=cmd_curve)
 
     p_bin = sub.add_parser("binary", help="closed form for binary sources")

@@ -6,8 +6,9 @@ to two numbers: its inner product with the P-independent part of the dual
 right-hand side, and minus its perception price.  Two constructions are
 offered:
 
-* ``curve_by_vertices``: enumerate all dual vertices, project to the
-  (intercept, slope) plane, and take the exact upper envelope on [0, 1].
+* ``curve_by_vertices``: enumerate all dual vertices by a basis walk
+  from the optimal basis at P = 0, project them to the (intercept,
+  slope) plane, and take the exact upper envelope on [0, 1].
 * ``curve_by_sweep``: walk the transport form's optimal bases from
   P = 1 down to 0 by the parametric dual simplex; each basis is optimal
   on one segment and gives its line.  No enumeration, so it reaches
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError
-from .model import Estimator, Problem
+from .model import Estimator, Problem, check_level
 from .programs import _crash_basis, _stochastic_estimator, build_ot_form
 from .programs import dual_polyhedron, solve_dp_at
 
@@ -303,35 +304,32 @@ def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
     return np.asarray(out)
 
 
-def _segment_endpoint_estimators(problem, curve):
-    """One estimator per segment endpoint: level 0 and every breakpoint.
-
-    Level 0 is solved from the closed-form basis at P = 1, and every
-    breakpoint warm from the endpoint before it, the nearest level solved.
-    """
-    out, rep = [], None
-    for p in [0.0] + [float(b) for b in curve.breakpoints]:
-        rep = solve_dp_at(problem, p, start=rep)
-        out.append((p, rep.estimator))
-    return tuple(out)
-
-
-def curve_by_vertices(problem: Problem, *, budget: int = 10_000_000) -> CurveReport:
+def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 
-    Raises BudgetExceededError when the basis count is out of reach; use
-    ``curve_by_sweep`` then.
+    The walk starts at the optimal basis of the solve at P = 0: in
+    ``dual_polyhedron``'s row order, transport-form column j is dual row
+    j, so that basis is d rows of a dual vertex.  The same solve gives
+    level 0's estimator, and every breakpoint's is solved warm from the
+    endpoint before it, the nearest level solved.
+
+    Raises BudgetExceededError when the walk visits more than ``budget``
+    bases; use ``curve_by_sweep`` then.
     """
-    verts = lpmod.enumerate_vertices(dual_polyhedron(problem), budget=budget)
-    s2 = project_vertex(verts, problem)  # no vertices: the floor line alone
+    rep = solve_dp_at(problem, 0.0)
+    verts = lpmod.enumerate_vertices(dual_polyhedron(problem), rep.solution.basis, budget=budget)
+    s2 = project_vertex(verts, problem)
     curve = assemble_curve(s2, problem.distortion_floor)
-    estimators = _segment_endpoint_estimators(problem, curve)
+    estimators = [(0.0, rep.estimator)]
+    for p in curve.breakpoints:
+        rep = solve_dp_at(problem, float(p), start=rep)
+        estimators.append((float(p), rep.estimator))
     return CurveReport(
         curve=curve,
         method="vertex",
         s2_points=s2,
         hull_extreme_indices=hull_extremes(s2),
-        estimators=estimators,
+        estimators=tuple(estimators),
         solve_count=len(estimators),
         vertices=verts,
     )
@@ -380,8 +378,7 @@ def mix_supports(levels, rule, p_level: float) -> Estimator:
     the rule and the perception index is convex, so on a segment of the
     curve the mixture stays feasible and lands exactly on the segment.
     """
-    if not np.isfinite(p_level) or p_level < 0:
-        raise ProblemError(f"perception level must be finite and >= 0, got {p_level!r}")
+    check_level(p_level)
     if p_level >= levels[-1]:
         return rule(len(levels) - 1)
     hi = bisect_right(levels, p_level)

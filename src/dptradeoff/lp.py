@@ -33,9 +33,10 @@ the parametric right-hand side of Bertsimas and Tsitsiklis, section
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
 lexicographic pivoting (Balinski 1961; Avis and Fukuda 1992), used for
-dual feasible sets whose vertices determine entire tradeoff curves.  Its
-cost grows with the number of bases visited, not with the C(k, d)
-candidate row subsets.
+dual feasible sets whose vertices determine entire tradeoff curves.  The
+walk starts at a vertex basis the caller already has (for the dual
+polyhedron, the optimal basis of the distortion program at P = 0), and
+its budget counts the bases it visits.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasib
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
 _DEDUP_TOL = 1e-7  # vertices closer than this are one vertex
+VERTEX_BUDGET = 10_000  # bases a vertex walk may visit by default
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,39 +478,37 @@ class HPolyhedron:
         return self.g.shape[1]
 
 
-def enumerate_vertices(poly: HPolyhedron, *, budget: int = 10_000_000) -> np.ndarray:
+def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET) -> np.ndarray:
     """All vertices of a small pointed polyhedron, lexicographically sorted.
 
     Walks the graph of feasible bases (d rows with a nonsingular matrix)
-    from one start vertex, pivoting along every bounded edge; directions
-    that no row bounds are rays and are skipped.  Degenerate vertices
-    carry several bases.  A lexicographic perturbation of the right-hand
-    side, row i moved by ``eps**rank(i)`` with distinct ranks, keeps the
-    walk on bases that stay feasible for every small eps: the ratio test
-    then picks exactly one entering row, and the walk reaches every
-    vertex.  Each basis costs one d-by-d inverse.  Bases of one vertex
-    are collapsed by deduplication at ``_DEDUP_TOL``.  An empty
-    polyhedron, or one that contains a line, has no vertices.
+    from ``start``, the d row indices of one vertex, pivoting along every
+    bounded edge; directions that no row bounds are rays and are skipped.
+    Degenerate vertices carry several bases.  A lexicographic perturbation
+    of the right-hand side, row i moved by ``eps**rank(i)`` with distinct
+    ranks, keeps the walk on bases that stay feasible for every small eps:
+    the ratio test then picks exactly one entering row, and the walk
+    reaches every vertex.  Each basis costs one d-by-d inverse.  Bases of
+    one vertex are collapsed by deduplication at ``_DEDUP_TOL``.
 
-    Raises BudgetExceededError when C(k, d), the number of candidate
-    bases, exceeds ``budget`` so callers can fall back to sweep-style
-    methods.
+    Raises SolverError unless ``start`` names d distinct rows whose
+    matrix is nonsingular and whose point is feasible within
+    ``FEAS_TOL``, and BudgetExceededError when the walk visits more than
+    ``budget`` bases, so callers can fall back to sweep-style methods.
     """
     k, d = poly.k, poly.d
     if d > 16:
         raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
-    if k < d:
-        return np.empty((0, d))
-    total = math.comb(k, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({k},{d}) = {total} basis candidates exceed the budget {budget}"
-        )
-
     g, h = poly.g, poly.h
-    start = _start_basis(g, h)
-    if start is None:
-        return np.empty((0, d))
+    start = [int(i) for i in start]
+    if len(start) != d or len(set(start)) != d or not all(0 <= i < k for i in start):
+        raise SolverError(f"a start must name {d} distinct rows of {k}, got {start}")
+    if not np.linalg.cond(g[start]) < 1.0 / _PIVOT_COL_TOL:
+        raise SolverError(f"start rows {start} are singular")
+    zero = FEAS_TOL * max(1.0, float(np.abs(h).max()))
+    excess = float(np.max(g @ np.linalg.solve(g[start], h[start]) - h))
+    if excess > zero:
+        raise SolverError(f"start point violates a row by {excess:g}")
 
     # perturbed right-hand side as coefficients of [1, eps^1 .. eps^k],
     # row i moved by eps^(1 + rank[i]): the start basis takes the smallest
@@ -519,7 +519,6 @@ def enumerate_vertices(poly: HPolyhedron, *, budget: int = 10_000_000) -> np.nda
     rhs = np.zeros((k, k + 1))
     rhs[:, 0] = h
     rhs[np.arange(k), 1 + rank] = 1.0
-    zero = FEAS_TOL * max(1.0, float(np.abs(h).max()))
 
     points = []
     seen = {tuple(sorted(start))}
@@ -551,6 +550,8 @@ def enumerate_vertices(poly: HPolyhedron, *, budget: int = 10_000_000) -> np.nda
             if key not in seen:
                 seen.add(key)
                 stack.append(nxt)
+                if len(seen) > budget:
+                    raise BudgetExceededError(f"the vertex walk visited more than {budget} bases")
 
     # two-stage dedup: rounding keys collapse near-identical copies (the
     # original coordinates are kept), then a tolerance merge.  np.unique
@@ -564,36 +565,3 @@ def enumerate_vertices(poly: HPolyhedron, *, budget: int = 10_000_000) -> np.nda
             continue
         reps.append(p)
     return np.asarray(reps)
-
-
-def _start_basis(g: np.ndarray, h: np.ndarray) -> list[int] | None:
-    """Rows of one vertex of ``{p : g p <= h}``, or None if there is none.
-
-    A feasible point comes from the simplex on ``[g, -g, I]``; the point
-    then moves inside the null space of its independent tight rows until
-    d of them are tight.  Each move follows the projection of a row onto
-    that null space, so the row that stops it is independent of the rest.
-    """
-    k, d = g.shape
-    sol = solve(StandardLP(np.hstack([g, -g, np.eye(k)]), h, np.zeros(2 * d + k)))
-    if sol.status != "optimal":
-        return None
-    p = sol.x[:d] - sol.x[d : 2 * d]
-    basis: list[int] = []
-    while len(basis) < d:
-        if basis:
-            null = np.linalg.svd(g[basis])[2][len(basis) :]
-        else:
-            null = np.eye(d)
-        proj = g @ null.T  # rows seen inside the null space
-        norms = np.linalg.norm(proj, axis=1)
-        if norms.max() <= _PIVOT_COL_TOL * max(1.0, float(np.abs(g).max())):
-            return None  # every row is constant along a line
-        z = null.T @ proj[int(np.argmax(norms))]
-        rate = g @ z
-        rows = np.nonzero(rate > _PIVOT_COL_TOL * np.abs(z).max())[0]
-        steps = np.maximum(h[rows] - g[rows] @ p, 0.0) / rate[rows]
-        stop = int(rows[np.argmin(steps)])
-        p = p + steps.min() * z
-        basis.append(stop)
-    return basis

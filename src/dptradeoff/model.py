@@ -46,6 +46,12 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ProblemError(f"{name} contains non-finite entries")
 
 
+def check_level(p_level: float) -> None:
+    """Raise ProblemError unless a perception level is finite and >= 0."""
+    if not np.isfinite(p_level) or p_level < 0:
+        raise ProblemError(f"perception level must be finite and >= 0, got {p_level!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability vector: nonnegative entries summing to one."""

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import ProblemError
-from .model import DistortionMatrix, GroundMetric, JointChannel, Problem, validate_problem
+from .model import Problem, make_problem
 
 
 def _fmt(x: float) -> str:
@@ -81,19 +81,7 @@ def parse_instance(text: str) -> dict:
 
 
 def instance_to_problem(spec: dict) -> Problem:
-    channel = JointChannel(spec["p_xy"])
-    n = channel.n_x
-    d = (
-        DistortionMatrix(spec["distortion"])
-        if spec.get("distortion") is not None
-        else DistortionMatrix.hamming(n)
-    )
-    h = (
-        GroundMetric(spec["metric"])
-        if spec.get("metric") is not None
-        else GroundMetric.hamming(n)
-    )
-    return validate_problem(channel, d, h)
+    return make_problem(spec["p_xy"], spec.get("distortion"), spec.get("metric"))
 
 
 def load_problem(path: str) -> tuple[Problem, dict]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError, SolverError
-from .model import Coupling, Estimator, Problem, output_distribution, tv_distance
+from .model import Coupling, Estimator, Problem, check_level, output_distribution, tv_distance
 
 
 def sign_patterns(n_x: int) -> np.ndarray:
@@ -138,8 +138,7 @@ def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, O
     marginal, zeros, and the perception level (the only P-dependent
     entry, so the feasible region's right-hand side is affine in P).
     """
-    if not np.isfinite(p_level) or p_level < 0:
-        raise ProblemError(f"perception level must be finite and >= 0, got {p_level!r}")
+    check_level(p_level)
     n_x, n_y = problem.n_x, problem.n_y
     lay = OtFormLayout(n_x, n_y)
     p_y, p_x = problem.p_y, problem.p_x
@@ -162,8 +161,7 @@ def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, O
 
 def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, TvFormLayout]:
     """Sign-form program (Hamming metric only) in equality standard form."""
-    if not np.isfinite(p_level) or p_level < 0:
-        raise ProblemError(f"perception level must be finite and >= 0, got {p_level!r}")
+    check_level(p_level)
     if not problem.metric.is_hamming:
         raise ProblemError("the sign form requires the Hamming ground metric")
     n_x, n_y = problem.n_x, problem.n_y

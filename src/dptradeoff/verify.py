@@ -28,7 +28,7 @@ from . import lp as lpmod
 from .binary import closed_form_curve
 from .curve import curve_by_sweep, curve_by_vertices
 from .errors import BudgetExceededError, ProblemError
-from .model import Problem, wasserstein1
+from .model import Problem, check_level, wasserstein1
 from .programs import build_ot_form
 
 
@@ -66,6 +66,7 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     ``n_y * (max d - min d) / steps`` of it whenever a near-optimal
     feasible grid point exists.
     """
+    check_level(p_level)
     _require_steps(steps_per_dof)
     n_x, n_y = problem.n_x, problem.n_y
     dof = (n_x - 1) * n_y

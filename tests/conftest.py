@@ -215,6 +215,20 @@ def brute_force_vertices(poly, *, feas_tol=1e-9, dedup_tol=1e-7):
     return out[np.lexsort(np.round(out, 9).T[::-1])]
 
 
+def vertex_start(poly, *, feas_tol=1e-9):
+    """A walk start: d independent rows tight at the first brute-force vertex.
+
+    Rows are taken in index order, each kept when it raises the rank.
+    """
+    g, h = poly.g, poly.h
+    vertex = brute_force_vertices(poly)[0]
+    rows = []
+    for i in np.nonzero(np.abs(g @ vertex - h) <= feas_tol)[0]:
+        if np.linalg.matrix_rank(g[rows + [int(i)]]) > len(rows):
+            rows.append(int(i))
+    return rows
+
+
 def random_distribution(rng, n):
     p = rng.uniform(0.0, 1.0, n) + 1e-9
     return p / p.sum()

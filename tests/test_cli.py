@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dptradeoff.cli import main
+from dptradeoff.curve import curve_by_sweep
 from dptradeoff.problemio import (
     generate_instance,
     instance_to_problem,
@@ -178,10 +179,27 @@ class TestCurve:
         spec = generate_instance(1, 4, 8)
         path.write_text(serialize_instance(spec))
         code = main(
-            ["curve", "--input", str(path), "--method", "vertex", "--budget", "10000"]
+            ["curve", "--input", str(path), "--method", "vertex", "--budget", "1000"]
         )
         assert code == 3
         assert "sweep" in capsys.readouterr().err
+
+    def test_vertex_4x8_at_the_default_budget(self, tmp_path):
+        # C(49, 16) candidate bases, but the walk visits about 2,000
+        path, out_json, out_svg = tmp_path / "big.json", tmp_path / "c.json", tmp_path / "c.svg"
+        spec = generate_instance(1, 4, 8)
+        path.write_text(serialize_instance(spec))
+        code = main(
+            ["curve", "--input", str(path), "--method", "vertex",
+             "--out-json", str(out_json), "--out-svg", str(out_svg)]
+        )
+        assert code == 0
+        assert (tmp_path / "c.s2.svg").exists()
+        doc = json.loads(out_json.read_text())
+        sweep = curve_by_sweep(instance_to_problem(spec)).curve
+        assert len(doc["breakpoints"]) == sweep.breakpoints.size
+        assert np.max(np.abs(np.asarray(doc["breakpoints"]) - sweep.breakpoints), initial=0.0) <= 1e-12
+        assert np.max(np.abs(np.asarray(doc["slopes"]) - sweep.slopes)) <= 1e-12
 
 
 class TestBinarySubcommand:

@@ -16,9 +16,9 @@ from dptradeoff import (
     tv_distance,
 )
 from dptradeoff.lp import _DEDUP_TOL, _Tableau
-from dptradeoff.programs import build_ot_form, dual_polyhedron
+from dptradeoff.programs import build_ot_form, dual_polyhedron, solve_dp_at
 
-from conftest import brute_force_vertices, random_problem
+from conftest import brute_force_vertices, random_problem, vertex_start
 
 
 def random_feasible_lp(rng, m, n):
@@ -263,7 +263,7 @@ class TestVertexEnumeration:
     def test_unit_square(self):
         g = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
         h = np.ones(4)
-        verts = enumerate_vertices(HPolyhedron(g, h))
+        verts = enumerate_vertices(HPolyhedron(g, h), [1, 3])
         expected = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]], dtype=float)
         assert verts.shape == (4, 2)
         assert np.allclose(verts, expected)
@@ -271,25 +271,41 @@ class TestVertexEnumeration:
     def test_probability_simplex_2d(self):
         g = np.array([[-1.0, 0], [0, -1], [1, 1]])
         h = np.array([0.0, 0.0, 1.0])
-        verts = enumerate_vertices(HPolyhedron(g, h))
+        verts = enumerate_vertices(HPolyhedron(g, h), [0, 1])
         expected = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(verts, expected)
 
-    def test_empty_polyhedron(self):
-        g = np.array([[1.0], [-1.0]])
-        h = np.array([-1.0, 0.0])  # x <= -1 and x >= 0
-        assert enumerate_vertices(HPolyhedron(g, h)).shape == (0, 1)
+    def test_singular_start_raises(self):
+        # a strip between two parallel lines: no two rows meet at a point
+        g = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(SolverError, match="singular"):
+            enumerate_vertices(HPolyhedron(g, np.ones(2)), [0, 1])
+
+    def test_infeasible_start_raises(self):
+        # (1, 1) solves the first two rows of the simplex but breaks x + y <= 1
+        g = np.array([[1.0, 0], [0, 1], [1, 1], [-1, 0], [0, -1]])
+        h = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(SolverError, match="violates"):
+            enumerate_vertices(HPolyhedron(g, h), [0, 1])
+
+    @pytest.mark.parametrize("start", [[1], [1, 3, 0], [1, 1], [1, 4]])
+    def test_malformed_start_raises(self, start):
+        g = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+        with pytest.raises(SolverError, match="distinct rows"):
+            enumerate_vertices(HPolyhedron(g, np.ones(4)), start)
 
     def test_budget_exceeded(self):
-        g = np.vstack([np.eye(8), -np.eye(8), np.ones((14, 8))])
-        h = np.ones(30)
-        with pytest.raises(BudgetExceededError, match="budget"):
-            enumerate_vertices(HPolyhedron(g, h), budget=1000)
+        # the 4-cube is simple: 16 vertices, one basis each
+        g = np.vstack([np.eye(4), -np.eye(4)])
+        poly = HPolyhedron(g, np.ones(8))
+        assert enumerate_vertices(poly, [4, 5, 6, 7], budget=16).shape == (16, 4)
+        with pytest.raises(BudgetExceededError, match="more than 15 bases"):
+            enumerate_vertices(poly, [4, 5, 6, 7], budget=15)
 
     def test_dimension_guard(self):
         g = np.eye(17)
         with pytest.raises(BudgetExceededError, match="dimension"):
-            enumerate_vertices(HPolyhedron(g, np.ones(17)))
+            enumerate_vertices(HPolyhedron(g, np.ones(17)), range(17))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_each_vertex_has_d_active_rows(self, seed):
@@ -297,7 +313,8 @@ class TestVertexEnumeration:
         d = int(rng.integers(2, 5))
         g = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(6, d))])
         h = np.concatenate([np.ones(2 * d), np.abs(rng.normal(size=6)) + 0.5])
-        verts = enumerate_vertices(HPolyhedron(g, h))
+        poly = HPolyhedron(g, h)
+        verts = enumerate_vertices(poly, vertex_start(poly))
         assert verts.shape[0] >= 1
         for v in verts:
             slack = g @ v - h
@@ -314,7 +331,8 @@ class TestVertexEnumeration:
         levels = np.abs(rng.normal(size=5)) + 1.0
         g = np.vstack([np.eye(d), -np.eye(d), cuts])
         h = np.concatenate([np.ones(d), np.zeros(d), levels])  # 0 <= x <= 1
-        verts = enumerate_vertices(HPolyhedron(g, h))
+        poly = HPolyhedron(g, h)
+        verts = enumerate_vertices(poly, vertex_start(poly))
         c = rng.normal(size=d)
         best = min(float(c @ v) for v in verts)
 
@@ -331,8 +349,8 @@ class TestWalkAgainstBruteForce:
     """The basis walk returns what solving every d-subset of rows returns."""
 
     @staticmethod
-    def assert_same(poly):
-        walk = enumerate_vertices(poly)
+    def assert_same(poly, start=None):
+        walk = enumerate_vertices(poly, vertex_start(poly) if start is None else start)
         brute = brute_force_vertices(poly)
         assert walk.shape == brute.shape
         assert np.max(np.abs(walk - brute), initial=0.0) <= _DEDUP_TOL
@@ -345,7 +363,7 @@ class TestWalkAgainstBruteForce:
             n_x + n_y, n_x, n_y,
             random_distortion=random_distortion, random_metric=random_metric,
         )
-        self.assert_same(dual_polyhedron(prob))
+        self.assert_same(dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_boxes_with_random_cuts(self, seed):
@@ -370,15 +388,11 @@ class TestWalkAgainstBruteForce:
         g = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
         h = np.concatenate([np.ones(3), np.zeros(3), [2.0]])
         poly = HPolyhedron(np.vstack([g, g]), np.concatenate([h, h]))
-        assert enumerate_vertices(poly).shape == (7, 3)
+        assert enumerate_vertices(poly, vertex_start(poly)).shape == (7, 3)
         self.assert_same(poly)
 
     def test_unbounded_polyhedron(self):
         # the nonnegative quadrant shifted to (1, 2): one vertex, two rays
         g = -np.eye(2)
-        verts = enumerate_vertices(HPolyhedron(g, np.array([-1.0, -2.0])))
+        verts = enumerate_vertices(HPolyhedron(g, np.array([-1.0, -2.0])), [0, 1])
         assert np.allclose(verts, [[1.0, 2.0]])
-
-    def test_polyhedron_with_a_line(self):
-        g = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert enumerate_vertices(HPolyhedron(g, np.ones(2))).shape == (0, 2)

@@ -32,6 +32,11 @@ class TestGridOracle:
         assert abs(val - 0.44) <= 0.01
         assert val >= 0.44 - 1e-12
 
+    @pytest.mark.parametrize("p_level", [-0.1, math.nan, math.inf])
+    def test_invalid_level_rejected(self, bsc_problem, p_level):
+        with pytest.raises(ProblemError, match="perception level"):
+            grid_oracle(bsc_problem, p_level, 20)
+
     def test_dof_guard(self):
         prob = random_problem(5, 3, 5)  # 10 degrees of freedom
         with pytest.raises(BudgetExceededError, match="degrees of freedom"):
