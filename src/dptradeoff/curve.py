@@ -340,16 +340,16 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
 
     Only the perception entry of the right-hand side depends on P, so an
     optimal basis gives the curve one line on the levels where it stays
-    optimal.  ``lp.walk_down`` starts at the closed-form optimal basis at
-    P = 1 (``_crash_basis``) and meets an optimal basis at every level
-    down to 0, so the envelope of their lines is the curve.  The point
-    of the basis whose walk level is nearest a breakpoint is that
-    breakpoint's estimator; the last basis gives level 0's.  Where the
-    optimum is not unique, the pivot rule picks the basis and so the
-    estimator; the curve is the same.
+    optimal.  ``lp.walk``, the walk every ``solve_dp_at`` takes, starts
+    at the closed-form optimal basis at P = 1 (``_crash_basis``) and
+    meets an optimal basis at every level down to 0, so the envelope of
+    their lines is the curve.  The point of the basis whose walk level
+    is nearest a breakpoint is that breakpoint's estimator; the last
+    basis gives level 0's.  Where the optimum is not unique, the pivot
+    rule picks the basis and so the estimator; the curve is the same.
     """
-    lp, lay = build_ot_form(problem, 1.0)
-    walk = lpmod.walk_down(lp, _crash_basis(problem, lay), lay.ix_eps)
+    lp, lay = build_ot_form(problem, 0.0)
+    walk = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)[1]
     lines = np.asarray([(lp.c @ x - slope * level, slope) for level, x, slope in walk])
     curve = assemble_curve(lines, problem.distortion_floor)
     levels = np.asarray([level for level, _, _ in walk])

@@ -14,21 +14,17 @@ Phase one is for programs without a known basis.  It detects linearly
 dependent equality rows and drops them instead of failing: several
 programs in this package carry one dependent row by construction.
 
-A start skips phase one.  Given an optimal basis (and its dropped rows)
-of a program with the same ``a`` and ``c``, ``solve(lp, start=...)``
-refactors that basis against the new ``b``.  The basis stays dual
-feasible, because the reduced costs do not depend on ``b``, so a dual
-simplex (Bertsimas and Tsitsiklis, *Introduction to Linear
-Optimization*, section 4.5) pivots it to primal feasibility, or to a
-Farkas certificate, and phase two finishes from there.  The distortion
-programs always start this way: from the solution at another
-perception level, or from their optimal basis at P = 1, which is known
-in closed form.
-
-``walk_down`` follows one entry of ``b`` from its value down to 0 with
-the same dual simplex, one optimal basis per interval of that entry:
-the parametric right-hand side of Bertsimas and Tsitsiklis, section
-5.2.  The whole distortion-perception curve is one such walk.
+``walk`` starts instead from a known optimal basis (and its dropped
+rows) and moves ``b`` along a direction to its target, one optimal
+basis per interval of the way: the parametric right-hand side of
+Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
+section 5.2.  The reduced costs do not depend on ``b``, so the basis
+stays dual feasible, and where a basic value reaches 0 a dual simplex
+pivot (section 4.5) replaces it.  The distortion programs always solve
+this way: their ``b`` is affine in the perception level, so one level
+is a walk from the optimal basis at P = 1, which is known in closed
+form, or from another level's, and the whole curve is one walk from
+P = 1 to 0.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -113,12 +109,17 @@ class LPSolution:
 
 
 class _Tableau:
-    """Basis-indexed dense tableau with refactorization from scratch."""
+    """Basis-indexed dense tableau with refactorization from scratch.
 
-    def __init__(self, a, b, c, basis):
+    It also keeps ``rate = B^-1 d`` for a right-hand-side direction ``d``
+    (zero unless given).
+    """
+
+    def __init__(self, a, b, c, basis, d=None):
         self.a = a
         self.b = b
         self.c = c
+        self.d = np.zeros_like(b) if d is None else d
         self.basis = list(basis)
         self.m, self.n = a.shape
         self.refactor()
@@ -127,7 +128,7 @@ class _Tableau:
         base = self.a[:, self.basis]
         try:
             self.binv_a = np.linalg.solve(base, self.a)
-            self.xb = np.linalg.solve(base, self.b)
+            self.xb, self.rate = np.linalg.solve(base, np.column_stack([self.b, self.d])).T
             self.y = np.linalg.solve(base.T, self.c[self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
@@ -140,11 +141,13 @@ class _Tableau:
             raise SolverError("pivot below numeric tolerance")
         self.binv_a[row] /= piv
         self.xb[row] /= piv
+        self.rate[row] /= piv
         factors = self.binv_a[:, col].copy()
         factors[row] = 0.0
         rows = np.flatnonzero(factors)  # rows with a zero factor keep their values
         self.binv_a[rows] -= np.outer(factors[rows], self.binv_a[row])
         self.xb[rows] -= factors[rows] * self.xb[row]
+        self.rate[rows] -= factors[rows] * self.rate[row]
         self.red = self.red - self.red[col] * self.binv_a[row]
         self.basis[row] = col
         self.fresh = False
@@ -270,72 +273,13 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     return row, int(cols[ratios <= ratios.min() + 1e-12][0])
 
 
-def _dual_phase(a, b, c, start: LPSolution, feas_tol, budget):
-    """A first feasible basis by dual simplex from ``start``'s optimal basis.
-
-    Pivots by ``_dual_bland`` over the infeasible rows.  When no column
-    can enter, row r of the tableau has no negative entry while its basic
-    value is negative, so minus row r of B^-1 is a Farkas certificate.
-    A dropped row is a combination of the kept rows; a ``b`` that breaks
-    that combination is infeasible too.  Returns what ``_phase_one``
-    returns.
-    """
-    m, n = a.shape
-    if start.status != "optimal":
-        raise SolverError(f"a warm start needs an optimal solution, got {start.status}")
-    dropped = sorted(start.dropped_rows)
-    if len(start.basis) + len(dropped) != m:
-        raise SolverError(
-            f"start basis covers {len(start.basis) + len(dropped)} rows, the program has {m}"
-        )
-    if not all(0 <= j < n for j in start.basis) or not all(0 <= r < m for r in dropped):
-        raise SolverError("start basis names a column or row out of range")
-    keep = [r for r in range(m) if r not in dropped]
-    tab = _Tableau(a[keep], b[keep], c, start.basis)
-    certificate = np.zeros(m)
-    for r in dropped:  # a[r] = weights @ a[keep], so b must agree
-        weights = np.linalg.solve(tab.a[:, tab.basis].T, a[r, tab.basis])
-        gap = b[r] - weights @ tab.b
-        if abs(gap) > feas_tol:
-            certificate[keep] = -weights
-            certificate[r] = 1.0
-            return None, dropped, 0, np.sign(gap) * certificate
-
-    tol = _RED_COST_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-    iters = 0
-    while True:
-        rows = np.nonzero(tab.xb < -tol)[0]
-        row, col = _dual_bland(tab, rows) if rows.size else (None, None)
-        if col is None:
-            if not tab.fresh:
-                tab.refactor()  # confirm the terminal state against fresh data
-                continue
-            if row is None:
-                return tab, dropped, iters, None
-            unit = np.zeros(len(keep))
-            unit[row] = 1.0
-            certificate[keep] = -np.linalg.solve(tab.a[:, tab.basis].T, unit)
-            return None, dropped, iters, certificate
-        iters = _step(tab, row, col, iters, budget)
-
-
-def solve(
-    lp: StandardLP, *, max_iter: int | None = None, start: LPSolution | None = None
-) -> LPSolution:
+def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
     """Two-phase simplex on an equality-form program.
 
     Returns a basic optimal solution with its dual certificate, an
     unbounded status with an improving ray, or an infeasible status with
     a Farkas certificate.  Dependent equality rows are detected in phase
     one and dropped (reported via ``dropped_rows``).
-
-    ``start``, an optimal solution of a program with the same ``a`` and
-    ``c``, replaces phase one: its basis and dropped rows are refactored
-    against this ``b`` and a dual simplex restores primal feasibility,
-    after which phase two runs as usual, so a start that is off by
-    rounding still ends optimal.  A start of another row count, or one
-    naming a column out of range, raises SolverError, as does a singular
-    start basis.
     """
     m, n = lp.m, lp.n
     budget = max_iter if max_iter is not None else 100 * (m + n)
@@ -345,10 +289,7 @@ def solve(
     b = lp.b * flip
     feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
 
-    if start is None:
-        tab2, dropped, iters1, certificate = _phase_one(a, b, lp.c, feas_tol, budget)
-    else:
-        tab2, dropped, iters1, certificate = _dual_phase(a, b, lp.c, start, feas_tol, budget)
+    tab2, dropped, iters1, certificate = _phase_one(a, b, lp.c, feas_tol, budget)
     if tab2 is None:
         return LPSolution(
             status="infeasible",
@@ -370,63 +311,106 @@ def solve(
             iterations=iterations,
         )
 
-    x = tab2.point()
+    return _optimal(lp, tab2, dropped, iterations, flip)
+
+
+def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations: int, flip=1.0) -> LPSolution:
+    """The solution of an optimal tableau whose rows are ``lp``'s times ``flip``."""
+    x = tab.point()
     residual = float(np.max(np.abs(lp.a @ x - lp.b), initial=0.0))
     if residual > 1e-7 * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
         raise SolverError(f"dropped rows are inconsistent (residual {residual:g})")
-    dual = np.zeros(m)
-    dual[[r for r in range(m) if r not in dropped]] = tab2.y
+    dual = np.zeros(lp.m)
+    dual[[r for r in range(lp.m) if r not in dropped]] = tab.y
     dual *= flip
     return LPSolution(
         status="optimal",
         x=x,
         value=float(lp.c @ x),
-        basis=tuple(sorted(tab2.basis)),
+        basis=tuple(sorted(tab.basis)),
         dual=dual,
         dropped_rows=tuple(dropped),
         iterations=iterations,
     )
 
 
-def walk_down(lp: StandardLP, start: LPSolution, slack: int) -> list[tuple[float, np.ndarray, float]]:
-    """Optimal bases of ``lp`` as ``b[r]`` falls to 0, from optimal basis ``start``.
+def walk(
+    lp: StandardLP, start: LPSolution, d, span: float, *, max_iter: int | None = None
+) -> tuple[LPSolution, list[tuple[float, np.ndarray, float]]]:
+    """Optimal bases of the programs ``b = lp.b + s d`` as s moves from ``span`` to 0.
 
-    Column ``slack`` of ``a`` is the unit vector of row r, so the same
-    column of the tableau is ``B^-1 e_r``: lowering ``b[r]`` by t moves
-    the basic values by ``-t`` times it and keeps the reduced costs, so a
-    basis stays optimal until a basic value reaches 0.  ``_dual_bland``
-    over the rows that reach 0 together then pivots as the dual simplex
-    just below that level would, so degenerate steps cannot cycle.
-    Refactorizes every ``_REFRESH_EVERY`` pivots and at the end.
+    ``start`` is an optimal basis, with its dropped rows, at s = ``span``.
+    Moving s moves the basic values by ``B^-1 d`` per unit and keeps the
+    reduced costs, so a basis stays optimal until a basic value reaches
+    0; ``_dual_bland`` over the rows that reach 0 together then pivots as
+    the dual simplex just past that point would, so degenerate steps
+    cannot cycle.  At s = 0 the basis is refactored against ``lp.b`` and
+    phase two confirms it, so a start off by rounding still ends optimal.
 
-    Returns ``(level, x, slope)`` per basis, in walk order: the level
-    down to which it is optimal (0 for the last), its point there, and
-    ``c_B B^-1 e_r``, the slope of the value in ``b[r]``.
+    Returns the optimal solution of ``lp`` (``iterations`` counts the
+    walk's pivots and phase two's) and ``(s, x, slope)`` per basis in
+    walk order: the s where it stops being optimal (0 for the last), its
+    point there, and ``c_B B^-1 d``, the slope of the value in s.
+
+    Raises SolverError when ``start`` is not optimal, covers another row
+    count, names a column or row out of range, is singular, or is not
+    primal and dual feasible at s = ``span``; when a dropped row is
+    inconsistent with ``lp.b``; and when the program is infeasible on
+    the way.
     """
-    keep = [r for r in range(lp.m) if r not in start.dropped_rows]
-    tab = _Tableau(lp.a[keep], lp.b[keep], lp.c, start.basis)
-    row = int(np.argmax(tab.a[:, slack]))
-    level = float(tab.b[row])
-    tol = _RED_COST_TOL * max(1.0, float(np.abs(tab.b).max(initial=0.0)))
-    iters, walk = 0, []
+    m, n = lp.m, lp.n
+    budget = max_iter if max_iter is not None else 100 * (m + n)
+    if start.status != "optimal":
+        raise SolverError(f"a walk needs an optimal start, got {start.status}")
+    dropped = sorted(start.dropped_rows)
+    if (covered := len(start.basis) + len(dropped)) != m:
+        raise SolverError(f"start basis covers {covered} rows, the program has {m}")
+    if not all(0 <= j < n for j in start.basis) or not all(0 <= r < m for r in dropped):
+        raise SolverError("start basis names a column or row out of range")
+    keep = [r for r in range(m) if r not in dropped]
+    b, d = lp.b[keep], np.asarray(d, dtype=float)[keep]
+    tab = _Tableau(lp.a[keep], b, lp.c, start.basis, d)  # factored against lp.b
+    at_zero = tab.xb
+    tab.xb, tab.b = at_zero + span * tab.rate, b + span * d
+    scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)), float(np.abs(tab.b).max(initial=0.0)))
+    for r in dropped:  # a[r] = weights @ a[keep], so b must agree
+        weights = np.linalg.solve(tab.a[:, tab.basis].T, lp.a[r, tab.basis])
+        if abs(lp.b[r] - weights @ b) > FEAS_TOL * scale:
+            raise SolverError(f"dropped row {r} is inconsistent with b")
+    if tab.xb.min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
+        raise SolverError("start basis is not optimal where the walk starts")
+
+    way = -math.copysign(1.0, span)  # s moves towards 0
+    tol = _RED_COST_TOL * scale
+    s, iters, path = span, 0, []
     while True:
-        rate = tab.binv_a[:, slack]
-        rows = np.nonzero(rate > _PIVOT_COL_TOL)[0]
-        steps = np.maximum(tab.xb[rows], 0.0) / rate[rows]
-        last = np.all(tab.xb[rows] - level * rate[rows] >= -tol)  # feasible at 0, as _dual_phase judges
-        step = level if last else float(steps.min())
-        level -= step
-        tab.xb -= step * rate
-        tab.b[row] = level
-        if last and not tab.fresh:
-            tab.refactor()
-        walk.append((level, tab.point(), float(tab.c[tab.basis] @ tab.binv_a[:, slack])))
-        if last:
-            return walk
+        fall = -way * tab.rate  # basic values' fall per unit travelled
+        rows = np.nonzero(fall > _PIVOT_COL_TOL)[0]
+        xr, fr = tab.xb[rows], fall[rows]
+        if np.all(xr - abs(s) * fr >= -tol):  # feasible at s = 0: the last basis
+            tab.b = b
+            break
+        steps = np.maximum(xr, 0.0) / fr
+        step = float(steps.min())
+        s += way * step
+        tab.xb -= step * fall
+        tab.b = b + s * d
+        path.append((s, tab.point(), float(tab.c[tab.basis] @ tab.rate)))
         leave, col = _dual_bland(tab, rows[steps <= step + 1e-12])
         if col is None:
-            raise SolverError(f"program infeasible below level {level!r}")
-        iters = _step(tab, leave, col, iters, 100 * (lp.m + lp.n))
+            raise SolverError(f"program infeasible past s = {s!r}")
+        iters = _step(tab, leave, col, iters, budget)
+
+    if iters:
+        tab.refactor()  # against lp.b itself, not the sum of the steps
+    else:
+        tab.xb = at_zero  # the basis is the start's, factored against lp.b
+    status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
+    if status != "optimal":
+        raise SolverError(f"phase two ended {status} after the walk")
+    sol = _optimal(lp, tab, dropped, iters + confirm)
+    path.append((0.0, sol.x, float(tab.c[tab.basis] @ tab.rate)))
+    return sol, path
 
 
 def dual_check(lp: StandardLP, sol: LPSolution, *, tol: float = 1e-9) -> float:

@@ -91,6 +91,11 @@ class OtFormLayout:
     def row_perception(self) -> int:
         return self.n_cons - 1
 
+    @property
+    def level_direction(self) -> np.ndarray:
+        """The right-hand side's change per unit of perception level."""
+        return (np.arange(self.n_cons) == self.row_perception).astype(float)
+
     def extract_q(self, x: np.ndarray) -> np.ndarray:
         return x[: self.n_x * self.n_y].reshape(self.n_x, self.n_y)
 
@@ -125,6 +130,11 @@ class TvFormLayout:
 
     def ix_slack(self, i: int) -> int:
         return self.n_x * self.n_y + i
+
+    @property
+    def level_direction(self) -> np.ndarray:
+        """The right-hand side's change per unit of level: 2 on every pattern row."""
+        return np.concatenate([np.zeros(self.n_y), np.full(self.n_patterns, 2.0)])
 
     def extract_q(self, x: np.ndarray) -> np.ndarray:
         return x[: self.n_x * self.n_y].reshape(self.n_x, self.n_y)
@@ -316,7 +326,9 @@ class SolveReport:
     bound on the true transport distance), for the sign form the exact
     total variation.  ``solution`` is the optimal LP solution the report
     was read from; passed back as ``solve_dp_at(..., start=report)``, its
-    basis seeds the solve at another level.
+    basis starts the walk to another level.  ``iterations`` counts the
+    pivots of the walk from the start's level to ``p_level`` plus those
+    of the phase-two confirmation at ``p_level``.
     """
 
     p_level: float
@@ -408,13 +420,16 @@ def solve_dp_at(
 ) -> SolveReport:
     """Minimal expected distortion at one perception level, with certificates.
 
-    Programs at two levels differ only in the right-hand side, so an
-    optimal basis at one level stays dual feasible at every other, and
-    the solve runs a dual simplex from one (see ``lp.solve``) instead of
-    phase one.  ``start`` is a report of the same problem and form at
-    another level; without it the solve starts from the closed-form
-    optimal basis at P = 1 (``_crash_basis``).  A start from the other
-    form, or from a problem of another shape, raises ProblemError.
+    Programs at two levels differ only in the right-hand side, which is
+    affine in the level (``level_direction``), so the solve walks it
+    (``lp.walk``) from a level with a known optimal basis to ``p_level``,
+    one basis per piece of the curve in between.  ``start`` is a report
+    of the same problem and form at another level; without it the walk
+    starts at the closed-form optimal basis at P = 1 (``_crash_basis``),
+    optimal at every level from 1 up.  A start from the other form or a
+    problem of another shape raises ProblemError; one from another
+    problem of the same shape raises SolverError unless its basis is
+    optimal at its level here too.
     """
     if start is not None and (start.form, start.estimator.q.shape) != (form, problem.cost.shape):
         raise ProblemError(
@@ -428,11 +443,11 @@ def solve_dp_at(
     else:
         raise ProblemError(f"unknown program form {form!r}")
 
-    sol = lpmod.solve(lp, start=_crash_basis(problem, lay) if start is None else start.solution)
-    if sol.status != "optimal":
-        raise SolverError(
-            f"distortion program ended with status {sol.status} at P={p_level!r}"
-        )
+    if start is None:
+        first, level = _crash_basis(problem, lay), max(1.0, p_level)
+    else:
+        first, level = start.solution, start.p_level
+    sol = lpmod.walk(lp, first, lay.level_direction, level - p_level)[0]
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimator = _stochastic_estimator(problem, lay.extract_q(sol.x), tol)

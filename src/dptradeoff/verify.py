@@ -11,9 +11,9 @@ binary sources, vertex enumeration when affordable, the sweep's
 parametric walk always, the grid oracle when tiny) on a shared grid of
 perception levels and compares the results pairwise.  Its pointwise
 column solves each level's transport-form program by phase one, on
-purpose: the walk and every ``solve_dp_at`` move by dual simplex from
-the closed-form optimal basis at P = 1 or an earlier level's, and a
-phase-one solve shares no basis with them.
+purpose: the sweep and every ``solve_dp_at`` walk the right-hand side
+from the closed-form optimal basis at P = 1 or an earlier level's, and
+a phase-one solve shares no basis with them.
 """
 
 from __future__ import annotations

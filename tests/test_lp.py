@@ -8,6 +8,7 @@ from dptradeoff import (
     GroundMetric,
     HPolyhedron,
     IterationLimitError,
+    LPSolution,
     SolverError,
     StandardLP,
     dual_check,
@@ -15,8 +16,8 @@ from dptradeoff import (
     solve,
     tv_distance,
 )
-from dptradeoff.lp import _DEDUP_TOL, _Tableau
-from dptradeoff.programs import build_ot_form, dual_polyhedron, solve_dp_at
+from dptradeoff.lp import _DEDUP_TOL, _Tableau, walk
+from dptradeoff.programs import _crash_basis, build_ot_form, dual_polyhedron, solve_dp_at
 
 from conftest import brute_force_vertices, random_problem, vertex_start
 
@@ -108,6 +109,11 @@ def transport_lp(p, q):
     return StandardLP(a, np.concatenate([p, q]), GroundMetric.hamming(n).h.reshape(-1))
 
 
+def walk_to(lp, start, b_start, **kwargs):
+    """The walk's solution of ``lp`` from ``start``, optimal at right-hand side ``b_start``."""
+    return walk(lp, start, np.asarray(b_start) - lp.b, 1.0, **kwargs)[0]
+
+
 class TestWarmStart:
     def test_same_b_takes_no_pivots(self):
         rng = np.random.default_rng(3)
@@ -115,12 +121,12 @@ class TestWarmStart:
         lps.append(transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6]))
         for lp in lps:
             cold = solve(lp)
-            warm = solve(lp, start=cold)
-            assert warm.status == "optimal"
-            assert warm.iterations == 0
-            assert warm.basis == cold.basis
-            assert warm.dropped_rows == cold.dropped_rows
-            assert warm.value == pytest.approx(cold.value, abs=1e-12)
+            for warm in (walk_to(lp, cold, lp.b), walk(lp, cold, np.ones(lp.m), 0.0)[0]):
+                assert warm.status == "optimal"
+                assert warm.iterations == 0
+                assert warm.basis == cold.basis
+                assert warm.dropped_rows == cold.dropped_rows
+                assert warm.value == pytest.approx(cold.value, abs=1e-12)
 
     def test_perturbed_b_matches_cold(self):
         rng = np.random.default_rng(42)
@@ -133,7 +139,7 @@ class TestWarmStart:
             # a @ (x0 + u / 10) for the generator's feasible x0
             moved = StandardLP(lp.a, lp.b + lp.a @ rng.uniform(0.0, 0.1, n), lp.c)
             cold = solve(moved)
-            warm = solve(moved, start=first)
+            warm = walk_to(moved, first, lp.b)
             assert warm.status == cold.status == "optimal", f"trial {trial}"
             assert warm.value == pytest.approx(cold.value, abs=1e-9), f"trial {trial}"
             scale = max(1.0, np.abs(moved.b).max())
@@ -145,44 +151,45 @@ class TestWarmStart:
         assert warm_pivots < cold_pivots
 
     def test_infeasible_b_gives_certificate(self):
-        # x1 + x2 = b1, x1 - x3 = b2: infeasible once b1 < 0 or b2 > b1
+        # x1 + x2 = b1, x1 - x3 = b2: infeasible once b1 < 0 or b2 > b1.
+        # The cold solve certifies it; the walk stops where the program ends.
         lp = StandardLP([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [1.0, 0.5], [1.0, 2.0, 0.0])
         first = solve(lp)
         assert first.status == "optimal"
         for b in ([1.0, 2.0], [-1.0, -3.0]):
             moved = StandardLP(lp.a, b, lp.c)
-            warm = solve(moved, start=first)
-            assert solve(moved).status == warm.status == "infeasible"
-            y = warm.certificate
+            cold = solve(moved)
+            assert cold.status == "infeasible"
+            y = cold.certificate
             assert np.all(y @ moved.a <= 1e-9)
             assert y @ moved.b > 0
+            with pytest.raises(SolverError, match="infeasible"):
+                walk_to(moved, first, lp.b)
 
     def test_inconsistent_dropped_row_is_infeasible(self):
-        first = solve(transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6]))
+        lp = transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6])
+        first = solve(lp)
         assert first.dropped_rows
         moved = transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.7])  # masses 1 and 1.1
-        warm = solve(moved, start=first)
-        assert solve(moved).status == warm.status == "infeasible"
-        y = warm.certificate
-        assert np.all(y @ moved.a <= 1e-9)
-        assert y @ moved.b > 0
+        assert solve(moved).status == "infeasible"
+        with pytest.raises(SolverError, match="inconsistent"):
+            walk_to(moved, first, lp.b)
 
     def test_pivot_budget_applies(self):
-        rng = np.random.default_rng(8)
-        lp = random_feasible_lp(rng, 8, 16)
-        first = solve(lp)
-        moved = StandardLP(lp.a, -lp.b, lp.c)  # every basic value flips sign
-        assert solve(moved, start=first).iterations > 0
+        prob = random_problem(1, 5, 10, random_distortion=True)
+        lp, lay = build_ot_form(prob, 0.0)
+        start = _crash_basis(prob, lay)
+        assert walk(lp, start, lay.level_direction, 1.0)[0].iterations > 0
         with pytest.raises(IterationLimitError, match="budget"):
-            solve(moved, start=first, max_iter=0)
+            walk(lp, start, lay.level_direction, 1.0, max_iter=0)
 
     def test_start_of_another_shape_raises(self):
         rng = np.random.default_rng(5)
         small = solve(random_feasible_lp(rng, 4, 9))
         with pytest.raises(SolverError, match="rows"):
-            solve(random_feasible_lp(rng, 5, 9), start=small)
+            walk(random_feasible_lp(rng, 5, 9), small, np.zeros(5), 0.0)
         with pytest.raises(SolverError, match="out of range"):
-            solve(random_feasible_lp(rng, 4, 6), start=small)
+            walk(random_feasible_lp(rng, 4, 6), small, np.zeros(4), 0.0)
 
     def test_singular_or_unsolved_start_raises(self):
         import dataclasses
@@ -192,10 +199,21 @@ class TestWarmStart:
         sol = solve(lp)
         twice = dataclasses.replace(sol, basis=(sol.basis[0],) * 3)
         with pytest.raises(SolverError, match="singular"):
-            solve(lp, start=twice)
+            walk(lp, twice, np.zeros(3), 0.0)
         infeasible = solve(StandardLP([[1.0]], [-1.0], [0.0]))
         with pytest.raises(SolverError, match="optimal"):
-            solve(StandardLP([[1.0]], [1.0], [0.0]), start=infeasible)
+            walk(StandardLP([[1.0]], [1.0], [0.0]), infeasible, np.zeros(1), 0.0)
+
+    def test_start_infeasible_where_the_walk_starts_raises(self):
+        # the optimal basis at b1 = 1, b2 = 0.5 is x1 = b1, x3 = b1 - b2: a
+        # start claimed at b2 = 2 has x3 = -1 there
+        lp = StandardLP([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [1.0, 0.5], [1.0, 2.0, 0.0])
+        first = solve(lp)
+        with pytest.raises(SolverError, match="not optimal"):
+            walk_to(lp, first, [1.0, 2.0])
+        # a basis that is feasible there but not dual feasible: x2 for x1
+        with pytest.raises(SolverError, match="not optimal"):
+            walk_to(lp, LPSolution("optimal", basis=(1, 2)), [1.0, -0.5])
 
 
 def _dense_pivot(tab, row, col):
@@ -203,10 +221,12 @@ def _dense_pivot(tab, row, col):
     piv = tab.binv_a[row, col]
     tab.binv_a[row] /= piv
     tab.xb[row] /= piv
+    tab.rate[row] /= piv
     factors = tab.binv_a[:, col].copy()
     factors[row] = 0.0
     tab.binv_a -= np.outer(factors, tab.binv_a[row])
     tab.xb -= factors * tab.xb[row]
+    tab.rate -= factors * tab.rate[row]
     tab.red = tab.red - tab.red[col] * tab.binv_a[row]
     tab.basis[row] = col
     tab.fresh = False
@@ -218,16 +238,20 @@ class TestRowSparsePivot:
         runs = []
         for _ in range(200):  # the generator of TestRandomInstances, cold solves
             m = int(rng.integers(1, 21))
-            runs.append((random_feasible_lp(rng, m, int(rng.integers(m, 41))), None))
-        # a transport-form program, cold and from another level's basis
+            runs.append((random_feasible_lp(rng, m, int(rng.integers(m, 41))), None, None))
+        # a transport-form program, cold, from another level's basis and from P = 1
         prob = random_problem(1, 5, 10, random_distortion=True, random_metric=True)
-        ot = build_ot_form(prob, 0.1)[0]
-        runs += [(ot, None), (build_ot_form(prob, 0.0)[0], solve(ot))]
+        ot, lay = build_ot_form(prob, 0.1)
+        zero = build_ot_form(prob, 0.0)[0]
+        runs += [(ot, None, None), (zero, solve(ot), 0.1), (zero, _crash_basis(prob, lay), 1.0)]
 
-        sparse = [solve(lp, start=start) for lp, start in runs]
+        def run(lp, start, span):
+            return solve(lp) if start is None else walk(lp, start, lay.level_direction, span)[0]
+
+        sparse = [run(*r) for r in runs]
         monkeypatch.setattr(_Tableau, "pivot", _dense_pivot)
-        dense = [solve(lp, start=start) for lp, start in runs]
-        assert sum(sol.iterations for sol in sparse) > 0
+        dense = [run(*r) for r in runs]
+        assert sum(sol.iterations for sol in sparse[-2:]) > 0
         for one, two in zip(sparse, dense):
             assert (one.status, one.basis) == (two.status, two.basis)
             assert one.iterations == two.iterations

@@ -8,6 +8,7 @@ from dptradeoff import (
     SolverError,
     build_ot_form,
     build_tv_form,
+    curve_by_sweep,
     dual_check,
     dual_polyhedron,
     make_problem,
@@ -182,23 +183,27 @@ class TestSolveAt:
 class TestWarmStart:
     @pytest.mark.parametrize("form", ["ot", "tv"])
     def test_chain_of_levels_matches_cold(self, form):
-        # Hamming 5x10, 21 levels, each solve started from the previous level;
-        # the cold baseline is a phase-one solve of the same program
+        # Hamming 5x10, 21 levels up and then down, each solve started from
+        # the previous level; the cold baseline is a phase-one solve of the
+        # same program
         prob = random_problem(1, 5, 10)
-        prev = None
-        warm_pivots = cold_pivots = 0
-        for p in np.linspace(0.0, 1.0, 21):
-            cold = lpmod.solve(BUILD[form](prob, float(p))[0])
-            warm = solve_dp_at(prob, float(p), form=form, start=prev)
-            assert warm.value == pytest.approx(cold.value, abs=1e-12), p
-            assert warm.gap <= 1e-8
-            assert warm.perception <= p + 1e-8
-            assert prob.expected_distortion(warm.estimator) == pytest.approx(warm.value, abs=1e-9)
-            assert warm.dual.feasibility_violation(prob) <= 1e-9
-            warm_pivots += warm.iterations
-            cold_pivots += cold.iterations
-            prev = warm
-        assert 5 * warm_pivots <= cold_pivots
+        levels = np.linspace(0.0, 1.0, 21)
+        for order in (levels, levels[::-1]):
+            prev = None
+            warm_pivots = cold_pivots = 0
+            for p in order:
+                cold = lpmod.solve(BUILD[form](prob, float(p))[0])
+                warm = solve_dp_at(prob, float(p), form=form, start=prev)
+                assert warm.value == pytest.approx(cold.value, abs=1e-12), p
+                assert warm.gap <= 1e-8
+                assert warm.perception <= p + 1e-8
+                expected = prob.expected_distortion(warm.estimator)
+                assert expected == pytest.approx(warm.value, abs=1e-9)
+                assert warm.dual.feasibility_violation(prob) <= 1e-9
+                warm_pivots += warm.iterations
+                cold_pivots += cold.iterations
+                prev = warm
+            assert 5 * warm_pivots <= cold_pivots
 
     def test_start_from_another_form_or_shape_raises(self, bsc_problem):
         start = solve_dp_at(bsc_problem, 0.1, form="tv")
@@ -206,6 +211,30 @@ class TestWarmStart:
             solve_dp_at(bsc_problem, 0.2, form="ot", start=start)
         with pytest.raises(ProblemError, match="form"):
             solve_dp_at(random_problem(2, 2, 3), 0.2, form="tv", start=start)
+
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_start_from_another_problem_is_refused_or_exact(self, form):
+        # a report of another 5x10 problem passes the shape check; its basis is
+        # refused unless it is optimal here at its level, and never walked to a
+        # wrong value
+        prob = random_problem(1, 5, 10, random_distortion=True)
+        others = [random_problem(seed, 5, 10, random_distortion=True) for seed in range(2, 8)]
+        # the same problem with its masses moved by 1e-9 keeps its optimal bases
+        jitter = 1.0 + 1e-9 * np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 10))
+        moved = prob.channel.p_xy * jitter
+        others.append(make_problem(moved / moved.sum(), prob.distortion.d))
+        outcomes = []
+        for other in others:
+            start = solve_dp_at(other, 0.1, form=form)
+            try:
+                rep = solve_dp_at(prob, 0.3, form=form, start=start)
+            except SolverError as exc:
+                assert "not optimal" in str(exc)
+                outcomes.append("refused")
+                continue
+            assert rep.value == pytest.approx(lpmod.solve(BUILD[form](prob, 0.3)[0]).value, abs=1e-12)
+            outcomes.append("walked")
+        assert outcomes == ["refused"] * 6 + ["walked"]
 
 
 def _crash_cases():
@@ -235,10 +264,11 @@ def _edge_cases():
 class TestCrashStart:
     @pytest.mark.parametrize("prob, form", _crash_cases())
     def test_optimal_at_one_without_pivots(self, prob, form):
-        rep = solve_dp_at(prob, 1.0, form=form)
-        assert rep.iterations == 0
-        assert np.allclose(rep.estimator.q, prob.minimum[1].q, rtol=0.0, atol=1e-15)
-        assert abs(rep.value - prob.distortion_floor) <= 1e-15
+        for p in (1.0, 2.0):  # the crash basis is optimal at every level from 1 up
+            rep = solve_dp_at(prob, p, form=form)
+            assert rep.iterations == 0
+            assert np.allclose(rep.estimator.q, prob.minimum[1].q, rtol=0.0, atol=1e-15)
+            assert abs(rep.value - prob.distortion_floor) <= 1e-15
 
     @pytest.mark.parametrize("prob, form", _crash_cases())
     def test_never_enters_phase_one(self, prob, form, monkeypatch):
@@ -259,6 +289,24 @@ class TestCrashStart:
             assert rep.perception <= p + 1e-9
             moved = np.sum(rep.coupling.pi * prob.metric.h)
             assert moved == pytest.approx(rep.perception, abs=1e-12)
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("shape", [(5, 10), (8, 20), (10, 40)], ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
+    def test_single_levels_stop_the_sweep_walk(self, shape, random_metric, monkeypatch):
+        # solve_dp_at walks from P = 1 to its level the way curve_by_sweep walks
+        # to 0, so it meets the sweep's values and takes at most its pivots
+        calls = []
+        real = lpmod.walk
+        monkeypatch.setattr(lpmod, "walk", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        prob = random_problem(1, *shape, random_distortion=True, random_metric=random_metric)
+        sweep = curve_by_sweep(prob)
+        for p in (0.0, 0.1, 0.3):
+            rep = solve_dp_at(prob, p)
+            assert abs(rep.value - sweep.curve.value(p)) <= 1e-12, p
+            assert rep.iterations <= len(sweep.s2_points), p
+        assert len(calls) == 4
 
 
 def _highs_cases():
