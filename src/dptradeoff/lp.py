@@ -5,10 +5,13 @@ Solves equality-standard-form programs
     min c.x   subject to   a x = b,  x >= 0
 
 with a two-phase primal simplex under Bland's rule, which cannot cycle.
-The tableau is dense and refactorized from the basis periodically and at
-termination (unless no pivot came after the last refactorization), so
-the reported point, dual vector, and objective come from a fresh solve
-against the original data rather than accumulated updates.
+The tableau is revised (Bertsimas and Tsitsiklis, section 3.3): it keeps
+the m-by-m basis inverse and forms only the row and the column of the
+m-by-n ``B^-1 A`` that a pivot needs.  It is refactorized from the basis
+periodically and at termination (unless no pivot came after the last
+refactorization), so the reported point, dual vector, and objective come
+from a fresh solve against the original data rather than accumulated
+updates.
 
 Phase one is for programs without a known basis.  It detects linearly
 dependent equality rows and drops them instead of failing: several
@@ -46,6 +49,8 @@ from .errors import BudgetExceededError, IterationLimitError, SolverError
 
 _RED_COST_TOL = 1e-10  # reduced cost improving, or basic value infeasible, below -tol
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
+_RATIO_TIE_TOL = 1e-12  # ratio-test window: ratios within it of the least tie
+_DRIVE_OUT_TOL = 1e-9  # smallest row entry that pivots an artificial out of phase one
 FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
@@ -94,7 +99,8 @@ class LPSolution:
     dependent rows) and ``basis`` the optimal column set.  ``unbounded``
     carries an improving ray (a c-decreasing direction in the recession
     cone); ``infeasible`` carries a Farkas certificate y with
-    ``y.a <= 0`` and ``y.b > 0``.
+    ``y.a <= 0`` and ``y.b > 0``.  ``iterations`` counts pivots and
+    ``refactorizations`` fresh factorizations, phase one's included.
     """
 
     status: str
@@ -106,13 +112,19 @@ class LPSolution:
     certificate: np.ndarray | None = None
     dropped_rows: tuple[int, ...] = ()
     iterations: int = 0
+    refactorizations: int = 0
 
 
 class _Tableau:
-    """Basis-indexed dense tableau with refactorization from scratch.
+    """Revised tableau: the basis inverse ``binv``, not ``B^-1 A``.
 
-    It also keeps ``rate = B^-1 d`` for a right-hand-side direction ``d``
-    (zero unless given).
+    It keeps ``binv``, the basic values ``xb``, ``rate = B^-1 d`` for a
+    right-hand-side direction ``d`` (zero unless given), the duals ``y``
+    and the reduced costs ``red``, and forms a row or a column of
+    ``B^-1 A`` when a pivot rule asks.  A row is set to exactly 0 at the
+    other basic columns and 1 at its own: the product leaves rounding of
+    about 1e-11 there, which passes ``_PIVOT_COL_TOL``.  ``refactors``
+    counts the calls of ``refactor``, which inverts the basis afresh.
     """
 
     def __init__(self, a, b, c, basis, d=None):
@@ -122,35 +134,54 @@ class _Tableau:
         self.d = np.zeros_like(b) if d is None else d
         self.basis = list(basis)
         self.m, self.n = a.shape
+        self.refactors = 0
         self.refactor()
 
     def refactor(self):
         base = self.a[:, self.basis]
         try:
-            self.binv_a = np.linalg.solve(base, self.a)
+            self.binv = np.linalg.inv(base)
             self.xb, self.rate = np.linalg.solve(base, np.column_stack([self.b, self.d])).T
             self.y = np.linalg.solve(base.T, self.c[self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
         self.red = self.c - self.y @ self.a
+        self.refactors += 1
         self.fresh = True  # no pivot since the last refactorization
+        self._row = None  # (r, row r of B^-1 A), until the basis changes
+
+    def row(self, r: int) -> np.ndarray:
+        """Row ``r`` of ``B^-1 A``, exactly 0 and 1 at the basic columns."""
+        if self._row is None or self._row[0] != r:
+            line = self.binv[r] @ self.a
+            line[self.basis] = 0.0
+            line[self.basis[r]] = 1.0
+            self._row = (r, line)
+        return self._row[1]
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` of ``B^-1 A``."""
+        return self.binv @ self.a[:, j]
 
     def pivot(self, row, col):
-        piv = self.binv_a[row, col]
+        factors = self.column(col)
+        piv = factors[row]
         if abs(piv) < _PIVOT_COL_TOL:
             raise SolverError("pivot below numeric tolerance")
-        self.binv_a[row] /= piv
+        line = self.row(row) / piv  # the pivot row of the next basis
+        line[col] = 1.0
+        self.binv[row] /= piv
         self.xb[row] /= piv
         self.rate[row] /= piv
-        factors = self.binv_a[:, col].copy()
         factors[row] = 0.0
         rows = np.flatnonzero(factors)  # rows with a zero factor keep their values
-        self.binv_a[rows] -= np.outer(factors[rows], self.binv_a[row])
+        self.binv[rows] -= np.outer(factors[rows], self.binv[row])
         self.xb[rows] -= factors[rows] * self.xb[row]
         self.rate[rows] -= factors[rows] * self.rate[row]
-        self.red = self.red - self.red[col] * self.binv_a[row]
+        self.red = self.red - self.red[col] * line
         self.basis[row] = col
         self.fresh = False
+        self._row = None
 
     def objective(self) -> float:
         return float(self.c[self.basis] @ self.xb)
@@ -172,13 +203,13 @@ def _entering(tab: _Tableau, allowed: np.ndarray) -> int | None:
 
 
 def _leaving(tab: _Tableau, col: int) -> int | None:
-    column = tab.binv_a[:, col]
+    column = tab.column(col)
     rows = np.nonzero(column > _PIVOT_COL_TOL)[0]
     if rows.size == 0:
         return None
     ratios = np.maximum(tab.xb[rows], 0.0) / column[rows]
     best = ratios.min()
-    tied = rows[ratios <= best + 1e-12]
+    tied = rows[ratios <= best + _RATIO_TIE_TOL]
     # Bland tie-break: leave the basic variable with the smallest index
     basis = np.asarray(tab.basis)
     return int(tied[np.argmin(basis[tied])])
@@ -216,7 +247,7 @@ def _optimize(tab: _Tableau, allowed, budget):
         if row is None:
             ray = np.zeros(tab.n)
             ray[col] = 1.0
-            ray[tab.basis] = -tab.binv_a[:, col]
+            ray[tab.basis] = -tab.column(col)
             return "unbounded", ray, iters
         iters = _step(tab, row, col, iters, budget)
 
@@ -224,8 +255,9 @@ def _optimize(tab: _Tableau, allowed, budget):
 def _phase_one(a, b, c, feas_tol, budget):
     """A first feasible basis by minimizing the total artificial mass.
 
-    Returns ``(tableau, dropped, pivots, certificate)``: the phase-two
-    tableau over the rows kept, or None and a Farkas certificate.
+    Returns ``(phase_one, tableau, dropped, pivots)``: the phase-one
+    tableau, and the phase-two tableau over the rows kept, or None when
+    the program is infeasible and ``phase_one.y`` is a Farkas certificate.
     """
     m, n = a.shape
     a1 = np.hstack([a, np.eye(m)])
@@ -236,16 +268,16 @@ def _phase_one(a, b, c, feas_tol, budget):
     if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
         raise SolverError("phase one ended in an impossible state")
     if tab.objective() > feas_tol:
-        return None, [], iters, tab.y
+        return tab, None, [], iters
 
     # drive artificials out of the basis; rows that resist are dependent
     dropped: list[int] = []
     for row in range(m):
         if tab.basis[row] < n:
             continue
-        structural = tab.binv_a[row, :n]
+        structural = tab.row(row)[:n]
         cand = int(np.argmax(np.abs(structural)))
-        if abs(structural[cand]) > 1e-9:
+        if abs(structural[cand]) > _DRIVE_OUT_TOL:
             tab.pivot(row, cand)
         else:
             dropped.append(row)
@@ -254,7 +286,7 @@ def _phase_one(a, b, c, feas_tol, budget):
     basis = [tab.basis[r] for r in keep]
     if any(col >= n for col in basis):
         raise SolverError("artificial variable survived phase one")
-    return _Tableau(a[keep], b[keep], c, basis), dropped, iters, None
+    return tab, _Tableau(a[keep], b[keep], c, basis), dropped, iters
 
 
 def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
@@ -265,12 +297,12 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     smallest index, or None if the row has no negative entry.
     """
     row = int(rows[np.argmin(np.asarray(tab.basis)[rows])])
-    line = tab.binv_a[row]
+    line = tab.row(row)
     cols = np.nonzero(line < -_PIVOT_COL_TOL)[0]
     if cols.size == 0:
         return row, None
     ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
-    return row, int(cols[ratios <= ratios.min() + 1e-12][0])
+    return row, int(cols[ratios <= ratios.min() + _RATIO_TIE_TOL][0])
 
 
 def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
@@ -289,17 +321,19 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
     b = lp.b * flip
     feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
 
-    tab2, dropped, iters1, certificate = _phase_one(a, b, lp.c, feas_tol, budget)
+    tab1, tab2, dropped, iters1 = _phase_one(a, b, lp.c, feas_tol, budget)
     if tab2 is None:
         return LPSolution(
             status="infeasible",
             value=math.inf,
-            certificate=flip * certificate,
+            certificate=flip * tab1.y,
             iterations=iters1,
+            refactorizations=tab1.refactors,
         )
 
     status, ray, iters2 = _optimize(tab2, np.ones(n, dtype=bool), budget)
     iterations = iters1 + iters2
+    refactors = tab1.refactors + tab2.refactors
 
     if status == "unbounded":
         return LPSolution(
@@ -309,12 +343,13 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
             ray=ray,
             dropped_rows=tuple(dropped),
             iterations=iterations,
+            refactorizations=refactors,
         )
 
-    return _optimal(lp, tab2, dropped, iterations, flip)
+    return _optimal(lp, tab2, dropped, iterations, refactors, flip)
 
 
-def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations: int, flip=1.0) -> LPSolution:
+def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations, refactors, flip=1.0) -> LPSolution:
     """The solution of an optimal tableau whose rows are ``lp``'s times ``flip``."""
     x = tab.point()
     residual = float(np.max(np.abs(lp.a @ x - lp.b), initial=0.0))
@@ -331,6 +366,7 @@ def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations: int, flip=1.0) 
         dual=dual,
         dropped_rows=tuple(dropped),
         iterations=iterations,
+        refactorizations=refactors,
     )
 
 
@@ -396,7 +432,7 @@ def walk(
         tab.xb -= step * fall
         tab.b = b + s * d
         path.append((s, tab.point(), float(tab.c[tab.basis] @ tab.rate)))
-        leave, col = _dual_bland(tab, rows[steps <= step + 1e-12])
+        leave, col = _dual_bland(tab, rows[steps <= step + _RATIO_TIE_TOL])
         if col is None:
             raise SolverError(f"program infeasible past s = {s!r}")
         iters = _step(tab, leave, col, iters, budget)
@@ -408,7 +444,7 @@ def walk(
     status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
     if status != "optimal":
         raise SolverError(f"phase two ended {status} after the walk")
-    sol = _optimal(lp, tab, dropped, iters + confirm)
+    sol = _optimal(lp, tab, dropped, iters + confirm, tab.refactors)
     path.append((0.0, sol.x, float(tab.c[tab.basis] @ tab.rate)))
     return sol, path
 

@@ -328,7 +328,8 @@ class SolveReport:
     was read from; passed back as ``solve_dp_at(..., start=report)``, its
     basis starts the walk to another level.  ``iterations`` counts the
     pivots of the walk from the start's level to ``p_level`` plus those
-    of the phase-two confirmation at ``p_level``.
+    of the phase-two confirmation at ``p_level``, and
+    ``refactorizations`` the times the walk factored its basis afresh.
     """
 
     p_level: float
@@ -341,6 +342,7 @@ class SolveReport:
     perception: float
     solution: lpmod.LPSolution = field(repr=False)
     iterations: int = 0
+    refactorizations: int = 0
 
 
 def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> Estimator:
@@ -477,5 +479,6 @@ def solve_dp_at(
         form=form,
         perception=perception,
         iterations=sol.iterations,
+        refactorizations=sol.refactorizations,
         solution=sol,
     )

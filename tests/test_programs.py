@@ -266,7 +266,7 @@ class TestCrashStart:
     def test_optimal_at_one_without_pivots(self, prob, form):
         for p in (1.0, 2.0):  # the crash basis is optimal at every level from 1 up
             rep = solve_dp_at(prob, p, form=form)
-            assert rep.iterations == 0
+            assert (rep.iterations, rep.refactorizations) == (0, 1)
             assert np.allclose(rep.estimator.q, prob.minimum[1].q, rtol=0.0, atol=1e-15)
             assert abs(rep.value - prob.distortion_floor) <= 1e-15
 
@@ -278,6 +278,12 @@ class TestCrashStart:
         monkeypatch.setattr(lpmod, "_phase_one", guarded)
         for p in (0.0, 0.05, 0.2, 1.0):
             assert solve_dp_at(prob, p, form=form).gap <= 1e-8
+
+    def test_refactorizations_counted(self):
+        # the start, one every lp._REFRESH_EVERY pivots, and the end of the walk
+        rep = solve_dp_at(random_problem(1, 16, 64, random_distortion=True), 0.1)
+        assert rep.iterations >= lpmod._REFRESH_EVERY
+        assert rep.refactorizations >= 2 + rep.iterations // lpmod._REFRESH_EVERY
 
     @pytest.mark.parametrize("prob, form", _edge_cases())
     def test_edge_cases_match_phase_one(self, prob, form):
