@@ -22,7 +22,6 @@ from .curve import (
     CurveReport,
     PiecewiseLinearCurve,
     assemble_curve,
-    breakpoint_candidates,
     curve_by_sweep,
     curve_by_vertices,
     estimator_on_curve,
@@ -63,7 +62,6 @@ from .programs import (
     build_ot_form,
     build_tv_form,
     dual_polyhedron,
-    sign_patterns,
     solve_dp_at,
 )
 from .verify import VerifyReport, cross_verify, grid_oracle
@@ -95,7 +93,6 @@ __all__ = [
     "VerifyReport",
     "analyze",
     "assemble_curve",
-    "breakpoint_candidates",
     "breakpoint_estimators",
     "build_ot_form",
     "build_tv_form",
@@ -120,7 +117,6 @@ __all__ = [
     "project_vertex",
     "reduced_dual_objective",
     "reduced_dual_optimum",
-    "sign_patterns",
     "solve",
     "solve_dp_at",
     "tv_distance",

@@ -276,34 +276,6 @@ def hull_extremes(points) -> np.ndarray:
     return np.sort(first[order][np.asarray(hull_local, dtype=int)])
 
 
-def breakpoint_candidates(points, *, dedup_tol: float = 1e-9) -> np.ndarray:
-    """All pairwise line crossings inside [0, 1], deduplicated and sorted.
-
-    Every realized breakpoint of the envelope is a crossing of two active
-    lines, hence a member of this set.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 2:
-        return np.empty(0)
-    a = pts[:, 0]
-    s = pts[:, 1]
-    da = a[:, None] - a[None, :]
-    ds = s[None, :] - s[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(np.abs(ds) > 1e-14, da / ds, np.nan)
-    vals = cross[np.triu_indices_from(cross, k=1)]
-    vals = vals[np.isfinite(vals)]
-    vals = vals[(vals >= -dedup_tol) & (vals <= 1.0 + dedup_tol)]
-    if vals.size == 0:
-        return np.empty(0)
-    vals = np.clip(np.sort(vals), 0.0, 1.0)
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v - out[-1] > dedup_tol:
-            out.append(v)
-    return np.asarray(out)
-
-
 def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 

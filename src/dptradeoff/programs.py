@@ -12,10 +12,13 @@ Two equivalent primal builds are provided:
   these rows is linearly dependent by construction; the solve drops it.
 
 * sign form ("tv"): valid only under the Hamming metric, where the
-  perception index is total variation.  The absolute-value constraint is
-  expanded into one inequality per sign pattern over the source alphabet
-  (the two constant patterns are vacuous and omitted), carried in
-  standard form through slack variables.
+  perception index is total variation.  The absolute values are split
+  (the standard L1 program): variables are the estimator entries, a
+  positive and a negative part ``t+ - t-`` of the deviation of the
+  reconstruction marginal from the source marginal, and one slack.  The
+  rows are column stochasticity, one per reconstruction symbol tying its
+  output mass to ``p_x + t+ - t-``, and the budget
+  ``sum(t+ + t-) + slack = 2 P``.
 
 The dual of the transport form lives in variables grouped by constraint
 block: one multiplier per stochasticity row, per source-marginal row,
@@ -23,7 +26,10 @@ per output-marginal row, and one price on the perception budget.  The
 price enters the dual objective as ``-price * P``, so optimal bases
 directly expose the local slope of D(P).  The output-marginal block
 carries a one-dimensional gauge freedom; everything here reports duals
-in the chart that pins its last coordinate to zero.
+in the chart that pins its last coordinate to zero.  The sign form's
+duals are reported in the same blocks: its output-row duals are the
+output block, minus twice its budget dual is the price, and the source
+block is the tightest those two allow.
 """
 
 from __future__ import annotations
@@ -35,22 +41,6 @@ import numpy as np
 from . import lp as lpmod
 from .errors import ProblemError, SolverError
 from .model import Coupling, Estimator, Problem, check_level, output_distribution, tv_distance
-
-
-def sign_patterns(n_x: int) -> np.ndarray:
-    """All +/-1 vectors over the source alphabet except the two constant ones.
-
-    Deterministic order: pattern ``i`` (for i = 1 .. 2^n_x - 2) assigns
-    +1 to coordinate x when bit x of i is set, else -1.
-    """
-    if n_x > 12:
-        raise ProblemError("sign expansion limited to alphabets of size <= 12")
-    count = 2**n_x
-    out = np.empty((count - 2, n_x))
-    for code in range(1, count - 1):
-        bits = (code >> np.arange(n_x)) & 1
-        out[code - 1] = np.where(bits == 1, 1.0, -1.0)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,34 +97,41 @@ class OtFormLayout:
 
 @dataclass(frozen=True, eq=False)
 class TvFormLayout:
-    """Index bookkeeping for the sign-form program."""
+    """Index bookkeeping for the sign-form program.
+
+    Variables: the estimator block, ``t+`` and ``t-`` (one per
+    reconstruction symbol each) and the budget slack.  Rows: one per
+    observation symbol, one per reconstruction symbol, and the budget.
+    """
 
     n_x: int
     n_y: int
-    patterns: np.ndarray  # (2^n_x - 2, n_x)
-
-    @property
-    def n_patterns(self) -> int:
-        return self.patterns.shape[0]
 
     @property
     def n_vars(self) -> int:
-        return self.n_x * self.n_y + self.n_patterns
+        return self.n_x * (self.n_y + 2) + 1
 
     @property
     def n_cons(self) -> int:
-        return self.n_y + self.n_patterns
+        return self.n_y + self.n_x + 1
 
     def ix_q(self, xhat: int, y: int) -> int:
         return xhat * self.n_y + y
 
-    def ix_slack(self, i: int) -> int:
-        return self.n_x * self.n_y + i
+    def ix_plus(self, xhat: int) -> int:
+        return self.n_x * self.n_y + xhat
+
+    def ix_minus(self, xhat: int) -> int:
+        return self.n_x * (self.n_y + 1) + xhat
+
+    @property
+    def ix_slack(self) -> int:
+        return self.n_vars - 1
 
     @property
     def level_direction(self) -> np.ndarray:
-        """The right-hand side's change per unit of level: 2 on every pattern row."""
-        return np.concatenate([np.zeros(self.n_y), np.full(self.n_patterns, 2.0)])
+        """The right-hand side's change per unit of level: 2 on the budget row."""
+        return 2.0 * (np.arange(self.n_cons) == self.n_cons - 1)
 
     def extract_q(self, x: np.ndarray) -> np.ndarray:
         return x[: self.n_x * self.n_y].reshape(self.n_x, self.n_y)
@@ -170,23 +167,26 @@ def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, O
 
 
 def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, TvFormLayout]:
-    """Sign-form program (Hamming metric only) in equality standard form."""
+    """Sign-form program (Hamming metric only) in equality standard form.
+
+    Right-hand side: observation marginal, source marginal, and twice the
+    perception level (the only P-dependent entry).
+    """
     check_level(p_level)
     if not problem.metric.is_hamming:
         raise ProblemError("the sign form requires the Hamming ground metric")
     n_x, n_y = problem.n_x, problem.n_y
-    pats = sign_patterns(n_x)
-    lay = TvFormLayout(n_x, n_y, pats)
-    p_y, p_x = problem.p_y, problem.p_x
+    lay = TvFormLayout(n_x, n_y)
+    p_y = problem.p_y
 
     a = np.zeros((lay.n_cons, lay.n_vars))
     nq = n_x * n_y
     a[:n_y, :nq] = np.kron(np.ones((1, n_x)), np.diag(p_y))
-    for i, s in enumerate(pats):
-        a[n_y + i, :nq] = -(s[:, None] * p_y[None, :]).reshape(-1)
-        a[n_y + i, lay.ix_slack(i)] = 1.0
-    b = np.concatenate([p_y, 2.0 * p_level - pats @ p_x])
-    c = np.concatenate([problem.cost.reshape(-1), np.zeros(lay.n_patterns)])
+    a[n_y:-1, :nq] = np.kron(np.eye(n_x), p_y[None, :])
+    a[n_y:-1, nq:-1] = np.hstack([-np.eye(n_x), np.eye(n_x)])
+    a[-1, nq:] = 1.0
+    b = np.concatenate([p_y, problem.p_x, [2.0 * p_level]])
+    c = np.concatenate([problem.cost.reshape(-1), np.zeros(2 * n_x + 1)])
     return lpmod.StandardLP(a, b, c), lay
 
 
@@ -261,16 +261,14 @@ def _dual_from_ot(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolu
     return DualSolution(stoch, source, output, price, objective)
 
 
-def _dual_from_tv(
-    problem: Problem, raw: np.ndarray, lay: TvFormLayout, p_level: float
-) -> DualSolution:
-    n_y = problem.n_y
+def _dual_from_tv(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
+    """Block duals from the sign form's row duals: stochasticity, output, budget."""
+    n_x, n_y = problem.n_x, problem.n_y
     stoch = raw[:n_y].copy()
-    pattern_duals = raw[n_y:]
-    output = -(pattern_duals @ lay.patterns)
-    price = -2.0 * float(pattern_duals.sum())
-    # the sign-pattern duals bound the output-block spread by the price,
-    # so the tightest source dual equals the output dual componentwise
+    output = raw[n_y : n_y + n_x].copy()
+    price = -2.0 * float(raw[-1])
+    # the t+ and t- columns bound every output dual by half the price, so
+    # under Hamming the tightest source dual equals the output dual
     source = np.min(problem.metric.h * price + output[None, :], axis=1)
     stoch, source, output, price = _pin_gauge(stoch, source, output, price)
     objective = float(stoch @ problem.p_y + source @ problem.p_x - price * p_level)
@@ -386,17 +384,21 @@ def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LP
     staircase from the first cell to the last, so its cells span the
     source and output rows whatever the rounding.  The last output
     row depends on the others and is dropped, which prices it at 0, the
-    pinned chart.  Sign form: the MAP estimator entries and every pattern
-    slack; at P = 1 slack ``s`` is ``2 + s.(out - p_x) >= 0``.
+    pinned chart.  Sign form: the MAP estimator entries, for each
+    reconstruction symbol ``t+`` if its MAP output mass is at least its
+    source mass and ``t-`` otherwise, and the budget slack, which at
+    P = 1 is ``2 - 2 TV >= 0``; the output rows are then priced at 0.
     """
     picks = np.argmin(problem.cost, axis=0)
     basis = [lay.ix_q(int(xhat), y) for y, xhat in enumerate(picks)]
+    rm = np.bincount(picks, weights=problem.p_y, minlength=problem.n_x)
     if isinstance(lay, TvFormLayout):
-        basis += [lay.ix_slack(i) for i in range(lay.n_patterns)]
+        ups = rm >= problem.p_x
+        basis += [lay.ix_plus(i) if up else lay.ix_minus(i) for i, up in enumerate(ups)]
+        basis.append(lay.ix_slack)
         return lpmod.LPSolution(status="optimal", basis=tuple(sorted(basis)))
     last = problem.n_x - 1
     rp = problem.p_x.copy()
-    rm = np.bincount(picks, weights=problem.p_y, minlength=problem.n_x)
     i = j = 0
     while True:
         basis.append(lay.ix_pi(i, j))
@@ -466,7 +468,7 @@ def solve_dp_at(
         diag = np.minimum(problem.p_x, out.p)
         moved = np.outer(problem.p_x - diag, out.p - diag) / (perception or 1.0)
         coupling = Coupling(np.diag(diag) + moved, problem.p_x, out.p)
-        dual = _dual_from_tv(problem, sol.dual, lay, p_level)
+        dual = _dual_from_tv(problem, sol.dual, p_level)
 
     gap = abs(sol.value - dual.objective)
     return SolveReport(

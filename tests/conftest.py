@@ -229,6 +229,49 @@ def vertex_start(poly, *, feas_tol=1e-9):
     return rows
 
 
+def sign_identity_tv(p, q):
+    """Total variation as the paper's sign expansion, for n <= 6 symbols.
+
+    ``TV(p, q) = max s.(p - q) / 2`` over the ``2^n - 2`` sign vectors
+    ``s`` in ``{-1, +1}^n`` that are not constant: the constant ones give
+    0 because both laws sum to 1.
+    """
+    diff = np.asarray(p, float) - np.asarray(q, float)
+    n = diff.size
+    assert 2 <= n <= 6
+    signs = [s for s in itertools.product((-1.0, 1.0), repeat=n) if len(set(s)) == 2]
+    return max(float(np.dot(s, diff)) for s in signs) / 2.0
+
+
+def breakpoint_candidates(points, *, dedup_tol=1e-9):
+    """All pairwise crossings of lines ``(intercept, slope)`` inside [0, 1].
+
+    Deduplicated within ``dedup_tol`` and sorted.  Every breakpoint of
+    the lower envelope is a crossing of two of its lines, hence a member
+    of this set.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] < 2:
+        return np.empty(0)
+    a = pts[:, 0]
+    s = pts[:, 1]
+    da = a[:, None] - a[None, :]
+    ds = s[None, :] - s[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(np.abs(ds) > 1e-14, da / ds, np.nan)
+    vals = cross[np.triu_indices_from(cross, k=1)]
+    vals = vals[np.isfinite(vals)]
+    vals = vals[(vals >= -dedup_tol) & (vals <= 1.0 + dedup_tol)]
+    if vals.size == 0:
+        return np.empty(0)
+    vals = np.clip(np.sort(vals), 0.0, 1.0)
+    out = [vals[0]]
+    for v in vals[1:]:
+        if v - out[-1] > dedup_tol:
+            out.append(v)
+    return np.asarray(out)
+
+
 def random_distribution(rng, n):
     p = rng.uniform(0.0, 1.0, n) + 1e-9
     return p / p.sum()

@@ -102,6 +102,17 @@ class TestSolve:
         assert "form = tv" in out
         assert "D(P) = 0.1142857142" in out
 
+    def test_sign_form_beyond_twelve_symbols(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        assert main(["gen", "--seed", "1", "--nx", "13", "--ny", "20", "--out", path]) == 0
+        values = {}
+        for form in ("tv", "ot"):
+            capsys.readouterr()
+            assert main(["solve", "--input", path, "--P", "0.1", "--form", form]) == 0
+            values[form] = capsys.readouterr().out.splitlines()[0]
+        assert values["tv"].startswith("D(P) = ")
+        assert values["tv"] == values["ot"]
+
     def test_sign_form_rejected_for_general_metric(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(

@@ -6,7 +6,6 @@ import pytest
 from dptradeoff import (
     PiecewiseLinearCurve,
     ProblemError,
-    breakpoint_candidates,
     curve_by_sweep,
     curve_by_vertices,
     estimator_on_curve,
@@ -16,7 +15,7 @@ from dptradeoff import (
     solve_dp_at,
 )
 
-from conftest import edge_problems, highs_dp_oracle, random_problem
+from conftest import breakpoint_candidates, edge_problems, highs_dp_oracle, random_problem
 
 
 class TestProjection:

@@ -12,14 +12,20 @@ from dptradeoff import (
     dual_check,
     dual_polyhedron,
     make_problem,
-    sign_patterns,
     solve_dp_at,
     tv_distance,
 )
 from dptradeoff import lp as lpmod
 from dptradeoff.programs import _stochastic_estimator
 
-from conftest import binary_dp_oracle, edge_problems, highs_dp_oracle, random_problem
+from conftest import (
+    binary_dp_oracle,
+    edge_problems,
+    highs_dp_oracle,
+    random_distribution,
+    random_problem,
+    sign_identity_tv,
+)
 
 BUILD = {"ot": build_ot_form, "tv": build_tv_form}
 
@@ -82,13 +88,33 @@ class TestTransportForm:
 class TestSignForm:
     def test_counts_2x2(self, bsc_problem):
         lp, lay = build_tv_form(bsc_problem, 0.3)
-        assert lay.patterns.shape == (2, 2)
-        assert np.allclose(lay.patterns, [[1, -1], [-1, 1]])
-        assert lp.a.shape == (4, 6)  # 4 structural variables + 2 slacks
-        assert lp.a.shape[0] == 2 + 2
+        # 4 estimator entries, t+ and t- per symbol, one slack; 2 + 2 + 1 rows
+        assert lp.a.shape == (5, 9)
+        assert lay.n_vars == 9 and lay.n_cons == 5
 
-    def test_pattern_count_3(self):
-        assert sign_patterns(3).shape == (6, 3)
+    def test_block_structure(self, bsc_problem):
+        p_y, p_x = bsc_problem.p_y, bsc_problem.p_x
+        lp, lay = build_tv_form(bsc_problem, 0.25)
+        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.5]]))
+        assert np.allclose(lay.level_direction, [0, 0, 0, 0, 2])
+        assert np.allclose(lp.c[:4], bsc_problem.cost.reshape(-1))
+        assert np.all(lp.c[4:] == 0.0)
+        for xhat in range(2):
+            row = 2 + xhat
+            for y in range(2):
+                assert lp.a[y, lay.ix_q(xhat, y)] == p_y[y]
+                assert lp.a[row, lay.ix_q(xhat, y)] == p_y[y]
+            assert (lp.a[row, lay.ix_plus(xhat)], lp.a[row, lay.ix_minus(xhat)]) == (-1.0, 1.0)
+        assert np.all(lp.a[-1, :4] == 0.0) and np.all(lp.a[-1, 4:] == 1.0)
+        assert np.linalg.matrix_rank(lp.a) == lp.m
+
+    def test_sign_identity_matches_tv_distance(self):
+        # the paper's sign-vector form of the TV budget, kept as an oracle
+        rng = np.random.default_rng(11)
+        for n in range(2, 7):
+            for _ in range(20):
+                p, q = random_distribution(rng, n), random_distribution(rng, n)
+                assert sign_identity_tv(p, q) == pytest.approx(tv_distance(p, q), abs=1e-15)
 
     def test_requires_hamming(self):
         prob = make_problem(
@@ -97,9 +123,20 @@ class TestSignForm:
         with pytest.raises(ProblemError, match="Hamming"):
             build_tv_form(prob, 0.1)
 
-    def test_alphabet_guard(self):
-        with pytest.raises(ProblemError, match="12"):
-            sign_patterns(13)
+    def test_thirteen_symbols_build_and_solve(self):
+        prob = random_problem(1, 13, 20)
+        lp, _ = build_tv_form(prob, 0.1)
+        assert lp.a.shape == (20 + 13 + 1, 13 * 22 + 1)
+        rep = solve_dp_at(prob, 0.1, form="tv")
+        assert rep.gap <= 1e-12 and rep.perception <= 0.1 + 1e-12
+
+    @pytest.mark.parametrize("shape", [(13, 20), (16, 64)], ids=lambda s: "x".join(map(str, s)))
+    def test_large_alphabets_match_transport_form(self, shape):
+        prob = random_problem(1, *shape)
+        for p in (0.0, 0.1, 0.3):
+            tv = solve_dp_at(prob, p, form="tv")
+            assert abs(tv.value - solve_dp_at(prob, p, form="ot").value) <= 1e-12, p
+            assert tv.dual.feasibility_violation(prob) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(20))
     def test_agrees_with_transport_form(self, seed):
@@ -334,7 +371,7 @@ def _highs_cases():
             for random_metric in (False, True):
                 prob = make_problem(p_xy, metric=metric if random_metric else None)
                 kind = "metric" if random_metric else "hamming"
-                forms = ("ot",) if random_metric or n_x > 8 else ("ot", "tv")
+                forms = ("ot",) if random_metric else ("ot", "tv")
                 cases += [
                     pytest.param(prob, form, id=f"{n_x}x{n_y}-{masses}-{kind}-{form}")
                     for form in forms
@@ -351,6 +388,9 @@ class TestAgainstHighs:
             assert rep.value == pytest.approx(highs_dp_oracle(prob, p), abs=1e-8), p
             assert rep.perception <= p + 1e-8
             assert prob.expected_distortion(rep.estimator) == pytest.approx(rep.value, abs=1e-9)
+            if form == "tv":
+                assert abs(rep.value - solve_dp_at(prob, p).value) <= 1e-12, p
+                assert rep.gap <= 1e-12 and rep.dual.feasibility_violation(prob) <= 1e-12, p
 
 
 class TestDualPolyhedron:
