@@ -6,16 +6,17 @@ to two numbers: its inner product with the P-independent part of the dual
 right-hand side, and minus its perception price.  Two constructions are
 offered:
 
-* ``curve_by_vertices``: enumerate all dual vertices by a basis walk
-  from the optimal basis at P = 0, project them to the (intercept,
-  slope) plane, and take the exact upper envelope on [0, 1].
 * ``curve_by_sweep``: walk the transport form's optimal bases from
   P = 1 down to 0 by the parametric dual simplex; each basis is optimal
   on one segment and gives its line.  No enumeration, so it reaches
   problems whose dual polyhedron is too large to enumerate.
+* ``curve_by_vertices``: take the same walk, enumerate all dual vertices
+  by a basis walk from its last basis, project them to the (intercept,
+  slope) plane, and take the exact upper envelope on [0, 1].
 
-Both return the same breakpoints and slopes up to solver tolerance; the
-terminal plateau is pinned bitwise to the unconstrained floor.
+Both take their estimators from the bases of the one walk and return
+the same breakpoints and slopes up to solver tolerance; the terminal
+plateau is pinned bitwise to the unconstrained floor.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import lp as lpmod
 from .errors import ProblemError
 from .model import Estimator, Problem, check_level
 from .programs import _crash_basis, _stochastic_estimator, build_ot_form
-from .programs import dual_polyhedron, solve_dp_at
+from .programs import dual_polyhedron
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
@@ -225,8 +226,8 @@ class CurveReport:
     (all dual vertices for the vertex method, one line per basis walked
     for the sweep).  ``estimators`` hold one estimator per segment
     endpoint, so querying an estimator anywhere on the curve later needs
-    no further solves.  ``solve_count`` is the number of LP solves: one
-    per endpoint for the vertex method, 1 for the walk.
+    no further solves.  ``solve_count`` is the number of LP solves: 1,
+    the walk from P = 1 to 0, for both methods.
     """
 
     curve: PiecewiseLinearCurve
@@ -279,32 +280,19 @@ def hull_extremes(points) -> np.ndarray:
 def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 
-    The walk starts at the optimal basis of the solve at P = 0: in
-    ``dual_polyhedron``'s row order, transport-form column j is dual row
-    j, so that basis is d rows of a dual vertex.  The same solve gives
-    level 0's estimator, and every breakpoint's is solved warm from the
-    endpoint before it, the nearest level solved.
+    The enumeration starts at the last basis of ``curve_by_sweep``'s
+    walk, optimal at P = 0: in ``dual_polyhedron``'s row order,
+    transport-form column j is dual row j, so that basis is d rows of a
+    dual vertex.  The estimators come from the bases on that walk, as
+    for the sweep, so no level is solved.
 
-    Raises BudgetExceededError when the walk visits more than ``budget``
-    bases; use ``curve_by_sweep`` then.
+    Raises BudgetExceededError when the enumeration visits more than
+    ``budget`` bases; use ``curve_by_sweep`` then.
     """
-    rep = solve_dp_at(problem, 0.0)
-    verts = lpmod.enumerate_vertices(dual_polyhedron(problem), rep.solution.basis, budget=budget)
-    s2 = project_vertex(verts, problem)
-    curve = assemble_curve(s2, problem.distortion_floor)
-    estimators = [(0.0, rep.estimator)]
-    for p in curve.breakpoints:
-        rep = solve_dp_at(problem, float(p), start=rep)
-        estimators.append((float(p), rep.estimator))
-    return CurveReport(
-        curve=curve,
-        method="vertex",
-        s2_points=s2,
-        hull_extreme_indices=hull_extremes(s2),
-        estimators=tuple(estimators),
-        solve_count=len(estimators),
-        vertices=verts,
-    )
+    lp, lay = build_ot_form(problem, 0.0)
+    sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
+    verts = lpmod.enumerate_vertices(dual_polyhedron(problem), sol.basis, budget=budget)
+    return _report(problem, "vertex", project_vertex(verts, problem), lp, lay, path, verts)
 
 
 def curve_by_sweep(problem: Problem) -> CurveReport:
@@ -315,28 +303,36 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
     optimal.  ``lp.walk``, the walk every ``solve_dp_at`` takes, starts
     at the closed-form optimal basis at P = 1 (``_crash_basis``) and
     meets an optimal basis at every level down to 0, so the envelope of
-    their lines is the curve.  The point of the basis whose walk level
-    is nearest a breakpoint is that breakpoint's estimator; the last
-    basis gives level 0's.  Where the optimum is not unique, the pivot
-    rule picks the basis and so the estimator; the curve is the same.
+    their lines is the curve.
     """
     lp, lay = build_ot_form(problem, 0.0)
-    walk = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)[1]
-    lines = np.asarray([(lp.c @ x - slope * level, slope) for level, x, slope in walk])
+    path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)[1]
+    lines = np.asarray([(lp.c @ x - slope * level, slope) for level, x, slope in path])
+    return _report(problem, "sweep", lines, lp, lay, path)
+
+
+def _report(problem: Problem, method: str, lines, lp, lay, path, vertices=None) -> CurveReport:
+    """The envelope of ``lines``, with estimators from the bases on ``path``.
+
+    A breakpoint's estimator is the point of the basis whose walk level
+    is nearest it; level 0's is the last basis's.  Where the optimum is
+    not unique, the pivot rule picks the estimator; the curve is the same.
+    """
     curve = assemble_curve(lines, problem.distortion_floor)
-    levels = np.asarray([level for level, _, _ in walk])
+    levels = np.asarray([level for level, _, _ in path])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = []
     for p in [0.0] + [float(b) for b in curve.breakpoints]:
-        x = walk[int(np.argmin(np.abs(levels - p)))][1]
+        x = path[int(np.argmin(np.abs(levels - p)))][1]
         estimators.append((p, _stochastic_estimator(problem, lay.extract_q(x), tol)))
     return CurveReport(
         curve=curve,
-        method="sweep",
+        method=method,
         s2_points=lines,
         hull_extreme_indices=hull_extremes(lines),
         estimators=tuple(estimators),
         solve_count=1,
+        vertices=vertices,
     )
 
 

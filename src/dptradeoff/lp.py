@@ -508,8 +508,11 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     of the right-hand side, row i moved by ``eps**rank(i)`` with distinct
     ranks, keeps the walk on bases that stay feasible for every small eps:
     the ratio test then picks exactly one entering row, and the walk
-    reaches every vertex.  Each basis costs one d-by-d inverse.  Bases of
-    one vertex are collapsed by deduplication at ``_DEDUP_TOL``.
+    reaches every vertex.  Each basis costs one d-by-d inverse and one
+    ratio test of all d edges at once; a tie reads only the perturbation
+    columns of the basis rows and the tied rows, in rank order, because
+    every other column is exactly 0 in a tied row.  Bases of one vertex
+    are collapsed by deduplication at ``_DEDUP_TOL``.
 
     Raises SolverError unless ``start`` names d distinct rows whose
     matrix is nonsingular and whose point is feasible within
@@ -552,18 +555,18 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
         slack[np.abs(slack[:, 0]) <= zero, 0] = 0.0
         rates = -(g @ inv)  # rates[i, j]: row i's growth along edge j
         rates[basis] = 0.0
-        limit = _PIVOT_COL_TOL * np.abs(inv).max(axis=0)
-        for j in range(d):
-            rows = np.nonzero(rates[:, j] > limit[j])[0]
-            if rows.size == 0:
-                continue  # unbounded edge: a ray
-            ratios = slack[rows] / rates[rows, j, None]
-            for col in range(k + 1):
-                best = ratios[:, col].min()
-                tied = ratios[:, col] <= best + _TIE_TOL * max(1.0, abs(best))
-                rows, ratios = rows[tied], ratios[tied]
-                if rows.size == 1:
-                    break
+        bounded = rates > _PIVOT_COL_TOL * np.abs(inv).max(axis=0)
+        ratios = np.divide(slack[:, :1], rates, out=np.full((k, d), np.inf), where=bounded)
+        best = ratios.min(axis=0)
+        tied = bounded & (ratios <= best + _TIE_TOL * np.maximum(1.0, np.abs(best)))
+        for j in np.flatnonzero(bounded.any(axis=0)):  # the other edges are rays
+            rows = np.flatnonzero(tied[:, j])
+            if rows.size > 1:  # only these rows' and the basis rows' perturbations split a tie
+                for col in 1 + np.sort(rank[np.concatenate([basis, rows])]):
+                    lex = slack[rows, col] / rates[rows, j]
+                    rows = rows[lex <= lex.min() + _TIE_TOL * max(1.0, abs(lex.min()))]
+                    if rows.size == 1:
+                        break
             nxt = basis.copy()
             nxt[j] = int(rows[0])
             key = tuple(sorted(nxt))

@@ -174,8 +174,14 @@ class TestCurveBySweep:
         )
         assert np.allclose(by_sweep.curve.slopes, by_vertex.curve.slopes, atol=1e-8)
 
-    def test_one_build_and_no_solves(self, monkeypatch):
-        # the walk builds the program once and never solves it level by level
+    @pytest.mark.parametrize(
+        "method,shape",
+        [(curve_by_sweep, (5, 10)), (curve_by_vertices, (3, 4))],
+        ids=["sweep", "vertex"],
+    )
+    def test_one_build_and_no_solves(self, monkeypatch, method, shape):
+        # both methods build the program once, walk it once, and never
+        # solve a level: the estimators come from the walk's bases
         from dptradeoff import curve as curvemod
         from dptradeoff import lp as lpmod
         from dptradeoff import programs
@@ -188,15 +194,17 @@ class TestCurveBySweep:
             return build(*args)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the sweep solved a program")
+            raise AssertionError("the curve solved a program")
 
         monkeypatch.setattr(curvemod, "build_ot_form", counting)
-        for module, name in ((lpmod, "solve"), (curvemod, "solve_dp_at"), (programs, "solve_dp_at")):
+        monkeypatch.setattr(curvemod, "solve_dp_at", forbidden, raising=False)
+        for module, name in ((lpmod, "solve"), (programs, "solve_dp_at")):
             monkeypatch.setattr(module, name, forbidden)
-        report = curve_by_sweep(random_problem(1, 5, 10, random_distortion=True))
+        report = method(random_problem(1, *shape, random_distortion=True))
         assert len(builds) == 1
         assert report.solve_count == 1
         assert report.curve.breakpoints.size > 1
+        assert len(report.estimators) == report.curve.breakpoints.size + 1
 
     def test_estimators_at_every_endpoint(self):
         for random_metric in (False, True):

@@ -344,6 +344,18 @@ class TestVertexEnumeration:
         with pytest.raises(BudgetExceededError, match="more than 15 bases"):
             enumerate_vertices(poly, [4, 5, 6, 7], budget=15)
 
+    @pytest.mark.parametrize("seed,bases", [(0, 80), (1, 79), (4, 78)])
+    def test_lexicographic_rule_on_degenerate_dual(self, seed, bases):
+        # a Hamming 3x4 dual polyhedron walked from its P = 0 basis: 51
+        # vertices carry up to 80 bases, so many ratio tests tie.  The count
+        # pins the tie-break: reading the perturbation columns in reverse
+        # rank order, or without the basis rows' columns, visits 102-150.
+        prob = random_problem(seed, 3, 4)
+        poly, start = dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis
+        assert enumerate_vertices(poly, start, budget=bases).shape == (51, 10)
+        with pytest.raises(BudgetExceededError, match=f"more than {bases - 1} bases"):
+            enumerate_vertices(poly, start, budget=bases - 1)
+
     def test_dimension_guard(self):
         g = np.eye(17)
         with pytest.raises(BudgetExceededError, match="dimension"):
