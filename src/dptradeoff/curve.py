@@ -303,11 +303,12 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
     optimal.  ``lp.walk``, the walk every ``solve_dp_at`` takes, starts
     at the closed-form optimal basis at P = 1 (``_crash_basis``) and
     meets an optimal basis at every level down to 0, so the envelope of
-    their lines is the curve.
+    their lines is the curve.  A basis's value at its walk level is
+    ``c_B . xb``, which gives its line's intercept.
     """
     lp, lay = build_ot_form(problem, 0.0)
     path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)[1]
-    lines = np.asarray([(lp.c @ x - slope * level, slope) for level, x, slope in path])
+    lines = np.asarray([(lp.c[basis] @ xb - slope * s, slope) for s, basis, xb, slope in path])
     return _report(problem, "sweep", lines, lp, lay, path)
 
 
@@ -315,15 +316,17 @@ def _report(problem: Problem, method: str, lines, lp, lay, path, vertices=None) 
     """The envelope of ``lines``, with estimators from the bases on ``path``.
 
     A breakpoint's estimator is the point of the basis whose walk level
-    is nearest it; level 0's is the last basis's.  Where the optimum is
+    is nearest it; level 0's is the last basis's.  Only these points are
+    built from the path's basic values.  Where the optimum is
     not unique, the pivot rule picks the estimator; the curve is the same.
     """
     curve = assemble_curve(lines, problem.distortion_floor)
-    levels = np.asarray([level for level, _, _ in path])
+    levels = np.asarray([entry[0] for entry in path])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = []
     for p in [0.0] + [float(b) for b in curve.breakpoints]:
-        x = path[int(np.argmin(np.abs(levels - p)))][1]
+        _, basis, xb, _ = path[int(np.argmin(np.abs(levels - p)))]
+        x = lpmod.basic_point(lp.n, basis, xb)
         estimators.append((p, _stochastic_estimator(problem, lay.extract_q(x), tol)))
     return CurveReport(
         curve=curve,

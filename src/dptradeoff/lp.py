@@ -7,11 +7,14 @@ Solves equality-standard-form programs
 with a two-phase primal simplex under Bland's rule, which cannot cycle.
 The tableau is revised (Bertsimas and Tsitsiklis, section 3.3): it keeps
 the m-by-m basis inverse and forms only the row and the column of the
-m-by-n ``B^-1 A`` that a pivot needs.  It is refactorized from the basis
-periodically and at termination (unless no pivot came after the last
-refactorization), so the reported point, dual vector, and objective come
-from a fresh solve against the original data rather than accumulated
-updates.
+m-by-n ``B^-1 A`` that a pivot needs; a pivot updates the inverse and
+the basic values together by one rank-one step in place.  It is
+refactorized from the basis periodically and at termination (unless no
+pivot came after the last refactorization), each time by one LU
+solve of ``B [binv | xb | rate] = [I | b | d]``, with the duals read
+from that inverse, so the reported point, dual vector, and objective
+come from a fresh solve against the original data rather than
+accumulated updates.
 
 Phase one is for programs without a known basis.  It detects linearly
 dependent equality rows and drops them instead of failing: several
@@ -26,8 +29,10 @@ stays dual feasible, and where a basic value reaches 0 a dual simplex
 pivot (section 4.5) replaces it.  The distortion programs always solve
 this way: their ``b`` is affine in the perception level, so one level
 is a walk from the optimal basis at P = 1, which is known in closed
-form, or from another level's, and the whole curve is one walk from
-P = 1 to 0.
+form (a diagonal-first transport plan, so the walk's first pivot is
+where the budget starts to bind), or from another level's, and the
+whole curve is one walk from P = 1 to 0.  The walk records each basis
+and its basic values, not its point.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -118,13 +123,16 @@ class LPSolution:
 class _Tableau:
     """Revised tableau: the basis inverse ``binv``, not ``B^-1 A``.
 
-    It keeps ``binv``, the basic values ``xb``, ``rate = B^-1 d`` for a
-    right-hand-side direction ``d`` (zero unless given), the duals ``y``
-    and the reduced costs ``red``, and forms a row or a column of
-    ``B^-1 A`` when a pivot rule asks.  A row is set to exactly 0 at the
-    other basic columns and 1 at its own: the product leaves rounding of
-    about 1e-11 there, which passes ``_PIVOT_COL_TOL``.  ``refactors``
-    counts the calls of ``refactor``, which inverts the basis afresh.
+    It keeps ``B^-1 [I | b | d]`` for a right-hand-side direction ``d``
+    (zero unless given) as one m-by-(m + 2) block whose columns are the
+    views ``binv``, the basic values ``xb`` and ``rate = B^-1 d``, so a
+    pivot updates all three by one rank-one step in place.  It also keeps
+    the basis as an integer array, the duals ``y = c_B B^-1`` and the
+    reduced costs ``red``, and forms a row or a column of ``B^-1 A`` when
+    a pivot rule asks.  A row is set to exactly 0 at the other basic
+    columns and 1 at its own: the product leaves rounding of about 1e-11
+    there, which passes ``_PIVOT_COL_TOL``.  ``refactors`` counts the
+    calls of ``refactor``, which factors the basis afresh, once.
     """
 
     def __init__(self, a, b, c, basis, d=None):
@@ -132,19 +140,19 @@ class _Tableau:
         self.b = b
         self.c = c
         self.d = np.zeros_like(b) if d is None else d
-        self.basis = list(basis)
+        self.basis = np.array(basis, dtype=np.intp)
         self.m, self.n = a.shape
         self.refactors = 0
         self.refactor()
 
     def refactor(self):
-        base = self.a[:, self.basis]
+        rhs = np.column_stack([np.eye(self.m), self.b, self.d])
         try:
-            self.binv = np.linalg.inv(base)
-            self.xb, self.rate = np.linalg.solve(base, np.column_stack([self.b, self.d])).T
-            self.y = np.linalg.solve(base.T, self.c[self.basis])
+            self.block = np.linalg.solve(self.a[:, self.basis], rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
+        self.binv, self.xb, self.rate = self.block[:, : self.m], self.block[:, -2], self.block[:, -1]
+        self.y = self.c[self.basis] @ self.binv
         self.red = self.c - self.y @ self.a
         self.refactors += 1
         self.fresh = True  # no pivot since the last refactorization
@@ -170,15 +178,10 @@ class _Tableau:
             raise SolverError("pivot below numeric tolerance")
         line = self.row(row) / piv  # the pivot row of the next basis
         line[col] = 1.0
-        self.binv[row] /= piv
-        self.xb[row] /= piv
-        self.rate[row] /= piv
+        self.block[row] /= piv
         factors[row] = 0.0
-        rows = np.flatnonzero(factors)  # rows with a zero factor keep their values
-        self.binv[rows] -= np.outer(factors[rows], self.binv[row])
-        self.xb[rows] -= factors[rows] * self.xb[row]
-        self.rate[rows] -= factors[rows] * self.rate[row]
-        self.red = self.red - self.red[col] * line
+        self.block -= np.outer(factors, self.block[row])
+        self.red -= self.red[col] * line
         self.basis[row] = col
         self.fresh = False
         self._row = None
@@ -187,9 +190,14 @@ class _Tableau:
         return float(self.c[self.basis] @ self.xb)
 
     def point(self) -> np.ndarray:
-        x = np.zeros(self.n)
-        x[self.basis] = self.xb
-        return x
+        return basic_point(self.n, self.basis, self.xb)
+
+
+def basic_point(n: int, basis, values) -> np.ndarray:
+    """The n-vector with ``values`` at the columns ``basis`` and 0 elsewhere."""
+    x = np.zeros(n)
+    x[basis] = values
+    return x
 
 
 def _entering(tab: _Tableau, allowed: np.ndarray) -> int | None:
@@ -211,8 +219,7 @@ def _leaving(tab: _Tableau, col: int) -> int | None:
     best = ratios.min()
     tied = rows[ratios <= best + _RATIO_TIE_TOL]
     # Bland tie-break: leave the basic variable with the smallest index
-    basis = np.asarray(tab.basis)
-    return int(tied[np.argmin(basis[tied])])
+    return int(tied[np.argmin(tab.basis[tied])])
 
 
 def _step(tab: _Tableau, row: int, col: int, iters: int, budget: int) -> int:
@@ -296,7 +303,7 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     with the smallest ratio ``red[j] / -row[j]`` enters, ties to the
     smallest index, or None if the row has no negative entry.
     """
-    row = int(rows[np.argmin(np.asarray(tab.basis)[rows])])
+    row = int(rows[np.argmin(tab.basis[rows])])
     line = tab.row(row)
     cols = np.nonzero(line < -_PIVOT_COL_TOL)[0]
     if cols.size == 0:
@@ -362,7 +369,7 @@ def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations, refactors, flip
         status="optimal",
         x=x,
         value=float(lp.c @ x),
-        basis=tuple(sorted(tab.basis)),
+        basis=tuple(np.sort(tab.basis).tolist()),
         dual=dual,
         dropped_rows=tuple(dropped),
         iterations=iterations,
@@ -372,7 +379,7 @@ def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations, refactors, flip
 
 def walk(
     lp: StandardLP, start: LPSolution, d, span: float, *, max_iter: int | None = None
-) -> tuple[LPSolution, list[tuple[float, np.ndarray, float]]]:
+) -> tuple[LPSolution, list[tuple[float, np.ndarray, np.ndarray, float]]]:
     """Optimal bases of the programs ``b = lp.b + s d`` as s moves from ``span`` to 0.
 
     ``start`` is an optimal basis, with its dropped rows, at s = ``span``.
@@ -384,9 +391,10 @@ def walk(
     phase two confirms it, so a start off by rounding still ends optimal.
 
     Returns the optimal solution of ``lp`` (``iterations`` counts the
-    walk's pivots and phase two's) and ``(s, x, slope)`` per basis in
-    walk order: the s where it stops being optimal (0 for the last), its
-    point there, and ``c_B B^-1 d``, the slope of the value in s.
+    walk's pivots and phase two's) and ``(s, basis, xb, slope)`` per basis
+    in walk order: the s where it stops being optimal (0 for the last),
+    its columns in row order and their values there (``basic_point``
+    makes the point), and ``c_B B^-1 d``, the slope of the value in s.
 
     Raises SolverError when ``start`` is not optimal, covers another row
     count, names a column or row out of range, is singular, or is not
@@ -406,11 +414,12 @@ def walk(
     keep = [r for r in range(m) if r not in dropped]
     b, d = lp.b[keep], np.asarray(d, dtype=float)[keep]
     tab = _Tableau(lp.a[keep], b, lp.c, start.basis, d)  # factored against lp.b
-    at_zero = tab.xb
-    tab.xb, tab.b = at_zero + span * tab.rate, b + span * d
+    at_zero = tab.xb.copy()
+    tab.xb += span * tab.rate
+    tab.b = b + span * d
     scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)), float(np.abs(tab.b).max(initial=0.0)))
     for r in dropped:  # a[r] = weights @ a[keep], so b must agree
-        weights = np.linalg.solve(tab.a[:, tab.basis].T, lp.a[r, tab.basis])
+        weights = lp.a[r, tab.basis] @ tab.binv
         if abs(lp.b[r] - weights @ b) > FEAS_TOL * scale:
             raise SolverError(f"dropped row {r} is inconsistent with b")
     if tab.xb.min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
@@ -431,7 +440,7 @@ def walk(
         s += way * step
         tab.xb -= step * fall
         tab.b = b + s * d
-        path.append((s, tab.point(), float(tab.c[tab.basis] @ tab.rate)))
+        path.append((s, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
         leave, col = _dual_bland(tab, rows[steps <= step + _RATIO_TIE_TOL])
         if col is None:
             raise SolverError(f"program infeasible past s = {s!r}")
@@ -440,12 +449,12 @@ def walk(
     if iters:
         tab.refactor()  # against lp.b itself, not the sum of the steps
     else:
-        tab.xb = at_zero  # the basis is the start's, factored against lp.b
+        tab.xb[:] = at_zero  # the basis is the start's, factored against lp.b
     status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
     if status != "optimal":
         raise SolverError(f"phase two ended {status} after the walk")
     sol = _optimal(lp, tab, dropped, iters + confirm, tab.refactors)
-    path.append((0.0, sol.x, float(tab.c[tab.basis] @ tab.rate)))
+    path.append((0.0, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
     return sol, path
 
 

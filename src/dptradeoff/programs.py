@@ -378,13 +378,22 @@ def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LP
     basis prices only the stochasticity rows, at the cheapest conditional
     cost, so every reduced cost is nonnegative whatever the level.
 
-    Transport form: the MAP estimator entries, the ``2 n_x - 1`` cells a
-    north-west-corner walk visits on a plan from the source marginal to
-    the MAP output marginal, and the budget slack.  The walk is a
-    staircase from the first cell to the last, so its cells span the
-    source and output rows whatever the rounding.  The last output
-    row depends on the others and is dropped, which prices it at 0, the
-    pinned chart.  Sign form: the MAP estimator entries, for each
+    Transport form: the MAP estimator entries, the ``2 n_x - 1`` cells of
+    a diagonal-first plan from the source marginal to the MAP output
+    marginal, and the budget slack.  The plan keeps ``min(p_x, r)`` in
+    place on every diagonal cell and runs a north-west-corner staircase
+    only from the source surplus to the output deficit: the symbols with
+    ``p_x >= r`` on one side (a symbol with ``p_x == r`` joins with zero
+    mass) and the rest on the other; if a side is empty, the last symbol
+    alone forms the deficit side.  The diagonal pairs each source row
+    with its output row and the staircase joins the two sides, so the
+    cells span the source and output rows whatever the rounding.  Every
+    validated metric obeys the triangle inequality, so some optimal plan
+    keeps the shared mass in place: this one moves exactly ``W1(p_x, r)``
+    under Hamming and nearly so under another metric, and the walk's
+    first pivot is where the budget starts to bind rather than a
+    re-routing of the plan.  The last output row depends on the others
+    and is dropped, which prices it at 0, the pinned chart.  Sign form: the MAP estimator entries, for each
     reconstruction symbol ``t+`` if its MAP output mass is at least its
     source mass and ``t-`` otherwise, and the budget slack, which at
     P = 1 is ``2 - 2 TV >= 0``; the output rows are then priced at 0.
@@ -397,25 +406,29 @@ def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LP
         basis += [lay.ix_plus(i) if up else lay.ix_minus(i) for i, up in enumerate(ups)]
         basis.append(lay.ix_slack)
         return lpmod.LPSolution(status="optimal", basis=tuple(sorted(basis)))
-    last = problem.n_x - 1
-    rp = problem.p_x.copy()
-    i = j = 0
-    while True:
+    basis += [lay.ix_pi(i, i) for i in range(problem.n_x)]
+    kept = np.minimum(problem.p_x, rm)
+    surplus, deficit = problem.p_x - kept, rm - kept
+    src = np.flatnonzero(problem.p_x >= rm).tolist()
+    dst = np.flatnonzero(problem.p_x < rm).tolist()
+    if not src or not dst:  # the marginals agree up to rounding: any split spans
+        src, dst = list(range(problem.n_x - 1)), [problem.n_x - 1]
+    a = b = 0
+    for _ in range(problem.n_x - 1):  # a staircase over n_x symbols has n_x - 1 cells
+        i, j = src[a], dst[b]
         basis.append(lay.ix_pi(i, j))
-        if i == j == last:
-            break
-        t = min(rp[i], rm[j])
-        rp[i] -= t
-        rm[j] -= t
-        if (rp[i] <= rm[j] and i < last) or j == last:
-            i += 1
+        t = min(surplus[i], deficit[j])
+        surplus[i] -= t
+        deficit[j] -= t
+        if (surplus[i] <= deficit[j] and a < len(src) - 1) or b == len(dst) - 1:
+            a += 1
         else:
-            j += 1
+            b += 1
     basis.append(lay.ix_eps)
     return lpmod.LPSolution(
         status="optimal",
         basis=tuple(sorted(basis)),
-        dropped_rows=(lay.row_output_marginal(last),),
+        dropped_rows=(lay.row_output_marginal(problem.n_x - 1),),
     )
 
 

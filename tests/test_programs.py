@@ -16,7 +16,8 @@ from dptradeoff import (
     tv_distance,
 )
 from dptradeoff import lp as lpmod
-from dptradeoff.programs import _stochastic_estimator
+from dptradeoff.model import output_distribution
+from dptradeoff.programs import _crash_basis, _stochastic_estimator
 
 from conftest import (
     binary_dp_oracle,
@@ -298,7 +299,40 @@ def _edge_cases():
     ]
 
 
+def _diagonal_cases():
+    """Transport-form instances for the diagonal-first plan of ``_crash_basis``."""
+    rng = np.random.default_rng(11)
+    metric = rng.uniform(0.5, 1.0, size=(6, 6))
+    metric = 0.5 * (metric + metric.T)
+    np.fill_diagonal(metric, 0.0)
+    skewed = rng.uniform(size=(6, 12)) ** 8
+    probs = {
+        # in units of 1/32: the MAP output marginal is (9, 8, 15), p_x is (10, 8, 14)
+        "some-equal": make_problem(np.array([[8, 2, 0, 0], [1, 6, 1, 0], [0, 0, 6, 8]]) / 32),
+        # block diagonal: the MAP output marginal is p_x, so no symbol has a deficit
+        "all-equal": make_problem(np.array([[4, 2, 0, 0], [0, 0, 8, 0], [0, 0, 0, 2]]) / 16),
+        "2x5": random_problem(12, 2, 5, random_distortion=True),
+        "2x5-metric": random_problem(13, 2, 5, random_distortion=True, random_metric=True),
+        "skewed-2x3": edge_problems()["skewed"],
+        "skewed-6x12": make_problem(skewed / skewed.sum(), metric=metric),
+    }
+    return [pytest.param(prob, id=name) for name, prob in probs.items()]
+
+
 class TestCrashStart:
+    @pytest.mark.parametrize("prob", _diagonal_cases())
+    def test_diagonal_first_plan(self, prob):
+        lp, lay = build_ot_form(prob, 1.0)
+        crash = _crash_basis(prob, lay)
+        keep = [r for r in range(lp.m) if r not in crash.dropped_rows]
+        base = lp.a[np.ix_(keep, crash.basis)]
+        assert np.linalg.matrix_rank(base) == len(keep)
+        lpmod.walk(lp, crash, lay.level_direction, 0.0)  # optimal at P = 1 as it stands
+        x = lpmod.basic_point(lp.n, list(crash.basis), np.linalg.solve(base, lp.b[keep]))
+        r_map = output_distribution(prob.minimum[1], prob.p_y).p
+        kept = np.minimum(prob.p_x, r_map)
+        assert np.allclose(np.diag(lay.extract_pi(x)), kept, rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("prob, form", _crash_cases())
     def test_optimal_at_one_without_pivots(self, prob, form):
         for p in (1.0, 2.0):  # the crash basis is optimal at every level from 1 up
@@ -350,6 +384,19 @@ class TestSharedWalk:
             assert abs(rep.value - sweep.curve.value(p)) <= 1e-12, p
             assert rep.iterations <= len(sweep.s2_points), p
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("shape", [(5, 10), (8, 20), (10, 40)], ids=lambda s: "x".join(map(str, s)))
+    def test_first_pivot_is_where_the_budget_binds(self, shape):
+        # under Hamming the P = 1 plan moves exactly TV(p_x, r_MAP), so the walk
+        # leaves the plateau's basis there and every later basis prices the budget
+        prob = random_problem(1, *shape, random_distortion=True)
+        costs = np.sort(prob.cost, axis=0)
+        assert np.all(costs[1] > costs[0])  # a unique MAP
+        lp, lay = build_ot_form(prob, 0.0)
+        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        moved = tv_distance(prob.p_x, output_distribution(prob.minimum[1], prob.p_y))
+        assert abs(path[0][0] - moved) <= 1e-12
+        assert all(slope < 0.0 for _, _, _, slope in path[1:])
 
 
 def _highs_cases():
