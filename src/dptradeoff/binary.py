@@ -8,12 +8,18 @@ symbol instead of the second:
 
     gap(y) = (E[d(X, x1) | y] - E[d(X, x2) | y]) / 2.
 
-Sorting observations by this gap and accumulating their probabilities
-gives a step CDF; the curve's breakpoints are differences between the
-first-symbol mass and values of that CDF, and each linear piece has
-slope minus twice the gap level being traded at that point.  Three
-regimes exist, depending on whether the greedy rule leaves the first
-symbol short of mass, over target, or exactly on it (curve constant).
+Accumulating the observation probabilities in ascending gap order gives
+a step CDF, and each of its knots is a threshold rule: "first symbol iff
+gap <= level" puts the CDF's value at that level on the first symbol.
+The greedy rules "gap <= 0" and "gap < 0" are knots.  If the first one
+leaves the first symbol short of its probability p_first, one walk
+starts there and steps up knot by knot; if the second overfills it, the
+same walk starts there and steps down; otherwise a mixture of the two
+fits and the curve is constant.  The walk stops before the mass crosses
+p_first.  Each knot it visits gives a breakpoint, its distance from
+p_first, and from there toward P = 0 the curve has slope minus twice the
+gap level of the step's higher-mass knot: the cost rate of the traded
+mass.
 
 Optimal estimators are deterministic threshold rules at breakpoints and
 linear mixtures of the neighboring threshold rules in between.
@@ -27,7 +33,7 @@ import numpy as np
 
 from .curve import PiecewiseLinearCurve, mix_supports
 from .errors import ProblemError
-from .model import Estimator, Problem
+from .model import Estimator, Problem, check_level
 
 CASE_UNDER = "x1_underallocated"
 CASE_OVER = "x1_overallocated"
@@ -73,23 +79,17 @@ class StepCdf:
 class BinaryAnalysis:
     """Everything the closed form needs, precomputed once.
 
-    ``breakpoints`` is the raw non-increasing sequence (perception
-    units), one entry per admitted gap level counted with symbol
-    multiplicity; repeated entries are degenerate intervals that the
-    curve collapses.  ``thresholds`` holds the gap cutoff whose
-    deterministic rule is optimal at the matching raw breakpoint.
-    ``segment_table`` rows are (left, right, gap) in total-variation
-    units, ordered from the plateau downward: the curve has slope
-    ``-2 * gap`` between those endpoints.
+    ``breakpoints`` (perception units) and ``thresholds`` hold one entry
+    per knot of the walk, in walk order from the greedy rule's knot
+    toward ``p_first``: the knot's distance from ``p_first`` and its gap
+    level.  The knot's threshold rule is optimal at that distance.  A
+    balanced problem walks no knot.
     """
 
     gaps: np.ndarray
-    order: np.ndarray
     case: str
     breakpoints: np.ndarray
     thresholds: np.ndarray
-    segment_table: np.ndarray
-    i_max: int
     d_star: float
     cdf: StepCdf
     p_first: float
@@ -101,92 +101,48 @@ def _require_binary(problem: Problem) -> None:
         raise ProblemError("closed-form analysis requires a binary source alphabet")
 
 
-def _distinct_levels(values: np.ndarray) -> np.ndarray:
-    out: list[float] = []
-    for v in np.sort(values):
-        if not out or v - out[-1] > _TIE_TOL:
-            out.append(float(v))
-    return np.asarray(out)
+def _walk(cdf: StepCdf, p1: float):
+    """The knot walk: ``(case, levels, knots, distances, step)``.
+
+    Knot k is the rule "first iff gap <= levels[k]", which puts mass
+    ``mass[k]`` on the first symbol; knot 0 (level -inf, mass 0) is the
+    all-second rule.  The walk starts at a greedy rule's knot and steps
+    (``step`` is +1 when short, -1 when overfilled) while the mass stays
+    on its side of ``p1``.  ``distances`` are the walked knots' distances
+    from ``p1`` in total-variation units.
+    """
+    levels = np.concatenate([[-np.inf], cdf.points])
+    mass = np.concatenate([[0.0], cdf.cumulative])
+    # the greedy rules' knots: first iff gap <= 0, and first iff gap < 0
+    le0 = int(np.count_nonzero(levels <= _TIE_TOL)) - 1
+    lt0 = int(np.count_nonzero(levels < -_TIE_TOL)) - 1
+    if p1 - mass[le0] > _TIE_TOL:
+        case, step, k = CASE_UNDER, 1, le0
+    elif mass[lt0] - p1 > _TIE_TOL:
+        case, step, k = CASE_OVER, -1, lt0
+    else:
+        return CASE_BALANCED, levels, [], np.zeros(0), 1
+    knots = [k]
+    while 0 <= k + step < mass.size and step * (p1 - mass[k + step]) >= -_TIE_TOL:
+        k += step
+        knots.append(k)
+    return case, levels, knots, np.maximum(step * (p1 - mass[knots]), 0.0), step
 
 
 def analyze(problem: Problem) -> BinaryAnalysis:
-    """Classify a binary problem and precompute its breakpoint structure."""
+    """Classify a binary problem and walk its knots."""
     _require_binary(problem)
     scale = float(problem.metric.h[0, 1])
     cond = problem.conditional
     gaps = 0.5 * (cond[0] - cond[1])
-    order = np.argsort(gaps, kind="stable")
     cdf = StepCdf.from_samples(gaps, problem.p_y)
     p1 = float(problem.p_x[0])
-    at0, below0 = cdf.at(0.0), cdf.left(0.0)
-
-    if at0 >= p1 - _TIE_TOL and p1 >= below0 - _TIE_TOL:
-        case = CASE_BALANCED
-    elif p1 >= at0 - _TIE_TOL:
-        case = CASE_UNDER
-    else:
-        case = CASE_OVER
-
-    raw_bps: list[float] = []
-    raw_thr: list[float] = []
-    segments: list[tuple[float, float, float]] = []
-
-    if case == CASE_BALANCED:
-        raw_bps, raw_thr = [0.0], [0.0]
-    elif case == CASE_UNDER:
-        raw_bps, raw_thr = [max(0.0, p1 - at0)], [0.0]
-        for v in np.sort(gaps[gaps > _TIE_TOL]):
-            if p1 >= cdf.at(v) - _TIE_TOL:
-                raw_bps.append(max(0.0, p1 - cdf.at(v)))
-                raw_thr.append(float(v))
-            else:
-                break
-        prev = raw_bps[0]
-        for v in _distinct_levels(gaps[gaps > _TIE_TOL]):
-            if prev <= _TIE_TOL:
-                break
-            if p1 >= cdf.at(v) - _TIE_TOL:
-                nxt = max(0.0, p1 - cdf.at(v))
-                segments.append((nxt, prev, float(v)))
-                prev = nxt
-            else:
-                segments.append((0.0, prev, float(v)))
-                prev = 0.0
-                break
-    else:
-        levels = _distinct_levels(gaps[gaps < -_TIE_TOL])[::-1]  # toward -inf
-        for v in np.sort(gaps[gaps < -_TIE_TOL])[::-1]:
-            bp = cdf.at(v) - p1
-            if bp >= -_TIE_TOL:
-                raw_bps.append(max(0.0, bp))
-                raw_thr.append(float(v))
-            else:
-                break
-        if not raw_bps:
-            raw_bps, raw_thr = [max(0.0, below0 - p1)], [-np.inf]
-        if levels.size:
-            prev = cdf.at(levels[0]) - p1
-            right_v = levels[0]
-            for v in levels[1:]:
-                if prev <= _TIE_TOL:
-                    break
-                nxt = cdf.at(v) - p1
-                if nxt > _TIE_TOL:
-                    segments.append((nxt, prev, abs(right_v)))
-                    prev, right_v = nxt, v
-                else:
-                    break
-            if prev > _TIE_TOL:
-                segments.append((0.0, prev, abs(right_v)))
-
+    case, levels, knots, distances, _ = _walk(cdf, p1)
     return BinaryAnalysis(
         gaps=gaps,
-        order=order,
         case=case,
-        breakpoints=np.asarray(raw_bps) * scale,
-        thresholds=np.asarray(raw_thr),
-        segment_table=np.asarray(segments).reshape(-1, 3),
-        i_max=len(raw_bps) - 1,
+        breakpoints=distances * scale,
+        thresholds=levels[knots],
         d_star=problem.distortion_floor,
         cdf=cdf,
         p_first=p1,
@@ -195,17 +151,23 @@ def analyze(problem: Problem) -> BinaryAnalysis:
 
 
 def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) -> PiecewiseLinearCurve:
-    """The exact curve assembled from the precomputed segment table."""
+    """The exact curve: one linear piece per step of the knot walk."""
     an = analysis if analysis is not None else analyze(problem)
     scale = an.metric_scale
     d_star = an.d_star
+    _, levels, knots, distances, step = _walk(an.cdf, an.p_first)
+    ends = np.append(distances, 0.0)  # the last piece runs on to distance 0
 
     pieces: list[tuple[float, float]] = []  # (intercept, slope), plateau first
     bps: list[float] = []
     value_right = d_star
-    for left, right, gap in an.segment_table:
+    for i, k in enumerate(knots):
+        left, right = ends[i + 1], ends[i]
         if right - left <= _TIE_TOL:
             continue
+        # the level of the step's higher-mass knot; a piece past the last
+        # knot is empty, so the index stays in range
+        gap = abs(float(levels[max(k, k + step)]))
         left_h, right_h = left * scale, right * scale
         slope = -2.0 * gap / scale
         intercept = value_right - slope * right_h
@@ -226,7 +188,9 @@ def _threshold_rule(an: BinaryAnalysis, threshold: float) -> Estimator:
 
 
 def _distinct_breakpoints(an: BinaryAnalysis) -> list[tuple[float, float]]:
-    """Nonzero raw breakpoints with their thresholds, each repeat once."""
+    """Nonzero breakpoints with their thresholds, dropping any within
+    _TIE_TOL of the one before (a small metric scale can bring them that
+    close)."""
     out: list[tuple[float, float]] = []
     for bp, thr in zip(an.breakpoints, an.thresholds):
         if bp <= _TIE_TOL:
@@ -240,11 +204,7 @@ def _distinct_breakpoints(an: BinaryAnalysis) -> list[tuple[float, float]]:
 def breakpoint_estimators(
     problem: Problem, analysis: BinaryAnalysis | None = None
 ) -> list[tuple[float, Estimator]]:
-    """Deterministic optimal estimators at every nonzero breakpoint.
-
-    Repeated raw breakpoints (degenerate intervals) share one threshold
-    rule and are reported once.
-    """
+    """Deterministic optimal estimators at every nonzero breakpoint."""
     an = analysis if analysis is not None else analyze(problem)
     return [(bp, _threshold_rule(an, thr)) for bp, thr in _distinct_breakpoints(an)]
 
@@ -252,34 +212,20 @@ def breakpoint_estimators(
 def zero_perception_estimator(problem: Problem, analysis: BinaryAnalysis | None = None) -> Estimator:
     """Optimal rule whose output marginal matches the source exactly.
 
-    Greedy: start from the symbols that strictly prefer the first
-    reconstruction, then trade the cheapest remaining mass (by absolute
-    gap) until the first-symbol output probability hits its target,
-    going fractional on the marginal symbol.
+    Greedy: fill the first reconstruction in ascending gap order (ties in
+    symbol order) until it holds mass ``p_first``, going fractional on
+    the marginal symbol.
     """
     an = analysis if analysis is not None else analyze(problem)
     p_y = problem.p_y
-    first = (an.gaps < -_TIE_TOL).astype(float)
-    deficit = an.p_first - float(first @ p_y)
-    if deficit > _TIE_TOL:
-        for y in sorted(range(len(an.gaps)), key=lambda i: (an.gaps[i], i)):
-            if first[y] >= 1.0 or an.gaps[y] < -_TIE_TOL:
-                continue
-            take = min(p_y[y] * (1.0 - first[y]), deficit)
-            first[y] += take / p_y[y]
-            deficit -= take
-            if deficit <= 1e-15:
-                break
-    elif deficit < -_TIE_TOL:
-        surplus = -deficit
-        for y in sorted(range(len(an.gaps)), key=lambda i: (-an.gaps[i], i)):
-            if first[y] <= 0.0:
-                continue
-            give = min(p_y[y] * first[y], surplus)
-            first[y] -= give / p_y[y]
-            surplus -= give
-            if surplus <= 1e-15:
-                break
+    first = np.zeros_like(an.gaps)
+    short = an.p_first
+    for y in np.argsort(an.gaps, kind="stable"):
+        if short <= 1e-15:
+            break
+        take = min(p_y[y], short)
+        first[y] = take / p_y[y]
+        short -= take
     return Estimator(np.vstack([first, 1.0 - first]))
 
 
@@ -322,6 +268,7 @@ def reduced_dual_objective(
     with the perception level measured in total-variation units.
     """
     _require_binary(problem)
+    check_level(p_level)
     an = analysis if analysis is not None else analyze(problem)
     p_tv = p_level / an.metric_scale
     cost = problem.cost
@@ -343,6 +290,7 @@ def reduced_dual_optimum(
     form.
     """
     _require_binary(problem)
+    check_level(p_level)
     an = analysis if analysis is not None else analyze(problem)
     candidates = np.concatenate([[0.0], an.gaps])
     return max(

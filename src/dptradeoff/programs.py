@@ -68,9 +68,6 @@ class OtFormLayout:
     def ix_eps(self) -> int:
         return self.n_vars - 1
 
-    def row_stochastic(self, y: int) -> int:
-        return y
-
     def row_source_marginal(self, x: int) -> int:
         return self.n_y + x
 

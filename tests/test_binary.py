@@ -22,6 +22,25 @@ from dptradeoff.binary import CASE_BALANCED, CASE_OVER, CASE_UNDER, StepCdf
 
 from conftest import binary_dp_oracle, random_problem
 
+# (p_xy, distortion) inputs with tied or degenerate gap levels; gap(y) is
+# exactly 0 on a column whose two entries are equal under Hamming cost
+TIE_CASES = {
+    "duplicate-columns-short": ([[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]], None),
+    "duplicate-columns-over": ([[0.2, 0.2, 0.05], [0.1, 0.1, 0.35]], None),
+    "duplicate-columns-random-cost": (
+        [[0.1, 0.25, 0.1, 0.05], [0.2, 0.05, 0.2, 0.05]],
+        [[0.3, 1.2], [0.9, 0.1]],
+    ),
+    "zero-gap-p-first-below": ([[0.3, 0.05, 0.02], [0.28, 0.05, 0.3]], None),
+    "zero-gap-p-first-inside": ([[0.3, 0.2, 0.05], [0.1, 0.2, 0.15]], None),
+    "zero-gap-p-first-above": ([[0.2, 0.05, 0.3], [0.01, 0.05, 0.39]], None),
+    # p_first = 23/64 is the mass of the knot one step above the greedy one
+    "p-first-on-knot-short": (np.array([[16, 2, 5], [1, 4, 36]]) / 64, None),
+    "p-first-on-knot-over": (np.array([[1, 4, 36], [16, 2, 5]]) / 64, None),
+    "p-x-first-only": ([[0.5, 0.3, 0.2], [0.0, 0.0, 0.0]], [[1.0, 0.2], [0.0, 1.0]]),
+    "p-x-second-only": ([[0.0, 0.0, 0.0], [0.5, 0.3, 0.2]], [[1.0, 0.0], [0.3, 1.0]]),
+}
+
 
 class TestStepCdf:
     def test_right_continuity_and_left_limits(self):
@@ -46,14 +65,15 @@ class TestAnalyze:
         assert an.case == CASE_UNDER
         assert np.allclose(an.gaps, [-0.5 / 1.16, 0.3 / 0.84], atol=1e-9)
         assert np.allclose(an.breakpoints, [0.02], atol=1e-12)
-        assert an.i_max == 0
+        assert an.breakpoints.shape == (1,)
 
     def test_independent_overallocated(self, indep_problem):
         an = analyze(indep_problem)
         assert an.case == CASE_OVER
         assert np.allclose(an.gaps, [-0.1, -0.1], atol=1e-12)
-        # both raw breakpoints coincide (degenerate interval, collapsed later)
-        assert np.allclose(an.breakpoints, [0.4, 0.4], atol=1e-12)
+        # both symbols share one gap level, so one knot and one breakpoint
+        assert an.breakpoints.shape == (1,)
+        assert an.breakpoints[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_balanced_symmetric(self):
         prob = make_problem([[0.25, 0.25], [0.25, 0.25]])
@@ -96,15 +116,28 @@ class TestClosedFormCurve:
         assert curve.value(0.7) == 0.4
         assert curve.slopes[0] == pytest.approx(-0.2, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("seed", [*range(25), *TIE_CASES])
     def test_matches_greedy_allocation_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        prob = random_problem(1500 + seed, 2, int(rng.integers(2, 9)), random_distortion=True)
-        curve = closed_form_curve(prob)
-        for p in rng.uniform(0.0, 1.0, 6):
+        if isinstance(seed, str):
+            rng = np.random.default_rng(0)
+            prob = make_problem(*TIE_CASES[seed])
+        else:
+            rng = np.random.default_rng(seed)
+            prob = random_problem(1500 + seed, 2, int(rng.integers(2, 9)), random_distortion=True)
+        an = analyze(prob)
+        curve = closed_form_curve(prob, an)
+        assert np.all(curve.slopes[:-1] < 0.0)  # no flat piece below the plateau
+        for p in [0.0, *curve.breakpoints, *rng.uniform(0.0, 1.0, 6)]:
             assert curve.value(float(p)) == pytest.approx(
                 binary_dp_oracle(prob, float(p)), abs=1e-10
             )
+        for bp, est in breakpoint_estimators(prob, an):
+            assert est.is_deterministic
+            assert prob.perception_of(est)[0] <= bp + 1e-10
+            assert prob.expected_distortion(est) == pytest.approx(curve.value(bp), abs=1e-10)
+        zero = estimator_at(prob, an, 0.0)
+        assert np.allclose(zero.q @ prob.p_y, prob.p_x, rtol=0.0, atol=1e-12)
+        assert prob.expected_distortion(zero) == pytest.approx(curve.value(0.0), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_lp(self, seed):
@@ -234,8 +267,14 @@ class TestEstimatorAt:
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -0.1])
     def test_level_must_be_finite_and_nonnegative(self, bsc_problem, level):
-        with pytest.raises(ProblemError, match="finite and >= 0"):
-            estimator_at(bsc_problem, analyze(bsc_problem), level)
+        an = analyze(bsc_problem)
+        for call in (
+            lambda: estimator_at(bsc_problem, an, level),
+            lambda: reduced_dual_objective(bsc_problem, level, 0.0, an),
+            lambda: reduced_dual_optimum(bsc_problem, level, an),
+        ):
+            with pytest.raises(ProblemError, match="finite and >= 0"):
+                call()
 
     def test_zero_estimator_matches_source_marginal(self):
         for seed in range(10):
