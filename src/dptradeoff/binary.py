@@ -150,25 +150,31 @@ def analyze(problem: Problem) -> BinaryAnalysis:
     )
 
 
+def _pieces(an: BinaryAnalysis) -> np.ndarray:
+    """Which walked knots end a piece of the curve: those whose piece, from
+    the knot's breakpoint to the next one (the last runs on to 0), is
+    longer than _TIE_TOL in total-variation units."""
+    ends = np.append(an.breakpoints, 0.0)
+    return ends[:-1] - ends[1:] > _TIE_TOL * an.metric_scale
+
+
 def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) -> PiecewiseLinearCurve:
     """The exact curve: one linear piece per step of the knot walk."""
     an = analysis if analysis is not None else analyze(problem)
     scale = an.metric_scale
     d_star = an.d_star
-    _, levels, knots, distances, step = _walk(an.cdf, an.p_first)
-    ends = np.append(distances, 0.0)  # the last piece runs on to distance 0
+    _, levels, knots, _, step = _walk(an.cdf, an.p_first)
+    ends = np.append(an.breakpoints, 0.0)
 
     pieces: list[tuple[float, float]] = []  # (intercept, slope), plateau first
     bps: list[float] = []
     value_right = d_star
-    for i, k in enumerate(knots):
-        left, right = ends[i + 1], ends[i]
-        if right - left <= _TIE_TOL:
-            continue
+    for i in np.flatnonzero(_pieces(an)).tolist():
         # the level of the step's higher-mass knot; a piece past the last
         # knot is empty, so the index stays in range
+        k = knots[i]
         gap = abs(float(levels[max(k, k + step)]))
-        left_h, right_h = left * scale, right * scale
+        left_h, right_h = ends[i + 1], ends[i]
         slope = -2.0 * gap / scale
         intercept = value_right - slope * right_h
         pieces.append((intercept, slope))
@@ -188,17 +194,10 @@ def _threshold_rule(an: BinaryAnalysis, threshold: float) -> Estimator:
 
 
 def _distinct_breakpoints(an: BinaryAnalysis) -> list[tuple[float, float]]:
-    """Nonzero breakpoints with their thresholds, dropping any within
-    _TIE_TOL of the one before (a small metric scale can bring them that
-    close)."""
-    out: list[tuple[float, float]] = []
-    for bp, thr in zip(an.breakpoints, an.thresholds):
-        if bp <= _TIE_TOL:
-            continue
-        if out and abs(bp - out[-1][0]) <= _TIE_TOL:
-            continue
-        out.append((float(bp), float(thr)))
-    return out
+    """The curve's breakpoints with their thresholds: the knots that end
+    a piece of ``closed_form_curve``."""
+    kept = _pieces(an)
+    return list(zip(an.breakpoints[kept].tolist(), an.thresholds[kept].tolist()))
 
 
 def breakpoint_estimators(

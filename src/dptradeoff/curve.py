@@ -23,28 +23,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError
-from .model import Estimator, Problem, check_level
-from .programs import _crash_basis, _stochastic_estimator, build_ot_form
-from .programs import dual_polyhedron
+from .model import Estimator, Problem, _readonly, check_level
+from .programs import _crash_basis, _stochastic_estimator, _transport_dual, build_ot_form
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
-
-
-def intercept_weights(problem: Problem) -> np.ndarray:
-    """P-independent dual objective weights in the pinned chart.
-
-    Observation marginal on the stochasticity block, source marginal on
-    the source block, zeros on the output block and the price slot.
-    """
-    return np.concatenate(
-        [problem.p_y, problem.p_x, np.zeros(problem.n_x - 1), [0.0]]
-    )
 
 
 def project_vertex(vertex, problem: Problem) -> np.ndarray:
@@ -56,7 +45,13 @@ def project_vertex(vertex, problem: Problem) -> np.ndarray:
     coords = np.asarray(vertex, dtype=float)
     if coords.ndim not in (1, 2) or coords.shape[-1] != problem.n_y + 2 * problem.n_x:
         raise ProblemError("vertex has the wrong dimension for this problem")
-    return np.stack([coords @ intercept_weights(problem), -coords[..., -1]], axis=-1)
+    return _lines(coords, _transport_dual(*build_ot_form(problem, 0.0))[1])
+
+
+def _lines(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(intercept, slope) rows: ``weights``, the kept right-hand side of
+    the transport program at P = 0, give the intercept."""
+    return np.stack([coords @ weights, -coords[..., -1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +95,8 @@ class PiecewiseLinearCurve:
         expected_p_star = float(bp[-1]) if bp.size else 0.0
         if self.p_star != expected_p_star:
             raise ProblemError("p_star must equal the last breakpoint")
-        object.__setattr__(self, "breakpoints", _freeze(bp))
-        object.__setattr__(self, "segments", _freeze(seg))
+        object.__setattr__(self, "breakpoints", _readonly(bp))
+        object.__setattr__(self, "segments", _readonly(seg))
 
     def value(self, p):
         """Curve value; exact plateau (bitwise d_star) for p >= p_star."""
@@ -120,12 +115,6 @@ class PiecewiseLinearCurve:
     @property
     def slopes(self) -> np.ndarray:
         return self.segments[:, 1]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 def _upper_envelope(lines: np.ndarray) -> list[int]:
@@ -233,10 +222,14 @@ class CurveReport:
     curve: PiecewiseLinearCurve
     method: str
     s2_points: np.ndarray
-    hull_extreme_indices: np.ndarray
     estimators: tuple[tuple[float, Estimator], ...]
     solve_count: int = 0
     vertices: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def hull_extreme_indices(self) -> np.ndarray:
+        """``hull_extremes(s2_points)``, computed when first read."""
+        return hull_extremes(self.s2_points)
 
 
 def hull_extremes(points) -> np.ndarray:
@@ -280,19 +273,22 @@ def hull_extremes(points) -> np.ndarray:
 def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 
+    The vertices are those of the transport program's dual over its kept
+    rows (``dual_polyhedron``), read off the one build the walk uses.
     The enumeration starts at the last basis of ``curve_by_sweep``'s
-    walk, optimal at P = 0: in ``dual_polyhedron``'s row order,
-    transport-form column j is dual row j, so that basis is d rows of a
-    dual vertex.  The estimators come from the bases on that walk, as
-    for the sweep, so no level is solved.
+    walk, optimal at P = 0: dual row j is program column j, and the walk
+    drops the row the dual drops, so that basis is d rows of a dual
+    vertex.  The estimators come from the bases on that walk, as for the
+    sweep, so no level is solved.
 
     Raises BudgetExceededError when the enumeration visits more than
     ``budget`` bases; use ``curve_by_sweep`` then.
     """
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
-    verts = lpmod.enumerate_vertices(dual_polyhedron(problem), sol.basis, budget=budget)
-    return _report(problem, "vertex", project_vertex(verts, problem), lp, lay, path, verts)
+    poly, weights = _transport_dual(lp, lay)
+    verts = lpmod.enumerate_vertices(poly, sol.basis, budget=budget)
+    return _report(problem, "vertex", _lines(verts, weights), lp, lay, path, verts)
 
 
 def curve_by_sweep(problem: Problem) -> CurveReport:
@@ -332,7 +328,6 @@ def _report(problem: Problem, method: str, lines, lp, lay, path, vertices=None) 
         curve=curve,
         method=method,
         s2_points=lines,
-        hull_extreme_indices=hull_extremes(lines),
         estimators=tuple(estimators),
         solve_count=1,
         vertices=vertices,

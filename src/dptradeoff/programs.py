@@ -20,16 +20,17 @@ Two equivalent primal builds are provided:
   output mass to ``p_x + t+ - t-``, and the budget
   ``sum(t+ + t-) + slack = 2 P``.
 
-The dual of the transport form lives in variables grouped by constraint
-block: one multiplier per stochasticity row, per source-marginal row,
-per output-marginal row, and one price on the perception budget.  The
-price enters the dual objective as ``-price * P``, so optimal bases
-directly expose the local slope of D(P).  The output-marginal block
-carries a one-dimensional gauge freedom; everything here reports duals
-in the chart that pins its last coordinate to zero.  The sign form's
-duals are reported in the same blocks: its output-row duals are the
-output block, minus twice its budget dual is the price, and the source
-block is the tightest those two allow.
+The dual of the transport form is read off the built program, one
+multiplier per kept row: every row but the last output marginal, which
+depends on the others.  Dropping it prices it at 0, a chart of the
+output block's gauge freedom, and every walk starts at a basis that
+drops it (``_crash_basis``).  Dual constraint j is program column j.
+The perception row's multiplier, negated, is a nonnegative price that
+enters the dual objective as ``-price * P``, so optimal bases directly
+expose the local slope of D(P).  The sign form's duals are reported in
+the same blocks: its output-row duals are the output block, minus twice
+its budget dual is the price, and the source block is the tightest
+those two allow.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, T
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
-    """Block-split dual point, pinned to the gauge with last output dual 0.
+    """Block-split dual point of the transport form, with last output dual 0.
 
     Fields, by the primal constraint block they price:
         stochasticity: one value per observation symbol.
@@ -210,7 +211,7 @@ class DualSolution:
     objective: float
 
     def coords(self) -> np.ndarray:
-        """Chart coordinates (stochasticity, source, output[:-1], price)."""
+        """``dual_polyhedron``'s coordinates (stochasticity, source, output[:-1], price)."""
         return np.concatenate(
             [
                 self.stochasticity,
@@ -221,26 +222,16 @@ class DualSolution:
         )
 
     def feasibility_violation(self, problem: Problem) -> float:
-        """Largest violation of the two dual inequality families."""
-        cond = problem.conditional
-        first = (
-            self.stochasticity[None, :]
-            + self.output_marginal[:, None]
-            - cond
-        )
-        second = (
-            self.source_marginal[:, None]
-            - self.output_marginal[None, :]
-            - problem.metric.h * self.perception_price
-        )
-        return float(max(first.max(), second.max(), -self.perception_price))
+        """Largest excess ``g @ coords() - h`` over ``dual_polyhedron(problem)``."""
+        poly = dual_polyhedron(problem)
+        return float(np.max(poly.g @ self.coords() - poly.h))
 
 
 def _pin_gauge(stoch, source, output, price):
     """Shift along the dual null direction so the last output dual is 0.
 
     Adding t to every stochasticity dual while subtracting t from the
-    source and output blocks preserves both inequality families and the
+    source and output blocks preserves every dual constraint and the
     objective; we spend that freedom on a reproducible chart.
     """
     shift = output[-1]
@@ -248,12 +239,13 @@ def _pin_gauge(stoch, source, output, price):
 
 
 def _dual_from_ot(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
+    """Block duals from the transport form's row duals, in the chart: the
+    walk keeps the crash basis's dropped row, the last output, at 0."""
     n_x, n_y = problem.n_x, problem.n_y
     stoch = raw[:n_y].copy()
     source = raw[n_y : n_y + n_x].copy()
     output = raw[n_y + n_x : n_y + 2 * n_x].copy()
     price = -float(raw[-1])
-    stoch, source, output, price = _pin_gauge(stoch, source, output, price)
     objective = float(stoch @ problem.p_y + source @ problem.p_x - price * p_level)
     return DualSolution(stoch, source, output, price, objective)
 
@@ -272,40 +264,37 @@ def _dual_from_tv(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolu
     return DualSolution(stoch, source, output, price, objective)
 
 
+def _transport_dual(lp: lpmod.StandardLP, lay: OtFormLayout) -> tuple[lpmod.HPolyhedron, np.ndarray]:
+    """The dual of a built transport program over its kept rows.
+
+    Returns the polyhedron ``{u : g u <= h}`` and the kept rows' ``b``;
+    built at P = 0, ``u . b`` is the intercept of u's dual objective
+    ``intercept - price * P``.  ``g`` is the transpose of the kept rows,
+    so row j is column j's constraint ``w . a[:, j] <= c[j]`` on the row
+    duals w, with two changes of units: an estimator column's row and
+    bound are divided by its observation mass, so they read
+    ``stochasticity[y] + output[xhat] <= conditional[xhat, y]``, and the
+    perception coordinate is negated into the price.
+    """
+    kept = np.arange(lay.n_cons) != lay.row_output_marginal(lay.n_x - 1)
+    mass = np.ones(lay.n_vars)
+    mass[: lay.n_x * lay.n_y] = np.tile(lp.b[: lay.n_y], lay.n_x)
+    # row-major, as the vertex walk gathers rows; + 0.0 clears the negated blocks' -0.0
+    g = np.ascontiguousarray(lp.a[kept].T) / mass[:, None] + 0.0
+    g[:, -1] = 0.0 - g[:, -1]
+    return lpmod.HPolyhedron(g, lp.c / mass), lp.b[kept]
+
+
 def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
-    """H-representation of the dual feasible set in the pinned chart.
+    """H-representation of the transport form's dual over its kept rows.
 
     Coordinates: (stochasticity[n_y], source[n_x], output[n_x - 1],
-    price), dimension n_y + 2 n_x.  Rows, in order: one per
+    price), dimension n_y + 2 n_x: the last output row is dropped, so its
+    dual is pinned to 0.  Rows follow the program's columns: one per
     (reconstruction, observation) pair, one per (source, reconstruction)
     pair, and the price nonnegativity row.
     """
-    n_x, n_y = problem.n_x, problem.n_y
-    dim = n_y + 2 * n_x
-    rows = n_x * n_y + n_x * n_x + 1
-    g = np.zeros((rows, dim))
-    h = np.zeros(rows)
-    cond = problem.conditional
-    metric = problem.metric.h
-
-    r = 0
-    for xhat in range(n_x):
-        for y in range(n_y):
-            g[r, y] = 1.0
-            if xhat < n_x - 1:
-                g[r, n_y + n_x + xhat] = 1.0
-            h[r] = cond[xhat, y]
-            r += 1
-    for x in range(n_x):
-        for xhat in range(n_x):
-            g[r, n_y + x] = 1.0
-            if xhat < n_x - 1:
-                g[r, n_y + n_x + xhat] = -1.0
-            g[r, dim - 1] = -metric[x, xhat]
-            h[r] = 0.0
-            r += 1
-    g[r, dim - 1] = -1.0
-    return lpmod.HPolyhedron(g, h)
+    return _transport_dual(*build_ot_form(problem, 0.0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +309,10 @@ class SolveReport:
     form it is the transported mass of the returned coupling (an upper
     bound on the true transport distance), for the sign form the exact
     total variation.  ``solution`` is the optimal LP solution the report
-    was read from; passed back as ``solve_dp_at(..., start=report)``, its
-    basis starts the walk to another level.  ``iterations`` counts the
-    pivots of the walk from the start's level to ``p_level`` plus those
-    of the phase-two confirmation at ``p_level``, and
-    ``refactorizations`` the times the walk factored its basis afresh.
+    was read from.  ``iterations`` counts the pivots of the walk from
+    P = 1 to ``p_level`` plus those of the phase-two confirmation at
+    ``p_level``, and ``refactorizations`` the times the walk factored its
+    basis afresh.
     """
 
     p_level: float
@@ -429,39 +417,23 @@ def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LP
     )
 
 
-def solve_dp_at(
-    problem: Problem, p_level: float, form: str = "ot", *, start: SolveReport | None = None
-) -> SolveReport:
+def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:
     """Minimal expected distortion at one perception level, with certificates.
 
     Programs at two levels differ only in the right-hand side, which is
     affine in the level (``level_direction``), so the solve walks it
-    (``lp.walk``) from a level with a known optimal basis to ``p_level``,
-    one basis per piece of the curve in between.  ``start`` is a report
-    of the same problem and form at another level; without it the walk
-    starts at the closed-form optimal basis at P = 1 (``_crash_basis``),
-    optimal at every level from 1 up.  A start from the other form or a
-    problem of another shape raises ProblemError; one from another
-    problem of the same shape raises SolverError unless its basis is
-    optimal at its level here too.
+    (``lp.walk``) from the closed-form optimal basis at P = 1
+    (``_crash_basis``), optimal at every level from 1 up, to
+    ``p_level``, one basis per piece of the curve in between.
     """
-    if start is not None and (start.form, start.estimator.q.shape) != (form, problem.cost.shape):
-        raise ProblemError(
-            f"start comes from a {start.estimator.q.shape} problem in the {start.form!r} form, "
-            f"not a {problem.cost.shape} one in the {form!r} form"
-        )
     if form == "ot":
         lp, lay = build_ot_form(problem, p_level)
     elif form == "tv":
         lp, lay = build_tv_form(problem, p_level)
     else:
         raise ProblemError(f"unknown program form {form!r}")
-
-    if start is None:
-        first, level = _crash_basis(problem, lay), max(1.0, p_level)
-    else:
-        first, level = start.solution, start.p_level
-    sol = lpmod.walk(lp, first, lay.level_direction, level - p_level)[0]
+    span = max(1.0, p_level) - p_level
+    sol = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, span)[0]
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimator = _stochastic_estimator(problem, lay.extract_q(sol.x), tol)

@@ -39,6 +39,13 @@ TIE_CASES = {
     "p-first-on-knot-over": (np.array([[1, 4, 36], [16, 2, 5]]) / 64, None),
     "p-x-first-only": ([[0.5, 0.3, 0.2], [0.0, 0.0, 0.0]], [[1.0, 0.2], [0.0, 1.0]]),
     "p-x-second-only": ([[0.0, 0.0, 0.0], [0.5, 0.3, 0.2]], [[1.0, 0.0], [0.3, 1.0]]),
+    # a 1e-3 metric puts two breakpoints 3e-13 apart in perception units,
+    # while their piece is 3e-10 long in total-variation units
+    "small-metric-close-breakpoints": (
+        [[0.25, 1e-10, 0.1], [0.05, 2e-10, 0.6 - 3e-10]],
+        None,
+        [[0.0, 1e-3], [1e-3, 0.0]],
+    ),
 }
 
 
@@ -131,7 +138,9 @@ class TestClosedFormCurve:
             assert curve.value(float(p)) == pytest.approx(
                 binary_dp_oracle(prob, float(p)), abs=1e-10
             )
-        for bp, est in breakpoint_estimators(prob, an):
+        estimators = breakpoint_estimators(prob, an)
+        assert sorted(bp for bp, _ in estimators) == list(curve.breakpoints)
+        for bp, est in estimators:
             assert est.is_deterministic
             assert prob.perception_of(est)[0] <= bp + 1e-10
             assert prob.expected_distortion(est) == pytest.approx(curve.value(bp), abs=1e-10)
@@ -208,7 +217,9 @@ class TestBreakpointEstimators:
         prob = random_problem(1700 + seed, 2, 6, random_distortion=True)
         an = analyze(prob)
         curve = closed_form_curve(prob, an)
-        for bp, est in breakpoint_estimators(prob, an):
+        estimators = breakpoint_estimators(prob, an)
+        assert sorted(bp for bp, _ in estimators) == list(curve.breakpoints)
+        for bp, est in estimators:
             assert est.is_deterministic
             out = est.q @ prob.p_y
             scale = prob.metric.h[0, 1]

@@ -218,63 +218,6 @@ class TestSolveAt:
             assert w1 <= p + 1e-8
 
 
-class TestWarmStart:
-    @pytest.mark.parametrize("form", ["ot", "tv"])
-    def test_chain_of_levels_matches_cold(self, form):
-        # Hamming 5x10, 21 levels up and then down, each solve started from
-        # the previous level; the cold baseline is a phase-one solve of the
-        # same program
-        prob = random_problem(1, 5, 10)
-        levels = np.linspace(0.0, 1.0, 21)
-        for order in (levels, levels[::-1]):
-            prev = None
-            warm_pivots = cold_pivots = 0
-            for p in order:
-                cold = lpmod.solve(BUILD[form](prob, float(p))[0])
-                warm = solve_dp_at(prob, float(p), form=form, start=prev)
-                assert warm.value == pytest.approx(cold.value, abs=1e-12), p
-                assert warm.gap <= 1e-8
-                assert warm.perception <= p + 1e-8
-                expected = prob.expected_distortion(warm.estimator)
-                assert expected == pytest.approx(warm.value, abs=1e-9)
-                assert warm.dual.feasibility_violation(prob) <= 1e-9
-                warm_pivots += warm.iterations
-                cold_pivots += cold.iterations
-                prev = warm
-            assert 5 * warm_pivots <= cold_pivots
-
-    def test_start_from_another_form_or_shape_raises(self, bsc_problem):
-        start = solve_dp_at(bsc_problem, 0.1, form="tv")
-        with pytest.raises(ProblemError, match="form"):
-            solve_dp_at(bsc_problem, 0.2, form="ot", start=start)
-        with pytest.raises(ProblemError, match="form"):
-            solve_dp_at(random_problem(2, 2, 3), 0.2, form="tv", start=start)
-
-    @pytest.mark.parametrize("form", ["ot", "tv"])
-    def test_start_from_another_problem_is_refused_or_exact(self, form):
-        # a report of another 5x10 problem passes the shape check; its basis is
-        # refused unless it is optimal here at its level, and never walked to a
-        # wrong value
-        prob = random_problem(1, 5, 10, random_distortion=True)
-        others = [random_problem(seed, 5, 10, random_distortion=True) for seed in range(2, 8)]
-        # the same problem with its masses moved by 1e-9 keeps its optimal bases
-        jitter = 1.0 + 1e-9 * np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 10))
-        moved = prob.channel.p_xy * jitter
-        others.append(make_problem(moved / moved.sum(), prob.distortion.d))
-        outcomes = []
-        for other in others:
-            start = solve_dp_at(other, 0.1, form=form)
-            try:
-                rep = solve_dp_at(prob, 0.3, form=form, start=start)
-            except SolverError as exc:
-                assert "not optimal" in str(exc)
-                outcomes.append("refused")
-                continue
-            assert rep.value == pytest.approx(lpmod.solve(BUILD[form](prob, 0.3)[0]).value, abs=1e-12)
-            outcomes.append("walked")
-        assert outcomes == ["refused"] * 6 + ["walked"]
-
-
 def _crash_cases():
     """(problem, form) cases on 2x2 and 3x5, Hamming and a random metric."""
     probs = {
@@ -468,3 +411,36 @@ class TestDualPolyhedron:
         for p in [0.0, 0.01, 0.5]:
             rep = solve_dp_at(bsc_problem, p)
             assert np.all(poly.g @ rep.dual.coords() <= poly.h + 1e-9)
+
+    @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 10)], ids=["2x2", "3x5", "5x10"])
+    def test_rows_are_the_transport_dual(self, shape, random_metric):
+        # an independent kron statement of the rows, in the program's column
+        # order: e_y + e_out(xhat) <= cond[xhat, y], then e_src(x) - e_out(xhat)
+        # - h[x, xhat] e_price <= 0, then -price <= 0; the last output
+        # coordinate is pinned, so e_out of the last symbol is 0
+        n_x, n_y = shape
+        prob = random_problem(7, n_x, n_y, random_distortion=True, random_metric=random_metric)
+        e_out = np.vstack([np.eye(n_x - 1), np.zeros((1, n_x - 1))])
+        estimator_rows = np.hstack([
+            np.kron(np.ones((n_x, 1)), np.eye(n_y)),
+            np.zeros((n_x * n_y, n_x)),
+            np.kron(e_out, np.ones((n_y, 1))),
+            np.zeros((n_x * n_y, 1)),
+        ])
+        coupling_rows = np.hstack([
+            np.zeros((n_x * n_x, n_y)),
+            np.kron(np.eye(n_x), np.ones((n_x, 1))),
+            -np.kron(np.ones((n_x, 1)), e_out),
+            -prob.metric.h.reshape(-1, 1),
+        ])
+        price_row = np.eye(n_y + 2 * n_x)[-1:] * -1.0
+        poly = dual_polyhedron(prob)
+        assert np.array_equal(poly.g, np.vstack([estimator_rows, coupling_rows, price_row]))
+        assert np.array_equal(poly.h, np.concatenate([prob.conditional.reshape(-1), np.zeros(n_x * n_x + 1)]))
+        # the P = 0 basis names d rows tight at its dual: the start of the
+        # vertex walk in curve_by_vertices
+        rep = solve_dp_at(prob, 0.0)
+        basis = list(rep.solution.basis)
+        assert len(basis) == poly.d
+        assert np.abs(poly.g[basis] @ rep.dual.coords() - poly.h[basis]).max() <= 1e-12
