@@ -298,6 +298,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # NaN compares false
+            raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
         return args.func(args)
     except (ProblemError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -281,8 +281,8 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     vertex.  The estimators come from the bases on that walk, as for the
     sweep, so no level is solved.
 
-    Raises BudgetExceededError when the enumeration visits more than
-    ``budget`` bases; use ``curve_by_sweep`` then.
+    Raises ProblemError when ``budget`` is below 1 and BudgetExceededError
+    when the enumeration finds more bases; use ``curve_by_sweep`` then.
     """
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)

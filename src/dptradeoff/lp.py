@@ -38,9 +38,9 @@ Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
 lexicographic pivoting (Balinski 1961; Avis and Fukuda 1992), used for
 dual feasible sets whose vertices determine entire tradeoff curves.  The
-walk starts at a vertex basis the caller already has (for the dual
-polyhedron, the optimal basis of the distortion program at P = 0), and
-its budget counts the bases it visits.
+walk is breadth first, in blocks of bases, from a vertex basis the
+caller already has (for the dual polyhedron, the optimal basis of the
+distortion program at P = 0); its budget counts the bases it finds.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, IterationLimitError, SolverError
+from .errors import BudgetExceededError, IterationLimitError, ProblemError, SolverError
 
 _RED_COST_TOL = 1e-10  # reduced cost improving, or basic value infeasible, below -tol
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
@@ -60,6 +60,7 @@ FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasib
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
 _DEDUP_TOL = 1e-7  # vertices closer than this are one vertex
+_BLOCK = 64  # bases the vertex walk takes off its queue as one batch
 VERTEX_BUDGET = 10_000  # bases a vertex walk may visit by default
 
 
@@ -517,17 +518,18 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     of the right-hand side, row i moved by ``eps**rank(i)`` with distinct
     ranks, keeps the walk on bases that stay feasible for every small eps:
     the ratio test then picks exactly one entering row, and the walk
-    reaches every vertex.  Each basis costs one d-by-d inverse and one
-    ratio test of all d edges at once; a tie reads only the perturbation
-    columns of the basis rows and the tied rows, in rank order, because
-    every other column is exactly 0 in a tied row.  Bases of one vertex
-    are collapsed by deduplication at ``_DEDUP_TOL``.
+    reaches every vertex.  The walk is breadth first and takes ``_BLOCK``
+    queued bases at a time: one batched inverse, one ratio test of all
+    their edges, and one ``_lex_split`` of all their ties.  Bases of one
+    vertex are collapsed by deduplication at ``_DEDUP_TOL``.
 
-    Raises SolverError unless ``start`` names d distinct rows whose
-    matrix is nonsingular and whose point is feasible within
-    ``FEAS_TOL``, and BudgetExceededError when the walk visits more than
-    ``budget`` bases, so callers can fall back to sweep-style methods.
+    Raises ProblemError when ``budget`` is below 1, SolverError unless
+    ``start`` names d distinct rows whose matrix is nonsingular and whose
+    point is feasible within ``FEAS_TOL``, and BudgetExceededError past
+    ``budget`` bases found, so callers can fall back to sweep-style methods.
     """
+    if budget < 1:
+        raise ProblemError(f"a vertex walk needs a budget of at least 1 basis, got {budget}")
     k, d = poly.k, poly.d
     if d > 16:
         raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
@@ -542,58 +544,72 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     if excess > zero:
         raise SolverError(f"start point violates a row by {excess:g}")
 
-    # perturbed right-hand side as coefficients of [1, eps^1 .. eps^k],
-    # row i moved by eps^(1 + rank[i]): the start basis takes the smallest
-    # perturbations, so every row that is tight at the start vertex but
-    # not in its basis is strictly slack for small eps
+    # row i's right-hand side is perturbed by eps^(1 + rank[i]): the start
+    # basis takes the smallest perturbations, so every row that is tight at
+    # the start vertex but not in its basis is strictly slack for small eps
     rank = np.empty(k, dtype=int)
     rank[[i for i in range(k) if i not in start] + list(start)] = np.arange(k)
-    rhs = np.zeros((k, k + 1))
-    rhs[:, 0] = h
-    rhs[np.arange(k), 1 + rank] = 1.0
 
     points = []
     seen = {tuple(sorted(start))}
-    stack = [list(start)]
-    while stack:
-        basis = stack.pop()
-        inv = np.linalg.inv(g[basis])
-        point = inv @ rhs[basis]  # (d, k + 1): the vertex and its perturbation
-        points.append(point[:, 0])
-        slack = rhs - g @ point
-        slack[np.abs(slack[:, 0]) <= zero, 0] = 0.0
-        rates = -(g @ inv)  # rates[i, j]: row i's growth along edge j
-        rates[basis] = 0.0
-        bounded = rates > _PIVOT_COL_TOL * np.abs(inv).max(axis=0)
-        ratios = np.divide(slack[:, :1], rates, out=np.full((k, d), np.inf), where=bounded)
-        best = ratios.min(axis=0)
+    queue = np.array([sorted(start)])
+    while queue.size:
+        basis, queue = queue[:_BLOCK], queue[_BLOCK:]
+        inv = np.linalg.inv(g[basis])  # (L, d, d)
+        points.append((inv @ h[basis][:, :, None])[:, :, 0])
+        slack = h - points[-1] @ g.T
+        slack[np.abs(slack) <= zero] = 0.0
+        rates = -(g @ inv)  # rates[l, i, j]: row i's growth along edge j of basis l
+        rates[np.arange(len(basis))[:, None], basis] = 0.0
+        bounded = rates > _PIVOT_COL_TOL * np.abs(inv).max(axis=1, keepdims=True)
+        ratios = np.divide(slack[:, :, None], rates, out=np.full(rates.shape, np.inf), where=bounded)
+        best = ratios.min(axis=1, keepdims=True)
         tied = bounded & (ratios <= best + _TIE_TOL * np.maximum(1.0, np.abs(best)))
-        for j in np.flatnonzero(bounded.any(axis=0)):  # the other edges are rays
-            rows = np.flatnonzero(tied[:, j])
-            if rows.size > 1:  # only these rows' and the basis rows' perturbations split a tie
-                for col in 1 + np.sort(rank[np.concatenate([basis, rows])]):
-                    lex = slack[rows, col] / rates[rows, j]
-                    rows = rows[lex <= lex.min() + _TIE_TOL * max(1.0, abs(lex.min()))]
-                    if rows.size == 1:
-                        break
-            nxt = basis.copy()
-            nxt[j] = int(rows[0])
-            key = tuple(sorted(nxt))
-            if key not in seen:
-                seen.add(key)
-                stack.append(nxt)
-                if len(seen) > budget:
-                    raise BudgetExceededError(f"the vertex walk visited more than {budget} bases")
+        at, edge = np.nonzero(bounded.any(axis=1))  # the other edges are rays
+        tied = tied[at, :, edge]
+        entering = tied.argmax(axis=1)
+        if (split := np.flatnonzero(tied.sum(axis=1) > 1)).size:
+            entering[split] = _lex_split(tied[split], rates, at[split], edge[split], basis, rank)
+        nbrs = basis[at]
+        nbrs[np.arange(at.size), edge] = entering
+        keys = dict.fromkeys(map(tuple, np.sort(nbrs, axis=1).tolist()))  # each once, in order
+        fresh = [key for key in keys if key not in seen]
+        seen.update(fresh)
+        if len(seen) > budget:
+            raise BudgetExceededError(f"the vertex walk visited more than {budget} bases")
+        queue = np.concatenate([queue, np.array(fresh, dtype=int).reshape(-1, d)])
 
     # two-stage dedup: rounding keys collapse near-identical copies (the
     # original coordinates are kept), then a tolerance merge.  np.unique
     # sorts the keys, so the order is lexicographic on coordinates rounded
     # to 1e-9 and does not hang on rounding error in a tied coordinate.
-    pts = np.asarray(points)
+    pts = np.concatenate(points)
     _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
-    reps: list[np.ndarray] = []
-    for p in pts[first]:
-        if reps and np.min(np.linalg.norm(np.asarray(reps) - p, axis=1)) <= _DEDUP_TOL:
-            continue
-        reps.append(p)
-    return np.asarray(reps)
+    reps, n = pts[first], 0
+    for p in reps:
+        if not n or np.min(np.linalg.norm(reps[:n] - p, axis=1)) > _DEDUP_TOL:
+            reps[n] = p
+            n += 1
+    return reps[:n]
+
+
+def _lex_split(tied, rates, at, edge, basis, rank):
+    """The entering row of edge ``edge[e]`` of ``basis[at[e]]``, whose rows ``tied[e]`` tie.
+
+    By the lexicographic rule: tied row i's perturbed slack is ``rates[at[e], i, m]``
+    at basis row m's rank, 1 at its own rank and 0 elsewhere; read per unit of the
+    edge's rate in rank order, the least rows stay.
+    """
+    rows = np.argsort(~tied, axis=1, kind="stable")[:, : tied.sum(axis=1).max()]  # tied first
+    live = np.take_along_axis(tied, rows, axis=1)
+    e, t, at = np.arange(len(rows)), rows.shape[1], at[:, None]
+    slack = np.concatenate([rates[at, rows], np.broadcast_to(np.eye(t), (len(rows), t, t))], axis=2)
+    lex = slack / np.where(live, rates[at, rows, edge[:, None]], 1.0)[:, :, None]
+    order = np.argsort(np.hstack([rank[basis[at[:, 0]]], np.where(live, rank[rows], rank.size)]), axis=1)
+    for src in order.T:  # one rank position of every tie: a basis row's or a tied row's
+        col = np.where(live, lex[e, :, src], np.inf)
+        least = col.min(axis=1, keepdims=True)
+        live = col <= least + _TIE_TOL * np.maximum(1.0, np.abs(least))
+        if np.count_nonzero(live) == len(rows):  # one row left in every tie
+            break
+    return rows[e, live.argmax(axis=1)]

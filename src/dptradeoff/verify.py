@@ -170,8 +170,11 @@ def cross_verify(
     Failures are collected in the report instead of raised.  The
     ``inject_slope_error`` knob perturbs the sweep values ahead of the
     comparison (as if one segment slope were off by that much); it exists
-    so the failure path itself can be exercised and observed.
+    so the failure path itself can be exercised and observed.  Raises
+    ProblemError on an empty grid or a negative or non-finite ``exact_tol``.
     """
+    if not 0.0 <= exact_tol < math.inf:  # a NaN tolerance would pass every comparison
+        raise ProblemError(f"exact_tol must be finite and nonnegative, got {exact_tol}")
     ps = np.asarray(p_grid if p_grid is not None else np.linspace(0.0, 1.0, 21), dtype=float)
     if ps.size == 0:
         raise ProblemError("perception grid is empty")

@@ -195,6 +195,11 @@ class TestCurve:
         assert code == 3
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_vertex_budget_below_one_is_input_error(self, bsc_file, capsys, budget):
+        assert main(["curve", "--input", bsc_file, "--method", "vertex", "--budget", budget]) == 1
+        assert "input error: a vertex walk needs a budget of at least 1" in capsys.readouterr().err
+
     def test_vertex_4x8_at_the_default_budget(self, tmp_path):
         # C(49, 16) candidate bases, but the walk visits about 2,000
         path, out_json, out_svg = tmp_path / "big.json", tmp_path / "c.json", tmp_path / "c.svg"
@@ -269,6 +274,19 @@ class TestVerify:
         code = main(["verify", "--input", bsc_file, "--points", "5", "--grid-steps", value])
         assert code == 1
         assert "input error: grid oracle needs at least 1 step" in capsys.readouterr().err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--points", "5"], ["solve", "--P", "0.1"], ["curve", "--method", "sweep"],
+         ["binary"], ["w1", "--p", "0.6,0.4", "--q", "1,0"]],
+    )
+    def test_bad_tolerance_is_input_error(self, bsc_file, capsys, command, tol):
+        # NaN made `dp verify` pass whatever the methods returned; -1 made it fail
+        assert main(command + ["--input", bsc_file, "--tol", tol]) == 1
+        assert "input error: --tol must be finite and nonnegative" in capsys.readouterr().err
 
 
 class TestW1:

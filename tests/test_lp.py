@@ -9,15 +9,17 @@ from dptradeoff import (
     HPolyhedron,
     IterationLimitError,
     LPSolution,
+    ProblemError,
     SolverError,
     StandardLP,
+    curve_by_vertices,
     dual_check,
     enumerate_vertices,
     solve,
     tv_distance,
 )
 from dptradeoff import lp as lpmod
-from dptradeoff.lp import _DEDUP_TOL, _Tableau, walk
+from dptradeoff.lp import _DEDUP_TOL, _TIE_TOL, _Tableau, walk
 from dptradeoff.programs import _crash_basis, build_ot_form, dual_polyhedron, solve_dp_at
 
 from conftest import brute_force_vertices, highs_dp_oracle, random_problem, vertex_start
@@ -356,6 +358,15 @@ class TestVertexEnumeration:
         with pytest.raises(BudgetExceededError, match=f"more than {bases - 1} bases"):
             enumerate_vertices(poly, start, budget=bases - 1)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_raises(self, budget):
+        # the start basis alone is one basis, so no budget below 1 can hold a walk
+        g = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+        with pytest.raises(ProblemError, match="at least 1"):
+            enumerate_vertices(HPolyhedron(g, np.ones(4)), [1, 3], budget=budget)
+        with pytest.raises(ProblemError, match="at least 1"):
+            curve_by_vertices(random_problem(0, 2, 3), budget=budget)
+
     def test_dimension_guard(self):
         g = np.eye(17)
         with pytest.raises(BudgetExceededError, match="dimension"):
@@ -450,3 +461,60 @@ class TestWalkAgainstBruteForce:
         g = -np.eye(2)
         verts = enumerate_vertices(HPolyhedron(g, np.array([-1.0, -2.0])), [0, 1])
         assert np.allclose(verts, [[1.0, 2.0]])
+
+
+class TestBlockSize:
+    """The walk's block size changes neither its vertices nor its basis count."""
+
+    @staticmethod
+    def cases():
+        cube = HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+        yield cube, [4, 5, 6, 7], 16
+        for seed, bases in [(0, 80), (1, 79), (4, 78)]:  # test_lexicographic_rule_on_degenerate_dual
+            prob = random_problem(seed, 3, 4)
+            yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, bases
+        prob = random_problem(2, 3, 5, random_metric=True)
+        yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, None
+
+    @pytest.mark.parametrize("block", [1, 10_000])
+    def test_same_vertices_and_budget_thresholds(self, monkeypatch, block):
+        cases = list(self.cases())
+        default = [enumerate_vertices(poly, start) for poly, start, _ in cases]
+        monkeypatch.setattr(lpmod, "_BLOCK", block)
+        for (poly, start, bases), verts in zip(cases, default):
+            walked = enumerate_vertices(poly, start)
+            assert walked.shape == verts.shape
+            assert np.max(np.abs(walked - verts)) <= 1e-15
+            if bases is not None:
+                assert enumerate_vertices(poly, start, budget=bases).shape == verts.shape
+                with pytest.raises(BudgetExceededError, match=f"more than {bases - 1} bases"):
+                    enumerate_vertices(poly, start, budget=bases - 1)
+
+    def test_ties_match_a_loop_over_each_tie(self, monkeypatch):
+        # the array tie-break against the per-tie loop it replaced, which
+        # formed each tied row's perturbed slack over all k ranks
+        def by_tie(tied, rates, at, edge, basis, rank):
+            out = []
+            for e in range(len(tied)):
+                rows, b, j = np.flatnonzero(tied[e]), basis[at[e]], edge[e]
+                slack = np.zeros((rank.size, rank.size))
+                slack[:, rank[b]] = rates[at[e]]
+                slack[np.arange(rank.size), rank] += 1.0
+                for col in np.sort(rank[np.concatenate([b, rows])]):
+                    lex = slack[rows, col] / rates[at[e], rows, j]
+                    rows = rows[lex <= lex.min() + _TIE_TOL * max(1.0, abs(lex.min()))]
+                out.append(rows[0])
+            return out
+
+        split, ties = lpmod._lex_split, []
+
+        def checked(*args):
+            entering = split(*args)
+            assert entering.tolist() == by_tie(*args)
+            ties.append(entering.size)
+            return entering
+
+        monkeypatch.setattr(lpmod, "_lex_split", checked)
+        for poly, start, _ in self.cases():
+            enumerate_vertices(poly, start)
+        assert sum(ties) > 100

@@ -100,6 +100,12 @@ class TestCrossVerify:
         assert any("P=" in f for f in report.failures)
         assert "FAIL" in report.render()
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, bsc_problem, tol):
+        # a NaN tolerance would pass every comparison, a negative one fail every one
+        with pytest.raises(ProblemError, match="exact_tol must be finite and nonnegative"):
+            cross_verify(bsc_problem, np.linspace(0, 1, 5), exact_tol=tol)
+
     def test_deterministic(self, bsc_problem):
         a = cross_verify(bsc_problem, np.linspace(0, 1, 9))
         b = cross_verify(bsc_problem, np.linspace(0, 1, 9))
