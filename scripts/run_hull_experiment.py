@@ -1,11 +1,13 @@
 """Reproduce the 3x5 random-instance experiment end to end.
 
 Builds a seeded random instance (|source| = 3, |observations| = 5, random
-distortion), computes the full tradeoff curve by dual vertex enumeration,
-solves the program at a sweep of perception levels, and checks that every
-optimal dual projection lands on an extreme point of the projected hull.
-Writes the curve plot, the projection scatter, and the curve JSON under
-``out/``.
+distortion) and computes the full tradeoff curve by enumerating the
+vertices of the flow program's dual (8 coordinates: one per observation,
+one potential per source symbol but the last, and the budget's price).
+It then solves the program at a sweep of perception levels, in the same
+complete-graph flow form, and checks that every optimal dual projection
+lands on an extreme point of the projected hull.  Writes the curve plot,
+the projection scatter, and the curve JSON under ``out/``.
 
 Usage: python scripts/run_hull_experiment.py [--seed 7] [--out-dir out]
 """

@@ -56,9 +56,8 @@ from .model import (
 )
 from .programs import (
     DualSolution,
-    OtFormLayout,
+    FlowLayout,
     SolveReport,
-    TvFormLayout,
     build_ot_form,
     build_tv_form,
     dual_polyhedron,
@@ -77,19 +76,18 @@ __all__ = [
     "Distribution",
     "DualSolution",
     "Estimator",
+    "FlowLayout",
     "GroundMetric",
     "HPolyhedron",
     "IterationLimitError",
     "JointChannel",
     "LPSolution",
-    "OtFormLayout",
     "PiecewiseLinearCurve",
     "Problem",
     "ProblemError",
     "SolveReport",
     "SolverError",
     "StandardLP",
-    "TvFormLayout",
     "VerifyReport",
     "analyze",
     "assemble_curve",

@@ -3,13 +3,15 @@
 D(P) equals the upper envelope, over vertices of the dual feasible set,
 of the lines ``intercept + slope * P`` obtained by projecting each vertex
 to two numbers: its inner product with the P-independent part of the dual
-right-hand side, and minus its perception price.  Two constructions are
-offered:
+right-hand side, and minus its perception price.  Both constructions
+use the flow program over every pair of symbols (``build_ot_form``),
+whose dual has one coordinate per observation, one potential per symbol
+but the last, and the price:
 
-* ``curve_by_sweep``: walk the transport form's optimal bases from
-  P = 1 down to 0 by the parametric dual simplex; each basis is optimal
-  on one segment and gives its line.  No enumeration, so it reaches
-  problems whose dual polyhedron is too large to enumerate.
+* ``curve_by_sweep``: walk the program's optimal bases from P = 1 down
+  to 0 by the parametric dual simplex; each basis is optimal on one
+  segment and gives its line.  No enumeration, so it reaches problems
+  whose dual polyhedron is too large to enumerate.
 * ``curve_by_vertices``: take the same walk, enumerate all dual vertices
   by a basis walk from its last basis, project them to the (intercept,
   slope) plane, and take the exact upper envelope on [0, 1].
@@ -30,7 +32,7 @@ import numpy as np
 from . import lp as lpmod
 from .errors import ProblemError
 from .model import Estimator, Problem, _readonly, check_level
-from .programs import _crash_basis, _stochastic_estimator, _transport_dual, build_ot_form
+from .programs import _crash_basis, _flow_dual, _stochastic_estimator, build_ot_form
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
@@ -39,18 +41,19 @@ _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
 def project_vertex(vertex, problem: Problem) -> np.ndarray:
     """Project dual vertices to the lines ``intercept + slope * P``.
 
-    ``vertex`` is one vertex or a stack of them, one per row; the result
-    is one (intercept, slope) pair or an ``(n, 2)`` array to match.
+    ``vertex`` is one vertex of ``dual_polyhedron`` (n_y + n_x
+    coordinates) or a stack of them, one per row; the result is one
+    (intercept, slope) pair or an ``(n, 2)`` array to match.
     """
     coords = np.asarray(vertex, dtype=float)
-    if coords.ndim not in (1, 2) or coords.shape[-1] != problem.n_y + 2 * problem.n_x:
+    if coords.ndim not in (1, 2) or coords.shape[-1] != problem.n_y + problem.n_x:
         raise ProblemError("vertex has the wrong dimension for this problem")
-    return _lines(coords, _transport_dual(*build_ot_form(problem, 0.0))[1])
+    return _lines(coords, _flow_dual(*build_ot_form(problem, 0.0))[1])
 
 
 def _lines(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(intercept, slope) rows: ``weights``, the kept right-hand side of
-    the transport program at P = 0, give the intercept."""
+    the flow program at P = 0, give the intercept."""
     return np.stack([coords @ weights, -coords[..., -1]], axis=-1)
 
 
@@ -273,8 +276,8 @@ def hull_extremes(points) -> np.ndarray:
 def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 
-    The vertices are those of the transport program's dual over its kept
-    rows (``dual_polyhedron``), read off the one build the walk uses.
+    The vertices are those of the flow program's dual over its kept rows
+    (``dual_polyhedron``), read off the one build the walk uses.
     The enumeration starts at the last basis of ``curve_by_sweep``'s
     walk, optimal at P = 0: dual row j is program column j, and the walk
     drops the row the dual drops, so that basis is d rows of a dual
@@ -286,13 +289,13 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     """
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
-    poly, weights = _transport_dual(lp, lay)
+    poly, weights = _flow_dual(lp, lay)
     verts = lpmod.enumerate_vertices(poly, sol.basis, budget=budget)
     return _report(problem, "vertex", _lines(verts, weights), lp, lay, path, verts)
 
 
 def curve_by_sweep(problem: Problem) -> CurveReport:
-    """Curve from one parametric walk of the transport form, P from 1 to 0.
+    """Curve from one parametric walk of the flow program, P from 1 to 0.
 
     Only the perception entry of the right-hand side depends on P, so an
     optimal basis gives the curve one line on the levels where it stays

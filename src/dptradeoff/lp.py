@@ -29,10 +29,10 @@ stays dual feasible, and where a basic value reaches 0 a dual simplex
 pivot (section 4.5) replaces it.  The distortion programs always solve
 this way: their ``b`` is affine in the perception level, so one level
 is a walk from the optimal basis at P = 1, which is known in closed
-form (a diagonal-first transport plan, so the walk's first pivot is
-where the budget starts to bind), and the whole curve is one walk from
-P = 1 to 0.  The walk records each basis
-and its basic values, not its point.
+form (a flow that moves only the surplus, so the walk's first pivot
+is where the budget starts to bind), and the whole curve is one walk
+from P = 1 to 0.  The walk records each basis and its basic values,
+not its point.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with

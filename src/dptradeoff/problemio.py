@@ -114,6 +114,8 @@ def generate_instance(
     """Reproducible random instance: uniform draw, normalized to sum one."""
     if n_x < 1 or n_y < 1:
         raise ProblemError("alphabet sizes must be >= 1")
+    if seed < 0:
+        raise ProblemError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.0, 1.0, size=(n_x, n_y))
     p /= p.sum()

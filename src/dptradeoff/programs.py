@@ -1,36 +1,33 @@
 """Linear programs whose optimum is the distortion-perception value D(P).
 
-Two equivalent primal builds are provided:
+One flow program with two arc lists.  By Kantorovich-Rubinstein
+duality the transport budget between the source marginal ``p_x`` and
+the output marginal ``r`` is a flow between symbols: mass leaves a
+symbol along arcs of weight ``h``, and ``W1(p_x, r)`` is the least
+weight of a flow that turns ``p_x`` into ``r``.  Variables are the
+estimator entries, one flow per arc and one slack.  Rows are, in order:
+column stochasticity (scaled by the observation marginal); one balance
+row per node, ``r[i] + out(i) - in(i) = p_x[i]`` (a centre node has no
+output mass and no source mass); and the budget ``h . f + slack = P``.
 
-* transport form ("ot"): valid for any ground metric.  Variables are the
-  estimator entries, a coupling between the source marginal and the
-  reconstruction marginal, and one slack on the perception row.  The
-  constraint blocks are, in order: column stochasticity (scaled by the
-  observation marginal), coupling row marginals pinned to the source
-  marginal, coupling column marginals tied to the reconstruction
-  marginal, and the transported-mass budget ``pi . h + eps = P``.  One of
-  these rows is linearly dependent by construction; the solve drops it.
+* ``build_ot_form`` ("ot"), any metric: an arc for every ordered pair
+  of distinct symbols, of weight ``h[i, j]``.
+* ``build_tv_form`` ("tv"), the Hamming metric only: a star, one arc
+  from each symbol to a centre node and one back, each of weight 1/2,
+  so mass moved between two symbols costs 1 and the budget is total
+  variation.
 
-* sign form ("tv"): valid only under the Hamming metric, where the
-  perception index is total variation.  The absolute values are split
-  (the standard L1 program): variables are the estimator entries, a
-  positive and a negative part ``t+ - t-`` of the deviation of the
-  reconstruction marginal from the source marginal, and one slack.  The
-  rows are column stochasticity, one per reconstruction symbol tying its
-  output mass to ``p_x + t+ - t-``, and the budget
-  ``sum(t+ + t-) + slack = 2 P``.
-
-The dual of the transport form is read off the built program, one
-multiplier per kept row: every row but the last output marginal, which
-depends on the others.  Dropping it prices it at 0, a chart of the
-output block's gauge freedom, and every walk starts at a basis that
-drops it (``_crash_basis``).  Dual constraint j is program column j.
-The perception row's multiplier, negated, is a nonnegative price that
-enters the dual objective as ``-price * P``, so optimal bases directly
-expose the local slope of D(P).  The sign form's duals are reported in
-the same blocks: its output-row duals are the output block, minus twice
-its budget dual is the price, and the source block is the tightest
-those two allow.
+The node rows add up to the stochasticity rows, so one of them depends
+on the others: every walk starts at a basis that drops the last
+symbol's (``_crash_basis``), which prices it at 0.  The dual is read
+off the kept rows, one multiplier per row, and dual constraint j is
+program column j: ``stochasticity[y] + potential[xhat] <=
+conditional[xhat, y]`` per estimator entry, ``potential[i] -
+potential[j] <= price * weight`` per arc, and ``price >= 0``.  The
+budget row's multiplier, negated, is that nonnegative price; it enters
+the dual objective as ``-price * P``, so optimal bases directly expose
+the local slope of D(P).  The star's symbol potentials are feasible for
+the complete graph's dual, whose rows ``dual_polyhedron`` returns.
 """
 
 from __future__ import annotations
@@ -41,151 +38,105 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError, SolverError
-from .model import Coupling, Estimator, Problem, check_level, output_distribution, tv_distance
+from .model import Coupling, Estimator, Problem, check_level, output_distribution
 
 
 @dataclass(frozen=True, eq=False)
-class OtFormLayout:
-    """Index bookkeeping for the transport-form program."""
+class FlowLayout:
+    """Index bookkeeping for the flow program.
 
-    n_x: int
-    n_y: int
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_x * (self.n_y + self.n_x) + 1
-
-    @property
-    def n_cons(self) -> int:
-        return self.n_y + 2 * self.n_x + 1
-
-    def ix_q(self, xhat: int, y: int) -> int:
-        return xhat * self.n_y + y
-
-    def ix_pi(self, x: int, xhat: int) -> int:
-        return self.n_x * self.n_y + x * self.n_x + xhat
-
-    @property
-    def ix_eps(self) -> int:
-        return self.n_vars - 1
-
-    def row_source_marginal(self, x: int) -> int:
-        return self.n_y + x
-
-    def row_output_marginal(self, xhat: int) -> int:
-        return self.n_y + self.n_x + xhat
-
-    @property
-    def row_perception(self) -> int:
-        return self.n_cons - 1
-
-    @property
-    def level_direction(self) -> np.ndarray:
-        """The right-hand side's change per unit of perception level."""
-        return (np.arange(self.n_cons) == self.row_perception).astype(float)
-
-    def extract_q(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.n_x * self.n_y].reshape(self.n_x, self.n_y)
-
-    def extract_pi(self, x: np.ndarray) -> np.ndarray:
-        return x[self.n_x * self.n_y : self.n_x * (self.n_y + self.n_x)].reshape(
-            self.n_x, self.n_x
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class TvFormLayout:
-    """Index bookkeeping for the sign-form program.
-
-    Variables: the estimator block, ``t+`` and ``t-`` (one per
-    reconstruction symbol each) and the budget slack.  Rows: one per
-    observation symbol, one per reconstruction symbol, and the budget.
+    Nodes are the ``n_x`` symbols and, past them, any centre node; arc
+    ``k`` runs from node ``tail[k]`` to node ``head[k]``.  Columns: the
+    estimator block ``q[xhat, y]``, the arcs, the slack.  Rows: the
+    stochasticity rows, the node rows, the budget.
     """
 
     n_x: int
     n_y: int
+    n_nodes: int
+    tail: np.ndarray
+    head: np.ndarray
 
     @property
     def n_vars(self) -> int:
-        return self.n_x * (self.n_y + 2) + 1
+        return self.n_x * self.n_y + self.tail.size + 1
 
     @property
     def n_cons(self) -> int:
-        return self.n_y + self.n_x + 1
+        return self.n_y + self.n_nodes + 1
 
     def ix_q(self, xhat: int, y: int) -> int:
         return xhat * self.n_y + y
 
-    def ix_plus(self, xhat: int) -> int:
-        return self.n_x * self.n_y + xhat
-
-    def ix_minus(self, xhat: int) -> int:
-        return self.n_x * (self.n_y + 1) + xhat
+    def ix_arc(self, tail: int, head: int) -> int:
+        return self.n_x * self.n_y + int(np.flatnonzero((self.tail == tail) & (self.head == head))[0])
 
     @property
     def ix_slack(self) -> int:
         return self.n_vars - 1
 
     @property
+    def dropped_row(self) -> int:
+        """The last symbol's node row, which depends on the others."""
+        return self.n_y + self.n_x - 1
+
+    @property
     def level_direction(self) -> np.ndarray:
-        """The right-hand side's change per unit of level: 2 on the budget row."""
-        return 2.0 * (np.arange(self.n_cons) == self.n_cons - 1)
+        """The right-hand side's change per unit of perception level."""
+        return (np.arange(self.n_cons) == self.n_cons - 1).astype(float)
 
     def extract_q(self, x: np.ndarray) -> np.ndarray:
         return x[: self.n_x * self.n_y].reshape(self.n_x, self.n_y)
 
+    def extract_flow(self, x: np.ndarray) -> np.ndarray:
+        return x[self.n_x * self.n_y : -1]
 
-def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, OtFormLayout]:
-    """Transport-form program in equality standard form.
+
+def _build(problem: Problem, p_level: float, n_nodes: int, tail, head, weight):
+    """The flow program over the arcs ``tail[k] -> head[k]`` of ``weight[k]``.
 
     Cost vector: reconstruction cost on the estimator block, zero on the
-    coupling and slack.  Right-hand side: observation marginal, source
-    marginal, zeros, and the perception level (the only P-dependent
-    entry, so the feasible region's right-hand side is affine in P).
+    arcs and the slack.  Right-hand side: observation marginal, source
+    marginal (0 at a centre node), and the perception level (the only
+    P-dependent entry, so the right-hand side is affine in P).
     """
     check_level(p_level)
     n_x, n_y = problem.n_x, problem.n_y
-    lay = OtFormLayout(n_x, n_y)
-    p_y, p_x = problem.p_y, problem.p_x
+    lay = FlowLayout(n_x, n_y, n_nodes, tail, head)
+    p_y, nq = problem.p_y, n_x * n_y
+    arcs = nq + np.arange(tail.size)
 
     a = np.zeros((lay.n_cons, lay.n_vars))
-    nq = n_x * n_y
-    a[:n_y, :nq] = np.kron(np.ones((1, n_x)), np.diag(p_y))
-    a[n_y : n_y + n_x, nq : nq + n_x * n_x] = np.kron(np.eye(n_x), np.ones((1, n_x)))
-    a[n_y + n_x : n_y + 2 * n_x, :nq] = np.kron(np.eye(n_x), p_y[None, :])
-    a[n_y + n_x : n_y + 2 * n_x, nq : nq + n_x * n_x] = -np.kron(
-        np.ones((1, n_x)), np.eye(n_x)
-    )
-    a[-1, nq : nq + n_x * n_x] = problem.metric.h.reshape(-1)
+    a[:n_y, :nq] = np.tile(np.diag(p_y), n_x)
+    a[n_y : n_y + n_x, :nq] = np.kron(np.eye(n_x), p_y[None, :])
+    a[n_y + tail, arcs] = 1.0
+    a[n_y + head, arcs] = -1.0
+    a[-1, nq:-1] = weight
     a[-1, -1] = 1.0
 
-    b = np.concatenate([p_y, p_x, np.zeros(n_x), [p_level]])
-    c = np.concatenate([problem.cost.reshape(-1), np.zeros(n_x * n_x + 1)])
+    b = np.concatenate([p_y, problem.p_x, np.zeros(n_nodes - n_x), [p_level]])
+    c = np.concatenate([problem.cost.reshape(-1), np.zeros(tail.size + 1)])
     return lpmod.StandardLP(a, b, c), lay
 
 
-def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, TvFormLayout]:
-    """Sign-form program (Hamming metric only) in equality standard form.
+def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
+    """The flow program over every ordered pair of distinct symbols, any metric."""
+    tail, head = np.nonzero(~np.eye(problem.n_x, dtype=bool))
+    return _build(problem, p_level, problem.n_x, tail, head, problem.metric.h[tail, head])
 
-    Right-hand side: observation marginal, source marginal, and twice the
-    perception level (the only P-dependent entry).
+
+def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
+    """The flow program over a star (Hamming metric only).
+
+    Arcs: centre to each symbol, then each symbol to the centre, each of
+    weight 1/2; the centre is node ``n_x``.
     """
-    check_level(p_level)
     if not problem.metric.is_hamming:
-        raise ProblemError("the sign form requires the Hamming ground metric")
-    n_x, n_y = problem.n_x, problem.n_y
-    lay = TvFormLayout(n_x, n_y)
-    p_y = problem.p_y
-
-    a = np.zeros((lay.n_cons, lay.n_vars))
-    nq = n_x * n_y
-    a[:n_y, :nq] = np.kron(np.ones((1, n_x)), np.diag(p_y))
-    a[n_y:-1, :nq] = np.kron(np.eye(n_x), p_y[None, :])
-    a[n_y:-1, nq:-1] = np.hstack([-np.eye(n_x), np.eye(n_x)])
-    a[-1, nq:] = 1.0
-    b = np.concatenate([p_y, problem.p_x, [2.0 * p_level]])
-    c = np.concatenate([problem.cost.reshape(-1), np.zeros(2 * n_x + 1)])
-    return lpmod.StandardLP(a, b, c), lay
+        raise ProblemError('the star form ("tv") requires the Hamming ground metric')
+    n_x = problem.n_x
+    symbols, centre = np.arange(n_x), np.full(n_x, n_x)
+    tail, head = np.concatenate([centre, symbols]), np.concatenate([symbols, centre])
+    return _build(problem, p_level, n_x + 1, tail, head, np.full(2 * n_x, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +145,23 @@ def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, T
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
-    """Block-split dual point of the transport form, with last output dual 0.
+    """Block-split dual point of the flow program, with last potential 0.
 
-    Fields, by the primal constraint block they price:
+    Fields, by the primal rows they price:
         stochasticity: one value per observation symbol.
-        source_marginal: one value per source symbol.
-        output_marginal: one value per reconstruction symbol (last is 0).
+        potential: one value per symbol's node row (last is 0).
         perception_price: nonnegative price of the perception budget; the
             local slope of D(P) is minus this price.
     """
 
     stochasticity: np.ndarray
-    source_marginal: np.ndarray
-    output_marginal: np.ndarray
+    potential: np.ndarray
     perception_price: float
     objective: float
 
     def coords(self) -> np.ndarray:
-        """``dual_polyhedron``'s coordinates (stochasticity, source, output[:-1], price)."""
-        return np.concatenate(
-            [
-                self.stochasticity,
-                self.source_marginal,
-                self.output_marginal[:-1],
-                [self.perception_price],
-            ]
-        )
+        """``dual_polyhedron``'s coordinates (stochasticity, potential[:-1], price)."""
+        return np.concatenate([self.stochasticity, self.potential[:-1], [self.perception_price]])
 
     def feasibility_violation(self, problem: Problem) -> float:
         """Largest excess ``g @ coords() - h`` over ``dual_polyhedron(problem)``."""
@@ -227,45 +169,22 @@ class DualSolution:
         return float(np.max(poly.g @ self.coords() - poly.h))
 
 
-def _pin_gauge(stoch, source, output, price):
-    """Shift along the dual null direction so the last output dual is 0.
+def _dual(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
+    """Block duals from the row duals of either arc list.
 
-    Adding t to every stochasticity dual while subtracting t from the
-    source and output blocks preserves every dual constraint and the
-    objective; we spend that freedom on a reproducible chart.
+    The walk prices the dropped row, the last symbol's, at 0; a centre
+    node's dual multiplies a zero right-hand side and is left out.
     """
-    shift = output[-1]
-    return stoch + shift, source - shift, output - shift, price
-
-
-def _dual_from_ot(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
-    """Block duals from the transport form's row duals, in the chart: the
-    walk keeps the crash basis's dropped row, the last output, at 0."""
     n_x, n_y = problem.n_x, problem.n_y
     stoch = raw[:n_y].copy()
-    source = raw[n_y : n_y + n_x].copy()
-    output = raw[n_y + n_x : n_y + 2 * n_x].copy()
+    potential = raw[n_y : n_y + n_x].copy()
     price = -float(raw[-1])
-    objective = float(stoch @ problem.p_y + source @ problem.p_x - price * p_level)
-    return DualSolution(stoch, source, output, price, objective)
+    objective = float(stoch @ problem.p_y + potential @ problem.p_x - price * p_level)
+    return DualSolution(stoch, potential, price, objective)
 
 
-def _dual_from_tv(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
-    """Block duals from the sign form's row duals: stochasticity, output, budget."""
-    n_x, n_y = problem.n_x, problem.n_y
-    stoch = raw[:n_y].copy()
-    output = raw[n_y : n_y + n_x].copy()
-    price = -2.0 * float(raw[-1])
-    # the t+ and t- columns bound every output dual by half the price, so
-    # under Hamming the tightest source dual equals the output dual
-    source = np.min(problem.metric.h * price + output[None, :], axis=1)
-    stoch, source, output, price = _pin_gauge(stoch, source, output, price)
-    objective = float(stoch @ problem.p_y + source @ problem.p_x - price * p_level)
-    return DualSolution(stoch, source, output, price, objective)
-
-
-def _transport_dual(lp: lpmod.StandardLP, lay: OtFormLayout) -> tuple[lpmod.HPolyhedron, np.ndarray]:
-    """The dual of a built transport program over its kept rows.
+def _flow_dual(lp: lpmod.StandardLP, lay: FlowLayout) -> tuple[lpmod.HPolyhedron, np.ndarray]:
+    """The dual of a built flow program over its kept rows.
 
     Returns the polyhedron ``{u : g u <= h}`` and the kept rows' ``b``;
     built at P = 0, ``u . b`` is the intercept of u's dual objective
@@ -273,10 +192,10 @@ def _transport_dual(lp: lpmod.StandardLP, lay: OtFormLayout) -> tuple[lpmod.HPol
     so row j is column j's constraint ``w . a[:, j] <= c[j]`` on the row
     duals w, with two changes of units: an estimator column's row and
     bound are divided by its observation mass, so they read
-    ``stochasticity[y] + output[xhat] <= conditional[xhat, y]``, and the
-    perception coordinate is negated into the price.
+    ``stochasticity[y] + potential[xhat] <= conditional[xhat, y]``, and
+    the perception coordinate is negated into the price.
     """
-    kept = np.arange(lay.n_cons) != lay.row_output_marginal(lay.n_x - 1)
+    kept = np.arange(lay.n_cons) != lay.dropped_row
     mass = np.ones(lay.n_vars)
     mass[: lay.n_x * lay.n_y] = np.tile(lp.b[: lay.n_y], lay.n_x)
     # row-major, as the vertex walk gathers rows; + 0.0 clears the negated blocks' -0.0
@@ -286,15 +205,40 @@ def _transport_dual(lp: lpmod.StandardLP, lay: OtFormLayout) -> tuple[lpmod.HPol
 
 
 def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
-    """H-representation of the transport form's dual over its kept rows.
+    """H-representation of the complete graph's flow dual over its kept rows.
 
-    Coordinates: (stochasticity[n_y], source[n_x], output[n_x - 1],
-    price), dimension n_y + 2 n_x: the last output row is dropped, so its
-    dual is pinned to 0.  Rows follow the program's columns: one per
-    (reconstruction, observation) pair, one per (source, reconstruction)
-    pair, and the price nonnegativity row.
+    Coordinates: (stochasticity[n_y], potential[n_x - 1], price),
+    dimension n_y + n_x: the last symbol's row is dropped, so its
+    potential is pinned to 0.  Rows follow the program's columns: one
+    per (reconstruction, observation) pair, one per ordered pair of
+    distinct symbols, and the price nonnegativity row.
     """
-    return _transport_dual(*build_ot_form(problem, 0.0))[0]
+    return _flow_dual(*build_ot_form(problem, 0.0))[0]
+
+
+def _coupling(problem: Problem, lay: FlowLayout, x: np.ndarray) -> np.ndarray:
+    """A transport plan from ``p_x`` to the output mass, read off the arc flows.
+
+    The mass that passes node j is ``T[j] = p_x[j] + in(j)``; a share
+    ``flow / T[j]`` of it moves on along each arc out of j and the share
+    ``r[j] / T[j]`` stops there as output.  Followed from its source,
+    symbol i's mass passes node j as ``X[i, j]``, where ``X = diag(p_x)
+    (I - diag(1 / T) F)^-1`` for the flow matrix F, so ``X[i, j] r[j] /
+    T[j]`` of it ends at j.  Each unit ends at most the weight of its
+    route from its source, so under a metric the plan moves at most the
+    flow's weight ``h . f``.
+    """
+    n_x, n = problem.n_x, lay.n_nodes
+    flow = np.zeros((n, n))
+    flow[lay.tail, lay.head] = np.clip(lay.extract_flow(x), 0.0, None)
+    supply = np.zeros(n)
+    supply[:n_x] = problem.p_x
+    through = supply + flow.sum(axis=0)
+    share = np.divide(flow, through[:, None], out=np.zeros_like(flow), where=through[:, None] > 0)
+    passes = np.linalg.solve((np.eye(n) - share).T, np.diag(supply)).T
+    out = np.clip(lay.extract_q(x), 0.0, None) @ problem.p_y
+    stops = np.divide(out, through[:n_x], out=np.zeros(n_x), where=through[:n_x] > 0)
+    return passes[:n_x, :n_x] * stops
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +249,10 @@ def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
 class SolveReport:
     """Everything produced by one solve at a fixed perception level.
 
-    ``perception`` certifies estimator feasibility: for the transport
-    form it is the transported mass of the returned coupling (an upper
-    bound on the true transport distance), for the sign form the exact
-    total variation.  ``solution`` is the optimal LP solution the report
+    ``perception`` certifies estimator feasibility: it is the transported
+    mass of the returned coupling, an upper bound on the true transport
+    distance (under Hamming, the total variation up to rounding).
+    ``solution`` is the optimal LP solution the report
     was read from.  ``iterations`` counts the pivots of the walk from
     P = 1 to ``p_level`` plus those of the phase-two confirmation at
     ``p_level``, and ``refactorizations`` the times the walk factored its
@@ -355,7 +299,7 @@ def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> Estima
     return Estimator(q)
 
 
-def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LPSolution:
+def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:
     """The optimal basis of the program at P = 1, in closed form.
 
     Every metric entry is at most 1, so at P = 1 the budget is slack and
@@ -363,58 +307,47 @@ def _crash_basis(problem: Problem, lay: OtFormLayout | TvFormLayout) -> lpmod.LP
     basis prices only the stochasticity rows, at the cheapest conditional
     cost, so every reduced cost is nonnegative whatever the level.
 
-    Transport form: the MAP estimator entries, the ``2 n_x - 1`` cells of
-    a diagonal-first plan from the source marginal to the MAP output
-    marginal, and the budget slack.  The plan keeps ``min(p_x, r)`` in
-    place on every diagonal cell and runs a north-west-corner staircase
-    only from the source surplus to the output deficit: the symbols with
-    ``p_x >= r`` on one side (a symbol with ``p_x == r`` joins with zero
-    mass) and the rest on the other; if a side is empty, the last symbol
-    alone forms the deficit side.  The diagonal pairs each source row
-    with its output row and the staircase joins the two sides, so the
-    cells span the source and output rows whatever the rounding.  Every
-    validated metric obeys the triangle inequality, so some optimal plan
-    keeps the shared mass in place: this one moves exactly ``W1(p_x, r)``
-    under Hamming and nearly so under another metric, and the walk's
-    first pivot is where the budget starts to bind rather than a
-    re-routing of the plan.  The last output row depends on the others
-    and is dropped, which prices it at 0, the pinned chart.  Sign form: the MAP estimator entries, for each
-    reconstruction symbol ``t+`` if its MAP output mass is at least its
-    source mass and ``t-`` otherwise, and the budget slack, which at
-    P = 1 is ``2 - 2 TV >= 0``; the output rows are then priced at 0.
+    The basis is the MAP estimator entries, a spanning tree of arcs that
+    carries the source marginal to the MAP output marginal ``r``, and
+    the budget slack, which at P = 1 is at least ``1 - TV(p_x, r)``.
+    The tree splits the symbols into the source surplus (``p_x >= r``; a
+    symbol with ``p_x == r`` joins with zero mass) and the output
+    deficit; if a side is empty, the marginals agree up to rounding and
+    the last symbol alone forms the deficit side.  Over every pair of
+    symbols it is a north-west-corner staircase from the surplus to the
+    deficit, ``n_x - 1`` arcs, so the mass it moves is exactly
+    ``TV(p_x, r)``, its least weight under Hamming and nearly so under
+    another metric, and the walk's first pivot is where the budget
+    starts to bind.  Over a star it is one arc per symbol: from the
+    centre to a symbol with ``r >= p_x``, to the centre from the others.
+    The last symbol's row depends on the others and is dropped, which
+    prices it at 0.
     """
     picks = np.argmin(problem.cost, axis=0)
     basis = [lay.ix_q(int(xhat), y) for y, xhat in enumerate(picks)]
     rm = np.bincount(picks, weights=problem.p_y, minlength=problem.n_x)
-    if isinstance(lay, TvFormLayout):
-        ups = rm >= problem.p_x
-        basis += [lay.ix_plus(i) if up else lay.ix_minus(i) for i, up in enumerate(ups)]
-        basis.append(lay.ix_slack)
-        return lpmod.LPSolution(status="optimal", basis=tuple(sorted(basis)))
-    basis += [lay.ix_pi(i, i) for i in range(problem.n_x)]
-    kept = np.minimum(problem.p_x, rm)
-    surplus, deficit = problem.p_x - kept, rm - kept
-    src = np.flatnonzero(problem.p_x >= rm).tolist()
-    dst = np.flatnonzero(problem.p_x < rm).tolist()
-    if not src or not dst:  # the marginals agree up to rounding: any split spans
-        src, dst = list(range(problem.n_x - 1)), [problem.n_x - 1]
-    a = b = 0
-    for _ in range(problem.n_x - 1):  # a staircase over n_x symbols has n_x - 1 cells
-        i, j = src[a], dst[b]
-        basis.append(lay.ix_pi(i, j))
-        t = min(surplus[i], deficit[j])
-        surplus[i] -= t
-        deficit[j] -= t
-        if (surplus[i] <= deficit[j] and a < len(src) - 1) or b == len(dst) - 1:
-            a += 1
-        else:
-            b += 1
-    basis.append(lay.ix_eps)
-    return lpmod.LPSolution(
-        status="optimal",
-        basis=tuple(sorted(basis)),
-        dropped_rows=(lay.row_output_marginal(problem.n_x - 1),),
-    )
+    if lay.n_nodes > lay.n_x:  # the star: the centre is node n_x
+        arcs = [(lay.n_x, i) if up else (i, lay.n_x) for i, up in enumerate(rm >= problem.p_x)]
+    else:
+        surplus, deficit = np.clip(problem.p_x - rm, 0.0, None), np.clip(rm - problem.p_x, 0.0, None)
+        src = np.flatnonzero(problem.p_x >= rm).tolist()
+        dst = np.flatnonzero(problem.p_x < rm).tolist()
+        if not src or not dst:  # the marginals agree up to rounding: any split spans
+            src, dst = list(range(problem.n_x - 1)), [problem.n_x - 1]
+        arcs, a, b = [], 0, 0
+        for _ in range(problem.n_x - 1):  # a staircase over n_x symbols has n_x - 1 arcs
+            i, j = src[a], dst[b]
+            arcs.append((i, j))
+            t = min(surplus[i], deficit[j])
+            surplus[i] -= t
+            deficit[j] -= t
+            if (surplus[i] <= deficit[j] and a < len(src) - 1) or b == len(dst) - 1:
+                a += 1
+            else:
+                b += 1
+    basis += [lay.ix_arc(i, j) for i, j in arcs]
+    basis.append(lay.ix_slack)
+    return lpmod.LPSolution(status="optimal", basis=tuple(sorted(basis)), dropped_rows=(lay.dropped_row,))
 
 
 def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:
@@ -437,31 +370,17 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimator = _stochastic_estimator(problem, lay.extract_q(sol.x), tol)
-    out = output_distribution(estimator, problem.p_y)
-
-    if form == "ot":
-        plan = np.clip(lay.extract_pi(sol.x), 0.0, None)
-        coupling = Coupling(plan, problem.p_x, out.p)
-        perception = float(np.sum(plan * problem.metric.h))
-        dual = _dual_from_ot(problem, sol.dual, p_level)
-    else:
-        perception = tv_distance(problem.p_x, out)
-        # the maximal coupling, optimal under Hamming: it moves exactly the TV
-        diag = np.minimum(problem.p_x, out.p)
-        moved = np.outer(problem.p_x - diag, out.p - diag) / (perception or 1.0)
-        coupling = Coupling(np.diag(diag) + moved, problem.p_x, out.p)
-        dual = _dual_from_tv(problem, sol.dual, p_level)
-
-    gap = abs(sol.value - dual.objective)
+    plan = _coupling(problem, lay, sol.x)
+    dual = _dual(problem, sol.dual, p_level)
     return SolveReport(
         p_level=float(p_level),
         value=float(sol.value),
         estimator=estimator,
-        coupling=coupling,
+        coupling=Coupling(plan, problem.p_x, output_distribution(estimator, problem.p_y).p),
         dual=dual,
-        gap=gap,
+        gap=abs(sol.value - dual.objective),
         form=form,
-        perception=perception,
+        perception=float(np.sum(plan * problem.metric.h)),
         iterations=sol.iterations,
         refactorizations=sol.refactorizations,
         solution=sol,

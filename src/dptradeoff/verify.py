@@ -10,7 +10,7 @@ Lipschitz band, and the report keeps that honest.
 binary sources, vertex enumeration when affordable, the sweep's
 parametric walk always, the grid oracle when tiny) on a shared grid of
 perception levels and compares the results pairwise.  Its pointwise
-column solves each level's transport-form program by phase one, on
+column solves each level's flow program (``build_ot_form``) by phase one, on
 purpose: the sweep and every ``solve_dp_at`` walk the right-hand side
 from the closed-form optimal basis at P = 1 or an earlier level's, and
 a phase-one solve shares no basis with them.

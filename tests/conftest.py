@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dptradeoff import make_problem
+from dptradeoff import HPolyhedron, make_problem
 from dptradeoff.problemio import generate_instance, instance_to_problem
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
@@ -124,7 +124,7 @@ def binary_dp_oracle(problem, p_level):
 
 
 def highs_dp_oracle(problem, p_level):
-    """Curve value from scipy's HiGHS on the transport form, built here.
+    """Curve value from scipy's HiGHS on the transport program, built here.
 
     Variables are the estimator ``q[xhat, y]`` and a coupling
     ``pi[x, xhat]`` between the source marginal and the output marginal
@@ -155,6 +155,38 @@ def highs_dp_oracle(problem, p_level):
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def transport_dual(problem):
+    """The dual of the transport program, with a coupling block, as a polyhedron.
+
+    Coordinates: (stochasticity[n_y], source[n_x], output[n_x - 1],
+    price), the last output dual pinned to 0.  Rows, in the program's
+    column order: ``e_y + e_out(xhat) <= cond[xhat, y]``, then
+    ``e_src(x) - e_out(xhat) - h[x, xhat] e_price <= 0`` for every cell
+    of the coupling, diagonal included, then ``-price <= 0``.  Its
+    degenerate vertices carry many bases, so it fixes the vertex walk's
+    tie-break in tests.
+    """
+    n_x, n_y = problem.n_x, problem.n_y
+    e_out = np.vstack([np.eye(n_x - 1), np.zeros((1, n_x - 1))])
+    estimator_rows = np.hstack([
+        np.kron(np.ones((n_x, 1)), np.eye(n_y)),
+        np.zeros((n_x * n_y, n_x)),
+        np.kron(e_out, np.ones((n_y, 1))),
+        np.zeros((n_x * n_y, 1)),
+    ])
+    coupling_rows = np.hstack([
+        np.zeros((n_x * n_x, n_y)),
+        np.kron(np.eye(n_x), np.ones((n_x, 1))),
+        -np.kron(np.ones((n_x, 1)), e_out),
+        -problem.metric.h.reshape(-1, 1),
+    ])
+    price_row = np.eye(n_y + 2 * n_x)[-1:] * -1.0
+    return HPolyhedron(
+        np.vstack([estimator_rows, coupling_rows, price_row]),
+        np.concatenate([problem.conditional.reshape(-1), np.zeros(n_x * n_x + 1)]),
+    )
 
 
 def brute_force_vertices(poly, *, feas_tol=1e-9, dedup_tol=1e-7):

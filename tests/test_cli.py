@@ -62,6 +62,10 @@ class TestGen:
     def test_bad_sizes(self, capsys):
         assert main(["gen", "--seed", "1", "--nx", "0", "--ny", "2"]) == 1
 
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["gen", "--seed", "-1", "--nx", "2", "--ny", "2"]) == 1
+        assert "input error: seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_bsc_level_one_prints_floor(self, bsc_file, capsys):
@@ -186,11 +190,12 @@ class TestCurve:
         assert "<svg" in out_svg.read_text()
 
     def test_vertex_budget_exit_code(self, tmp_path, capsys):
+        # the walk visits 364 bases of this dual
         path = tmp_path / "big.json"
         spec = generate_instance(1, 4, 8)
         path.write_text(serialize_instance(spec))
         code = main(
-            ["curve", "--input", str(path), "--method", "vertex", "--budget", "1000"]
+            ["curve", "--input", str(path), "--method", "vertex", "--budget", "100"]
         )
         assert code == 3
         assert "sweep" in capsys.readouterr().err
@@ -201,7 +206,7 @@ class TestCurve:
         assert "input error: a vertex walk needs a budget of at least 1" in capsys.readouterr().err
 
     def test_vertex_4x8_at_the_default_budget(self, tmp_path):
-        # C(49, 16) candidate bases, but the walk visits about 2,000
+        # C(45, 12) candidate bases, but the walk visits 364
         path, out_json, out_svg = tmp_path / "big.json", tmp_path / "c.json", tmp_path / "c.svg"
         spec = generate_instance(1, 4, 8)
         path.write_text(serialize_instance(spec))

@@ -21,13 +21,13 @@ from conftest import breakpoint_candidates, edge_problems, highs_dp_oracle, rand
 class TestProjection:
     def test_floor_vertex_projects_to_floor_line(self, bsc_problem):
         w = bsc_problem.conditional.min(axis=0)
-        coords = np.concatenate([w, np.zeros(4)])
+        coords = np.concatenate([w, np.zeros(2)])
         intercept, slope = project_vertex(coords, bsc_problem)
         assert intercept == pytest.approx(bsc_problem.distortion_floor, abs=1e-12)
         assert slope == 0.0
 
     def test_zero_price_means_zero_slope(self, bsc_problem):
-        coords = np.concatenate([np.zeros(5), [0.0]])
+        coords = np.concatenate([np.zeros(3), [0.0]])
         assert project_vertex(coords, bsc_problem)[1] == 0.0
 
     def test_active_vertex_matches_closed_form(self, bsc_problem):
@@ -50,8 +50,9 @@ class TestProjection:
             assert np.allclose(project_vertex(vertex, bsc_problem), line, rtol=0.0, atol=1e-15)
 
     def test_wrong_dimension_rejected(self, bsc_problem):
-        with pytest.raises(ProblemError):
-            project_vertex(np.zeros(3), bsc_problem)
+        for size in (3, 6):  # 6: the coordinates of the 2x2 transport dual
+            with pytest.raises(ProblemError):
+                project_vertex(np.zeros(size), bsc_problem)
 
 
 class TestCurveByVertices:

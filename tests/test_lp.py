@@ -22,8 +22,18 @@ from dptradeoff import lp as lpmod
 from dptradeoff.lp import _DEDUP_TOL, _TIE_TOL, _Tableau, walk
 from dptradeoff.programs import _crash_basis, build_ot_form, dual_polyhedron, solve_dp_at
 
-from conftest import brute_force_vertices, highs_dp_oracle, random_problem, vertex_start
+from conftest import brute_force_vertices, highs_dp_oracle, random_problem, transport_dual, vertex_start
 from test_programs import _highs_cases
+
+
+# d rows of a vertex of ``transport_dual(random_problem(seed, 3, 4))``: the
+# optimal basis at P = 0 of the transport program, whose columns are the
+# dual's rows
+TRANSPORT_3X4_STARTS = {
+    0: (0, 4, 5, 7, 9, 10, 12, 14, 16, 20),
+    1: (1, 3, 6, 7, 8, 11, 12, 15, 16, 20),
+    4: (0, 2, 6, 9, 10, 11, 12, 15, 16, 20),
+}
 
 
 def random_feasible_lp(rng, m, n):
@@ -228,7 +238,7 @@ class TestRevisedTableau:
         for _ in range(200):  # the generator of TestRandomInstances, cold solves
             m = int(rng.integers(1, 21))
             runs.append((random_feasible_lp(rng, m, int(rng.integers(m, 41))), None, None))
-        # a transport-form program, cold, from another level's basis and from P = 1
+        # a flow program, cold, from another level's basis and from P = 1
         prob = random_problem(1, 5, 10, random_distortion=True, random_metric=True)
         ot, lay = build_ot_form(prob, 0.1)
         zero = build_ot_form(prob, 0.0)[0]
@@ -348,12 +358,12 @@ class TestVertexEnumeration:
 
     @pytest.mark.parametrize("seed,bases", [(0, 80), (1, 79), (4, 78)])
     def test_lexicographic_rule_on_degenerate_dual(self, seed, bases):
-        # a Hamming 3x4 dual polyhedron walked from its P = 0 basis: 51
-        # vertices carry up to 80 bases, so many ratio tests tie.  The count
-        # pins the tie-break: reading the perturbation columns in reverse
-        # rank order, or without the basis rows' columns, visits 102-150.
-        prob = random_problem(seed, 3, 4)
-        poly, start = dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis
+        # a Hamming 3x4 transport dual walked from the transport program's
+        # P = 0 basis: 51 vertices carry up to 80 bases, so many ratio tests
+        # tie.  The count pins the tie-break: reading the perturbation columns
+        # in reverse rank order, or without the basis rows' columns, visits
+        # 102-150.
+        poly, start = transport_dual(random_problem(seed, 3, 4)), TRANSPORT_3X4_STARTS[seed]
         assert enumerate_vertices(poly, start, budget=bases).shape == (51, 10)
         with pytest.raises(BudgetExceededError, match=f"more than {bases - 1} bases"):
             enumerate_vertices(poly, start, budget=bases - 1)
@@ -471,8 +481,9 @@ class TestBlockSize:
         cube = HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
         yield cube, [4, 5, 6, 7], 16
         for seed, bases in [(0, 80), (1, 79), (4, 78)]:  # test_lexicographic_rule_on_degenerate_dual
-            prob = random_problem(seed, 3, 4)
-            yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, bases
+            yield transport_dual(random_problem(seed, 3, 4)), TRANSPORT_3X4_STARTS[seed], bases
+        prob = random_problem(0, 3, 4)  # its flow dual: 23 vertices on 28 bases
+        yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, 28
         prob = random_problem(2, 3, 5, random_metric=True)
         yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, None
 

@@ -17,7 +17,7 @@ from dptradeoff import (
 )
 from dptradeoff import lp as lpmod
 from dptradeoff.model import output_distribution
-from dptradeoff.programs import _crash_basis, _stochastic_estimator
+from dptradeoff.programs import _coupling, _crash_basis, _stochastic_estimator
 
 from conftest import (
     binary_dp_oracle,
@@ -34,42 +34,40 @@ BUILD = {"ot": build_ot_form, "tv": build_tv_form}
 class TestTransportForm:
     def test_counts_2x2(self, bsc_problem):
         lp, lay = build_ot_form(bsc_problem, 0.3)
-        assert lp.a.shape == (7, 9)
-        assert lay.n_vars == 9 and lay.n_cons == 7
+        # 4 estimator entries, 2 arcs, one slack; 2 + 2 + 1 rows
+        assert lp.a.shape == (5, 7)
+        assert lay.n_vars == 7 and lay.n_cons == 5
 
     def test_counts_3x5(self):
         prob = random_problem(3, 3, 5)
         lp, lay = build_ot_form(prob, 0.1)
-        assert lp.a.shape == (12, 25)
+        assert lp.a.shape == (9, 22)
 
     def test_block_structure_matches_kron_layout(self, bsc_problem):
         p_y, p_x = bsc_problem.p_y, bsc_problem.p_x
         lp, lay = build_ot_form(bsc_problem, 0.25)
-        # right-hand side: observation marginal, source marginal, zeros, level
-        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0, 0], [0.25]]))
+        # right-hand side: observation marginal, source marginal, level
+        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.25]]))
+        assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 1])
         # cost: reconstruction cost on the estimator block, zero elsewhere
         assert np.allclose(lp.c[:4], bsc_problem.cost.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
-        # stochasticity rows scale each estimator column by its marginal
+        # stochasticity rows scale each estimator column by its marginal,
+        # and so does the node row of its reconstruction symbol
         for y in range(2):
             for xhat in range(2):
                 assert lp.a[y, lay.ix_q(xhat, y)] == p_y[y]
-        # coupling row/column marginal blocks
-        for x in range(2):
-            row = lay.row_source_marginal(x)
-            for xhat in range(2):
-                assert lp.a[row, lay.ix_pi(x, xhat)] == 1.0
-        for xhat in range(2):
-            row = lay.row_output_marginal(xhat)
-            for y in range(2):
-                assert lp.a[row, lay.ix_q(xhat, y)] == p_y[y]
-            for x in range(2):
-                assert lp.a[row, lay.ix_pi(x, xhat)] == -1.0
-        # perception row carries the metric over the coupling plus the slack
-        assert np.allclose(
-            lp.a[lay.row_perception, 4:8], bsc_problem.metric.h.reshape(-1)
-        )
-        assert lp.a[lay.row_perception, lay.ix_eps] == 1.0
+                assert lp.a[2 + xhat, lay.ix_q(xhat, y)] == p_y[y]
+                assert lp.a[2 + 1 - xhat, lay.ix_q(xhat, y)] == 0.0
+        # one arc per ordered pair of distinct symbols, row-major: it leaves
+        # its tail's row, enters its head's and carries the metric on the budget
+        assert list(zip(lay.tail, lay.head)) == [(0, 1), (1, 0)]
+        assert (lay.ix_arc(0, 1), lay.ix_arc(1, 0)) == (4, 5)
+        for i, j in [(0, 1), (1, 0)]:
+            column = np.zeros(5)
+            column[2 + i], column[2 + j], column[4] = 1.0, -1.0, bsc_problem.metric.h[i, j]
+            assert np.array_equal(lp.a[:, lay.ix_arc(i, j)], column)
+        assert np.array_equal(lp.a[:, lay.ix_slack], [0, 0, 0, 0, 1])
 
     def test_one_dependent_row(self, bsc_problem):
         lp, _ = build_ot_form(bsc_problem, 0.5)
@@ -89,15 +87,17 @@ class TestTransportForm:
 class TestSignForm:
     def test_counts_2x2(self, bsc_problem):
         lp, lay = build_tv_form(bsc_problem, 0.3)
-        # 4 estimator entries, t+ and t- per symbol, one slack; 2 + 2 + 1 rows
-        assert lp.a.shape == (5, 9)
-        assert lay.n_vars == 9 and lay.n_cons == 5
+        # 4 estimator entries, an arc to and from the centre per symbol, one
+        # slack; 2 + (2 + 1) + 1 rows
+        assert lp.a.shape == (6, 9)
+        assert lay.n_vars == 9 and lay.n_cons == 6
 
     def test_block_structure(self, bsc_problem):
         p_y, p_x = bsc_problem.p_y, bsc_problem.p_x
         lp, lay = build_tv_form(bsc_problem, 0.25)
-        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.5]]))
-        assert np.allclose(lay.level_direction, [0, 0, 0, 0, 2])
+        # the centre, node 2, has neither source nor output mass
+        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.0, 0.25]]))
+        assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 0, 1])
         assert np.allclose(lp.c[:4], bsc_problem.cost.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
         for xhat in range(2):
@@ -105,9 +105,13 @@ class TestSignForm:
             for y in range(2):
                 assert lp.a[y, lay.ix_q(xhat, y)] == p_y[y]
                 assert lp.a[row, lay.ix_q(xhat, y)] == p_y[y]
-            assert (lp.a[row, lay.ix_plus(xhat)], lp.a[row, lay.ix_minus(xhat)]) == (-1.0, 1.0)
-        assert np.all(lp.a[-1, :4] == 0.0) and np.all(lp.a[-1, 4:] == 1.0)
-        assert np.linalg.matrix_rank(lp.a) == lp.m
+            assert (lp.a[row, lay.ix_arc(2, xhat)], lp.a[row, lay.ix_arc(xhat, 2)]) == (-1.0, 1.0)
+            assert (lp.a[4, lay.ix_arc(2, xhat)], lp.a[4, lay.ix_arc(xhat, 2)]) == (1.0, -1.0)
+        assert list(zip(lay.tail, lay.head)) == [(2, 0), (2, 1), (0, 2), (1, 2)]
+        assert np.all(lp.a[4, :4] == 0.0)
+        assert np.all(lp.a[-1, :4] == 0.0) and np.all(lp.a[-1, 4:8] == 0.5) and lp.a[-1, 8] == 1.0
+        # the node rows add up to the stochasticity rows
+        assert np.linalg.matrix_rank(lp.a) == lp.m - 1
 
     def test_sign_identity_matches_tv_distance(self):
         # the paper's sign-vector form of the TV budget, kept as an oracle
@@ -127,7 +131,7 @@ class TestSignForm:
     def test_thirteen_symbols_build_and_solve(self):
         prob = random_problem(1, 13, 20)
         lp, _ = build_tv_form(prob, 0.1)
-        assert lp.a.shape == (20 + 13 + 1, 13 * 22 + 1)
+        assert lp.a.shape == (20 + 14 + 1, 13 * 22 + 1)
         rep = solve_dp_at(prob, 0.1, form="tv")
         assert rep.gap <= 1e-12 and rep.perception <= 0.1 + 1e-12
 
@@ -176,7 +180,7 @@ class TestSolveAt:
                 rep.value, abs=1e-8
             )
             assert rep.dual.feasibility_violation(bsc_problem) <= 1e-9
-            assert rep.dual.output_marginal[-1] == 0.0
+            assert rep.dual.potential[-1] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_monotone_and_convex_on_grid(self, seed):
@@ -243,7 +247,7 @@ def _edge_cases():
 
 
 def _diagonal_cases():
-    """Transport-form instances for the diagonal-first plan of ``_crash_basis``."""
+    """Complete-graph instances for the staircase plan of ``_crash_basis``."""
     rng = np.random.default_rng(11)
     metric = rng.uniform(0.5, 1.0, size=(6, 6))
     metric = 0.5 * (metric + metric.T)
@@ -273,8 +277,11 @@ class TestCrashStart:
         lpmod.walk(lp, crash, lay.level_direction, 0.0)  # optimal at P = 1 as it stands
         x = lpmod.basic_point(lp.n, list(crash.basis), np.linalg.solve(base, lp.b[keep]))
         r_map = output_distribution(prob.minimum[1], prob.p_y).p
+        # the staircase moves only the surplus, so the coupling read off
+        # its flows keeps min(p_x, r_MAP) in place
         kept = np.minimum(prob.p_x, r_map)
-        assert np.allclose(np.diag(lay.extract_pi(x)), kept, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.diag(_coupling(prob, lay, x)), kept, rtol=0.0, atol=1e-15)
+        assert abs(lay.extract_flow(x).sum() - tv_distance(prob.p_x, r_map)) <= 1e-15
 
     @pytest.mark.parametrize("prob, form", _crash_cases())
     def test_optimal_at_one_without_pivots(self, prob, form):
@@ -311,6 +318,36 @@ class TestCrashStart:
             assert moved == pytest.approx(rep.perception, abs=1e-12)
 
 
+class TestCoupling:
+    def test_mass_routed_through_a_symbol(self):
+        # p_x = (0.5, 0.3, 0.2) to r = (0.2, 0.3, 0.5) by 0.3 on 0 -> 1 and
+        # on 1 -> 2: half the mass that passes symbol 1 stops there, and
+        # the plan moves exactly the flow's weight under the path metric
+        path = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
+        prob = make_problem([[0.5], [0.3], [0.2]], metric=path)
+        lp, lay = build_ot_form(prob, 0.3)
+        x = np.zeros(lp.n)
+        x[:3] = [0.2, 0.3, 0.5]
+        x[[lay.ix_arc(0, 1), lay.ix_arc(1, 2)]] = 0.3
+        assert np.allclose(lp.a[:-1] @ x, lp.b[:-1], rtol=0.0, atol=1e-15)
+        plan = _coupling(prob, lay, x)
+        expected = [[0.2, 0.15, 0.15], [0.0, 0.15, 0.15], [0.0, 0.0, 0.2]]
+        assert np.allclose(plan, expected, rtol=0.0, atol=1e-15)
+        assert np.sum(plan * path) == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_star_gives_the_maximal_coupling(self, seed):
+        # through the centre every moved unit is spread over the deficits
+        # in proportion, which is the maximal coupling of the two marginals
+        prob = random_problem(seed, 4, 6, random_distortion=True)
+        for p in (0.0, 0.05, 0.2):
+            rep = solve_dp_at(prob, p, form="tv")
+            out = output_distribution(rep.estimator, prob.p_y).p
+            diag = np.minimum(prob.p_x, out)
+            moved = np.outer(prob.p_x - diag, out - diag) / (tv_distance(prob.p_x, out) or 1.0)
+            assert np.allclose(rep.coupling.pi, np.diag(diag) + moved, rtol=0.0, atol=1e-15), p
+
+
 class TestSharedWalk:
     @pytest.mark.parametrize("shape", [(5, 10), (8, 20), (10, 40)], ids=lambda s: "x".join(map(str, s)))
     @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
@@ -343,7 +380,8 @@ class TestSharedWalk:
 
 
 def _highs_cases():
-    """Seeded instances up to 10x40: plain, tied and skewed masses, two metrics."""
+    """Seeded instances up to 10x40: plain, tied and skewed masses, three
+    metrics; and the 3e-11 observation mass."""
     cases = []
     for seed, (n_x, n_y) in enumerate([(2, 3), (3, 5), (4, 8), (5, 10), (8, 20), (10, 40)]):
         rng = np.random.default_rng(seed)
@@ -358,48 +396,56 @@ def _highs_cases():
             metric = rng.uniform(0.5, 1.0, size=(n_x, n_x))
             metric = 0.5 * (metric + metric.T)
             np.fill_diagonal(metric, 0.0)
-            for random_metric in (False, True):
-                prob = make_problem(p_xy, metric=metric if random_metric else None)
-                kind = "metric" if random_metric else "hamming"
-                forms = ("ot",) if random_metric else ("ot", "tv")
+            metrics = [("hamming", None), ("metric", metric)]
+            if n_x > 2:  # on two symbols the path metric is Hamming
+                steps = np.arange(n_x)
+                metrics.append(("path", np.abs(steps[:, None] - steps[None, :]) / (n_x - 1)))
+            for kind, h in metrics:
+                prob = make_problem(p_xy, metric=h)
+                forms = ("ot", "tv") if prob.metric.is_hamming else ("ot",)
                 cases += [
                     pytest.param(prob, form, id=f"{n_x}x{n_y}-{masses}-{kind}-{form}")
                     for form in forms
                 ]
-    return cases
+    skewed = edge_problems()["skewed"]
+    return cases + [pytest.param(skewed, form, id=f"skewed-3e-11-{form}") for form in ("ot", "tv")]
 
 
 class TestAgainstHighs:
+    """Both arc lists against HiGHS on the transport program with a coupling
+    block, which ``highs_dp_oracle`` writes from the raw arrays."""
+
     @pytest.mark.parametrize("prob, form", _highs_cases())
     def test_matches_highs(self, prob, form):
         pytest.importorskip("scipy")
         for p in (0.0, 0.05, 0.2, 0.6):
             rep = solve_dp_at(prob, p, form=form)
-            assert rep.value == pytest.approx(highs_dp_oracle(prob, p), abs=1e-8), p
-            assert rep.perception <= p + 1e-8
+            assert rep.value == pytest.approx(highs_dp_oracle(prob, p), abs=1e-9), p
+            assert rep.perception <= p + 1e-12
             assert prob.expected_distortion(rep.estimator) == pytest.approx(rep.value, abs=1e-9)
+            assert rep.dual.feasibility_violation(prob) <= 1e-12, p
             if form == "tv":
                 assert abs(rep.value - solve_dp_at(prob, p).value) <= 1e-12, p
-                assert rep.gap <= 1e-12 and rep.dual.feasibility_violation(prob) <= 1e-12, p
+                assert rep.gap <= 1e-12, p
 
 
 class TestDualPolyhedron:
     def test_counts_2x2(self, bsc_problem):
         poly = dual_polyhedron(bsc_problem)
-        assert poly.d == 6
-        assert poly.k == 9
+        assert poly.d == 4
+        assert poly.k == 7
 
     def test_counts_3x5(self):
         prob = random_problem(3, 3, 5)
         poly = dual_polyhedron(prob)
-        assert poly.d == 11
-        assert poly.k == 25
+        assert poly.d == 8
+        assert poly.k == 22
 
     def test_floor_point_feasible(self, bsc_problem):
         # stochasticity duals at the columnwise cost minimum, rest zero
         poly = dual_polyhedron(bsc_problem)
         w = bsc_problem.conditional.min(axis=0)
-        point = np.concatenate([w, np.zeros(4)])
+        point = np.concatenate([w, np.zeros(2)])
         assert np.all(poly.g @ point <= poly.h + 1e-12)
         # and its objective is exactly the unconstrained floor
         assert w @ bsc_problem.p_y == pytest.approx(
@@ -415,29 +461,29 @@ class TestDualPolyhedron:
     @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 10)], ids=["2x2", "3x5", "5x10"])
     def test_rows_are_the_transport_dual(self, shape, random_metric):
-        # an independent kron statement of the rows, in the program's column
-        # order: e_y + e_out(xhat) <= cond[xhat, y], then e_src(x) - e_out(xhat)
-        # - h[x, xhat] e_price <= 0, then -price <= 0; the last output
-        # coordinate is pinned, so e_out of the last symbol is 0
+        # an independent kron statement of the rows of the transport budget's
+        # flow dual, in the program's column order: e_y + e_pot(xhat) <=
+        # cond[xhat, y], then e_pot(i) - e_pot(j) - h[i, j] e_price <= 0 for
+        # every ordered pair i != j, then -price <= 0; the last potential is
+        # pinned, so e_pot of the last symbol is 0
         n_x, n_y = shape
         prob = random_problem(7, n_x, n_y, random_distortion=True, random_metric=random_metric)
-        e_out = np.vstack([np.eye(n_x - 1), np.zeros((1, n_x - 1))])
+        e_pot = np.vstack([np.eye(n_x - 1), np.zeros((1, n_x - 1))])
+        tail, head = np.nonzero(~np.eye(n_x, dtype=bool))
         estimator_rows = np.hstack([
             np.kron(np.ones((n_x, 1)), np.eye(n_y)),
-            np.zeros((n_x * n_y, n_x)),
-            np.kron(e_out, np.ones((n_y, 1))),
+            np.kron(e_pot, np.ones((n_y, 1))),
             np.zeros((n_x * n_y, 1)),
         ])
-        coupling_rows = np.hstack([
-            np.zeros((n_x * n_x, n_y)),
-            np.kron(np.eye(n_x), np.ones((n_x, 1))),
-            -np.kron(np.ones((n_x, 1)), e_out),
-            -prob.metric.h.reshape(-1, 1),
+        arc_rows = np.hstack([
+            np.zeros((tail.size, n_y)),
+            e_pot[tail] - e_pot[head],
+            -prob.metric.h[tail, head][:, None],
         ])
-        price_row = np.eye(n_y + 2 * n_x)[-1:] * -1.0
+        price_row = np.eye(n_y + n_x)[-1:] * -1.0
         poly = dual_polyhedron(prob)
-        assert np.array_equal(poly.g, np.vstack([estimator_rows, coupling_rows, price_row]))
-        assert np.array_equal(poly.h, np.concatenate([prob.conditional.reshape(-1), np.zeros(n_x * n_x + 1)]))
+        assert np.array_equal(poly.g, np.vstack([estimator_rows, arc_rows, price_row]))
+        assert np.array_equal(poly.h, np.concatenate([prob.conditional.reshape(-1), np.zeros(tail.size + 1)]))
         # the P = 0 basis names d rows tight at its dual: the start of the
         # vertex walk in curve_by_vertices
         rep = solve_dp_at(prob, 0.0)

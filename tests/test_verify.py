@@ -13,6 +13,7 @@ from dptradeoff import (
     make_problem,
     solve_dp_at,
 )
+from dptradeoff.problemio import generate_instance, instance_to_problem
 
 from conftest import random_problem
 
@@ -91,6 +92,13 @@ class TestCrossVerify:
         report = cross_verify(prob, np.linspace(0, 1, 11))
         assert report.passed, report.failures
         assert "vertex" in report.values and "sweep" in report.values
+
+    def test_6x4_carries_the_vertex_column(self):
+        # its dual is walked whole within the default budget (2,002 bases)
+        prob = instance_to_problem(generate_instance(1, 6, 4))
+        report = cross_verify(prob, np.linspace(0, 1, 11))
+        assert report.passed, report.failures
+        assert {"sweep", "vertex", "pointwise"} <= set(report.values)
 
     def test_corrupted_slope_fails_with_location(self, bsc_problem):
         report = cross_verify(
