@@ -13,12 +13,13 @@ but the last, and the price:
   segment and gives its line.  No enumeration, so it reaches problems
   whose dual polyhedron is too large to enumerate.
 * ``curve_by_vertices``: take the same walk, enumerate all dual vertices
-  by a basis walk from its last basis, project them to the (intercept,
-  slope) plane, and take the exact upper envelope on [0, 1].
+  by a basis walk from its last basis, and project them to lines.
 
-Both take their estimators from the bases of the one walk and return
-the same breakpoints and slopes up to solver tolerance; the terminal
-plateau is pinned bitwise to the unconstrained floor.
+Both build the envelope on [0, 1] with ``assemble_curve``, one stack
+pass over the lines sorted by slope, and take their estimators from the
+bases of the one walk.  They return the same breakpoints and slopes up
+to solver tolerance; the terminal plateau is pinned bitwise to the
+unconstrained floor.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError
-from .model import Estimator, Problem, _readonly, check_level
+from .model import Estimator, Problem, _readonly, _require_finite, check_level
 from .programs import _crash_basis, _flow_dual, _stochastic_estimator, build_ot_form
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
@@ -88,11 +89,9 @@ class PiecewiseLinearCurve:
             raise ProblemError("curve slopes must be nonpositive")
         if np.any(np.diff(slopes) < -1e-9):
             raise ProblemError("curve slopes must be non-decreasing (convexity)")
-        for i, p in enumerate(bp):
-            left = seg[i, 0] + seg[i, 1] * p
-            right = seg[i + 1, 0] + seg[i + 1, 1] * p
-            if abs(left - right) > 1e-9:
-                raise ProblemError(f"curve discontinuous at breakpoint {p!r}")
+        jumps = np.abs((seg[:-1, 0] + seg[:-1, 1] * bp) - (seg[1:, 0] + seg[1:, 1] * bp)) > 1e-9
+        if jumps.any():
+            raise ProblemError(f"curve discontinuous at breakpoint {bp[jumps.argmax()]!r}")
         if seg[-1, 1] != 0.0 or seg[-1, 0] != self.d_star:
             raise ProblemError("final segment must be the exact plateau")
         expected_p_star = float(bp[-1]) if bp.size else 0.0
@@ -120,90 +119,41 @@ class PiecewiseLinearCurve:
         return self.segments[:, 1]
 
 
-def _upper_envelope(lines: np.ndarray) -> list[int]:
-    """Indices of envelope lines ordered by activity, for p in (-inf, inf).
-
-    ``lines`` rows are (intercept, slope), pre-sorted by slope ascending
-    with one representative per slope level.  Classic monotone stack: a
-    line is dropped when it is dominated before its predecessor stops
-    being.
-    """
-    stack: list[int] = []
-
-    def cross(i: int, j: int) -> float:
-        return (lines[i, 0] - lines[j, 0]) / (lines[j, 1] - lines[i, 1])
-
-    for i in range(lines.shape[0]):
-        while (
-            len(stack) >= 2
-            and cross(stack[-1], i) <= cross(stack[-2], stack[-1]) + 1e-15
-        ):
-            stack.pop()
-        stack.append(i)
-    return stack
-
-
 def assemble_curve(lines, d_star: float) -> PiecewiseLinearCurve:
     """Upper envelope of candidate lines on [0, 1] as a validated curve.
 
     The exact plateau line ``(d_star, 0)`` is always injected: it is a
     feasible dual value at every level, and carrying it verbatim keeps
-    the plateau bitwise equal to the unconstrained floor.
+    the plateau bitwise equal to the unconstrained floor.  Lines with a
+    slope within 1e-11 of 0 become it; positive slopes are dropped.
+
+    One pass over the lines sorted by (slope, intercept) keeps a stack of
+    ``(intercept, slope, level where the line takes over)``.  A line
+    within ``_SLOPE_MERGE_TOL`` of the top's slope replaces the top only
+    if its intercept is larger.  The top is popped while the line takes
+    over within ``_ZERO_LEN_TOL`` of where the top took over (or of 0).
+    Levels are clipped at 1, so a line that would take over only at
+    P >= 1 has no length there: the plateau, last in the order, pops it.
     """
-    arr = np.asarray(lines, dtype=float).reshape(-1, 2)
-    arr = np.vstack([arr, [d_star, 0.0]])
-    # numerically-zero slopes collapse onto the exact plateau
-    arr[np.abs(arr[:, 1]) <= 1e-11, 1] = 0.0
+    arr = np.vstack([np.asarray(lines, dtype=float).reshape(-1, 2), [d_star, 0.0]])
+    _require_finite(arr, "lines")
+    arr[np.abs(arr[:, 1]) <= 1e-11] = d_star, 0.0
     arr = arr[arr[:, 1] <= 0.0]
-
-    arr = arr[np.argsort(arr[:, 1], kind="stable")]
-    keep: list[np.ndarray] = []
-    for row in arr:  # one line per slope level: the one with the best intercept
-        if keep and row[1] - keep[-1][1] <= _SLOPE_MERGE_TOL:
-            if row[0] > keep[-1][0]:
-                keep[-1] = row
-            continue
-        keep.append(row)
-    cand = np.asarray(keep)
-
-    active = _upper_envelope(cand)
-    chosen = cand[active]
-    # activity intervals over the real line, then clipped to [0, 1]
-    crossings = [
-        (chosen[i, 0] - chosen[i + 1, 0]) / (chosen[i + 1, 1] - chosen[i, 1])
-        for i in range(len(active) - 1)
-    ]
-    segs: list[tuple[float, float]] = []
-    for i, line in enumerate(chosen):
-        left = crossings[i - 1] if i > 0 else -np.inf
-        right = crossings[i] if i < len(crossings) else np.inf
-        if right <= _ZERO_LEN_TOL or left >= 1.0 - 1e-15 or right - left <= _ZERO_LEN_TOL:
-            continue
-        segs.append((float(line[0]), float(line[1])))
-
-    if not segs:
-        segs = [(d_star, 0.0)]
-    if segs[-1][1] != 0.0:
-        # plateau shorter than the zero-length cutoff; re-pin it explicitly
-        segs.append((d_star, 0.0))
-    else:
-        segs[-1] = (d_star, 0.0)
-
-    seg_arr = np.asarray(segs)
-    bps = np.array(
-        [
-            (seg_arr[i, 0] - seg_arr[i + 1, 0]) / (seg_arr[i + 1, 1] - seg_arr[i, 1])
-            for i in range(seg_arr.shape[0] - 1)
-        ]
-    )
-    bps = np.minimum(bps, 1.0)
-    lengths_ok = np.concatenate([[True], np.diff(bps) > _ZERO_LEN_TOL]) if bps.size else np.array([], bool)
-    if bps.size and not np.all(lengths_ok):
-        keep_rows = np.concatenate([lengths_ok, [True]])
-        seg_arr = seg_arr[keep_rows]
-        bps = bps[lengths_ok]
-    p_star = float(bps[-1]) if bps.size else 0.0
-    return PiecewiseLinearCurve(bps, seg_arr, p_star, float(d_star))
+    stack: list[tuple[float, float, float]] = []
+    for b, m in arr[np.lexsort((arr[:, 0], arr[:, 1]))].tolist():
+        if stack and m - stack[-1][1] <= _SLOPE_MERGE_TOL:
+            if b <= stack[-1][0]:
+                continue
+            stack.pop()
+        while stack:
+            top_b, top_m, top_start = stack[-1]
+            start = min((top_b - b) / (m - top_m), 1.0)
+            if start > top_start + _ZERO_LEN_TOL:
+                break
+            stack.pop()
+        stack.append((b, m, start if stack else 0.0))
+    env = np.array(stack)  # the plateau is last, and starts at 0 on a flat curve
+    return PiecewiseLinearCurve(env[1:, 2], env[:, :2], float(env[-1, 2]), float(d_star))
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,10 @@ class Estimator:
     @classmethod
     def deterministic(cls, assignment, n_x: int) -> "Estimator":
         """Point-mass estimator mapping observation j to assignment[j]."""
-        assignment = np.asarray(assignment, dtype=int)
+        raw = np.asarray(assignment)
+        if raw.ndim != 1 or not np.all((raw >= 0) & (raw < n_x) & (raw == np.floor(raw))):
+            raise ProblemError(f"assignments must be integers in [0, {n_x})")
+        assignment = raw.astype(int)
         q = np.zeros((n_x, assignment.size))
         q[assignment, np.arange(assignment.size)] = 1.0
         return cls(q)

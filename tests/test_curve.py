@@ -6,6 +6,7 @@ import pytest
 from dptradeoff import (
     PiecewiseLinearCurve,
     ProblemError,
+    assemble_curve,
     curve_by_sweep,
     curve_by_vertices,
     estimator_on_curve,
@@ -92,6 +93,94 @@ class TestCurveByVertices:
             assert curve.value(1.0) == 0.0
             assert curve.value(0.0) == pytest.approx(5.0, abs=1e-9)
             assert curve.slopes[0] == pytest.approx(-5.0, abs=1e-9)
+
+
+def _tangent_lines(seed):
+    """Lines that end at d_star by P = 1, clear of every merge tolerance.
+
+    Tangents of ``d + a (p_star - P)^2`` at points at least 1e-3 apart lie
+    on the envelope; copies shifted down by at least 0.01 and exact
+    duplicates do not.
+    """
+    rng = np.random.default_rng(seed)
+    d_star, a, p_star = rng.uniform(0.1, 0.5), rng.uniform(0.5, 3.0), rng.uniform(0.2, 0.9)
+    t = np.sort(rng.choice(np.arange(0.0, p_star - 1e-3, 1e-3), int(rng.integers(1, 12)), replace=False))
+    slopes = -2.0 * a * (p_star - t)
+    tangents = np.stack([d_star + a * (p_star - t) ** 2 - slopes * t, slopes], axis=1)
+    shifted = tangents - [[rng.uniform(0.01, 0.1), 0.0]]
+    lines = np.vstack([tangents, shifted, tangents[: len(t) // 2]])
+    return lines, d_star
+
+
+class TestAssembleCurve:
+    def test_concurrent_lines_give_one_breakpoint(self):
+        # three lines through (0.25, 1), then the plateau at 0.5
+        curve = assemble_curve([(2.0, -4.0), (1.5, -2.0), (1.25, -1.0)], 0.5)
+        assert curve.breakpoints.tolist() == [0.25, 0.75]
+        assert curve.segments.tolist() == [[2.0, -4.0], [1.25, -1.0], [0.5, 0.0]]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_equal_slopes_keep_the_higher_intercept(self, order):
+        curve = assemble_curve([(1.0, -1.0), (0.9, -1.0)][::order], 0.5)
+        assert curve.breakpoints.tolist() == [0.5]
+        assert curve.segments.tolist() == [[1.0, -1.0], [0.5, 0.0]]
+
+    def test_slopes_within_merge_tolerance_merge(self):
+        # unmerged, the second line would take over at P = 0.2
+        curve = assemble_curve([(1.0, -1.0), (1.0 - 1e-13, -1.0 + 5e-13)], 0.5)
+        assert curve.segments.tolist() == [[1.0, -1.0], [0.5, 0.0]]
+        assert curve.breakpoints.tolist() == [0.5]
+
+    def test_line_taking_over_past_one_is_absent(self):
+        # (0.7, -0.25) would take over from (1, -0.5) only at P = 1.2
+        curve = assemble_curve([(1.0, -0.5), (0.7, -0.25)], 0.5)
+        assert curve.segments.tolist() == [[1.0, -0.5], [0.5, 0.0]]
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-10])
+    def test_plateau_starting_at_one(self, gap):
+        # a line 1e-10 above the floor at P = 1 meets it at 1 + 2e-10: clipped
+        curve = assemble_curve([(1.0, -0.5)], 0.5 - gap)
+        assert curve.breakpoints.tolist() == [1.0]
+        assert curve.p_star == 1.0
+        assert curve.value(1.0) == 0.5 - gap
+
+    def test_segment_shorter_than_zero_length_tolerance_dropped(self):
+        # (0.875 + 1e-15, -0.75) is on top only for about 8e-15 around P = 0.5
+        curve = assemble_curve([(1.0, -1.0), (0.875 + 1e-15, -0.75), (0.75, -0.5)], 0.35)
+        assert curve.segments.tolist() == [[1.0, -1.0], [0.75, -0.5], [0.35, 0.0]]
+        assert curve.breakpoints == pytest.approx([0.5, 0.8], abs=1e-15)
+
+    def test_tiny_slopes_join_the_plateau(self):
+        curve = assemble_curve([(1.0, -1.0), (0.5 + 1e-13, -1e-12), (0.5, 1e-12)], 0.5)
+        assert curve.segments.tolist() == [[1.0, -1.0], [0.5, 0.0]]
+        assert curve.p_star == 0.5
+        flat = assemble_curve([(0.5 + 1e-13, -1e-12), (0.5, 1e-12)], 0.5)
+        assert flat.breakpoints.size == 0
+        assert flat.segments.tolist() == [[0.5, 0.0]]
+
+    def test_no_lines_is_flat_at_the_floor(self):
+        curve = assemble_curve(np.empty((0, 2)), 0.3)
+        assert curve.breakpoints.size == 0
+        assert curve.p_star == 0.0
+        assert curve.segments.tolist() == [[0.3, 0.0]]
+        assert curve.value(0.0) == 0.3
+
+    @pytest.mark.parametrize("line", [(np.nan, -0.5), (2.0, np.nan), (np.inf, -2.0)])
+    def test_non_finite_lines_rejected(self, line):
+        with pytest.raises(ProblemError, match="non-finite"):
+            assemble_curve([(1.0, -1.0), line], 0.5)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force_and_ignores_row_order(self, seed):
+        lines, d_star = _tangent_lines(seed)
+        curve = assemble_curve(lines, d_star)
+        grid = np.linspace(0.0, 1.0, 1001)
+        brute = np.max(lines[:, :1] + lines[:, 1:] * grid, axis=0)
+        assert np.max(np.abs(curve.value(grid) - np.maximum(brute, d_star))) <= 1e-12
+        perm = np.random.default_rng(seed + 100).permutation(len(lines))
+        permuted = assemble_curve(lines[perm], d_star)
+        assert np.array_equal(permuted.breakpoints, curve.breakpoints)
+        assert np.array_equal(permuted.segments, curve.segments)
 
 
 class TestBreakpointCandidates:

@@ -95,6 +95,11 @@ class TestValidation:
         with pytest.raises(ProblemError, match="column 1"):
             Estimator([[1.0, 0.4], [0.0, 0.4]])
 
+    @pytest.mark.parametrize("assignment", [[-1, 0], [0.7, 1.2], [0, 2]])
+    def test_deterministic_assignments_checked(self, assignment):
+        with pytest.raises(ProblemError, match="integers in"):
+            Estimator.deterministic(assignment, 2)
+
     def test_coupling_marginals_checked(self):
         with pytest.raises(ProblemError, match="row sums"):
             Coupling([[0.5, 0.0], [0.0, 0.5]], [0.7, 0.3], [0.5, 0.5])
