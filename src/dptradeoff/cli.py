@@ -301,7 +301,7 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # NaN compares false
             raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
         return args.func(args)
-    except (ProblemError, FileNotFoundError) as exc:
+    except (ProblemError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -265,23 +265,26 @@ def _report(problem: Problem, method: str, lines, lp, lay, path, vertices=None) 
     """The envelope of ``lines``, with estimators from the bases on ``path``.
 
     A breakpoint's estimator is the point of the basis whose walk level
-    is nearest it; level 0's is the last basis's.  Only these points are
-    built from the path's basic values.  Where the optimum is
-    not unique, the pivot rule picks the estimator; the curve is the same.
+    is nearest it, the first such on a tie; level 0's is the last basis's.
+    One broadcast picks these path entries, their basic values are
+    scattered into one stack of points, and one stacked pass of
+    ``_stochastic_estimator`` reads the estimators off it.  Where the
+    optimum is not unique, the pivot rule picks the estimator; the curve
+    is the same.
     """
     curve = assemble_curve(lines, problem.distortion_floor)
     levels = np.asarray([entry[0] for entry in path])
+    at = np.concatenate([[0.0], curve.breakpoints])
+    _, bases, values, _ = zip(*(path[i] for i in np.argmin(np.abs(levels - at[:, None]), axis=1)))
+    points = np.zeros((at.size, lp.n))
+    points[np.arange(at.size)[:, None], bases] = values
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
-    estimators = []
-    for p in [0.0] + [float(b) for b in curve.breakpoints]:
-        _, basis, xb, _ = path[int(np.argmin(np.abs(levels - p)))]
-        x = lpmod.basic_point(lp.n, basis, xb)
-        estimators.append((p, _stochastic_estimator(problem, lay.extract_q(x), tol)))
+    estimators = _stochastic_estimator(problem, lay.extract_q(points), tol)
     return CurveReport(
         curve=curve,
         method=method,
         s2_points=lines,
-        estimators=tuple(estimators),
+        estimators=tuple(zip(at.tolist(), estimators)),
         solve_count=1,
         vertices=vertices,
     )

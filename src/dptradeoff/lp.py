@@ -181,7 +181,7 @@ class _Tableau:
         line[col] = 1.0
         self.block[row] /= piv
         factors[row] = 0.0
-        self.block -= np.outer(factors, self.block[row])
+        self.block -= factors[:, None] * self.block[row]
         self.red -= self.red[col] * line
         self.basis[row] = col
         self.fresh = False
@@ -304,13 +304,13 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     with the smallest ratio ``red[j] / -row[j]`` enters, ties to the
     smallest index, or None if the row has no negative entry.
     """
-    row = int(rows[np.argmin(tab.basis[rows])])
+    row = int(rows[tab.basis[rows].argmin()])
     line = tab.row(row)
-    cols = np.nonzero(line < -_PIVOT_COL_TOL)[0]
+    cols = (line < -_PIVOT_COL_TOL).nonzero()[0]
     if cols.size == 0:
         return row, None
     ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
-    return row, int(cols[ratios <= ratios.min() + _RATIO_TIE_TOL][0])
+    return row, int(cols[(ratios <= ratios.min() + _RATIO_TIE_TOL).argmax()])
 
 
 def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
@@ -431,9 +431,9 @@ def walk(
     s, iters, path = span, 0, []
     while True:
         fall = -way * tab.rate  # basic values' fall per unit travelled
-        rows = np.nonzero(fall > _PIVOT_COL_TOL)[0]
+        rows = (fall > _PIVOT_COL_TOL).nonzero()[0]
         xr, fr = tab.xb[rows], fall[rows]
-        if np.all(xr - abs(s) * fr >= -tol):  # feasible at s = 0: the last basis
+        if (xr - abs(s) * fr).min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
             tab.b = b
             break
         steps = np.maximum(xr, 0.0) / fr

@@ -223,16 +223,18 @@ class Estimator:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
             raise ProblemError("estimator must be a 2-D matrix")
-        _require_finite(q, "estimator")
-        if np.any(q < -_MASS_TOL):
-            raise ProblemError("estimator has a negative entry")
-        colsum = q.sum(axis=0)
-        bad = np.nonzero(np.abs(colsum - 1.0) > _STOCHASTIC_TOL)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise ProblemError(
-                f"estimator column {j} sums to {colsum[j]!r}, expected 1"
-            )
+        # a NaN, -inf or negative entry fails the min before any column is
+        # summed, and a +inf entry its column's sum; only a rejected matrix
+        # is diagnosed entry by entry
+        if not (
+            q.min() >= -_MASS_TOL
+            and np.abs((colsum := q.sum(axis=0)) - 1.0).max() <= _STOCHASTIC_TOL
+        ):
+            _require_finite(q, "estimator")
+            if np.any(q < -_MASS_TOL):
+                raise ProblemError("estimator has a negative entry")
+            j = int(np.argmax(np.abs(colsum - 1.0) > _STOCHASTIC_TOL))
+            raise ProblemError(f"estimator column {j} sums to {colsum[j]!r}, expected 1")
         object.__setattr__(self, "q", _readonly(q))
 
     @classmethod

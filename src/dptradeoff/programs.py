@@ -86,7 +86,8 @@ class FlowLayout:
         return (np.arange(self.n_cons) == self.n_cons - 1).astype(float)
 
     def extract_q(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.n_x * self.n_y].reshape(self.n_x, self.n_y)
+        """The estimator block of a point, or of each row of a stack of points."""
+        return x[..., : self.n_x * self.n_y].reshape(*x.shape[:-1], self.n_x, self.n_y)
 
     def extract_flow(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_x * self.n_y : -1]
@@ -272,31 +273,36 @@ class SolveReport:
     refactorizations: int = 0
 
 
-def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> Estimator:
-    """Column-stochastic estimator from the solver's estimator block.
+def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> list[Estimator]:
+    """Column-stochastic estimators from a stack ``q[k, xhat, y]`` of estimator blocks.
 
-    The solver meets each stochasticity row ``p_y * sum(q[:, y]) = p_y``
-    within ``tol`` in mass units, so a column's own sum may be off by
-    ``tol / p_y``: the column of a symbol with almost no mass can come
-    back as zeros.  Residuals are judged in mass units; a column with a
-    positive sum is renormalized, and one that sums to about 0 takes the
-    column of the unconstrained optimum, which moves the distortion and
-    the output law by at most that symbol's mass.
+    One array pass applies the rules, and raises the errors, for all k
+    blocks at once: ``solve_dp_at`` passes a stack of one, and a curve
+    (``curve._report``) the blocks of every path entry it picked, so its
+    estimators come from one stacked pass.  The solver meets each
+    stochasticity row ``p_y * sum(q[:, y]) = p_y`` within ``tol`` in
+    mass units, so a column's own sum may be off by ``tol / p_y``: the
+    column of a symbol with almost no mass can come back as zeros.
+    Residuals are judged in mass units; a column with a positive sum is
+    renormalized, and one that sums to about 0 takes the column of the
+    unconstrained optimum, which moves the distortion and the output
+    law by at most that symbol's mass.
     """
     p_y = problem.p_y
     if np.any(p_y * q < -tol):
         raise SolverError("estimator entry negative beyond the solver tolerance")
     q = np.clip(q, 0.0, None)
-    colsum = q.sum(axis=0)
+    colsum = q.sum(axis=1)
     residual = p_y * np.abs(colsum - 1.0)
     if np.any(residual > tol):
         raise SolverError(
             f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
         )
     empty = colsum <= tol
-    q = q / np.where(empty, 1.0, colsum)
-    q[:, empty] = problem.minimum[1].q[:, empty]
-    return Estimator(q)
+    q /= np.where(empty, 1.0, colsum)[:, None, :]
+    k, y = empty.nonzero()
+    q[k, :, y] = problem.minimum[1].q[:, y].T
+    return [Estimator(block) for block in q]
 
 
 def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:
@@ -369,7 +375,7 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
     sol = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, span)[0]
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
-    estimator = _stochastic_estimator(problem, lay.extract_q(sol.x), tol)
+    (estimator,) = _stochastic_estimator(problem, lay.extract_q(sol.x)[None], tol)
     plan = _coupling(problem, lay, sol.x)
     dual = _dual(problem, sol.dual, p_level)
     return SolveReport(

@@ -281,6 +281,21 @@ class TestVerify:
         assert "input error: grid oracle needs at least 1 step" in capsys.readouterr().err
 
 
+class TestUnreadablePaths:
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--P", "0.1", "--input", "{dir}"],
+         ["curve", "--method", "sweep", "--input", "{file}", "--out-json", "{dir}"]],
+        ids=["solve-input", "curve-out-json"],
+    )
+    def test_directory_is_input_error(self, bsc_file, tmp_path, capsys, command):
+        # a directory raised IsADirectoryError out of main as a traceback
+        argv = [arg.format(dir=tmp_path, file=bsc_file) for arg in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(tmp_path) in err
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(

@@ -307,6 +307,31 @@ class TestCurveBySweep:
                 )
                 assert prob.perception_of(est)[0] <= p + 1e-8
 
+    @pytest.mark.parametrize(
+        "method,shape,random_metric",
+        [(curve_by_sweep, (5, 10), False), (curve_by_sweep, (8, 20), True),
+         (curve_by_vertices, (3, 4), True)],
+        ids=["sweep-5x10", "sweep-8x20-metric", "vertex-3x4-metric"],
+    )
+    def test_estimators_match_a_loop_over_the_levels(self, method, shape, random_metric):
+        # the reference: per level, the nearest path entry (first on a tie),
+        # its point, and a stack of one; the stacked pass must match bitwise
+        from dptradeoff import lp as lpmod
+        from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form
+
+        prob = random_problem(2, *shape, random_distortion=True, random_metric=random_metric)
+        report = method(prob)
+        lp, lay = build_ot_form(prob, 0.0)
+        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        levels = np.array([entry[0] for entry in path])
+        tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
+        assert len(report.estimators) == report.curve.breakpoints.size + 1
+        for p, est in report.estimators:
+            _, basis, xb, _ = path[int(np.argmin(np.abs(levels - p)))]
+            x = lpmod.basic_point(lp.n, basis, xb)
+            (want,) = _stochastic_estimator(prob, lay.extract_q(x)[None], tol)
+            assert np.array_equal(est.q, want.q), p
+
     @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])
     @pytest.mark.parametrize("shape", [(5, 10), (8, 20)], ids=["5x10", "8x20"])
     def test_matches_highs(self, shape, random_metric):

@@ -95,6 +95,19 @@ class TestValidation:
         with pytest.raises(ProblemError, match="column 1"):
             Estimator([[1.0, 0.4], [0.0, 0.4]])
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
+            ([[1.0, -1e-9], [0.0, 1.0 + 1e-9]], "negative entry"),
+            ([[1.0, 1e308], [0.0, 1e308]], "sums to"),  # finite entries, infinite sum
+        ],
+        ids=["nan", "negative", "overflow"],
+    )
+    def test_estimator_rejections(self, q, message):
+        with np.errstate(over="ignore"), pytest.raises(ProblemError, match=message):
+            Estimator(q)
+
     @pytest.mark.parametrize("assignment", [[-1, 0], [0.7, 1.2], [0, 2]])
     def test_deterministic_assignments_checked(self, assignment):
         with pytest.raises(ProblemError, match="integers in"):

@@ -212,7 +212,7 @@ class TestSolveAt:
     def test_stochasticity_residual_is_a_solver_error(self, bsc_problem):
         q = np.array([[0.5, 1.0], [0.0, 0.0]])  # column 0 short by mass 0.3
         with pytest.raises(SolverError, match="off stochastic"):
-            _stochastic_estimator(bsc_problem, q, 1e-9)
+            _stochastic_estimator(bsc_problem, q[None], 1e-9)
 
     def test_estimator_transport_feasibility(self):
         prob = random_problem(77, 3, 4, random_distortion=True, random_metric=True)
@@ -220,6 +220,40 @@ class TestSolveAt:
             rep = solve_dp_at(prob, p)
             w1, _ = prob.perception_of(rep.estimator)
             assert w1 <= p + 1e-8
+
+
+class TestStackedEstimators:
+    """``_stochastic_estimator`` over a stack of three estimator blocks."""
+
+    # observation 1 has mass 3e-11, below the tolerance: its column may be empty
+    PROBLEM = make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]])
+    STACK = np.array([
+        [[0.6, 0.5, 0.1], [0.4, 0.5, 0.9]],
+        [[0.6, 0.0, 0.1], [0.4, 0.0, 0.9 + 1e-10]],  # column 1 empty
+        [[1.0, 0.2, -1e-12], [0.0, 0.7, 1.0]],  # column 1 short, within its mass
+    ])
+
+    def test_each_slice_is_a_stack_of_one(self):
+        got = _stochastic_estimator(self.PROBLEM, self.STACK, 1e-9)
+        assert len(got) == 3
+        for block, est in zip(self.STACK, got):
+            (alone,) = _stochastic_estimator(self.PROBLEM, block[None], 1e-9)
+            assert np.array_equal(est.q, alone.q)
+
+    def test_empty_column_takes_the_map_column_in_its_slice_only(self):
+        first, empty, short = _stochastic_estimator(self.PROBLEM, self.STACK, 1e-9)
+        map_column = self.PROBLEM.minimum[1].q[:, 1]
+        assert np.array_equal(empty.q[:, 1], map_column)
+        assert np.array_equal(first.q[:, 1], [0.5, 0.5])
+        assert np.allclose(short.q[:, 1], [2 / 9, 7 / 9], rtol=0.0, atol=1e-15)
+        for est, block in ((first, 0), (empty, 1), (short, 2)):  # the other columns stay
+            assert np.allclose(est.q[:, [0, 2]], self.STACK[block][:, [0, 2]], rtol=0.0, atol=1e-9)
+
+    def test_one_off_stochastic_slice_raises(self):
+        stack = self.STACK.copy()
+        stack[2, :, 0] = [0.5, 0.2]  # column 0 short by mass 0.15
+        with pytest.raises(SolverError, match="off stochastic"):
+            _stochastic_estimator(self.PROBLEM, stack, 1e-9)
 
 
 def _crash_cases():
