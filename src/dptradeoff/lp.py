@@ -76,8 +76,8 @@ class StandardLP:
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         c = np.asarray(self.c, dtype=float)
-        if a.ndim != 2:
-            raise SolverError("constraint matrix must be 2-D")
+        if a.ndim != 2 or a.shape[1] < 1:
+            raise SolverError("constraint matrix must be 2-D with at least one column")
         if b.shape != (a.shape[0],) or c.shape != (a.shape[1],):
             raise SolverError("inconsistent LP dimensions")
         for name, arr in (("a", a), ("b", b), ("c", c)):

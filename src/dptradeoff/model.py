@@ -59,31 +59,25 @@ class Distribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if p.ndim != 1 or p.size < 1:
-            raise ProblemError("distribution must be a nonempty vector")
-        _require_finite(p, "distribution")
-        if np.any(p < -_MASS_TOL):
-            raise ProblemError(f"distribution has negative entry {p.min():g}")
-        total = float(p.sum())
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ProblemError(f"distribution sums to {total!r}, expected 1")
-        object.__setattr__(self, "p", _readonly(p))
+        object.__setattr__(self, "p", _readonly(_as_prob_vector(self.p)))
 
     def __len__(self) -> int:
         return self.p.size
 
 
 def _as_prob_vector(dist, name: str = "distribution") -> np.ndarray:
-    """Accept a Distribution or a raw vector; validate lightly."""
+    """A Distribution's vector, or a raw vector checked by the same rules."""
     if isinstance(dist, Distribution):
         return dist.p
     p = np.atleast_1d(np.asarray(dist, dtype=float))
+    if p.ndim != 1 or p.size < 1:
+        raise ProblemError(f"{name} must be a nonempty vector")
     _require_finite(p, name)
     if np.any(p < -_MASS_TOL):
-        raise ProblemError(f"{name} has a negative entry")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ProblemError(f"{name} does not sum to 1")
+        raise ProblemError(f"{name} has negative entry {p.min():g}")
+    total = float(p.sum())
+    if abs(total - 1.0) > _MASS_TOL:
+        raise ProblemError(f"{name} sums to {total!r}, expected 1")
     return p
 
 
@@ -226,10 +220,9 @@ class Estimator:
         # a NaN, -inf or negative entry fails the min before any column is
         # summed, and a +inf entry its column's sum; only a rejected matrix
         # is diagnosed entry by entry
-        if not (
-            q.min() >= -_MASS_TOL
-            and np.abs((colsum := q.sum(axis=0)) - 1.0).max() <= _STOCHASTIC_TOL
-        ):
+        with np.errstate(over="ignore"):  # finite entries may sum to inf
+            ok = q.min() >= -_MASS_TOL and np.abs((colsum := q.sum(axis=0)) - 1.0).max() <= _STOCHASTIC_TOL
+        if not ok:
             _require_finite(q, "estimator")
             if np.any(q < -_MASS_TOL):
                 raise ProblemError("estimator has a negative entry")
@@ -362,13 +355,40 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(pv - qv).sum())
 
 
+def _flow_plan(p, r, n_nodes: int, tail, head, flow) -> np.ndarray:
+    """A transport plan from ``p`` to ``r``, read off arc flows that turn one into the other.
+
+    Nodes are the ``p.size`` symbols, then any node without mass; arc k
+    carries ``flow[k]`` from ``tail[k]`` to ``head[k]``.  The mass that
+    passes node j is ``T[j] = p[j] + in(j)``; a share ``flow / T[j]`` of
+    it moves on along each arc out of j and ``r[j] / T[j]`` stops there.
+    Symbol i's mass passes node j as ``X[i, j]``, where ``X = diag(p) (I
+    - diag(1 / T) F)^-1`` for the flow matrix F, so ``X[i, j] r[j] /
+    T[j]`` of it ends at j.  No unit ends farther than its route's
+    weight, so under a metric the plan costs at most the flow's weight.
+    """
+    n_x = p.size
+    flows = np.zeros((n_nodes, n_nodes))
+    flows[tail, head] = np.clip(flow, 0.0, None)
+    supply = np.zeros(n_nodes)
+    supply[:n_x] = p
+    through = supply + flows.sum(axis=0)
+    share = np.divide(flows, through[:, None], out=np.zeros_like(flows), where=through[:, None] > 0)
+    passes = np.linalg.solve((np.eye(n_nodes) - share).T, np.diag(supply)).T
+    stops = np.divide(r, through[:n_x], out=np.zeros(n_x), where=through[:n_x] > 0)
+    return passes[:n_x, :n_x] * stops
+
+
 def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     """Minimal transport cost between two pmfs under a ground metric.
 
-    Solves the transportation program over couplings of (p, q) with the
-    simplex core; the product coupling is always feasible, so the program
-    cannot be infeasible.  Returns the optimal value and one optimal
-    coupling.
+    Solves the Kantorovich-Rubinstein form with the simplex core: flows
+    on every ordered pair of distinct symbols, of weight ``h[i, j]``, with
+    node rows ``out(i) - in(i) = p[i] - q[i]`` (phase one drops the one
+    that depends on the others).  Returns the coupling read off the
+    optimal flow by ``solve_dp_at``'s rule and, as the value, its cost
+    ``sum(pi * h)``, which is the flow's weight up to rounding and the
+    triangle check's allowance.
     """
     from . import lp  # deferred: lp has no model dependency
 
@@ -377,20 +397,17 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     n = pv.size
     if qv.size != n or metric.n != n:
         raise ProblemError("marginals and metric must share one alphabet")
-    if n == 1:
+    if n == 1:  # no arcs
         return 0.0, Coupling(np.ones((1, 1)), pv, qv)
 
-    a = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a[i, i * n : (i + 1) * n] = 1.0  # row marginal i
-        a[n + i, i::n] = 1.0  # column marginal i
-    b = np.concatenate([pv, qv])
-    c = metric.h.reshape(-1)
-    sol = lp.solve(lp.StandardLP(a, b, c))
+    tail, head = np.nonzero(~np.eye(n, dtype=bool))
+    nodes = np.arange(n)[:, None]
+    a = (nodes == tail) - (nodes == head).astype(float)  # node-arc incidence
+    sol = lp.solve(lp.StandardLP(a, pv - qv, metric.h[tail, head]))
     if sol.status != "optimal":
         raise SolverError(f"transport program ended with status {sol.status}")
-    plan = np.clip(sol.x.reshape(n, n), 0.0, None)
-    return float(sol.value), Coupling(plan, pv, qv)
+    plan = _flow_plan(pv, qv, n, tail, head, sol.x)
+    return float(np.sum(plan * metric.h)), Coupling(plan, pv, qv)
 
 
 # ---------------------------------------------------------------------------

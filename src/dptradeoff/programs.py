@@ -33,12 +33,13 @@ the complete graph's dual, whose rows ``dual_polyhedron`` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError, SolverError
-from .model import Coupling, Estimator, Problem, check_level, output_distribution
+from .model import Coupling, Estimator, Problem, _flow_plan, check_level, output_distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +70,12 @@ class FlowLayout:
         return xhat * self.n_y + y
 
     def ix_arc(self, tail: int, head: int) -> int:
-        return self.n_x * self.n_y + int(np.flatnonzero((self.tail == tail) & (self.head == head))[0])
+        return self.n_x * self.n_y + self._arc_index[tail, head]
+
+    @cached_property
+    def _arc_index(self) -> dict[tuple[int, int], int]:
+        """Arc number by (tail, head) node pair."""
+        return {pair: k for k, pair in enumerate(zip(self.tail.tolist(), self.head.tolist()))}
 
     @property
     def ix_slack(self) -> int:
@@ -217,31 +223,6 @@ def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
     return _flow_dual(*build_ot_form(problem, 0.0))[0]
 
 
-def _coupling(problem: Problem, lay: FlowLayout, x: np.ndarray) -> np.ndarray:
-    """A transport plan from ``p_x`` to the output mass, read off the arc flows.
-
-    The mass that passes node j is ``T[j] = p_x[j] + in(j)``; a share
-    ``flow / T[j]`` of it moves on along each arc out of j and the share
-    ``r[j] / T[j]`` stops there as output.  Followed from its source,
-    symbol i's mass passes node j as ``X[i, j]``, where ``X = diag(p_x)
-    (I - diag(1 / T) F)^-1`` for the flow matrix F, so ``X[i, j] r[j] /
-    T[j]`` of it ends at j.  Each unit ends at most the weight of its
-    route from its source, so under a metric the plan moves at most the
-    flow's weight ``h . f``.
-    """
-    n_x, n = problem.n_x, lay.n_nodes
-    flow = np.zeros((n, n))
-    flow[lay.tail, lay.head] = np.clip(lay.extract_flow(x), 0.0, None)
-    supply = np.zeros(n)
-    supply[:n_x] = problem.p_x
-    through = supply + flow.sum(axis=0)
-    share = np.divide(flow, through[:, None], out=np.zeros_like(flow), where=through[:, None] > 0)
-    passes = np.linalg.solve((np.eye(n) - share).T, np.diag(supply)).T
-    out = np.clip(lay.extract_q(x), 0.0, None) @ problem.p_y
-    stops = np.divide(out, through[:n_x], out=np.zeros(n_x), where=through[:n_x] > 0)
-    return passes[:n_x, :n_x] * stops
-
-
 # ---------------------------------------------------------------------------
 # Single-level solve
 # ---------------------------------------------------------------------------
@@ -376,7 +357,8 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     (estimator,) = _stochastic_estimator(problem, lay.extract_q(sol.x)[None], tol)
-    plan = _coupling(problem, lay, sol.x)
+    out = np.clip(lay.extract_q(sol.x), 0.0, None) @ problem.p_y
+    plan = _flow_plan(problem.p_x, out, lay.n_nodes, lay.tail, lay.head, lay.extract_flow(sol.x))
     dual = _dual(problem, sol.dual, p_level)
     return SolveReport(
         p_level=float(p_level),

@@ -329,6 +329,18 @@ class TestW1:
     def test_bad_vector(self, capsys):
         assert main(["w1", "--p", "0.6;0.4", "--q", "1,0"]) == 1
 
+    def test_random_metric_file(self, tmp_path, capsys):
+        # every coupling onto a point mass moves each symbol's mass straight there
+        spec = generate_instance(1, 5, 6, random_distortion=True, use_random_metric=True)
+        path = tmp_path / "r.json"
+        path.write_text(serialize_instance(spec))
+        assert main(["w1", "--input", str(path), "--p", "0.2,0.2,0.2,0.2,0.2", "--q", "1,0,0,0,0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        h = instance_to_problem(parse_instance(path.read_text())).metric.h
+        assert float(lines[0].removeprefix("W1 = ")) == pytest.approx(0.2 * h[:, 0].sum(), abs=1e-15)
+        plan = np.array([[float(v) for v in line.split()] for line in lines[2:7]])
+        assert np.allclose(plan, np.outer(np.full(5, 0.2), [1, 0, 0, 0, 0]), rtol=0.0, atol=1e-15)
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, bsc_file):

@@ -95,6 +95,10 @@ class TestSolve:
         with pytest.raises(SolverError, match="non-finite"):
             StandardLP([[np.nan]], [1.0], [1.0])
 
+    def test_rejects_a_program_without_columns(self):
+        with pytest.raises(SolverError, match="at least one column"):
+            solve(StandardLP(np.zeros((1, 0)), [0.0], np.zeros(0)))
+
 
 class TestRandomInstances:
     def test_500_random_feasible_bounded_lps(self):

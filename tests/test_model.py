@@ -22,6 +22,8 @@ from dptradeoff import (
     wasserstein1,
 )
 
+from dptradeoff.problemio import random_metric
+
 from conftest import (
     cost_matrix_oracle,
     deterministic_minimum_oracle,
@@ -105,7 +107,7 @@ class TestValidation:
         ids=["nan", "negative", "overflow"],
     )
     def test_estimator_rejections(self, q, message):
-        with np.errstate(over="ignore"), pytest.raises(ProblemError, match=message):
+        with pytest.raises(ProblemError, match=message):
             Estimator(q)
 
     @pytest.mark.parametrize("assignment", [[-1, 0], [0.7, 1.2], [0, 2]])
@@ -116,6 +118,18 @@ class TestValidation:
     def test_coupling_marginals_checked(self):
         with pytest.raises(ProblemError, match="row sums"):
             Coupling([[0.5, 0.0], [0.0, 0.5]], [0.7, 0.3], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda p, q: wasserstein1(p, q, GroundMetric.hamming(2)), tv_distance],
+        ids=["wasserstein1", "tv_distance"],
+    )
+    def test_raw_vectors_checked_like_distributions(self, call):
+        # a sum 9e-10 off 1 is an input error, as for a Distribution
+        with pytest.raises(ProblemError, match="first distribution sums to"):
+            call([0.5, 0.5 + 9e-10], [0.5, 0.5])
+        with pytest.raises(ProblemError, match="second distribution has negative entry"):
+            call([0.5, 0.5], [1.0 + 1e-9, -1e-9])
 
 
 class TestImmutability:
@@ -363,8 +377,6 @@ class TestWasserstein:
 
     def test_general_metric_between_tv_bounds(self):
         rng = np.random.default_rng(5)
-        from dptradeoff.problemio import random_metric
-
         for _ in range(10):
             n = int(rng.integers(2, 6))
             h = GroundMetric(random_metric(rng, n))
@@ -374,3 +386,48 @@ class TestWasserstein:
             t = tv_distance(p, q)
             off = h.h[~np.eye(n, dtype=bool)]
             assert off.min() * t - 1e-10 <= value <= off.max() * t + 1e-10
+
+    @staticmethod
+    def _dense_highs(p, q, h):
+        """The coupling program over n^2 plan entries, solved by HiGHS."""
+        from scipy.optimize import linprog
+
+        n = p.size
+        a = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+        res = linprog(h.reshape(-1), A_eq=a, b_eq=np.concatenate([p, q]), method="highs")
+        assert res.status == 0
+        return res.fun
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_coupling_program(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 9))
+        h = GroundMetric(random_metric(rng, n))
+        p = random_distribution(rng, n)
+        q = random_distribution(rng, n)
+        value, coupling = wasserstein1(p, q, h)
+        assert abs(value - self._dense_highs(p, q, h.h)) <= 1e-12
+        assert np.abs(coupling.pi.sum(axis=1) - p).max() <= 1e-12
+        assert np.abs(coupling.pi.sum(axis=0) - q).max() <= 1e-12
+        assert abs(np.sum(coupling.pi * h.h) - value) <= 1e-15
+
+    def test_single_symbol(self):
+        value, coupling = wasserstein1([1.0], [1.0], GroundMetric.hamming(1))
+        assert value == 0.0 and np.array_equal(coupling.pi, [[1.0]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_marginals_under_a_random_metric(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_distribution(rng, 6)
+        value, coupling = wasserstein1(p, p, GroundMetric(random_metric(rng, 6)))
+        assert value == 0.0
+        assert np.array_equal(coupling.pi, np.diag(p))
+
+    def test_value_is_the_plan_cost(self):
+        # h[1, 2] sits 9.9e-10 under the triangle check's allowance, so the
+        # optimal flow routes 0 -> 1 -> 2 at weight 1 - 9.9e-10; the only
+        # coupling of these point masses moves all of it from 0 to 2 at cost 1
+        h = GroundMetric([[0, 0.5, 1.0], [0.5, 0, 0.5 - 9.9e-10], [1.0, 0.5 - 9.9e-10, 0]])
+        value, coupling = wasserstein1([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], h)
+        assert np.array_equal(coupling.pi, [[0, 0, 1.0], [0, 0, 0], [0, 0, 0]])
+        assert value == 1.0

@@ -16,8 +16,8 @@ from dptradeoff import (
     tv_distance,
 )
 from dptradeoff import lp as lpmod
-from dptradeoff.model import output_distribution
-from dptradeoff.programs import _coupling, _crash_basis, _stochastic_estimator
+from dptradeoff.model import _flow_plan, output_distribution
+from dptradeoff.programs import _crash_basis, _stochastic_estimator
 
 from conftest import (
     binary_dp_oracle,
@@ -29,6 +29,12 @@ from conftest import (
 )
 
 BUILD = {"ot": build_ot_form, "tv": build_tv_form}
+
+
+def _plan(prob, lay, x):
+    """The coupling that ``solve_dp_at`` reads off a point of the flow program."""
+    out = np.clip(lay.extract_q(x), 0.0, None) @ prob.p_y
+    return _flow_plan(prob.p_x, out, lay.n_nodes, lay.tail, lay.head, lay.extract_flow(x))
 
 
 class TestTransportForm:
@@ -314,7 +320,7 @@ class TestCrashStart:
         # the staircase moves only the surplus, so the coupling read off
         # its flows keeps min(p_x, r_MAP) in place
         kept = np.minimum(prob.p_x, r_map)
-        assert np.allclose(np.diag(_coupling(prob, lay, x)), kept, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.diag(_plan(prob, lay, x)), kept, rtol=0.0, atol=1e-15)
         assert abs(lay.extract_flow(x).sum() - tv_distance(prob.p_x, r_map)) <= 1e-15
 
     @pytest.mark.parametrize("prob, form", _crash_cases())
@@ -364,7 +370,7 @@ class TestCoupling:
         x[:3] = [0.2, 0.3, 0.5]
         x[[lay.ix_arc(0, 1), lay.ix_arc(1, 2)]] = 0.3
         assert np.allclose(lp.a[:-1] @ x, lp.b[:-1], rtol=0.0, atol=1e-15)
-        plan = _coupling(prob, lay, x)
+        plan = _plan(prob, lay, x)
         expected = [[0.2, 0.15, 0.15], [0.0, 0.15, 0.15], [0.0, 0.0, 0.2]]
         assert np.allclose(plan, expected, rtol=0.0, atol=1e-15)
         assert np.sum(plan * path) == pytest.approx(0.3, abs=1e-15)
