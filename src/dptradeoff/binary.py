@@ -33,7 +33,7 @@ import numpy as np
 
 from .curve import PiecewiseLinearCurve, mix_supports
 from .errors import ProblemError
-from .model import Estimator, Problem, check_level
+from .model import Estimator, Problem, _estimator_stack, check_level
 
 CASE_UNDER = "x1_underallocated"
 CASE_OVER = "x1_overallocated"
@@ -56,12 +56,12 @@ class StepCdf:
         order = np.argsort(values, kind="stable")
         pts: list[float] = []
         acc: list[float] = []
-        for v, m in zip(values[order], masses[order]):
+        for v, m in zip(values[order].tolist(), masses[order].tolist()):
             if pts and v - pts[-1] <= _TIE_TOL:
                 acc[-1] += m
             else:
-                pts.append(float(v))
-                acc.append(float(m))
+                pts.append(v)
+                acc.append(m)
         return cls(np.asarray(pts), np.cumsum(acc))
 
     def at(self, u: float) -> float:
@@ -123,7 +123,8 @@ def _walk(cdf: StepCdf, p1: float):
     else:
         return CASE_BALANCED, levels, [], np.zeros(0), 1
     knots = [k]
-    while 0 <= k + step < mass.size and step * (p1 - mass[k + step]) >= -_TIE_TOL:
+    masses = mass.tolist()
+    while 0 <= k + step < len(masses) and step * (p1 - masses[k + step]) >= -_TIE_TOL:
         k += step
         knots.append(k)
     return case, levels, knots, np.maximum(step * (p1 - mass[knots]), 0.0), step
@@ -164,7 +165,8 @@ def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) 
     scale = an.metric_scale
     d_star = an.d_star
     _, levels, knots, _, step = _walk(an.cdf, an.p_first)
-    ends = np.append(an.breakpoints, 0.0)
+    levels = levels.tolist()
+    ends = np.append(an.breakpoints, 0.0).tolist()
 
     pieces: list[tuple[float, float]] = []  # (intercept, slope), plateau first
     bps: list[float] = []
@@ -173,7 +175,7 @@ def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) 
         # the level of the step's higher-mass knot; a piece past the last
         # knot is empty, so the index stays in range
         k = knots[i]
-        gap = abs(float(levels[max(k, k + step)]))
+        gap = abs(levels[max(k, k + step)])
         left_h, right_h = ends[i + 1], ends[i]
         slope = -2.0 * gap / scale
         intercept = value_right - slope * right_h
@@ -187,25 +189,23 @@ def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) 
     return PiecewiseLinearCurve(breakpoints, segments, p_star, d_star)
 
 
-def _threshold_rule(an: BinaryAnalysis, threshold: float) -> Estimator:
-    """Deterministic rule sending y to the first symbol iff gap(y) <= threshold."""
-    first = (an.gaps <= threshold + _TIE_TOL).astype(float)
-    return Estimator(np.vstack([first, 1.0 - first]))
-
-
-def _distinct_breakpoints(an: BinaryAnalysis) -> list[tuple[float, float]]:
-    """The curve's breakpoints with their thresholds: the knots that end
-    a piece of ``closed_form_curve``."""
-    kept = _pieces(an)
-    return list(zip(an.breakpoints[kept].tolist(), an.thresholds[kept].tolist()))
+def _threshold_rules(an: BinaryAnalysis, thresholds: np.ndarray) -> list[Estimator]:
+    """Deterministic rules, one per threshold, each sending y to the first
+    symbol iff gap(y) <= threshold, built and checked as one stack."""
+    q = np.empty((thresholds.size, 2, an.gaps.size))
+    np.less_equal(an.gaps, thresholds[:, None] + _TIE_TOL, out=q[:, 0])
+    np.subtract(1.0, q[:, 0], out=q[:, 1])
+    return _estimator_stack(q)
 
 
 def breakpoint_estimators(
     problem: Problem, analysis: BinaryAnalysis | None = None
 ) -> list[tuple[float, Estimator]]:
-    """Deterministic optimal estimators at every nonzero breakpoint."""
+    """Deterministic optimal estimators at every nonzero breakpoint: the
+    walked knots that end a piece of ``closed_form_curve``, in walk order."""
     an = analysis if analysis is not None else analyze(problem)
-    return [(bp, _threshold_rule(an, thr)) for bp, thr in _distinct_breakpoints(an)]
+    kept = _pieces(an)
+    return list(zip(an.breakpoints[kept].tolist(), _threshold_rules(an, an.thresholds[kept])))
 
 
 def zero_perception_estimator(problem: Problem, analysis: BinaryAnalysis | None = None) -> Estimator:
@@ -213,19 +213,19 @@ def zero_perception_estimator(problem: Problem, analysis: BinaryAnalysis | None 
 
     Greedy: fill the first reconstruction in ascending gap order (ties in
     symbol order) until it holds mass ``p_first``, going fractional on
-    the marginal symbol.
+    the marginal symbol.  ``short[i]`` is the mass still missing before
+    the i-th symbol in that order; the symbols taken are those it finds
+    short by more than 1e-15, a prefix, since it only falls.
     """
     an = analysis if analysis is not None else analyze(problem)
-    p_y = problem.p_y
-    first = np.zeros_like(an.gaps)
-    short = an.p_first
-    for y in np.argsort(an.gaps, kind="stable"):
-        if short <= 1e-15:
-            break
-        take = min(p_y[y], short)
-        first[y] = take / p_y[y]
-        short -= take
-    return Estimator(np.vstack([first, 1.0 - first]))
+    order = np.argsort(an.gaps, kind="stable")
+    mass = problem.p_y[order]
+    short = np.cumsum(np.concatenate([[an.p_first], -mass]))[:-1]
+    live = short > 1e-15
+    q = np.zeros((1, 2, an.gaps.size))
+    q[0, 0, order[live]] = np.minimum(mass[live], short[live]) / mass[live]
+    np.subtract(1.0, q[:, 0], out=q[:, 1])
+    return _estimator_stack(q)[0]
 
 
 def estimator_at(
@@ -234,17 +234,19 @@ def estimator_at(
     """Optimal estimator at any perception level, without solving anything.
 
     The supports are the exact-marginal rule at level 0 and the threshold
-    rules at the breakpoints; ``mix_supports`` builds only the one or two
-    around ``p_level`` and mixes them.
+    rules at the breakpoints, which fall along the walk, so in reverse
+    they ascend; ``mix_supports`` builds only the one or two around
+    ``p_level`` and mixes them.
     """
     an = analysis if analysis is not None else analyze(problem)
-    thresholds = sorted(_distinct_breakpoints(an), key=lambda t: t[0])
-    levels = [0.0] + [bp for bp, _ in thresholds]
+    kept = _pieces(an)
+    thresholds = an.thresholds[kept][::-1]
+    levels = [0.0] + an.breakpoints[kept][::-1].tolist()
 
     def rule(i: int) -> Estimator:
         if i == 0:
             return zero_perception_estimator(problem, an)
-        return _threshold_rule(an, thresholds[i - 1][1])
+        return _threshold_rules(an, thresholds[i - 1 : i])[0]
 
     return mix_supports(levels, rule, p_level)
 

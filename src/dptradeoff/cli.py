@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: solve, curve, binary, gen, verify, w1.  Exit codes: 0 ok,
-1 input error, 2 solver failure, 3 vertex walk past its bases budget,
-4 verification failure.
+1 input error (or stdout closed by its reader, with nothing printed),
+2 solver failure, 3 vertex walk past its bases budget, 4 verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -300,7 +302,17 @@ def main(argv=None) -> int:
     try:
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # NaN compares false
             raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (``dp binary ... | head``); as the
+        # signal module's SIGPIPE note does, point stdout at the null device,
+        # so that the flush at exit fails no more, and print nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except (ProblemError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -214,21 +214,12 @@ class Estimator:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)  # its own copy
         if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
             raise ProblemError("estimator must be a 2-D matrix")
-        # a NaN, -inf or negative entry fails the min before any column is
-        # summed, and a +inf entry its column's sum; only a rejected matrix
-        # is diagnosed entry by entry
-        with np.errstate(over="ignore"):  # finite entries may sum to inf
-            ok = q.min() >= -_MASS_TOL and np.abs((colsum := q.sum(axis=0)) - 1.0).max() <= _STOCHASTIC_TOL
-        if not ok:
-            _require_finite(q, "estimator")
-            if np.any(q < -_MASS_TOL):
-                raise ProblemError("estimator has a negative entry")
-            j = int(np.argmax(np.abs(colsum - 1.0) > _STOCHASTIC_TOL))
-            raise ProblemError(f"estimator column {j} sums to {colsum[j]!r}, expected 1")
-        object.__setattr__(self, "q", _readonly(q))
+        _check_estimators(q[None])
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def deterministic(cls, assignment, n_x: int) -> "Estimator":
@@ -252,6 +243,46 @@ class Estimator:
     @property
     def is_deterministic(self) -> bool:
         return bool(np.all((self.q <= _MASS_TOL) | (np.abs(self.q - 1.0) <= _MASS_TOL)))
+
+
+def _check_estimators(q: np.ndarray) -> None:
+    """Raise ProblemError unless every block of a stack ``q[k, xhat, y]`` is an estimator.
+
+    A NaN, -inf or negative entry fails the min before any column is
+    summed, and a +inf entry its column's sum; only a rejected stack is
+    diagnosed entry by entry, with a single estimator's message.  The
+    column sums are judged by their extremes, so the only temporary is
+    the sums themselves.
+    """
+    with np.errstate(over="ignore"):  # finite entries may sum to inf
+        ok = not q.size or (
+            q.min() >= -_MASS_TOL
+            and (colsum := q.sum(axis=1)).max() - 1.0 <= _STOCHASTIC_TOL
+            and 1.0 - colsum.min() <= _STOCHASTIC_TOL
+        )
+    if not ok:
+        _require_finite(q, "estimator")
+        if np.any(q < -_MASS_TOL):
+            raise ProblemError("estimator has a negative entry")
+        bad = np.abs(colsum - 1.0) > _STOCHASTIC_TOL
+        k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ProblemError(f"estimator column {j} sums to {colsum[k, j]!r}, expected 1")
+
+
+def _estimator_stack(q: np.ndarray) -> list[Estimator]:
+    """The estimators of a freshly built stack ``q[k, xhat, y]``, checked once.
+
+    The caller hands ``q`` over: it is marked read-only in place, not
+    copied, and each estimator's ``q`` is one of its blocks.
+    """
+    _check_estimators(q)
+    q.setflags(write=False)
+    out = []
+    for block in q:
+        est = object.__new__(Estimator)
+        object.__setattr__(est, "q", block)
+        out.append(est)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

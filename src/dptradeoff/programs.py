@@ -39,7 +39,15 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import ProblemError, SolverError
-from .model import Coupling, Estimator, Problem, _flow_plan, check_level, output_distribution
+from .model import (
+    Coupling,
+    Estimator,
+    Problem,
+    _estimator_stack,
+    _flow_plan,
+    check_level,
+    output_distribution,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +268,9 @@ def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> list[E
     One array pass applies the rules, and raises the errors, for all k
     blocks at once: ``solve_dp_at`` passes a stack of one, and a curve
     (``curve._report``) the blocks of every path entry it picked, so its
-    estimators come from one stacked pass.  The solver meets each
+    estimators come from one stacked pass, and ``model._estimator_stack``
+    checks them once more, as ``Estimator`` does, without a copy.  The
+    solver meets each
     stochasticity row ``p_y * sum(q[:, y]) = p_y`` within ``tol`` in
     mass units, so a column's own sum may be off by ``tol / p_y``: the
     column of a symbol with almost no mass can come back as zeros.
@@ -283,7 +293,7 @@ def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> list[E
     q /= np.where(empty, 1.0, colsum)[:, None, :]
     k, y = empty.nonzero()
     q[k, :, y] = problem.minimum[1].q[:, y].T
-    return [Estimator(block) for block in q]
+    return _estimator_stack(q)
 
 
 def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:

@@ -18,7 +18,9 @@ from dptradeoff import (
     tv_distance,
     zero_perception_estimator,
 )
-from dptradeoff.binary import CASE_BALANCED, CASE_OVER, CASE_UNDER, StepCdf
+from dptradeoff.binary import _TIE_TOL, CASE_BALANCED, CASE_OVER, CASE_UNDER, StepCdf, _pieces
+from dptradeoff.curve import mix_supports
+from dptradeoff.model import Estimator
 
 from conftest import binary_dp_oracle, random_problem
 
@@ -46,6 +48,91 @@ TIE_CASES = {
         None,
         [[0.0, 1e-3], [1e-3, 0.0]],
     ),
+}
+
+
+# Reference constructions, one rule at a time through ``Estimator``: the
+# stacked builds in ``binary`` must equal them bit for bit.
+
+def _reference_threshold_rule(an, threshold):
+    first = (an.gaps <= threshold + _TIE_TOL).astype(float)
+    return Estimator(np.vstack([first, 1.0 - first]))
+
+
+def _reference_breakpoints(an):
+    kept = _pieces(an)
+    return list(zip(an.breakpoints[kept].tolist(), an.thresholds[kept].tolist()))
+
+
+def _reference_zero_perception(problem, an):
+    p_y = problem.p_y
+    first = np.zeros_like(an.gaps)
+    short = an.p_first
+    for y in np.argsort(an.gaps, kind="stable"):
+        if short <= 1e-15:
+            break
+        take = min(p_y[y], short)
+        first[y] = take / p_y[y]
+        short -= take
+    return Estimator(np.vstack([first, 1.0 - first]))
+
+
+def _reference_estimator_at(problem, an, p_level):
+    thresholds = sorted(_reference_breakpoints(an), key=lambda t: t[0])
+    levels = [0.0] + [bp for bp, _ in thresholds]
+
+    def rule(i):
+        if i == 0:
+            return _reference_zero_perception(problem, an)
+        return _reference_threshold_rule(an, thresholds[i - 1][1])
+
+    return mix_supports(levels, rule, p_level)
+
+
+def _posterior_columns(shares, masses):
+    """A binary Hamming problem whose column y has mass ``masses[y]`` and
+    first-symbol posterior ``shares[y]``, so that gap(y) = 1/2 - shares[y]."""
+    p_xy = np.vstack([shares * masses, (1.0 - shares) * masses])
+    return make_problem(p_xy / p_xy.sum())
+
+
+def _near_tie_problems():
+    """Posteriors drawn from three levels, each moved by 0, 2e-13, 6e-13 or
+    3e-12, so that gaps tie within ``_TIE_TOL``, or just miss, in every
+    arrangement."""
+    out = []
+    for seed in range(20):
+        rng = np.random.default_rng(2100 + seed)
+        n_y = int(rng.integers(3, 12))
+        shares = rng.choice([0.3, 0.5, 0.7], n_y) + rng.choice([0.0, 2e-13, -6e-13, 3e-12], n_y)
+        out.append(_posterior_columns(shares, rng.uniform(0.1, 1.0, n_y)))
+    return out
+
+
+def _tiny_mass_problems():
+    """Observation masses near 1e-11 next to ordinary ones; in the first
+    two the exact-marginal rule goes fractional on such a symbol."""
+    out = [
+        make_problem([[0.3, 0.5e-11, 0.0], [0.0, 0.5e-11, 0.7 - 1e-11]]),
+        make_problem([[0.1, 0.2, 0.3e-11, 0.1], [0.1, 0.0, 0.9e-11, 0.5 - 1.2e-11]]),
+    ]
+    for seed in range(20):
+        rng = np.random.default_rng(2200 + seed)
+        n_y = int(rng.integers(3, 10))
+        masses = rng.uniform(0.1, 1.0, n_y)
+        masses[rng.random(n_y) < 0.4] = rng.uniform(0.5e-11, 2e-11)
+        out.append(_posterior_columns(rng.uniform(0.0, 1.0, n_y), masses))
+    return out
+
+
+REFERENCE_POOLS = {
+    "acceptance-200": lambda: [
+        random_problem(seed, 2, 2 + seed % 7, random_distortion=True) for seed in range(200)
+    ],
+    "tie-cases": lambda: [make_problem(*case) for case in TIE_CASES.values()],
+    "near-ties": _near_tie_problems,
+    "tiny-masses": _tiny_mass_problems,
+    "balanced": lambda: [make_problem([[0.25, 0.25], [0.25, 0.25]])],
 }
 
 
@@ -293,6 +380,38 @@ class TestEstimatorAt:
             est = zero_perception_estimator(prob)
             out = est.q @ prob.p_y
             assert np.allclose(out, prob.p_x, atol=1e-12)
+
+
+class TestAgainstPerRuleReference:
+    @pytest.mark.parametrize("pool", REFERENCE_POOLS)
+    def test_stacked_rules_equal_the_reference(self, pool):
+        for prob in REFERENCE_POOLS[pool]():
+            an = analyze(prob)
+            assert np.array_equal(
+                zero_perception_estimator(prob, an).q, _reference_zero_perception(prob, an).q
+            )
+            got, want = breakpoint_estimators(prob, an), _reference_breakpoints(an)
+            assert [bp for bp, _ in got] == [bp for bp, _ in want]
+            for (_, est), (_, thr) in zip(got, want):
+                assert np.array_equal(est.q, _reference_threshold_rule(an, thr).q)
+            ends = sorted([0.0] + [bp for bp, _ in want])
+            levels = ends + [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+            for p in levels + [1.5 * ends[-1] + 0.1, 1.0]:
+                assert np.array_equal(
+                    estimator_at(prob, an, p).q, _reference_estimator_at(prob, an, p).q
+                )
+
+    def test_pools_reach_every_case(self):
+        cases = {analyze(prob).case for pool in REFERENCE_POOLS.values() for prob in pool()}
+        assert cases == {CASE_UNDER, CASE_OVER, CASE_BALANCED}
+
+    def test_rules_are_read_only(self, bsc_problem):
+        an = analyze(bsc_problem)
+        estimators = [est for _, est in breakpoint_estimators(bsc_problem, an)]
+        estimators += [zero_perception_estimator(bsc_problem, an), estimator_at(bsc_problem, an, 0.01)]
+        for est in estimators:
+            with pytest.raises(ValueError):
+                est.q[0, 0] = 0.5
 
 
 class TestMixedSupports:

@@ -1,6 +1,7 @@
 """Command-line interface: files, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -294,6 +295,20 @@ class TestUnreadablePaths:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and str(tmp_path) in err
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self, bsc_file, monkeypatch, capsys):
+        # a reader that left early (``dp binary ... | head``) raised a
+        # BrokenPipeError that main printed as an input error
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["binary", "--input", bsc_file]) == 1
+            assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
 
 
 class TestTolerance:

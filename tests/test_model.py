@@ -22,6 +22,7 @@ from dptradeoff import (
     wasserstein1,
 )
 
+from dptradeoff.model import _estimator_stack
 from dptradeoff.problemio import random_metric
 
 from conftest import (
@@ -110,6 +111,23 @@ class TestValidation:
         with pytest.raises(ProblemError, match=message):
             Estimator(q)
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 1), -1e-9), ((1, 0), np.nan), ((1, 2), 1 / 3 + 2e-10)],
+        ids=["negative", "nan", "column-sum-off-by-2e-10"],
+    )
+    def test_estimator_stack_rejects_a_bad_middle_block(self, entry, value):
+        stack = np.stack([np.eye(3), np.full((3, 3), 1 / 3), np.eye(3)[::-1]])
+        stack[1][entry] = value
+        with pytest.raises(ProblemError) as single:
+            Estimator(stack[1])
+        with pytest.raises(ProblemError) as stacked:
+            _estimator_stack(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_estimator_stack_of_nothing(self):
+        assert _estimator_stack(np.empty((0, 2, 3))) == []
+
     @pytest.mark.parametrize("assignment", [[-1, 0], [0.7, 1.2], [0, 2]])
     def test_deterministic_assignments_checked(self, assignment):
         with pytest.raises(ProblemError, match="integers in"):
@@ -147,6 +165,22 @@ class TestImmutability:
                 arr[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             bsc_problem.channel.p_xy = np.eye(2)
+
+    def test_estimator_stack_blocks_read_only_in_place(self):
+        stack = np.stack([np.eye(2), np.full((2, 2), 0.5)])
+        estimators = _estimator_stack(stack)
+        assert not stack.flags.writeable
+        for est, block in zip(estimators, stack):
+            assert np.shares_memory(est.q, stack) and np.array_equal(est.q, block)
+            with pytest.raises(ValueError):
+                est.q[0, 0] = 0.5
+
+    def test_estimator_copies_its_input(self):
+        arr = np.eye(2)
+        est = Estimator(arr)
+        assert arr.flags.writeable and not np.shares_memory(est.q, arr)
+        arr[0, 0] = 0.5
+        assert est.q[0, 0] == 1.0
 
     def test_estimator_and_coupling_frozen(self):
         est = Estimator(np.eye(2))
