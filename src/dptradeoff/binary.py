@@ -79,17 +79,19 @@ class StepCdf:
 class BinaryAnalysis:
     """Everything the closed form needs, precomputed once.
 
-    ``breakpoints`` (perception units) and ``thresholds`` hold one entry
-    per knot of the walk, in walk order from the greedy rule's knot
-    toward ``p_first``: the knot's distance from ``p_first`` and its gap
-    level.  The knot's threshold rule is optimal at that distance.  A
-    balanced problem walks no knot.
+    ``breakpoints`` (perception units), ``thresholds`` and ``rates`` hold
+    one entry per knot of the walk, in walk order from the greedy rule's
+    knot toward ``p_first``: the knot's distance from ``p_first``, its
+    gap level, and the gap level its piece trades (see ``_walk``).  The
+    knot's threshold rule is optimal at that distance.  A balanced
+    problem walks no knot.
     """
 
     gaps: np.ndarray
     case: str
     breakpoints: np.ndarray
     thresholds: np.ndarray
+    rates: np.ndarray
     d_star: float
     cdf: StepCdf
     p_first: float
@@ -102,14 +104,15 @@ def _require_binary(problem: Problem) -> None:
 
 
 def _walk(cdf: StepCdf, p1: float):
-    """The knot walk: ``(case, levels, knots, distances, step)``.
+    """The knot walk: ``(case, thresholds, rates, distances)``, per walked knot.
 
     Knot k is the rule "first iff gap <= levels[k]", which puts mass
     ``mass[k]`` on the first symbol; knot 0 (level -inf, mass 0) is the
     all-second rule.  The walk starts at a greedy rule's knot and steps
-    (``step`` is +1 when short, -1 when overfilled) while the mass stays
-    on its side of ``p1``.  ``distances`` are the walked knots' distances
-    from ``p1`` in total-variation units.
+    (+1 when short, -1 when overfilled) while the mass stays on its side
+    of ``p1``.  Per knot: its level, the gap its piece toward P = 0
+    trades (the step's higher-mass knot's level, unsigned), and its
+    distance from ``p1`` in total-variation units.
     """
     levels = np.concatenate([[-np.inf], cdf.points])
     mass = np.concatenate([[0.0], cdf.cumulative])
@@ -121,13 +124,16 @@ def _walk(cdf: StepCdf, p1: float):
     elif mass[lt0] - p1 > _TIE_TOL:
         case, step, k = CASE_OVER, -1, lt0
     else:
-        return CASE_BALANCED, levels, [], np.zeros(0), 1
+        return CASE_BALANCED, np.zeros(0), np.zeros(0), np.zeros(0)
     knots = [k]
     masses = mass.tolist()
     while 0 <= k + step < len(masses) and step * (p1 - masses[k + step]) >= -_TIE_TOL:
         k += step
         knots.append(k)
-    return case, levels, knots, np.maximum(step * (p1 - mass[knots]), 0.0), step
+    knots = np.asarray(knots)
+    # a piece past the last knot is empty and its rate unread: keep the index in range
+    rates = np.abs(levels[np.minimum(np.maximum(knots, knots + step), levels.size - 1)])
+    return case, levels[knots], rates, np.maximum(step * (p1 - mass[knots]), 0.0)
 
 
 def analyze(problem: Problem) -> BinaryAnalysis:
@@ -138,12 +144,13 @@ def analyze(problem: Problem) -> BinaryAnalysis:
     gaps = 0.5 * (cond[0] - cond[1])
     cdf = StepCdf.from_samples(gaps, problem.p_y)
     p1 = float(problem.p_x[0])
-    case, levels, knots, distances, _ = _walk(cdf, p1)
+    case, thresholds, rates, distances = _walk(cdf, p1)
     return BinaryAnalysis(
         gaps=gaps,
         case=case,
         breakpoints=distances * scale,
-        thresholds=levels[knots],
+        thresholds=thresholds,
+        rates=rates,
         d_star=problem.distortion_floor,
         cdf=cdf,
         p_first=p1,
@@ -162,22 +169,15 @@ def _pieces(an: BinaryAnalysis) -> np.ndarray:
 def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) -> PiecewiseLinearCurve:
     """The exact curve: one linear piece per step of the knot walk."""
     an = analysis if analysis is not None else analyze(problem)
-    scale = an.metric_scale
-    d_star = an.d_star
-    _, levels, knots, _, step = _walk(an.cdf, an.p_first)
-    levels = levels.tolist()
+    scale, d_star, rates = an.metric_scale, an.d_star, an.rates.tolist()
     ends = np.append(an.breakpoints, 0.0).tolist()
 
     pieces: list[tuple[float, float]] = []  # (intercept, slope), plateau first
     bps: list[float] = []
     value_right = d_star
     for i in np.flatnonzero(_pieces(an)).tolist():
-        # the level of the step's higher-mass knot; a piece past the last
-        # knot is empty, so the index stays in range
-        k = knots[i]
-        gap = abs(levels[max(k, k + step)])
         left_h, right_h = ends[i + 1], ends[i]
-        slope = -2.0 * gap / scale
+        slope = -2.0 * rates[i] / scale
         intercept = value_right - slope * right_h
         pieces.append((intercept, slope))
         bps.append(right_h)

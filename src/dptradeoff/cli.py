@@ -107,13 +107,8 @@ def _emit_curve_outputs(args, curve, estimators, method, scatter=None) -> None:
     if args.out_svg:
         _write(args.out_svg, svgplot.curve_svg(curve, title="distortion-perception curve"))
         if scatter is not None and scatter.s2_points.size:
-            scatter_path = (
-                args.out_svg[:-4] + ".s2.svg"
-                if args.out_svg.endswith(".svg")
-                else args.out_svg + ".s2.svg"
-            )
             _write(
-                scatter_path,
+                args.out_svg.removesuffix(".svg") + ".s2.svg",
                 svgplot.scatter_svg(
                     scatter.s2_points,
                     scatter.hull_extreme_indices,
@@ -146,14 +141,14 @@ def cmd_curve(args) -> int:
     problem, _ = problemio.load_problem(args.input)
     if args.method == "closed-form":
         _, curve = _closed_form_outputs(args, problem)
-    elif args.method == "vertex":
-        report = curvemod.curve_by_vertices(problem, budget=args.budget)
-        curve = report.curve
-        _emit_curve_outputs(args, curve, report.estimators, "vertex", scatter=report)
     else:
-        report = curvemod.curve_by_sweep(problem)
+        vertex = args.method == "vertex"
+        if vertex:
+            report = curvemod.curve_by_vertices(problem, budget=args.budget)
+        else:
+            report = curvemod.curve_by_sweep(problem)
         curve = report.curve
-        _emit_curve_outputs(args, curve, report.estimators, "sweep")
+        _emit_curve_outputs(args, curve, report.estimators, args.method, report if vertex else None)
     _print_curve(curve, args.tol)
     return EXIT_OK
 

@@ -1,31 +1,28 @@
 """Whole-curve construction for the distortion-perception function.
 
-D(P) equals the upper envelope, over vertices of the dual feasible set,
-of the lines ``intercept + slope * P`` obtained by projecting each vertex
-to two numbers: its inner product with the P-independent part of the dual
-right-hand side, and minus its perception price.  Both constructions
-use the flow program over every pair of symbols (``build_ot_form``),
-whose dual has one coordinate per observation, one potential per symbol
-but the last, and the price:
+D(P) is piecewise linear, one optimal basis of the flow program over
+every pair of symbols (``build_ot_form``) per piece.  Projecting a dual
+point (one coordinate per observation, one potential per symbol but the
+last, and the price) gives a line ``intercept + slope * P``: its inner
+product with the P-independent right-hand side, and minus its price.
 
-* ``curve_by_sweep``: walk the program's optimal bases from P = 1 down
-  to 0 by the parametric dual simplex; each basis is optimal on one
-  segment and gives its line.  No enumeration, so it reaches problems
+* ``curve_by_sweep``: walk the optimal bases from P = 1 down to 0 by the
+  parametric dual simplex (``lp.walk``) and read the pieces, breakpoints
+  and estimators off that path.  No enumeration, so it reaches problems
   whose dual polyhedron is too large to enumerate.
 * ``curve_by_vertices``: take the same walk, enumerate all dual vertices
-  by a basis walk from its last basis, and project them to lines.
+  by a basis walk from its last basis, and take the upper envelope of
+  their lines (``assemble_curve``).  Its estimators are the sweep's.
 
-Both build the envelope on [0, 1] with ``assemble_curve``, one stack
-pass over the lines sorted by slope, and take their estimators from the
-bases of the one walk.  They return the same breakpoints and slopes up
-to solver tolerance; the terminal plateau is pinned bitwise to the
-unconstrained floor.
+The two share the walk but not the code that turns bases or lines into
+a curve, so each checks the other.  They agree up to solver tolerance;
+both pin the plateau bitwise to the unconstrained floor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +34,7 @@ from .programs import _crash_basis, _flow_dual, _stochastic_estimator, build_ot_
 
 _SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
 _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
+_FLAT_TOL = 1e-11  # slopes within this of 0 are the plateau
 
 
 def project_vertex(vertex, problem: Problem) -> np.ndarray:
@@ -125,7 +123,7 @@ def assemble_curve(lines, d_star: float) -> PiecewiseLinearCurve:
     The exact plateau line ``(d_star, 0)`` is always injected: it is a
     feasible dual value at every level, and carrying it verbatim keeps
     the plateau bitwise equal to the unconstrained floor.  Lines with a
-    slope within 1e-11 of 0 become it; positive slopes are dropped.
+    slope within ``_FLAT_TOL`` of 0 become it; positive slopes are dropped.
 
     One pass over the lines sorted by (slope, intercept) keeps a stack of
     ``(intercept, slope, level where the line takes over)``.  A line
@@ -137,7 +135,7 @@ def assemble_curve(lines, d_star: float) -> PiecewiseLinearCurve:
     """
     arr = np.vstack([np.asarray(lines, dtype=float).reshape(-1, 2), [d_star, 0.0]])
     _require_finite(arr, "lines")
-    arr[np.abs(arr[:, 1]) <= 1e-11] = d_star, 0.0
+    arr[np.abs(arr[:, 1]) <= _FLAT_TOL] = d_star, 0.0
     arr = arr[arr[:, 1] <= 0.0]
     stack: list[tuple[float, float, float]] = []
     for b, m in arr[np.lexsort((arr[:, 0], arr[:, 1]))].tolist():
@@ -164,12 +162,13 @@ def assemble_curve(lines, d_star: float) -> PiecewiseLinearCurve:
 class CurveReport:
     """A constructed curve plus the evidence behind it.
 
-    ``s2_points`` holds the projected lines the envelope was built from
+    ``s2_points`` holds the projected lines the curve was built from
     (all dual vertices for the vertex method, one line per basis walked
-    for the sweep).  ``estimators`` hold one estimator per segment
-    endpoint, so querying an estimator anywhere on the curve later needs
-    no further solves.  ``solve_count`` is the number of LP solves: 1,
-    the walk from P = 1 to 0, for both methods.
+    for the sweep).  ``estimators`` hold one estimator at 0 and at each
+    of the walk's breakpoints (for the vertex method too), so querying
+    an estimator anywhere on the curve later needs no further solves.
+    ``solve_count`` is the number of LP solves: 1, the walk from P = 1
+    to 0, for both methods.
     """
 
     curve: PiecewiseLinearCurve
@@ -231,63 +230,62 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     The enumeration starts at the last basis of ``curve_by_sweep``'s
     walk, optimal at P = 0: dual row j is program column j, and the walk
     drops the row the dual drops, so that basis is d rows of a dual
-    vertex.  The estimators come from the bases on that walk, as for the
-    sweep, so no level is solved.
+    vertex.  The curve is the envelope of the vertices' lines; the rest
+    of the report is the sweep's, estimators too, so no level is solved.
 
     Raises ProblemError when ``budget`` is below 1 and BudgetExceededError
     when the enumeration finds more bases; use ``curve_by_sweep`` then.
     """
-    lp, lay = build_ot_form(problem, 0.0)
-    sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
+    sweep, lp, lay, last_basis = _sweep(problem)
     poly, weights = _flow_dual(lp, lay)
-    verts = lpmod.enumerate_vertices(poly, sol.basis, budget=budget)
-    return _report(problem, "vertex", _lines(verts, weights), lp, lay, path, verts)
+    verts = lpmod.enumerate_vertices(poly, last_basis, budget=budget)
+    lines = _lines(verts, weights)
+    curve = assemble_curve(lines, problem.distortion_floor)
+    return replace(sweep, curve=curve, method="vertex", s2_points=lines, vertices=verts)
 
 
 def curve_by_sweep(problem: Problem) -> CurveReport:
     """Curve from one parametric walk of the flow program, P from 1 to 0.
 
-    Only the perception entry of the right-hand side depends on P, so an
-    optimal basis gives the curve one line on the levels where it stays
-    optimal.  ``lp.walk``, the walk every ``solve_dp_at`` takes, starts
-    at the closed-form optimal basis at P = 1 (``_crash_basis``) and
-    meets an optimal basis at every level down to 0, so the envelope of
-    their lines is the curve.  A basis's value at its walk level is
-    ``c_B . xb``, which gives its line's intercept.
+    ``lp.walk``, the walk every ``solve_dp_at`` takes, starts at the
+    closed-form optimal basis at P = 1 (``_crash_basis``), on the plateau,
+    and passes the optimal bases in order, each with the level s where
+    it stops being optimal: entry i is optimal from its s up to entry
+    i-1's, on the line ``c_B . xb - slope * s + slope * P``.  Entries
+    shorter than ``_ZERO_LEN_TOL`` are skipped, a slope within
+    ``_FLAT_TOL`` of 0 is the exact plateau, and an entry within
+    ``_SLOPE_MERGE_TOL`` of its piece's slope joins the piece.  A
+    breakpoint is the s of the last entry before the slope changes; its
+    estimator is that entry's point, and level 0's the last entry's.
+    Where the optimum is not unique, the pivot rule picks the estimator.
     """
+    return _sweep(problem)[0]
+
+
+def _sweep(problem: Problem):
+    """``curve_by_sweep``'s report, the program it walked, and the walk's last basis."""
+    d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
-    path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)[1]
+    sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
     lines = np.asarray([(lp.c[basis] @ xb - slope * s, slope) for s, basis, xb, slope in path])
-    return _report(problem, "sweep", lines, lp, lay, path)
-
-
-def _report(problem: Problem, method: str, lines, lp, lay, path, vertices=None) -> CurveReport:
-    """The envelope of ``lines``, with estimators from the bases on ``path``.
-
-    A breakpoint's estimator is the point of the basis whose walk level
-    is nearest it, the first such on a tie; level 0's is the last basis's.
-    One broadcast picks these path entries, their basic values are
-    scattered into one stack of points, and one stacked pass of
-    ``_stochastic_estimator`` reads the estimators off it.  Where the
-    optimum is not unique, the pivot rule picks the estimator; the curve
-    is the same.
-    """
-    curve = assemble_curve(lines, problem.distortion_floor)
-    levels = np.asarray([entry[0] for entry in path])
-    at = np.concatenate([[0.0], curve.breakpoints])
-    _, bases, values, _ = zip(*(path[i] for i in np.argmin(np.abs(levels - at[:, None]), axis=1)))
-    points = np.zeros((at.size, lp.n))
-    points[np.arange(at.size)[:, None], bases] = values
+    levels = [entry[0] for entry in path]
+    pieces, picks, last = [(d_star, 0.0)], [], 0  # the walk starts on the plateau
+    for i, (b, m) in enumerate(lines.tolist()):
+        if (levels[i - 1] if i else 1.0) - levels[i] < _ZERO_LEN_TOL:
+            continue
+        if abs(m) <= _FLAT_TOL:
+            b, m = d_star, 0.0
+        if abs(m - pieces[-1][1]) > _SLOPE_MERGE_TOL:
+            pieces.append((b, m))
+            picks.append(last)
+        last = i
+    picks = [len(path) - 1] + picks[::-1]  # level 0, then the breakpoints upwards
+    at = [levels[i] for i in picks]
+    curve = PiecewiseLinearCurve(np.array(at[1:]), np.array(pieces[::-1]), at[-1], d_star)
+    points = np.stack([lpmod.basic_point(lp.n, path[i][1], path[i][2]) for i in picks])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_q(points), tol)
-    return CurveReport(
-        curve=curve,
-        method=method,
-        s2_points=lines,
-        estimators=tuple(zip(at.tolist(), estimators)),
-        solve_count=1,
-        vertices=vertices,
-    )
+    return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators)), 1), lp, lay, sol.basis
 
 
 def mix_supports(levels, rule, p_level: float) -> Estimator:

@@ -57,14 +57,17 @@ def _check_matrix(raw, key: str) -> np.ndarray:
         for j, v in enumerate(row):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ProblemError(f"field {key!r} entry ({i},{j}) is not a number")
-    return np.asarray(raw, dtype=float)
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ProblemError(f"field {key!r} has an entry too large for a float") from exc
 
 
 def parse_instance(text: str) -> dict:
     """Parse and shape-check an instance file; errors name the field and row."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past 4300 digits, deep nesting
         raise ProblemError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProblemError("instance file must be a JSON object")
@@ -85,8 +88,12 @@ def instance_to_problem(spec: dict) -> Problem:
 
 
 def load_problem(path: str) -> tuple[Problem, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = parse_instance(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"problem file is not UTF-8 text: {exc}") from exc
+    spec = parse_instance(text)
     return instance_to_problem(spec), spec
 
 

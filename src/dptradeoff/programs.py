@@ -267,7 +267,7 @@ def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> list[E
 
     One array pass applies the rules, and raises the errors, for all k
     blocks at once: ``solve_dp_at`` passes a stack of one, and a curve
-    (``curve._report``) the blocks of every path entry it picked, so its
+    (``curve._sweep``) the blocks of the path entries at its breakpoints, so its
     estimators come from one stacked pass, and ``model._estimator_stack``
     checks them once more, as ``Estimator`` does, without a copy.  The
     solver meets each

@@ -297,6 +297,29 @@ class TestUnreadablePaths:
         assert err.startswith("input error: ") and str(tmp_path) in err
 
 
+class TestBadProblemFiles:
+    # each of these ended in a traceback out of main, not an input error
+    def _solve(self, tmp_path, capsys, data: bytes) -> str:
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["solve", "--input", str(path), "--P", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        return err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        err = self._solve(tmp_path, capsys, b'\xff\xfe{"p_xy": [[1.0]]}')
+        assert "UTF-8" in err
+
+    def test_nested_too_deep(self, tmp_path, capsys):
+        err = self._solve(tmp_path, capsys, b"[" * 100_000 + b"]" * 100_000)
+        assert "not valid JSON" in err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        err = self._solve(tmp_path, capsys, b'{"p_xy": [[1, 1], [1, ' + b"9" * 401 + b"]]}")
+        assert "'p_xy'" in err
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_quietly(self, bsc_file, monkeypatch, capsys):
         # a reader that left early (``dp binary ... | head``) raised a

@@ -1,5 +1,7 @@
 """Whole-curve construction: envelopes, sweeps, hulls, estimators."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ from dptradeoff import (
 )
 
 from conftest import breakpoint_candidates, edge_problems, highs_dp_oracle, random_problem
+
+
+def _exact_line(a, b, c, basis):
+    """(intercept, slope) of a basis's value ``c_B B^-1 (b + P e_last)``,
+    from ``B^T y = c_B`` solved by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(v) for v in a[:, j]] + [Fraction(c[j])] for j in basis]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = top = [v / rows[col][col] if v else v for v in rows[col]]
+        for r, row in enumerate(rows):  # the rows are sparse: skip the zeros
+            if r != col and row[col]:
+                rows[r] = [x - row[col] * v if v else x for x, v in zip(row, top)]
+    y = [row[-1] for row in rows]
+    return sum(yi * Fraction(bi) for yi, bi in zip(y, b)), y[-1]
 
 
 class TestProjection:
@@ -342,6 +359,31 @@ class TestCurveBySweep:
         levels = np.unique(np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])]))
         for p in levels:
             assert curve.value(p) == pytest.approx(highs_dp_oracle(prob, p), abs=1e-8), p
+
+    @pytest.mark.parametrize("seed,random_metric", [(4, False), (1, True)], ids=["hamming", "metric"])
+    def test_breakpoints_are_walk_levels_at_the_exact_crossings(self, seed, random_metric):
+        # every walked basis's line c_B B^-1 (b + P d), in exact rationals:
+        # the breakpoints are the crossings of consecutive lines.  On the
+        # Hamming seed 4 instance the float crossing of two nearly parallel
+        # lines is 1.39e-11 off, so the breakpoints are the walk's levels
+        from dptradeoff import lp as lpmod
+        from dptradeoff.programs import _crash_basis, build_ot_form
+
+        prob = random_problem(seed, 8, 20, random_distortion=random_metric, random_metric=random_metric)
+        lp, lay = build_ot_form(prob, 0.0)
+        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        keep = np.arange(lp.m) != lay.dropped_row
+        tops = [1.0] + [entry[0] for entry in path]
+        lines = [
+            _exact_line(lp.a[keep], lp.b[keep], lp.c, basis)
+            for top, (s, basis, _, _) in zip(tops, path)
+            if top > s
+        ]
+        exact = [(b2 - b1) / (m1 - m2) for (b1, m1), (b2, m2) in zip(lines, lines[1:]) if m1 != m2]
+        breakpoints = curve_by_sweep(prob).curve.breakpoints
+        assert set(breakpoints.tolist()) <= set(tops)
+        assert breakpoints.size == len(exact) > 10
+        assert np.abs(breakpoints - np.array(sorted(exact), dtype=float)).max() <= 1e-13
 
 
 class TestEstimatorOnCurve:
