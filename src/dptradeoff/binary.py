@@ -69,11 +69,6 @@ class StepCdf:
         idx = int(np.searchsorted(self.points, u + _TIE_TOL, side="right"))
         return float(self.cumulative[idx - 1]) if idx else 0.0
 
-    def left(self, u: float) -> float:
-        """Left limit: mass of levels strictly below u."""
-        idx = int(np.searchsorted(self.points, u - _TIE_TOL, side="left"))
-        return float(self.cumulative[idx - 1]) if idx else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class BinaryAnalysis:

@@ -167,15 +167,12 @@ class CurveReport:
     for the sweep).  ``estimators`` hold one estimator at 0 and at each
     of the walk's breakpoints (for the vertex method too), so querying
     an estimator anywhere on the curve later needs no further solves.
-    ``solve_count`` is the number of LP solves: 1, the walk from P = 1
-    to 0, for both methods.
     """
 
     curve: PiecewiseLinearCurve
     method: str
     s2_points: np.ndarray
     estimators: tuple[tuple[float, Estimator], ...]
-    solve_count: int = 0
     vertices: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
@@ -236,11 +233,17 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     Raises ProblemError when ``budget`` is below 1 and BudgetExceededError
     when the enumeration finds more bases; use ``curve_by_sweep`` then.
     """
-    sweep, lp, lay, last_basis = _sweep(problem)
+    return _by_vertices(_sweep(problem), budget)
+
+
+def _by_vertices(walked, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
+    """``curve_by_vertices`` from ``_sweep``'s result, so a caller that
+    already has the sweep walks once."""
+    sweep, lp, lay, last_basis = walked
     poly, weights = _flow_dual(lp, lay)
     verts = lpmod.enumerate_vertices(poly, last_basis, budget=budget)
     lines = _lines(verts, weights)
-    curve = assemble_curve(lines, problem.distortion_floor)
+    curve = assemble_curve(lines, sweep.curve.d_star)
     return replace(sweep, curve=curve, method="vertex", s2_points=lines, vertices=verts)
 
 
@@ -285,7 +288,7 @@ def _sweep(problem: Problem):
     points = np.stack([lpmod.basic_point(lp.n, path[i][1], path[i][2]) for i in picks])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_q(points), tol)
-    return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators)), 1), lp, lay, sol.basis
+    return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, lay, sol.basis
 
 
 def mix_supports(levels, rule, p_level: float) -> Estimator:

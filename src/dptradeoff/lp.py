@@ -59,7 +59,6 @@ _DRIVE_OUT_TOL = 1e-9  # smallest row entry that pivots an artificial out of pha
 FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
-_DEDUP_TOL = 1e-7  # vertices closer than this are one vertex
 _BLOCK = 64  # bases the vertex walk takes off its queue as one batch
 VERTEX_BUDGET = 10_000  # bases a vertex walk may visit by default
 
@@ -520,8 +519,12 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     the ratio test then picks exactly one entering row, and the walk
     reaches every vertex.  The walk is breadth first and takes ``_BLOCK``
     queued bases at a time: one batched inverse, one ratio test of all
-    their edges, and one ``_lex_split`` of all their ties.  Bases of one
-    vertex are collapsed by deduplication at ``_DEDUP_TOL``.
+    their edges, and one ``_lex_split`` of all their ties.  A vertex is
+    its set of tight rows, those whose slack is within ``FEAS_TOL`` of 0
+    at a basis's point: bases with one set are one vertex, and the first
+    of them found gives its point.  A basis whose point violates a row
+    by more than that, which rounding can give on an ill-conditioned
+    basis, is walked through but gives no vertex.
 
     Raises ProblemError when ``budget`` is below 1, SolverError unless
     ``start`` names d distinct rows whose matrix is nonsingular and whose
@@ -550,15 +553,18 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     rank = np.empty(k, dtype=int)
     rank[[i for i in range(k) if i not in start] + list(start)] = np.arange(k)
 
-    points = []
+    points, tight = [], []
     seen = {tuple(sorted(start))}
     queue = np.array([sorted(start)])
     while queue.size:
         basis, queue = queue[:_BLOCK], queue[_BLOCK:]
         inv = np.linalg.inv(g[basis])  # (L, d, d)
-        points.append((inv @ h[basis][:, :, None])[:, :, 0])
-        slack = h - points[-1] @ g.T
+        point = (inv @ h[basis][:, :, None])[:, :, 0]
+        slack = h - point @ g.T
         slack[np.abs(slack) <= zero] = 0.0
+        feasible = np.all(slack >= 0.0, axis=1)  # past a row: rounding, not a vertex
+        points.append(point[feasible])
+        tight.append(np.packbits(slack[feasible] == 0.0, axis=1))
         rates = -(g @ inv)  # rates[l, i, j]: row i's growth along edge j of basis l
         rates[np.arange(len(basis))[:, None], basis] = 0.0
         bounded = rates > _PIVOT_COL_TOL * np.abs(inv).max(axis=1, keepdims=True)
@@ -579,18 +585,15 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
             raise BudgetExceededError(f"the vertex walk visited more than {budget} bases")
         queue = np.concatenate([queue, np.array(fresh, dtype=int).reshape(-1, d)])
 
-    # two-stage dedup: rounding keys collapse near-identical copies (the
-    # original coordinates are kept), then a tolerance merge.  np.unique
-    # sorts the keys, so the order is lexicographic on coordinates rounded
-    # to 1e-9 and does not hang on rounding error in a tied coordinate.
-    pts = np.concatenate(points)
-    _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
-    reps, n = pts[first], 0
-    for p in reps:
-        if not n or np.min(np.linalg.norm(reps[:n] - p, axis=1)) > _DEDUP_TOL:
-            reps[n] = p
-            n += 1
-    return reps[:n]
+    # a vertex is its tight-row set: keep the first basis's point of each
+    # set, in walk order, then sort lexicographically on coordinates rounded
+    # to 1e-9, so the order does not hang on rounding error in a tied
+    # coordinate; the rounding is only a sort key, so it may overflow
+    _, first = np.unique(np.concatenate(tight), axis=0, return_index=True)
+    pts = np.concatenate(points)[np.sort(first)]
+    with np.errstate(over="ignore"):
+        key = np.round(pts, 9)
+    return pts[np.lexsort(key.T[::-1])]
 
 
 def _lex_split(tied, rates, at, edge, basis, rank):

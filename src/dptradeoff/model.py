@@ -240,10 +240,6 @@ class Estimator:
     def n_y(self) -> int:
         return self.q.shape[1]
 
-    @property
-    def is_deterministic(self) -> bool:
-        return bool(np.all((self.q <= _MASS_TOL) | (np.abs(self.q - 1.0) <= _MASS_TOL)))
-
 
 def _check_estimators(q: np.ndarray) -> None:
     """Raise ProblemError unless every block of a stack ``q[k, xhat, y]`` is an estimator.

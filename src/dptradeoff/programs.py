@@ -178,11 +178,6 @@ class DualSolution:
         """``dual_polyhedron``'s coordinates (stochasticity, potential[:-1], price)."""
         return np.concatenate([self.stochasticity, self.potential[:-1], [self.perception_price]])
 
-    def feasibility_violation(self, problem: Problem) -> float:
-        """Largest excess ``g @ coords() - h`` over ``dual_polyhedron(problem)``."""
-        poly = dual_polyhedron(problem)
-        return float(np.max(poly.g @ self.coords() - poly.h))
-
 
 def _dual(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
     """Block duals from the row duals of either arc list.

@@ -137,15 +137,12 @@ REFERENCE_POOLS = {
 
 
 class TestStepCdf:
-    def test_right_continuity_and_left_limits(self):
+    def test_right_continuity(self):
         cdf = StepCdf.from_samples([-0.4, 0.0, 0.0, 0.3], [0.1, 0.2, 0.3, 0.4])
         assert cdf.at(-0.4) == pytest.approx(0.1)
-        assert cdf.left(-0.4) == 0.0
         assert cdf.at(0.0) == pytest.approx(0.6)
-        assert cdf.left(0.0) == pytest.approx(0.1)
         assert cdf.at(0.3) == pytest.approx(1.0)
         assert cdf.at(10.0) == pytest.approx(1.0)
-        assert cdf.left(-1.0) == 0.0
 
     def test_tied_levels_grouped(self):
         cdf = StepCdf.from_samples([0.5, 0.5 + 1e-14], [0.5, 0.5])
@@ -228,7 +225,7 @@ class TestClosedFormCurve:
         estimators = breakpoint_estimators(prob, an)
         assert sorted(bp for bp, _ in estimators) == list(curve.breakpoints)
         for bp, est in estimators:
-            assert est.is_deterministic
+            assert np.all((est.q == 0.0) | (est.q == 1.0))
             assert prob.perception_of(est)[0] <= bp + 1e-10
             assert prob.expected_distortion(est) == pytest.approx(curve.value(bp), abs=1e-10)
         zero = estimator_at(prob, an, 0.0)
@@ -307,7 +304,7 @@ class TestBreakpointEstimators:
         estimators = breakpoint_estimators(prob, an)
         assert sorted(bp for bp, _ in estimators) == list(curve.breakpoints)
         for bp, est in estimators:
-            assert est.is_deterministic
+            assert np.all((est.q == 0.0) | (est.q == 1.0))
             out = est.q @ prob.p_y
             scale = prob.metric.h[0, 1]
             assert scale * tv_distance(prob.p_x, out / out.sum()) <= bp + 1e-10

@@ -100,6 +100,39 @@ class TestCrossVerify:
         assert report.passed, report.failures
         assert {"sweep", "vertex", "pointwise"} <= set(report.values)
 
+    def test_ill_conditioned_3x3_vertex_column(self):
+        # observation masses near 1e-9: the vertex column once lacked a line
+        # and stood 2.0e-10 off the sweep and the pointwise column at P = 0
+        prob = make_problem(
+            [[0.2, 1e-9, 0.1], [0.1, 2e-9, 0.2], [0.2, 0.0, 0.2 - 3e-9]],
+            None,
+            [[0, 0.7, 0.9], [0.7, 0, 0.6], [0.9, 0.6, 0]],
+        )
+        report = cross_verify(prob, np.linspace(0, 1, 101), exact_tol=1e-12)
+        assert report.passed, report.failures
+        assert "vertex" in report.values
+
+    def test_walks_once(self, monkeypatch):
+        # the vertex column enumerates from the sweep's walk, not a second one
+        from dptradeoff import lp as lpmod
+
+        walk, calls = lpmod.walk, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "walk", counting)
+        report = cross_verify(random_problem(1, 3, 4), np.linspace(0, 1, 11))
+        assert {"sweep", "vertex"} <= set(report.values)
+        assert len(calls) == 1
+
+    def test_grid_column_skipped_past_its_budget(self):
+        # 3x5 has 10 free degrees of freedom, one more than grid_oracle takes
+        report = cross_verify(random_problem(1, 3, 5), np.linspace(0, 1, 5), grid_steps=10)
+        assert report.passed, report.failures
+        assert "grid_oracle" not in report.values and report.grid_band is None
+
     def test_corrupted_slope_fails_with_location(self, bsc_problem):
         report = cross_verify(
             bsc_problem, np.linspace(0, 1, 21), inject_slope_error=1e-3
