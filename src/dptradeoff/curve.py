@@ -287,7 +287,7 @@ def _sweep(problem: Problem):
     curve = PiecewiseLinearCurve(np.array(at[1:]), np.array(pieces[::-1]), at[-1], d_star)
     points = np.stack([lpmod.basic_point(lp.n, path[i][1], path[i][2]) for i in picks])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
-    estimators = _stochastic_estimator(problem, lay.extract_q(points), tol)
+    estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
     return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, lay, sol.basis
 
 

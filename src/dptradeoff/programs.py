@@ -5,10 +5,13 @@ duality the transport budget between the source marginal ``p_x`` and
 the output marginal ``r`` is a flow between symbols: mass leaves a
 symbol along arcs of weight ``h``, and ``W1(p_x, r)`` is the least
 weight of a flow that turns ``p_x`` into ``r``.  Variables are the
-estimator entries, one flow per arc and one slack.  Rows are, in order:
-column stochasticity (scaled by the observation marginal); one balance
-row per node, ``r[i] + out(i) - in(i) = p_x[i]`` (a centre node has no
-output mass and no source mass); and the budget ``h . f + slack = P``.
+joint masses ``w[xhat, y] = p_y[y] q[xhat, y]`` of the estimator, one
+flow per arc and one slack.  Rows are, in order: one per observation,
+``sum_xhat w[xhat, y] = p_y[y]``; one balance row per node,
+``r[i] + out(i) - in(i) = p_x[i]`` with ``r[i] = sum_y w[i, y]`` (a
+centre node has no output mass and no source mass); and the budget
+``h . f + slack = P``.  Off the budget row every entry is 0 or +-1, and
+the cost of ``w[xhat, y]`` is ``conditional[xhat, y]``.
 
 * ``build_ot_form`` ("ot"), any metric: an arc for every ordered pair
   of distinct symbols, of weight ``h[i, j]``.
@@ -22,7 +25,7 @@ on the others: every walk starts at a basis that drops the last
 symbol's (``_crash_basis``), which prices it at 0.  The dual is read
 off the kept rows, one multiplier per row, and dual constraint j is
 program column j: ``stochasticity[y] + potential[xhat] <=
-conditional[xhat, y]`` per estimator entry, ``potential[i] -
+conditional[xhat, y]`` per joint mass, ``potential[i] -
 potential[j] <= price * weight`` per arc, and ``price >= 0``.  The
 budget row's multiplier, negated, is that nonnegative price; it enters
 the dual objective as ``-price * P``, so optimal bases directly expose
@@ -56,7 +59,7 @@ class FlowLayout:
 
     Nodes are the ``n_x`` symbols and, past them, any centre node; arc
     ``k`` runs from node ``tail[k]`` to node ``head[k]``.  Columns: the
-    estimator block ``q[xhat, y]``, the arcs, the slack.  Rows: the
+    joint masses ``w[xhat, y]``, the arcs, the slack.  Rows: the
     stochasticity rows, the node rows, the budget.
     """
 
@@ -74,7 +77,7 @@ class FlowLayout:
     def n_cons(self) -> int:
         return self.n_y + self.n_nodes + 1
 
-    def ix_q(self, xhat: int, y: int) -> int:
+    def ix_w(self, xhat: int, y: int) -> int:
         return xhat * self.n_y + y
 
     def ix_arc(self, tail: int, head: int) -> int:
@@ -99,8 +102,8 @@ class FlowLayout:
         """The right-hand side's change per unit of perception level."""
         return (np.arange(self.n_cons) == self.n_cons - 1).astype(float)
 
-    def extract_q(self, x: np.ndarray) -> np.ndarray:
-        """The estimator block of a point, or of each row of a stack of points."""
+    def extract_w(self, x: np.ndarray) -> np.ndarray:
+        """The joint-mass block of a point, or of each row of a stack of points."""
         return x[..., : self.n_x * self.n_y].reshape(*x.shape[:-1], self.n_x, self.n_y)
 
     def extract_flow(self, x: np.ndarray) -> np.ndarray:
@@ -110,27 +113,28 @@ class FlowLayout:
 def _build(problem: Problem, p_level: float, n_nodes: int, tail, head, weight):
     """The flow program over the arcs ``tail[k] -> head[k]`` of ``weight[k]``.
 
-    Cost vector: reconstruction cost on the estimator block, zero on the
-    arcs and the slack.  Right-hand side: observation marginal, source
-    marginal (0 at a centre node), and the perception level (the only
-    P-dependent entry, so the right-hand side is affine in P).
+    Cost vector: conditional reconstruction cost on the joint masses,
+    zero on the arcs and the slack.  Right-hand side: observation
+    marginal, source marginal (0 at a centre node), and the perception
+    level (the only P-dependent entry, so the right-hand side is affine
+    in P).
     """
     check_level(p_level)
     n_x, n_y = problem.n_x, problem.n_y
     lay = FlowLayout(n_x, n_y, n_nodes, tail, head)
-    p_y, nq = problem.p_y, n_x * n_y
-    arcs = nq + np.arange(tail.size)
+    nq = n_x * n_y
+    cols, arcs = np.arange(nq), nq + np.arange(tail.size)
 
     a = np.zeros((lay.n_cons, lay.n_vars))
-    a[:n_y, :nq] = np.tile(np.diag(p_y), n_x)
-    a[n_y : n_y + n_x, :nq] = np.kron(np.eye(n_x), p_y[None, :])
+    a[cols % n_y, cols] = 1.0
+    a[n_y + cols // n_y, cols] = 1.0
     a[n_y + tail, arcs] = 1.0
     a[n_y + head, arcs] = -1.0
     a[-1, nq:-1] = weight
     a[-1, -1] = 1.0
 
-    b = np.concatenate([p_y, problem.p_x, np.zeros(n_nodes - n_x), [p_level]])
-    c = np.concatenate([problem.cost.reshape(-1), np.zeros(tail.size + 1)])
+    b = np.concatenate([problem.p_y, problem.p_x, np.zeros(n_nodes - n_x), [p_level]])
+    c = np.concatenate([problem.conditional.reshape(-1), np.zeros(tail.size + 1)])
     return lpmod.StandardLP(a, b, c), lay
 
 
@@ -199,19 +203,15 @@ def _flow_dual(lp: lpmod.StandardLP, lay: FlowLayout) -> tuple[lpmod.HPolyhedron
     Returns the polyhedron ``{u : g u <= h}`` and the kept rows' ``b``;
     built at P = 0, ``u . b`` is the intercept of u's dual objective
     ``intercept - price * P``.  ``g`` is the transpose of the kept rows,
-    so row j is column j's constraint ``w . a[:, j] <= c[j]`` on the row
-    duals w, with two changes of units: an estimator column's row and
-    bound are divided by its observation mass, so they read
-    ``stochasticity[y] + potential[xhat] <= conditional[xhat, y]``, and
-    the perception coordinate is negated into the price.
+    so row j is column j's constraint ``u . a[:, j] <= c[j]``: for a
+    joint mass, ``stochasticity[y] + potential[xhat] <=
+    conditional[xhat, y]``.  The perception coordinate is negated into
+    the price.
     """
     kept = np.arange(lay.n_cons) != lay.dropped_row
-    mass = np.ones(lay.n_vars)
-    mass[: lay.n_x * lay.n_y] = np.tile(lp.b[: lay.n_y], lay.n_x)
-    # row-major, as the vertex walk gathers rows; + 0.0 clears the negated blocks' -0.0
-    g = np.ascontiguousarray(lp.a[kept].T) / mass[:, None] + 0.0
+    g = np.ascontiguousarray(lp.a[kept].T)  # row-major, as the vertex walk gathers rows
     g[:, -1] = 0.0 - g[:, -1]
-    return lpmod.HPolyhedron(g, lp.c / mass), lp.b[kept]
+    return lpmod.HPolyhedron(g, lp.c), lp.b[kept]
 
 
 def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
@@ -257,35 +257,32 @@ class SolveReport:
     refactorizations: int = 0
 
 
-def _stochastic_estimator(problem: Problem, q: np.ndarray, tol: float) -> list[Estimator]:
-    """Column-stochastic estimators from a stack ``q[k, xhat, y]`` of estimator blocks.
+def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[Estimator]:
+    """Column-stochastic estimators from a stack ``w[k, xhat, y]`` of joint-mass blocks.
 
     One array pass applies the rules, and raises the errors, for all k
     blocks at once: ``solve_dp_at`` passes a stack of one, and a curve
     (``curve._sweep``) the blocks of the path entries at its breakpoints, so its
     estimators come from one stacked pass, and ``model._estimator_stack``
     checks them once more, as ``Estimator`` does, without a copy.  The
-    solver meets each
-    stochasticity row ``p_y * sum(q[:, y]) = p_y`` within ``tol`` in
-    mass units, so a column's own sum may be off by ``tol / p_y``: the
-    column of a symbol with almost no mass can come back as zeros.
-    Residuals are judged in mass units; a column with a positive sum is
-    renormalized, and one that sums to about 0 takes the column of the
-    unconstrained optimum, which moves the distortion and the output
-    law by at most that symbol's mass.
+    solver meets each row ``sum(w[:, y]) = p_y`` within ``tol``, so
+    negative entries and residuals are judged against ``tol`` in mass
+    units.  A column with positive mass is divided by it; one that is
+    all zeros, as a symbol with less mass than ``tol`` may come back,
+    takes the column of the unconstrained optimum, which moves the
+    distortion and the output law by at most that symbol's mass.
     """
-    p_y = problem.p_y
-    if np.any(p_y * q < -tol):
+    if np.any(w < -tol):
         raise SolverError("estimator entry negative beyond the solver tolerance")
-    q = np.clip(q, 0.0, None)
-    colsum = q.sum(axis=1)
-    residual = p_y * np.abs(colsum - 1.0)
+    q = np.clip(w, 0.0, None)
+    mass = q.sum(axis=1)
+    residual = np.abs(mass - problem.p_y)
     if np.any(residual > tol):
         raise SolverError(
             f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
         )
-    empty = colsum <= tol
-    q /= np.where(empty, 1.0, colsum)[:, None, :]
+    empty = mass == 0.0
+    q /= np.where(empty, 1.0, mass)[:, None, :]
     k, y = empty.nonzero()
     q[k, :, y] = problem.minimum[1].q[:, y].T
     return _estimator_stack(q)
@@ -316,7 +313,7 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:
     prices it at 0.
     """
     picks = np.argmin(problem.cost, axis=0)
-    basis = [lay.ix_q(int(xhat), y) for y, xhat in enumerate(picks)]
+    basis = [lay.ix_w(int(xhat), y) for y, xhat in enumerate(picks)]
     rm = np.bincount(picks, weights=problem.p_y, minlength=problem.n_x)
     if lay.n_nodes > lay.n_x:  # the star: the centre is node n_x
         arcs = [(lay.n_x, i) if up else (i, lay.n_x) for i, up in enumerate(rm >= problem.p_x)]
@@ -361,8 +358,8 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
     sol = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, span)[0]
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
-    (estimator,) = _stochastic_estimator(problem, lay.extract_q(sol.x)[None], tol)
-    out = np.clip(lay.extract_q(sol.x), 0.0, None) @ problem.p_y
+    (estimator,) = _stochastic_estimator(problem, lay.extract_w(sol.x)[None], tol)
+    out = np.clip(lay.extract_w(sol.x), 0.0, None).sum(axis=1)
     plan = _flow_plan(problem.p_x, out, lay.n_nodes, lay.tail, lay.head, lay.extract_flow(sol.x))
     dual = _dual(problem, sol.dual, p_level)
     return SolveReport(

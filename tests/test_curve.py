@@ -371,7 +371,7 @@ class TestCurveBySweep:
         for p, est in report.estimators:
             _, basis, xb, _ = path[int(np.argmin(np.abs(levels - p)))]
             x = lpmod.basic_point(lp.n, basis, xb)
-            (want,) = _stochastic_estimator(prob, lay.extract_q(x)[None], tol)
+            (want,) = _stochastic_estimator(prob, lay.extract_w(x)[None], tol)
             assert np.array_equal(est.q, want.q), p
 
     @pytest.mark.parametrize("random_metric", [False, True], ids=["hamming", "metric"])

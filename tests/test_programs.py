@@ -33,7 +33,7 @@ BUILD = {"ot": build_ot_form, "tv": build_tv_form}
 
 def _plan(prob, lay, x):
     """The coupling that ``solve_dp_at`` reads off a point of the flow program."""
-    out = np.clip(lay.extract_q(x), 0.0, None) @ prob.p_y
+    out = np.clip(lay.extract_w(x), 0.0, None).sum(axis=1)
     return _flow_plan(prob.p_x, out, lay.n_nodes, lay.tail, lay.head, lay.extract_flow(x))
 
 
@@ -55,16 +55,17 @@ class TestTransportForm:
         # right-hand side: observation marginal, source marginal, level
         assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.25]]))
         assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 1])
-        # cost: reconstruction cost on the estimator block, zero elsewhere
-        assert np.allclose(lp.c[:4], bsc_problem.cost.reshape(-1))
+        # cost: conditional reconstruction cost on the joint masses, zero elsewhere
+        assert np.array_equal(lp.c[:4], bsc_problem.conditional.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
-        # stochasticity rows scale each estimator column by its marginal,
-        # and so does the node row of its reconstruction symbol
+        # a joint mass counts once in its observation's row and once in
+        # the node row of its reconstruction symbol
         for y in range(2):
             for xhat in range(2):
-                assert lp.a[y, lay.ix_q(xhat, y)] == p_y[y]
-                assert lp.a[2 + xhat, lay.ix_q(xhat, y)] == p_y[y]
-                assert lp.a[2 + 1 - xhat, lay.ix_q(xhat, y)] == 0.0
+                assert lp.a[y, lay.ix_w(xhat, y)] == 1.0
+                assert lp.a[1 - y, lay.ix_w(xhat, y)] == 0.0
+                assert lp.a[2 + xhat, lay.ix_w(xhat, y)] == 1.0
+                assert lp.a[2 + 1 - xhat, lay.ix_w(xhat, y)] == 0.0
         # one arc per ordered pair of distinct symbols, row-major: it leaves
         # its tail's row, enters its head's and carries the metric on the budget
         assert list(zip(lay.tail, lay.head)) == [(0, 1), (1, 0)]
@@ -104,13 +105,13 @@ class TestSignForm:
         # the centre, node 2, has neither source nor output mass
         assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.0, 0.25]]))
         assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 0, 1])
-        assert np.allclose(lp.c[:4], bsc_problem.cost.reshape(-1))
+        assert np.array_equal(lp.c[:4], bsc_problem.conditional.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
         for xhat in range(2):
             row = 2 + xhat
             for y in range(2):
-                assert lp.a[y, lay.ix_q(xhat, y)] == p_y[y]
-                assert lp.a[row, lay.ix_q(xhat, y)] == p_y[y]
+                assert lp.a[y, lay.ix_w(xhat, y)] == 1.0
+                assert lp.a[row, lay.ix_w(xhat, y)] == 1.0
             assert (lp.a[row, lay.ix_arc(2, xhat)], lp.a[row, lay.ix_arc(xhat, 2)]) == (-1.0, 1.0)
             assert (lp.a[4, lay.ix_arc(2, xhat)], lp.a[4, lay.ix_arc(xhat, 2)]) == (1.0, -1.0)
         assert list(zip(lay.tail, lay.head)) == [(2, 0), (2, 1), (0, 2), (1, 2)]
@@ -209,7 +210,7 @@ class TestSolveAt:
 
     @pytest.mark.parametrize("form", ["ot", "tv"])
     def test_symbol_with_almost_no_mass(self, form):
-        # the solver returns the 3e-11 column as zeros, within its tolerance
+        # observation 1 has mass 3e-11, below the solver tolerance
         prob = make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]])
         rep = solve_dp_at(prob, 0.0, form=form)
         assert rep.value == pytest.approx(0.4, abs=1e-9)
@@ -220,7 +221,7 @@ class TestSolveAt:
     def test_stochasticity_residual_is_a_solver_error(self, bsc_problem):
         q = np.array([[0.5, 1.0], [0.0, 0.0]])  # column 0 short by mass 0.3
         with pytest.raises(SolverError, match="off stochastic"):
-            _stochastic_estimator(bsc_problem, q[None], 1e-9)
+            _stochastic_estimator(bsc_problem, (q * bsc_problem.p_y)[None], 1e-9)
 
     def test_estimator_transport_feasibility(self):
         prob = random_problem(77, 3, 4, random_distortion=True, random_metric=True)
@@ -231,7 +232,8 @@ class TestSolveAt:
 
 
 class TestStackedEstimators:
-    """``_stochastic_estimator`` over a stack of three estimator blocks."""
+    """``_stochastic_estimator`` over a stack of three estimator blocks,
+    passed as their joint masses ``STACK * p_y``."""
 
     # observation 1 has mass 3e-11, below the tolerance: its column may be empty
     PROBLEM = make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]])
@@ -240,16 +242,17 @@ class TestStackedEstimators:
         [[0.6, 0.0, 0.1], [0.4, 0.0, 0.9 + 1e-10]],  # column 1 empty
         [[1.0, 0.2, -1e-12], [0.0, 0.7, 1.0]],  # column 1 short, within its mass
     ])
+    JOINT = STACK * PROBLEM.p_y
 
     def test_each_slice_is_a_stack_of_one(self):
-        got = _stochastic_estimator(self.PROBLEM, self.STACK, 1e-9)
+        got = _stochastic_estimator(self.PROBLEM, self.JOINT, 1e-9)
         assert len(got) == 3
-        for block, est in zip(self.STACK, got):
+        for block, est in zip(self.JOINT, got):
             (alone,) = _stochastic_estimator(self.PROBLEM, block[None], 1e-9)
             assert np.array_equal(est.q, alone.q)
 
     def test_empty_column_takes_the_map_column_in_its_slice_only(self):
-        first, empty, short = _stochastic_estimator(self.PROBLEM, self.STACK, 1e-9)
+        first, empty, short = _stochastic_estimator(self.PROBLEM, self.JOINT, 1e-9)
         map_column = self.PROBLEM.minimum[1].q[:, 1]
         assert np.array_equal(empty.q[:, 1], map_column)
         assert np.array_equal(first.q[:, 1], [0.5, 0.5])
@@ -261,7 +264,7 @@ class TestStackedEstimators:
         stack = self.STACK.copy()
         stack[2, :, 0] = [0.5, 0.2]  # column 0 short by mass 0.15
         with pytest.raises(SolverError, match="off stochastic"):
-            _stochastic_estimator(self.PROBLEM, stack, 1e-9)
+            _stochastic_estimator(self.PROBLEM, stack * self.PROBLEM.p_y, 1e-9)
 
 
 def _crash_cases():
