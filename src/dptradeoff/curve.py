@@ -47,12 +47,12 @@ def project_vertex(vertex, problem: Problem) -> np.ndarray:
     coords = np.asarray(vertex, dtype=float)
     if coords.ndim not in (1, 2) or coords.shape[-1] != problem.n_y + problem.n_x:
         raise ProblemError("vertex has the wrong dimension for this problem")
-    return _lines(coords, _flow_dual(*build_ot_form(problem, 0.0))[1])
+    return _lines(coords, build_ot_form(problem, 0.0)[0].b)
 
 
 def _lines(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(intercept, slope) rows: ``weights``, the kept right-hand side of
-    the flow program at P = 0, give the intercept."""
+    """(intercept, slope) rows: ``weights``, the right-hand side of the
+    flow program at P = 0, give the intercept."""
     return np.stack([coords @ weights, -coords[..., -1]], axis=-1)
 
 
@@ -222,13 +222,13 @@ def hull_extremes(points) -> np.ndarray:
 def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """Exact curve from full dual vertex enumeration.
 
-    The vertices are those of the flow program's dual over its kept rows
-    (``dual_polyhedron``), read off the one build the walk uses.
-    The enumeration starts at the last basis of ``curve_by_sweep``'s
-    walk, optimal at P = 0: dual row j is program column j, and the walk
-    drops the row the dual drops, so that basis is d rows of a dual
-    vertex.  The curve is the envelope of the vertices' lines; the rest
-    of the report is the sweep's, estimators too, so no level is solved.
+    The vertices are those of the flow program's dual
+    (``dual_polyhedron``), read off the one build the walk uses.  The
+    enumeration starts at the last basis of ``curve_by_sweep``'s walk,
+    optimal at P = 0: dual row j is program column j, so that basis is
+    d rows of a dual vertex.  The curve is the envelope of the vertices'
+    lines; the rest of the report is the sweep's, estimators too, so no
+    level is solved.
 
     Raises ProblemError when ``budget`` is below 1 and BudgetExceededError
     when the enumeration finds more bases; use ``curve_by_sweep`` then.
@@ -239,10 +239,9 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
 def _by_vertices(walked, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """``curve_by_vertices`` from ``_sweep``'s result, so a caller that
     already has the sweep walks once."""
-    sweep, lp, lay, last_basis = walked
-    poly, weights = _flow_dual(lp, lay)
-    verts = lpmod.enumerate_vertices(poly, last_basis, budget=budget)
-    lines = _lines(verts, weights)
+    sweep, lp, last_basis = walked
+    verts = lpmod.enumerate_vertices(_flow_dual(lp), last_basis, budget=budget)
+    lines = _lines(verts, lp.b)
     curve = assemble_curve(lines, sweep.curve.d_star)
     return replace(sweep, curve=curve, method="vertex", s2_points=lines, vertices=verts)
 
@@ -288,7 +287,7 @@ def _sweep(problem: Problem):
     points = np.stack([lpmod.basic_point(lp.n, path[i][1], path[i][2]) for i in picks])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
-    return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, lay, sol.basis
+    return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, sol.basis
 
 
 def mix_supports(levels, rule, p_level: float) -> Estimator:

@@ -17,11 +17,11 @@ come from a fresh solve against the original data rather than
 accumulated updates.
 
 Phase one is for programs without a known basis.  It detects linearly
-dependent equality rows and drops them instead of failing: several
-programs in this package carry one dependent row by construction.
+dependent equality rows and drops them instead of failing, so a program
+handed to ``solve`` need not have full row rank.
 
-``walk`` starts instead from a known optimal basis (and its dropped
-rows) and moves ``b`` along a direction to its target, one optimal
+``walk`` starts instead from a known optimal basis, one column per row,
+and moves ``b`` along a direction to its target, one optimal
 basis per interval of the way: the parametric right-hand side of
 Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
 section 5.2.  The reduced costs do not depend on ``b``, so the basis
@@ -378,17 +378,18 @@ def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations, refactors, flip
 
 
 def walk(
-    lp: StandardLP, start: LPSolution, d, span: float, *, max_iter: int | None = None
+    lp: StandardLP, start, d, span: float, *, max_iter: int | None = None
 ) -> tuple[LPSolution, list[tuple[float, np.ndarray, np.ndarray, float]]]:
     """Optimal bases of the programs ``b = lp.b + s d`` as s moves from ``span`` to 0.
 
-    ``start`` is an optimal basis, with its dropped rows, at s = ``span``.
-    Moving s moves the basic values by ``B^-1 d`` per unit and keeps the
-    reduced costs, so a basis stays optimal until a basic value reaches
-    0; ``_dual_bland`` over the rows that reach 0 together then pivots as
-    the dual simplex just past that point would, so degenerate steps
-    cannot cycle.  At s = 0 the basis is refactored against ``lp.b`` and
-    phase two confirms it, so a start off by rounding still ends optimal.
+    ``start`` is the columns of an optimal basis at s = ``span``, one per
+    row, so ``lp`` has full row rank.  Moving s moves the basic values
+    by ``B^-1 d`` per unit and keeps the reduced costs, so a basis stays
+    optimal until a basic value reaches 0; ``_dual_bland`` over the rows
+    that reach 0 together then pivots as the dual simplex just past that
+    point would, so degenerate steps cannot cycle.  At s = 0 the basis is
+    refactored against ``lp.b`` and phase two confirms it, so a start off
+    by rounding still ends optimal.
 
     Returns the optimal solution of ``lp`` (``iterations`` counts the
     walk's pivots and phase two's) and ``(s, basis, xb, slope)`` per basis
@@ -396,32 +397,22 @@ def walk(
     its columns in row order and their values there (``basic_point``
     makes the point), and ``c_B B^-1 d``, the slope of the value in s.
 
-    Raises SolverError when ``start`` is not optimal, covers another row
-    count, names a column or row out of range, is singular, or is not
-    primal and dual feasible at s = ``span``; when a dropped row is
-    inconsistent with ``lp.b``; and when the program is infeasible on
-    the way.
+    Raises SolverError when ``start`` covers another row count, names a
+    column out of range, is singular, or is not primal and dual feasible
+    at s = ``span``, and when the program is infeasible on the way.
     """
     m, n = lp.m, lp.n
     budget = max_iter if max_iter is not None else 100 * (m + n)
-    if start.status != "optimal":
-        raise SolverError(f"a walk needs an optimal start, got {start.status}")
-    dropped = sorted(start.dropped_rows)
-    if (covered := len(start.basis) + len(dropped)) != m:
-        raise SolverError(f"start basis covers {covered} rows, the program has {m}")
-    if not all(0 <= j < n for j in start.basis) or not all(0 <= r < m for r in dropped):
-        raise SolverError("start basis names a column or row out of range")
-    keep = [r for r in range(m) if r not in dropped]
-    b, d = lp.b[keep], np.asarray(d, dtype=float)[keep]
-    tab = _Tableau(lp.a[keep], b, lp.c, start.basis, d)  # factored against lp.b
+    if len(start) != m:
+        raise SolverError(f"start basis covers {len(start)} rows, the program has {m}")
+    if not all(0 <= j < n for j in start):
+        raise SolverError("start basis names a column out of range")
+    d = np.asarray(d, dtype=float)
+    tab = _Tableau(lp.a, lp.b, lp.c, start, d)  # factored against lp.b
     at_zero = tab.xb.copy()
     tab.xb += span * tab.rate
-    tab.b = b + span * d
+    tab.b = lp.b + span * d
     scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)), float(np.abs(tab.b).max(initial=0.0)))
-    for r in dropped:  # a[r] = weights @ a[keep], so b must agree
-        weights = lp.a[r, tab.basis] @ tab.binv
-        if abs(lp.b[r] - weights @ b) > FEAS_TOL * scale:
-            raise SolverError(f"dropped row {r} is inconsistent with b")
     if tab.xb.min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
         raise SolverError("start basis is not optimal where the walk starts")
 
@@ -433,13 +424,13 @@ def walk(
         rows = (fall > _PIVOT_COL_TOL).nonzero()[0]
         xr, fr = tab.xb[rows], fall[rows]
         if (xr - abs(s) * fr).min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
-            tab.b = b
+            tab.b = lp.b
             break
         steps = np.maximum(xr, 0.0) / fr
         step = float(steps.min())
         s += way * step
         tab.xb -= step * fall
-        tab.b = b + s * d
+        tab.b = lp.b + s * d
         path.append((s, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
         leave, col = _dual_bland(tab, rows[steps <= step + _RATIO_TIE_TOL])
         if col is None:
@@ -453,7 +444,7 @@ def walk(
     status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
     if status != "optimal":
         raise SolverError(f"phase two ended {status} after the walk")
-    sol = _optimal(lp, tab, dropped, iters + confirm, tab.refactors)
+    sol = _optimal(lp, tab, (), iters + confirm, tab.refactors)
     path.append((0.0, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
     return sol, path
 

@@ -411,11 +411,11 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
 
     Solves the Kantorovich-Rubinstein form with the simplex core: flows
     on every ordered pair of distinct symbols, of weight ``h[i, j]``, with
-    node rows ``out(i) - in(i) = p[i] - q[i]`` (phase one drops the one
-    that depends on the others).  Returns the coupling read off the
-    optimal flow by ``solve_dp_at``'s rule and, as the value, its cost
-    ``sum(pi * h)``, which is the flow's weight up to rounding and the
-    triangle check's allowance.
+    node rows ``out(i) - in(i) = p[i] - q[i]`` but the last symbol's,
+    which is minus the sum of the others.  Returns the coupling read off
+    the optimal flow by ``solve_dp_at``'s rule and, as the value, its
+    cost ``sum(pi * h)``, which is the flow's weight up to rounding and
+    the triangle check's allowance.
     """
     from . import lp  # deferred: lp has no model dependency
 
@@ -428,9 +428,9 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
         return 0.0, Coupling(np.ones((1, 1)), pv, qv)
 
     tail, head = np.nonzero(~np.eye(n, dtype=bool))
-    nodes = np.arange(n)[:, None]
+    nodes = np.arange(n - 1)[:, None]
     a = (nodes == tail) - (nodes == head).astype(float)  # node-arc incidence
-    sol = lp.solve(lp.StandardLP(a, pv - qv, metric.h[tail, head]))
+    sol = lp.solve(lp.StandardLP(a, (pv - qv)[:-1], metric.h[tail, head]))
     if sol.status != "optimal":
         raise SolverError(f"transport program ended with status {sol.status}")
     plan = _flow_plan(pv, qv, n, tail, head, sol.x)

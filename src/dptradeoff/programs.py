@@ -9,9 +9,11 @@ joint masses ``w[xhat, y] = p_y[y] q[xhat, y]`` of the estimator, one
 flow per arc and one slack.  Rows are, in order: one per observation,
 ``sum_xhat w[xhat, y] = p_y[y]``; one balance row per node,
 ``r[i] + out(i) - in(i) = p_x[i]`` with ``r[i] = sum_y w[i, y]`` (a
-centre node has no output mass and no source mass); and the budget
-``h . f + slack = P``.  Off the budget row every entry is 0 or +-1, and
-the cost of ``w[xhat, y]`` is ``conditional[xhat, y]``.
+centre node has no output mass and no source mass), but for the last
+symbol, whose row is the stochasticity rows less the other node rows;
+and the budget ``h . f + slack = P``.  So the rows are independent.
+Off the budget row every entry is 0 or +-1, and the cost of
+``w[xhat, y]`` is ``conditional[xhat, y]``.
 
 * ``build_ot_form`` ("ot"), any metric: an arc for every ordered pair
   of distinct symbols, of weight ``h[i, j]``.
@@ -20,17 +22,15 @@ the cost of ``w[xhat, y]`` is ``conditional[xhat, y]``.
   so mass moved between two symbols costs 1 and the budget is total
   variation.
 
-The node rows add up to the stochasticity rows, so one of them depends
-on the others: every walk starts at a basis that drops the last
-symbol's (``_crash_basis``), which prices it at 0.  The dual is read
-off the kept rows, one multiplier per row, and dual constraint j is
-program column j: ``stochasticity[y] + potential[xhat] <=
-conditional[xhat, y]`` per joint mass, ``potential[i] -
-potential[j] <= price * weight`` per arc, and ``price >= 0``.  The
-budget row's multiplier, negated, is that nonnegative price; it enters
-the dual objective as ``-price * P``, so optimal bases directly expose
-the local slope of D(P).  The star's symbol potentials are feasible for
-the complete graph's dual, whose rows ``dual_polyhedron`` returns.
+The dual has one multiplier per row, and the last symbol's potential,
+whose row is left out, is 0.  Dual constraint j is program column j:
+``stochasticity[y] + potential[xhat] <= conditional[xhat, y]`` per
+joint mass, ``potential[i] - potential[j] <= price * weight`` per arc,
+and ``price >= 0``.  The budget row's multiplier, negated, is that
+nonnegative price; it enters the dual objective as ``-price * P``, so
+optimal bases directly expose the local slope of D(P).  The star's
+symbol potentials are feasible for the complete graph's dual, whose
+rows ``dual_polyhedron`` returns.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class FlowLayout:
     Nodes are the ``n_x`` symbols and, past them, any centre node; arc
     ``k`` runs from node ``tail[k]`` to node ``head[k]``.  Columns: the
     joint masses ``w[xhat, y]``, the arcs, the slack.  Rows: the
-    stochasticity rows, the node rows, the budget.
+    stochasticity rows, the node rows but the last symbol's, the budget.
     """
 
     n_x: int
@@ -75,7 +75,7 @@ class FlowLayout:
 
     @property
     def n_cons(self) -> int:
-        return self.n_y + self.n_nodes + 1
+        return self.n_y + self.n_nodes
 
     def ix_w(self, xhat: int, y: int) -> int:
         return xhat * self.n_y + y
@@ -91,11 +91,6 @@ class FlowLayout:
     @property
     def ix_slack(self) -> int:
         return self.n_vars - 1
-
-    @property
-    def dropped_row(self) -> int:
-        """The last symbol's node row, which depends on the others."""
-        return self.n_y + self.n_x - 1
 
     @property
     def level_direction(self) -> np.ndarray:
@@ -115,27 +110,30 @@ def _build(problem: Problem, p_level: float, n_nodes: int, tail, head, weight):
 
     Cost vector: conditional reconstruction cost on the joint masses,
     zero on the arcs and the slack.  Right-hand side: observation
-    marginal, source marginal (0 at a centre node), and the perception
-    level (the only P-dependent entry, so the right-hand side is affine
-    in P).
+    marginal, source marginal but its last entry (0 at a centre node),
+    and the perception level (the only P-dependent entry, so the
+    right-hand side is affine in P).  The last symbol's node entries are
+    written to a spare row past the budget, which the program leaves out.
     """
     check_level(p_level)
     n_x, n_y = problem.n_x, problem.n_y
     lay = FlowLayout(n_x, n_y, n_nodes, tail, head)
     nq = n_x * n_y
     cols, arcs = np.arange(nq), nq + np.arange(tail.size)
+    node = n_y + np.arange(n_nodes) - (np.arange(n_nodes) >= n_x)  # a centre fills the gap
+    node[n_x - 1] = lay.n_cons  # the spare row
 
-    a = np.zeros((lay.n_cons, lay.n_vars))
+    a = np.zeros((lay.n_cons + 1, lay.n_vars))
     a[cols % n_y, cols] = 1.0
-    a[n_y + cols // n_y, cols] = 1.0
-    a[n_y + tail, arcs] = 1.0
-    a[n_y + head, arcs] = -1.0
-    a[-1, nq:-1] = weight
-    a[-1, -1] = 1.0
+    a[node[cols // n_y], cols] = 1.0
+    a[node[tail], arcs] = 1.0
+    a[node[head], arcs] = -1.0
+    a[-2, nq:-1] = weight
+    a[-2, -1] = 1.0
 
-    b = np.concatenate([problem.p_y, problem.p_x, np.zeros(n_nodes - n_x), [p_level]])
+    b = np.concatenate([problem.p_y, problem.p_x[:-1], np.zeros(n_nodes - n_x), [p_level]])
     c = np.concatenate([problem.conditional.reshape(-1), np.zeros(tail.size + 1)])
-    return lpmod.StandardLP(a, b, c), lay
+    return lpmod.StandardLP(a[:-1], b, c), lay
 
 
 def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
@@ -186,44 +184,41 @@ class DualSolution:
 def _dual(problem: Problem, raw: np.ndarray, p_level: float) -> DualSolution:
     """Block duals from the row duals of either arc list.
 
-    The walk prices the dropped row, the last symbol's, at 0; a centre
+    The last symbol, which has no row, takes potential 0; a centre
     node's dual multiplies a zero right-hand side and is left out.
     """
     n_x, n_y = problem.n_x, problem.n_y
     stoch = raw[:n_y].copy()
-    potential = raw[n_y : n_y + n_x].copy()
+    potential = np.append(raw[n_y : n_y + n_x - 1], 0.0)
     price = -float(raw[-1])
     objective = float(stoch @ problem.p_y + potential @ problem.p_x - price * p_level)
     return DualSolution(stoch, potential, price, objective)
 
 
-def _flow_dual(lp: lpmod.StandardLP, lay: FlowLayout) -> tuple[lpmod.HPolyhedron, np.ndarray]:
-    """The dual of a built flow program over its kept rows.
+def _flow_dual(lp: lpmod.StandardLP) -> lpmod.HPolyhedron:
+    """The dual ``{u : g u <= h}`` of a built flow program.
 
-    Returns the polyhedron ``{u : g u <= h}`` and the kept rows' ``b``;
-    built at P = 0, ``u . b`` is the intercept of u's dual objective
-    ``intercept - price * P``.  ``g`` is the transpose of the kept rows,
-    so row j is column j's constraint ``u . a[:, j] <= c[j]``: for a
-    joint mass, ``stochasticity[y] + potential[xhat] <=
-    conditional[xhat, y]``.  The perception coordinate is negated into
-    the price.
+    Built at P = 0, ``u . lp.b`` is the intercept of u's dual objective
+    ``intercept - price * P``.  ``g`` is the transpose of ``lp.a``, so
+    row j is column j's constraint ``u . a[:, j] <= c[j]``: for a joint
+    mass, ``stochasticity[y] + potential[xhat] <= conditional[xhat, y]``.
+    The perception coordinate is negated into the price.
     """
-    kept = np.arange(lay.n_cons) != lay.dropped_row
-    g = np.ascontiguousarray(lp.a[kept].T)  # row-major, as the vertex walk gathers rows
+    g = np.ascontiguousarray(lp.a.T)  # row-major, as the vertex walk gathers rows
     g[:, -1] = 0.0 - g[:, -1]
-    return lpmod.HPolyhedron(g, lp.c), lp.b[kept]
+    return lpmod.HPolyhedron(g, lp.c)
 
 
 def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
-    """H-representation of the complete graph's flow dual over its kept rows.
+    """H-representation of the complete graph's flow dual.
 
     Coordinates: (stochasticity[n_y], potential[n_x - 1], price),
-    dimension n_y + n_x: the last symbol's row is dropped, so its
-    potential is pinned to 0.  Rows follow the program's columns: one
-    per (reconstruction, observation) pair, one per ordered pair of
+    dimension n_y + n_x: the last symbol has no row, so its potential
+    is pinned to 0.  Rows follow the program's columns: one per
+    (reconstruction, observation) pair, one per ordered pair of
     distinct symbols, and the price nonnegativity row.
     """
-    return _flow_dual(*build_ot_form(problem, 0.0))[0]
+    return _flow_dual(build_ot_form(problem, 0.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +283,8 @@ def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[E
     return _estimator_stack(q)
 
 
-def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:
-    """The optimal basis of the program at P = 1, in closed form.
+def _crash_basis(problem: Problem, lay: FlowLayout) -> list[int]:
+    """The optimal basis of the program at P = 1, in closed form, as sorted columns.
 
     Every metric entry is at most 1, so at P = 1 the budget is slack and
     the MAP estimator (``problem.minimum``, same ties) is optimal.  Its
@@ -309,8 +304,6 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:
     another metric, and the walk's first pivot is where the budget
     starts to bind.  Over a star it is one arc per symbol: from the
     centre to a symbol with ``r >= p_x``, to the centre from the others.
-    The last symbol's row depends on the others and is dropped, which
-    prices it at 0.
     """
     picks = np.argmin(problem.cost, axis=0)
     basis = [lay.ix_w(int(xhat), y) for y, xhat in enumerate(picks)]
@@ -336,7 +329,7 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> lpmod.LPSolution:
                 b += 1
     basis += [lay.ix_arc(i, j) for i, j in arcs]
     basis.append(lay.ix_slack)
-    return lpmod.LPSolution(status="optimal", basis=tuple(sorted(basis)), dropped_rows=(lay.dropped_row,))
+    return sorted(basis)
 
 
 def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:

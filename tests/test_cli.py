@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dptradeoff import SolverError
 from dptradeoff.cli import main
 from dptradeoff.curve import curve_by_sweep
 from dptradeoff.problemio import (
@@ -318,6 +319,41 @@ class TestBadProblemFiles:
     def test_integer_too_large_for_a_float(self, tmp_path, capsys):
         err = self._solve(tmp_path, capsys, b'{"p_xy": [[1, 1], [1, ' + b"9" * 401 + b"]]}")
         assert "'p_xy'" in err
+
+    @pytest.mark.parametrize(
+        "data,named",
+        [
+            (b'{"p_xy": 0.5}', "field 'p_xy' must be a nonempty 2-D array"),
+            (b'{"p_xy": [[0.5, 0.5]], "metric": "hamming"}', "field 'metric' must be"),
+            (b'{"p_xy": [0.5, 0.5]}', "field 'p_xy' row 0 is not an array"),
+            (b'{"p_xy": [[0.5, "0.5"]]}', "field 'p_xy' entry (0,1) is not a number"),
+            (b'{"p_xy": [[0.5, 0.5]], "distortion": [[true]]}', "field 'distortion' entry (0,0)"),
+            (b'[[0.5, 0.5]]', "instance file must be a JSON object"),
+            (b'{"metric": [[0.0]]}', "missing required field 'p_xy'"),
+        ],
+        ids=["field-not-list", "metric-not-list", "row-not-list", "string-entry", "true-entry",
+             "not-an-object", "no-p_xy"],
+    )
+    def test_malformed_schema_names_the_field(self, tmp_path, capsys, data, named):
+        assert named in self._solve(tmp_path, capsys, data)
+
+
+class TestSolverError:
+    @pytest.mark.parametrize(
+        "target,command",
+        [("dptradeoff.cli.solve_dp_at", ["solve", "--P", "0.1"]),
+         ("dptradeoff.cli.curvemod.curve_by_sweep", ["curve", "--method", "sweep"])],
+        ids=["solve", "curve-sweep"],
+    )
+    def test_exits_2_without_a_traceback(self, bsc_file, monkeypatch, capsys, target, command):
+        def fail(*args, **kwargs):
+            raise SolverError("pivot below numeric tolerance")
+
+        monkeypatch.setattr(target, fail)
+        assert main([*command, "--input", bsc_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: pivot below numeric tolerance")
+        assert "Traceback" not in err
 
 
 class TestBrokenPipe:

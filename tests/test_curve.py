@@ -397,10 +397,9 @@ class TestCurveBySweep:
         prob = random_problem(seed, 8, 20, random_distortion=random_metric, random_metric=random_metric)
         lp, lay = build_ot_form(prob, 0.0)
         path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
-        keep = np.arange(lp.m) != lay.dropped_row
         tops = [1.0] + [entry[0] for entry in path]
         lines = [
-            _exact_line(lp.a[keep], lp.b[keep], lp.c, basis)
+            _exact_line(lp.a, lp.b, lp.c, basis)
             for top, (s, basis, _, _) in zip(tops, path)
             if top > s
         ]
@@ -495,6 +494,34 @@ class TestPiecewiseLinearCurve:
     def test_rejects_positive_slope(self):
         with pytest.raises(ProblemError, match="nonpositive"):
             PiecewiseLinearCurve(np.array([]), np.array([[1.0, 0.5]]), 0.0, 1.0)
+
+    def test_rejects_wrong_segment_count(self):
+        with pytest.raises(ProblemError, match="segment count must be breakpoint count"):
+            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, 0.0]]), 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "breakpoints", [[0.3, 0.3], [0.4, 0.2], [0.0, 0.5], [-0.1, 0.5], [0.5, 1.5]],
+        ids=["repeated", "decreasing", "at-zero", "negative", "past-one"],
+    )
+    def test_rejects_breakpoints_outside_or_out_of_order(self, breakpoints):
+        with pytest.raises(ProblemError, match=r"increase strictly within \(0, 1\]"):
+            PiecewiseLinearCurve(np.array(breakpoints), np.zeros((3, 2)), breakpoints[-1], 0.0)
+
+    @pytest.mark.parametrize(
+        "plateau,d_star", [((0.9, 0.0), 0.95), ((0.9, -1e-13), 0.9)], ids=["intercept", "slope"]
+    )
+    def test_rejects_final_segment_off_the_plateau(self, plateau, d_star):
+        with pytest.raises(ProblemError, match="final segment must be the exact plateau"):
+            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, -0.2], plateau]), 0.5, d_star)
+
+    @pytest.mark.parametrize(
+        "breakpoints,segments,p_star",
+        [([0.5], [[1.0, -0.2], [0.9, 0.0]], 0.4), ([], [[0.9, 0.0]], 0.1)],
+        ids=["off-the-last", "flat"],
+    )
+    def test_rejects_p_star_off_the_last_breakpoint(self, breakpoints, segments, p_star):
+        with pytest.raises(ProblemError, match="p_star must equal the last breakpoint"):
+            PiecewiseLinearCurve(np.array(breakpoints), np.array(segments), p_star, 0.9)
 
     def test_value_and_slope_vectorized(self, indep_problem):
         report = curve_by_vertices(indep_problem)

@@ -40,32 +40,33 @@ def _plan(prob, lay, x):
 class TestTransportForm:
     def test_counts_2x2(self, bsc_problem):
         lp, lay = build_ot_form(bsc_problem, 0.3)
-        # 4 estimator entries, 2 arcs, one slack; 2 + 2 + 1 rows
-        assert lp.a.shape == (5, 7)
-        assert lay.n_vars == 7 and lay.n_cons == 5
+        # 4 estimator entries, 2 arcs, one slack; 2 + 1 + 1 rows: the last
+        # symbol has no node row
+        assert lp.a.shape == (4, 7)
+        assert lay.n_vars == 7 and lay.n_cons == 4
 
     def test_counts_3x5(self):
         prob = random_problem(3, 3, 5)
         lp, lay = build_ot_form(prob, 0.1)
-        assert lp.a.shape == (9, 22)
+        assert lp.a.shape == (8, 22)
 
     def test_block_structure_matches_kron_layout(self, bsc_problem):
         p_y, p_x = bsc_problem.p_y, bsc_problem.p_x
         lp, lay = build_ot_form(bsc_problem, 0.25)
-        # right-hand side: observation marginal, source marginal, level
-        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.25]]))
-        assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 1])
+        # right-hand side: observation marginal, source marginal but the
+        # last symbol's, level
+        assert np.allclose(lp.b, np.concatenate([p_y, p_x[:1], [0.25]]))
+        assert np.array_equal(lay.level_direction, [0, 0, 0, 1])
         # cost: conditional reconstruction cost on the joint masses, zero elsewhere
         assert np.array_equal(lp.c[:4], bsc_problem.conditional.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
         # a joint mass counts once in its observation's row and once in
-        # the node row of its reconstruction symbol
+        # the node row of its reconstruction symbol, if that symbol has one
         for y in range(2):
             for xhat in range(2):
                 assert lp.a[y, lay.ix_w(xhat, y)] == 1.0
                 assert lp.a[1 - y, lay.ix_w(xhat, y)] == 0.0
-                assert lp.a[2 + xhat, lay.ix_w(xhat, y)] == 1.0
-                assert lp.a[2 + 1 - xhat, lay.ix_w(xhat, y)] == 0.0
+                assert lp.a[2, lay.ix_w(xhat, y)] == (1.0 if xhat == 0 else 0.0)
         # one arc per ordered pair of distinct symbols, row-major: it leaves
         # its tail's row, enters its head's and carries the metric on the budget
         assert list(zip(lay.tail, lay.head)) == [(0, 1), (1, 0)]
@@ -73,12 +74,12 @@ class TestTransportForm:
         for i, j in [(0, 1), (1, 0)]:
             column = np.zeros(5)
             column[2 + i], column[2 + j], column[4] = 1.0, -1.0, bsc_problem.metric.h[i, j]
-            assert np.array_equal(lp.a[:, lay.ix_arc(i, j)], column)
-        assert np.array_equal(lp.a[:, lay.ix_slack], [0, 0, 0, 0, 1])
+            assert np.array_equal(lp.a[:, lay.ix_arc(i, j)], np.delete(column, 3))
+        assert np.array_equal(lp.a[:, lay.ix_slack], [0, 0, 0, 1])
 
-    def test_one_dependent_row(self, bsc_problem):
+    def test_full_row_rank(self, bsc_problem):
         lp, _ = build_ot_form(bsc_problem, 0.5)
-        assert np.linalg.matrix_rank(lp.a) == lp.m - 1
+        assert np.linalg.matrix_rank(lp.a) == lp.m
 
     def test_zero_level_pins_output_marginal(self, bsc_problem):
         rep = solve_dp_at(bsc_problem, 0.0)
@@ -95,30 +96,31 @@ class TestSignForm:
     def test_counts_2x2(self, bsc_problem):
         lp, lay = build_tv_form(bsc_problem, 0.3)
         # 4 estimator entries, an arc to and from the centre per symbol, one
-        # slack; 2 + (2 + 1) + 1 rows
-        assert lp.a.shape == (6, 9)
-        assert lay.n_vars == 9 and lay.n_cons == 6
+        # slack; 2 + (1 + 1) + 1 rows: the last symbol has no node row
+        assert lp.a.shape == (5, 9)
+        assert lay.n_vars == 9 and lay.n_cons == 5
 
     def test_block_structure(self, bsc_problem):
         p_y, p_x = bsc_problem.p_y, bsc_problem.p_x
         lp, lay = build_tv_form(bsc_problem, 0.25)
-        # the centre, node 2, has neither source nor output mass
-        assert np.allclose(lp.b, np.concatenate([p_y, p_x, [0.0, 0.25]]))
-        assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 0, 1])
+        # the centre, node 2, has neither source nor output mass; symbol 1,
+        # the last, has no row, so the centre's row is row 3
+        assert np.allclose(lp.b, np.concatenate([p_y, p_x[:1], [0.0, 0.25]]))
+        assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 1])
         assert np.array_equal(lp.c[:4], bsc_problem.conditional.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
         for xhat in range(2):
-            row = 2 + xhat
+            node = (1.0, -1.0) if xhat == 0 else (0.0, 0.0)
             for y in range(2):
                 assert lp.a[y, lay.ix_w(xhat, y)] == 1.0
-                assert lp.a[row, lay.ix_w(xhat, y)] == 1.0
-            assert (lp.a[row, lay.ix_arc(2, xhat)], lp.a[row, lay.ix_arc(xhat, 2)]) == (-1.0, 1.0)
-            assert (lp.a[4, lay.ix_arc(2, xhat)], lp.a[4, lay.ix_arc(xhat, 2)]) == (1.0, -1.0)
+                assert lp.a[2, lay.ix_w(xhat, y)] == node[0]
+            assert (lp.a[2, lay.ix_arc(2, xhat)], lp.a[2, lay.ix_arc(xhat, 2)]) == node[::-1]
+            assert (lp.a[3, lay.ix_arc(2, xhat)], lp.a[3, lay.ix_arc(xhat, 2)]) == (1.0, -1.0)
         assert list(zip(lay.tail, lay.head)) == [(2, 0), (2, 1), (0, 2), (1, 2)]
-        assert np.all(lp.a[4, :4] == 0.0)
+        assert np.all(lp.a[3, :4] == 0.0)
         assert np.all(lp.a[-1, :4] == 0.0) and np.all(lp.a[-1, 4:8] == 0.5) and lp.a[-1, 8] == 1.0
-        # the node rows add up to the stochasticity rows
-        assert np.linalg.matrix_rank(lp.a) == lp.m - 1
+        # the rows are independent
+        assert np.linalg.matrix_rank(lp.a) == lp.m
 
     def test_sign_identity_matches_tv_distance(self):
         # the paper's sign-vector form of the TV budget, kept as an oracle
@@ -138,7 +140,7 @@ class TestSignForm:
     def test_thirteen_symbols_build_and_solve(self):
         prob = random_problem(1, 13, 20)
         lp, _ = build_tv_form(prob, 0.1)
-        assert lp.a.shape == (20 + 14 + 1, 13 * 22 + 1)
+        assert lp.a.shape == (20 + 13 + 1, 13 * 22 + 1)
         rep = solve_dp_at(prob, 0.1, form="tv")
         assert rep.gap <= 1e-12 and rep.perception <= 0.1 + 1e-12
 
@@ -316,11 +318,10 @@ class TestCrashStart:
     def test_diagonal_first_plan(self, prob):
         lp, lay = build_ot_form(prob, 1.0)
         crash = _crash_basis(prob, lay)
-        keep = [r for r in range(lp.m) if r not in crash.dropped_rows]
-        base = lp.a[np.ix_(keep, crash.basis)]
-        assert np.linalg.matrix_rank(base) == len(keep)
+        base = lp.a[:, crash]
+        assert np.linalg.matrix_rank(base) == lp.m
         lpmod.walk(lp, crash, lay.level_direction, 0.0)  # optimal at P = 1 as it stands
-        x = lpmod.basic_point(lp.n, list(crash.basis), np.linalg.solve(base, lp.b[keep]))
+        x = lpmod.basic_point(lp.n, crash, np.linalg.solve(base, lp.b))
         r_map = output_distribution(prob.minimum[1], prob.p_y).p
         # the staircase moves only the surplus, so the coupling read off
         # its flows keeps min(p_x, r_MAP) in place
