@@ -28,6 +28,7 @@ linear mixtures of the neighboring threshold rules in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,14 +73,15 @@ class StepCdf:
 
 @dataclass(frozen=True, eq=False)
 class BinaryAnalysis:
-    """Everything the closed form needs, precomputed once.
+    """Everything the closed form needs, computed once per problem.
 
     ``breakpoints`` (perception units), ``thresholds`` and ``rates`` hold
     one entry per knot of the walk, in walk order from the greedy rule's
     knot toward ``p_first``: the knot's distance from ``p_first``, its
     gap level, and the gap level its piece trades (see ``_walk``).  The
     knot's threshold rule is optimal at that distance.  A balanced
-    problem walks no knot.
+    problem walks no knot.  The optimal rules themselves are built on
+    first use, in ``supports``.
     """
 
     gaps: np.ndarray
@@ -91,6 +93,32 @@ class BinaryAnalysis:
     cdf: StepCdf
     p_first: float
     metric_scale: float
+    p_y: np.ndarray
+
+    @cached_property
+    def supports(self) -> tuple[list[float], list[Estimator]]:
+        """``(levels, rules)``: the optimal rule at each level, ascending,
+        built and checked as one stack on first use.
+
+        Level 0 holds the exact-marginal rule, a greedy fill of the first
+        reconstruction in ascending gap order (ties in symbol order) up to
+        mass ``p_first``, fractional on the marginal symbol: ``short[i]``
+        is the mass missing before the i-th symbol, and the symbols it
+        finds short by more than 1e-15 are taken, a prefix, since it only
+        falls.  Then come the breakpoints that end a piece of the curve,
+        in reverse walk order, each with its rule "first iff gap <=
+        threshold".
+        """
+        kept = _pieces(self)
+        order = np.argsort(self.gaps, kind="stable")
+        mass = self.p_y[order]
+        short = np.cumsum(np.concatenate([[self.p_first], -mass]))[:-1]
+        live = short > 1e-15
+        q = np.zeros((np.count_nonzero(kept) + 1, 2, self.gaps.size))
+        q[0, 0, order[live]] = np.minimum(mass[live], short[live]) / mass[live]
+        np.less_equal(self.gaps, self.thresholds[kept][::-1, None] + _TIE_TOL, out=q[1:, 0])
+        np.subtract(1.0, q[:, 0], out=q[:, 1])
+        return [0.0] + self.breakpoints[kept][::-1].tolist(), _estimator_stack(q)
 
 
 def _require_binary(problem: Problem) -> None:
@@ -150,6 +178,7 @@ def analyze(problem: Problem) -> BinaryAnalysis:
         cdf=cdf,
         p_first=p1,
         metric_scale=scale,
+        p_y=problem.p_y,
     )
 
 
@@ -184,43 +213,21 @@ def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) 
     return PiecewiseLinearCurve(breakpoints, segments, p_star, d_star)
 
 
-def _threshold_rules(an: BinaryAnalysis, thresholds: np.ndarray) -> list[Estimator]:
-    """Deterministic rules, one per threshold, each sending y to the first
-    symbol iff gap(y) <= threshold, built and checked as one stack."""
-    q = np.empty((thresholds.size, 2, an.gaps.size))
-    np.less_equal(an.gaps, thresholds[:, None] + _TIE_TOL, out=q[:, 0])
-    np.subtract(1.0, q[:, 0], out=q[:, 1])
-    return _estimator_stack(q)
-
-
 def breakpoint_estimators(
     problem: Problem, analysis: BinaryAnalysis | None = None
 ) -> list[tuple[float, Estimator]]:
-    """Deterministic optimal estimators at every nonzero breakpoint: the
-    walked knots that end a piece of ``closed_form_curve``, in walk order."""
+    """The analysis's stored deterministic rules at every nonzero breakpoint:
+    the walked knots that end a piece of ``closed_form_curve``, in walk order."""
     an = analysis if analysis is not None else analyze(problem)
-    kept = _pieces(an)
-    return list(zip(an.breakpoints[kept].tolist(), _threshold_rules(an, an.thresholds[kept])))
+    levels, rules = an.supports
+    return list(zip(levels[:0:-1], rules[:0:-1]))
 
 
 def zero_perception_estimator(problem: Problem, analysis: BinaryAnalysis | None = None) -> Estimator:
-    """Optimal rule whose output marginal matches the source exactly.
-
-    Greedy: fill the first reconstruction in ascending gap order (ties in
-    symbol order) until it holds mass ``p_first``, going fractional on
-    the marginal symbol.  ``short[i]`` is the mass still missing before
-    the i-th symbol in that order; the symbols taken are those it finds
-    short by more than 1e-15, a prefix, since it only falls.
-    """
+    """The analysis's stored optimal rule whose output marginal matches the
+    source exactly: the greedy fill of ``BinaryAnalysis.supports``."""
     an = analysis if analysis is not None else analyze(problem)
-    order = np.argsort(an.gaps, kind="stable")
-    mass = problem.p_y[order]
-    short = np.cumsum(np.concatenate([[an.p_first], -mass]))[:-1]
-    live = short > 1e-15
-    q = np.zeros((1, 2, an.gaps.size))
-    q[0, 0, order[live]] = np.minimum(mass[live], short[live]) / mass[live]
-    np.subtract(1.0, q[:, 0], out=q[:, 1])
-    return _estimator_stack(q)[0]
+    return an.supports[1][0]
 
 
 def estimator_at(
@@ -228,22 +235,13 @@ def estimator_at(
 ) -> Estimator:
     """Optimal estimator at any perception level, without solving anything.
 
-    The supports are the exact-marginal rule at level 0 and the threshold
-    rules at the breakpoints, which fall along the walk, so in reverse
-    they ascend; ``mix_supports`` builds only the one or two around
-    ``p_level`` and mixes them.
+    ``mix_supports`` mixes the analysis's two stored rules around
+    ``p_level``, or returns the stored rule itself at a level or past the
+    last one.
     """
     an = analysis if analysis is not None else analyze(problem)
-    kept = _pieces(an)
-    thresholds = an.thresholds[kept][::-1]
-    levels = [0.0] + an.breakpoints[kept][::-1].tolist()
-
-    def rule(i: int) -> Estimator:
-        if i == 0:
-            return zero_perception_estimator(problem, an)
-        return _threshold_rules(an, thresholds[i - 1 : i])[0]
-
-    return mix_supports(levels, rule, p_level)
+    levels, rules = an.supports
+    return mix_supports(levels, rules.__getitem__, p_level)
 
 
 def reduced_dual_objective(

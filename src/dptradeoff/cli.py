@@ -122,10 +122,7 @@ def _closed_form_outputs(args, problem):
     """Closed-form curve and its estimators, written to the requested files."""
     analysis = binmod.analyze(problem)
     curve = binmod.closed_form_curve(problem, analysis)
-    ests = [(0.0, binmod.zero_perception_estimator(problem, analysis))]
-    ests += binmod.breakpoint_estimators(problem, analysis)
-    ests.sort(key=lambda t: t[0])
-    _emit_curve_outputs(args, curve, ests, "closed-form")
+    _emit_curve_outputs(args, curve, list(zip(*analysis.supports)), "closed-form")
     return analysis, curve
 
 

@@ -36,7 +36,6 @@ rows ``dual_polyhedron`` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -81,12 +80,16 @@ class FlowLayout:
         return xhat * self.n_y + y
 
     def ix_arc(self, tail: int, head: int) -> int:
-        return self.n_x * self.n_y + self._arc_index[tail, head]
-
-    @cached_property
-    def _arc_index(self) -> dict[tuple[int, int], int]:
-        """Arc number by (tail, head) node pair."""
-        return {pair: k for k, pair in enumerate(zip(self.tail.tolist(), self.head.tolist()))}
+        """The arc ``tail -> head``'s column: the complete graph's arcs are its
+        ordered pairs, row-major; the star's run from the centre (node
+        ``n_x``) to each symbol, then back."""
+        n = self.n_x
+        if tail != head and 0 <= min(tail, head) and max(tail, head) < self.n_nodes:
+            if self.n_nodes == n:
+                return n * self.n_y + tail * (n - 1) + head - (head > tail)
+            if n in (tail, head):
+                return n * self.n_y + (head if tail == n else n + tail)
+        raise KeyError((tail, head))
 
     @property
     def ix_slack(self) -> int:

@@ -18,6 +18,7 @@ from dptradeoff import (
     tv_distance,
     zero_perception_estimator,
 )
+from dptradeoff import binary as binmod
 from dptradeoff.binary import _TIE_TOL, CASE_BALANCED, CASE_OVER, CASE_UNDER, StepCdf, _pieces
 from dptradeoff.curve import mix_supports
 from dptradeoff.model import Estimator
@@ -409,6 +410,50 @@ class TestAgainstPerRuleReference:
         for est in estimators:
             with pytest.raises(ValueError):
                 est.q[0, 0] = 0.5
+
+
+class TestRulesBuiltOnce:
+    # the levels at which the benchmark's binary workload asks for estimator_at
+    LEVELS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            random_problem(1, 2, 8, random_distortion=True),
+            random_problem(2, 2, 40, random_metric=True),
+            make_problem([[0.25, 0.25], [0.25, 0.25]]),
+        ],
+        ids=["2x8", "2x40-metric", "balanced"],
+    )
+    def test_one_lazy_stack_per_analysis(self, prob, monkeypatch):
+        calls = []
+        real = binmod._estimator_stack
+        monkeypatch.setattr(binmod, "_estimator_stack", lambda q: calls.append(1) or real(q))
+        an = analyze(prob)
+        closed_form_curve(prob, an)
+        assert calls == []
+        rounds = []
+        for _ in range(2):
+            rounds.append((
+                zero_perception_estimator(prob, an),
+                breakpoint_estimators(prob, an),
+                [estimator_at(prob, an, p) for p in self.LEVELS],
+            ))
+        assert calls == [1]
+        (zero, pairs, grid), (zero2, pairs2, grid2) = rounds
+        assert zero2 is zero
+        assert [bp for bp, _ in pairs2] == [bp for bp, _ in pairs]
+        assert all(b is a for (_, a), (_, b) in zip(pairs, pairs2))
+        assert all(np.array_equal(a.q, b.q) for a, b in zip(grid, grid2))
+        assert estimator_at(prob, an, 0.0) is zero
+        for bp, est in pairs:
+            assert estimator_at(prob, an, bp) is est
+        assert calls == [1]
+        # without an analysis every call analyses and builds afresh
+        assert np.array_equal(zero_perception_estimator(prob).q, zero.q)
+        assert [bp for bp, _ in breakpoint_estimators(prob)] == [bp for bp, _ in pairs]
+        assert np.array_equal(estimator_at(prob, None, self.LEVELS[3]).q, grid[3].q)
+        assert calls == [1, 1, 1, 1]
 
 
 class TestMixedSupports:

@@ -77,6 +77,21 @@ class TestTransportForm:
             assert np.array_equal(lp.a[:, lay.ix_arc(i, j)], np.delete(column, 3))
         assert np.array_equal(lp.a[:, lay.ix_slack], [0, 0, 0, 1])
 
+    @pytest.mark.parametrize("n_x", [2, 3, 5, 8])
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_arc_numbers_follow_the_arc_lists(self, n_x, form):
+        hamming = make_problem(np.full((n_x, 3), 1.0 / (3 * n_x)))
+        _, lay = BUILD[form](hamming, 0.1)
+        base = lay.n_x * lay.n_y
+        for k, (i, j) in enumerate(zip(lay.tail.tolist(), lay.head.tolist())):
+            assert lay.ix_arc(i, j) == base + k
+        arcs = set(zip(lay.tail.tolist(), lay.head.tolist()))
+        for i in range(lay.n_nodes):
+            for j in range(lay.n_nodes):
+                if (i, j) not in arcs:
+                    with pytest.raises(KeyError):
+                        lay.ix_arc(i, j)
+
     def test_full_row_rank(self, bsc_problem):
         lp, _ = build_ot_form(bsc_problem, 0.5)
         assert np.linalg.matrix_rank(lp.a) == lp.m
