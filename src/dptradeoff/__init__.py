@@ -34,7 +34,7 @@ from .errors import (
     ProblemError,
     SolverError,
 )
-from .lp import HPolyhedron, LPSolution, StandardLP, dual_check, enumerate_vertices, solve
+from .lp import HPolyhedron, LPSolution, StandardLP, enumerate_vertices, solve
 from .model import (
     Coupling,
     DistortionMatrix,
@@ -100,7 +100,6 @@ __all__ = [
     "cross_verify",
     "curve_by_sweep",
     "curve_by_vertices",
-    "dual_check",
     "dual_polyhedron",
     "enumerate_vertices",
     "estimator_at",

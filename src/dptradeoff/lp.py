@@ -16,9 +16,9 @@ from that inverse, so the reported point, dual vector, and objective
 come from a fresh solve against the original data rather than
 accumulated updates.
 
-Phase one is for programs without a known basis.  It detects linearly
-dependent equality rows and drops them instead of failing, so a program
-handed to ``solve`` need not have full row rank.
+Phase one is for programs without a known basis.  Like ``walk``,
+``solve`` needs full row rank: phase one names a consistent equality
+row that depends on the others in a ``SolverError``.
 
 ``walk`` starts instead from a known optimal basis, one column per row,
 and moves ``b`` along a direction to its target, one optimal
@@ -100,12 +100,12 @@ class LPSolution:
     """Terminal simplex state.
 
     For ``optimal`` status, ``x`` is a basic optimal point, ``dual`` the
-    multiplier vector recovered from the final basis (zero on dropped
-    dependent rows) and ``basis`` the optimal column set.  ``unbounded``
-    carries an improving ray (a c-decreasing direction in the recession
-    cone); ``infeasible`` carries a Farkas certificate y with
-    ``y.a <= 0`` and ``y.b > 0``.  ``iterations`` counts pivots and
-    ``refactorizations`` fresh factorizations, phase one's included.
+    multiplier vector recovered from the final basis and ``basis`` the
+    optimal column set.  ``unbounded`` carries an improving ray (a
+    c-decreasing direction in the recession cone); ``infeasible``
+    carries a Farkas certificate y with ``y.a <= 0`` and ``y.b > 0``.
+    ``iterations`` counts pivots and ``refactorizations`` fresh
+    factorizations, phase one's included.
     """
 
     status: str
@@ -115,7 +115,6 @@ class LPSolution:
     dual: np.ndarray | None = None
     ray: np.ndarray | None = None
     certificate: np.ndarray | None = None
-    dropped_rows: tuple[int, ...] = ()
     iterations: int = 0
     refactorizations: int = 0
 
@@ -262,9 +261,9 @@ def _optimize(tab: _Tableau, allowed, budget):
 def _phase_one(a, b, c, feas_tol, budget):
     """A first feasible basis by minimizing the total artificial mass.
 
-    Returns ``(phase_one, tableau, dropped, pivots)``: the phase-one
-    tableau, and the phase-two tableau over the rows kept, or None when
-    the program is infeasible and ``phase_one.y`` is a Farkas certificate.
+    Returns ``(phase_one, tableau, pivots)``: the phase-one tableau, and
+    the phase-two tableau, or None when the program is infeasible and
+    ``phase_one.y`` is a Farkas certificate.  A dependent row raises.
     """
     m, n = a.shape
     a1 = np.hstack([a, np.eye(m)])
@@ -275,25 +274,19 @@ def _phase_one(a, b, c, feas_tol, budget):
     if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
         raise SolverError("phase one ended in an impossible state")
     if tab.objective() > feas_tol:
-        return tab, None, [], iters
+        return tab, None, iters
 
-    # drive artificials out of the basis; rows that resist are dependent
-    dropped: list[int] = []
+    # drive artificials out of the basis; one that cannot leave still sits
+    # in its own row (artificials never enter), which depends on the others
     for row in range(m):
         if tab.basis[row] < n:
             continue
         structural = tab.row(row)[:n]
         cand = int(np.argmax(np.abs(structural)))
-        if abs(structural[cand]) > _DRIVE_OUT_TOL:
-            tab.pivot(row, cand)
-        else:
-            dropped.append(row)
-
-    keep = [r for r in range(m) if r not in dropped]
-    basis = [tab.basis[r] for r in keep]
-    if any(col >= n for col in basis):
-        raise SolverError("artificial variable survived phase one")
-    return tab, _Tableau(a[keep], b[keep], c, basis), dropped, iters
+        if abs(structural[cand]) <= _DRIVE_OUT_TOL:
+            raise SolverError(f"equality row {row} is linearly dependent on the others")
+        tab.pivot(row, cand)
+    return tab, _Tableau(a, b, c, tab.basis), iters
 
 
 def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
@@ -317,8 +310,8 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
 
     Returns a basic optimal solution with its dual certificate, an
     unbounded status with an improving ray, or an infeasible status with
-    a Farkas certificate.  Dependent equality rows are detected in phase
-    one and dropped (reported via ``dropped_rows``).
+    a Farkas certificate.  A consistent equality row that depends on the
+    others raises SolverError naming it (full row rank, as in ``walk``).
     """
     m, n = lp.m, lp.n
     budget = max_iter if max_iter is not None else 100 * (m + n)
@@ -328,7 +321,7 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
     b = lp.b * flip
     feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
 
-    tab1, tab2, dropped, iters1 = _phase_one(a, b, lp.c, feas_tol, budget)
+    tab1, tab2, iters1 = _phase_one(a, b, lp.c, feas_tol, budget)
     if tab2 is None:
         return LPSolution(
             status="infeasible",
@@ -348,30 +341,25 @@ def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
             x=tab2.point(),
             value=-math.inf,
             ray=ray,
-            dropped_rows=tuple(dropped),
             iterations=iterations,
             refactorizations=refactors,
         )
 
-    return _optimal(lp, tab2, dropped, iterations, refactors, flip)
+    return _optimal(lp, tab2, iterations, refactors, flip)
 
 
-def _optimal(lp: StandardLP, tab: _Tableau, dropped, iterations, refactors, flip=1.0) -> LPSolution:
+def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors, flip=1.0) -> LPSolution:
     """The solution of an optimal tableau whose rows are ``lp``'s times ``flip``."""
     x = tab.point()
     residual = float(np.max(np.abs(lp.a @ x - lp.b), initial=0.0))
     if residual > 1e-7 * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
-        raise SolverError(f"dropped rows are inconsistent (residual {residual:g})")
-    dual = np.zeros(lp.m)
-    dual[[r for r in range(lp.m) if r not in dropped]] = tab.y
-    dual *= flip
+        raise SolverError(f"optimal point misses the equality rows (residual {residual:g})")
     return LPSolution(
         status="optimal",
         x=x,
         value=float(lp.c @ x),
         basis=tuple(np.sort(tab.basis).tolist()),
-        dual=dual,
-        dropped_rows=tuple(dropped),
+        dual=flip * tab.y,
         iterations=iterations,
         refactorizations=refactors,
     )
@@ -444,26 +432,9 @@ def walk(
     status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
     if status != "optimal":
         raise SolverError(f"phase two ended {status} after the walk")
-    sol = _optimal(lp, tab, (), iters + confirm, tab.refactors)
+    sol = _optimal(lp, tab, iters + confirm, tab.refactors)
     path.append((0.0, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
     return sol, path
-
-
-def dual_check(lp: StandardLP, sol: LPSolution, *, tol: float = 1e-9) -> float:
-    """Verify the dual certificate of an optimal solution.
-
-    Returns the duality gap ``|c.x - dual.b|`` and raises if the dual
-    vector violates feasibility ``dual.a <= c`` beyond ``tol``.
-    """
-    if sol.status != "optimal":
-        raise SolverError(f"dual_check requires an optimal solution, got {sol.status}")
-    slack = sol.dual @ lp.a - lp.c
-    worst = int(np.argmax(slack))
-    if slack[worst] > tol:
-        raise SolverError(
-            f"dual vector infeasible at column {worst} (violation {slack[worst]:g})"
-        )
-    return abs(float(lp.c @ sol.x) - float(sol.dual @ lp.b))
 
 
 # ---------------------------------------------------------------------------

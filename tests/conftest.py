@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dptradeoff import HPolyhedron, make_problem
+from dptradeoff import HPolyhedron, LPSolution, SolverError, StandardLP, make_problem
 from dptradeoff.problemio import generate_instance, instance_to_problem
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
@@ -155,6 +155,23 @@ def highs_dp_oracle(problem, p_level):
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def dual_check(lp: StandardLP, sol: LPSolution, *, tol: float = 1e-9) -> float:
+    """Verify the dual certificate of an optimal solution.
+
+    Returns the duality gap ``|c.x - dual.b|`` and raises if the dual
+    vector violates feasibility ``dual.a <= c`` beyond ``tol``.
+    """
+    if sol.status != "optimal":
+        raise SolverError(f"dual_check requires an optimal solution, got {sol.status}")
+    slack = sol.dual @ lp.a - lp.c
+    worst = int(np.argmax(slack))
+    if slack[worst] > tol:
+        raise SolverError(
+            f"dual vector infeasible at column {worst} (violation {slack[worst]:g})"
+        )
+    return abs(float(lp.c @ sol.x) - float(sol.dual @ lp.b))
 
 
 def transport_dual(problem):

@@ -1,5 +1,7 @@
 """Simplex core and vertex enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from dptradeoff import (
     SolverError,
     StandardLP,
     curve_by_vertices,
-    dual_check,
     enumerate_vertices,
     solve,
     tv_distance,
@@ -21,7 +22,14 @@ from dptradeoff import lp as lpmod
 from dptradeoff.lp import _TIE_TOL, _Tableau, walk
 from dptradeoff.programs import _crash_basis, build_ot_form, dual_polyhedron, solve_dp_at
 
-from conftest import brute_force_vertices, highs_dp_oracle, random_problem, transport_dual, vertex_start
+from conftest import (
+    brute_force_vertices,
+    dual_check,
+    highs_dp_oracle,
+    random_problem,
+    transport_dual,
+    vertex_start,
+)
 from test_programs import _highs_cases
 
 
@@ -68,21 +76,21 @@ class TestSolve:
         assert np.all(y @ lp.a <= 1e-9)
 
     def test_transportation_value_equals_tv(self):
+        # both row sums and the first column sum: the last column sum is
+        # the others' total less the first, so it is left out
         p, q = np.array([0.6, 0.4]), np.array([1.0, 0.0])
         a = np.array(
             [
                 [1.0, 1.0, 0.0, 0.0],
                 [0.0, 0.0, 1.0, 1.0],
                 [1.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, 0.0, 1.0],
             ]
         )
-        b = np.concatenate([p, q])
+        b = np.concatenate([p, q[:1]])
         c = GroundMetric.hamming(2).h.reshape(-1)
         sol = solve(StandardLP(a, b, c))
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(tv_distance(p, q), abs=1e-12)
-        assert len(sol.dropped_rows) == 1  # one marginal row is redundant
 
     def test_iteration_budget_reported_distinctly(self):
         rng = np.random.default_rng(0)
@@ -126,6 +134,51 @@ def transport_lp(p, q):
     return StandardLP(a, np.concatenate([p, q]), GroundMetric.hamming(n).h.reshape(-1))
 
 
+def dependent_row(lp):
+    """The row ``solve`` names as linearly dependent on the others."""
+    with pytest.raises(SolverError, match="linearly dependent") as info:
+        solve(lp)
+    return int(re.search(r"equality row (\d+) ", str(info.value)).group(1))
+
+
+class TestRowRank:
+    def test_consistent_dependent_row_raises(self):
+        # both marginals of a coupling: either set of rows sums to 1
+        lp = transport_lp(np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.2, 0.6]))
+        row = dependent_row(lp)
+        rank = np.linalg.matrix_rank(lp.a)
+        assert np.linalg.matrix_rank(np.delete(lp.a, row, axis=0)) == rank == lp.m - 1
+        kept = solve(StandardLP(np.delete(lp.a, row, axis=0), np.delete(lp.b, row), lp.c))
+        assert kept.status == "optimal"
+        assert kept.value == pytest.approx(0.5, abs=1e-12)  # TV of the marginals
+
+    def test_combination_of_rows_raises(self):
+        # a random combination of the other rows, at a random place, with
+        # right-hand sides of both signs so that some rows are flipped
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            m = int(rng.integers(2, 8))
+            base = random_feasible_lp(rng, m - 1, int(rng.integers(m, 16)))
+            at = int(rng.integers(0, m))
+            a = np.insert(base.a, at, rng.normal(size=m - 1) @ base.a, axis=0)
+            x0 = rng.uniform(0.0, 1.0, base.n)
+            row = dependent_row(StandardLP(a, a @ x0, base.c))
+            assert np.linalg.matrix_rank(np.delete(a, row, axis=0)) == m - 1
+
+    def test_inconsistent_dependent_rows_are_infeasible(self):
+        # marginals of unequal mass: the dependent rows contradict each other
+        lp = transport_lp(np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.2, 0.5]))
+        sol = solve(lp)
+        assert sol.status == "infeasible"
+        y = sol.certificate
+        assert np.all(y @ lp.a <= 1e-9)
+        assert y @ lp.b > 1e-9
+
+    def test_zero_row_with_zero_right_hand_side_raises(self):
+        lp = StandardLP([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [1.0, 2.0, 0.0])
+        assert dependent_row(lp) == 1
+
+
 def walk_to(lp, start, b_start, **kwargs):
     """The walk's solution of ``lp`` from the basis ``start``, optimal at ``b_start``."""
     return walk(lp, start, np.asarray(b_start) - lp.b, 1.0, **kwargs)[0]
@@ -145,7 +198,6 @@ class TestWarmStart:
                 assert warm.iterations == 0
                 assert warm.refactorizations == 1
                 assert warm.basis == cold.basis
-                assert warm.dropped_rows == cold.dropped_rows
                 assert warm.value == pytest.approx(cold.value, abs=1e-12)
 
     def test_perturbed_b_matches_cold(self):
@@ -185,14 +237,6 @@ class TestWarmStart:
             assert y @ moved.b > 0
             with pytest.raises(SolverError, match="infeasible"):
                 walk_to(moved, first.basis, lp.b)
-
-    def test_basis_of_a_solve_that_dropped_a_row_raises(self):
-        # a walk needs one basic column per row, so full row rank
-        lp = transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6])
-        first = solve(lp)
-        assert first.dropped_rows
-        with pytest.raises(SolverError, match="covers 5 rows, the program has 6"):
-            walk_to(lp, first.basis, lp.b)
 
     def test_pivot_budget_applies(self):
         prob = random_problem(1, 5, 10, random_distortion=True)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from dptradeoff import (
+    GroundMetric,
     ProblemError,
     SolverError,
     build_ot_form,
     build_tv_form,
     curve_by_sweep,
-    dual_check,
     dual_polyhedron,
     make_problem,
     solve_dp_at,
     tv_distance,
+    wasserstein1,
 )
 from dptradeoff import lp as lpmod
 from dptradeoff.model import _flow_plan, output_distribution
@@ -21,6 +22,7 @@ from dptradeoff.programs import _crash_basis, _stochastic_estimator
 
 from conftest import (
     binary_dp_oracle,
+    dual_check,
     edge_problems,
     highs_dp_oracle,
     random_distribution,
@@ -178,6 +180,41 @@ class TestSignForm:
             a = solve_dp_at(prob, float(p), form="ot")
             b = solve_dp_at(prob, float(p), form="tv")
             assert abs(a.value - b.value) <= 1e-8
+
+
+class TestFullRowRank:
+    """Every program handed to the simplex has independent rows, as it requires."""
+
+    @pytest.mark.parametrize("n_y", range(1, 5))
+    @pytest.mark.parametrize("n_x", range(1, 7))
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_flow_program(self, form, n_x, n_y):
+        # the transport form under a random metric, the star under Hamming
+        prob = random_problem(n_x, n_x, n_y, random_distortion=True, random_metric=form == "ot")
+        lp = BUILD[form](prob, 0.1)[0]
+        assert np.linalg.matrix_rank(lp.a) == lp.m
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("metric", ["hamming", "random"])
+    def test_wasserstein1_program(self, metric, n, monkeypatch):
+        solve, programs = lpmod.solve, []
+
+        def captured(lp, **kwargs):
+            programs.append(lp)
+            return solve(lp, **kwargs)
+
+        monkeypatch.setattr(lpmod, "solve", captured)
+        rng = np.random.default_rng(n)
+        if metric == "hamming":
+            h = GroundMetric.hamming(n)
+        else:
+            h = random_problem(n, n, 2, random_metric=True).metric
+        p, q = random_distribution(rng, n), random_distribution(rng, n)
+        for pair in ((p, q), (p, p)):
+            wasserstein1(*pair, h)
+        assert len(programs) == 2
+        for lp in programs:
+            assert np.linalg.matrix_rank(lp.a) == lp.m
 
 
 class TestSolveAt:
