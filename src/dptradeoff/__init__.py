@@ -51,7 +51,6 @@ from .model import (
     output_distribution,
     posterior_sampling,
     tv_distance,
-    validate_problem,
     wasserstein1,
 )
 from .programs import (
@@ -117,7 +116,6 @@ __all__ = [
     "solve",
     "solve_dp_at",
     "tv_distance",
-    "validate_problem",
     "wasserstein1",
     "zero_perception_estimator",
 ]

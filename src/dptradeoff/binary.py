@@ -208,9 +208,7 @@ def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) 
         value_right = intercept + slope * left_h
 
     segments = np.asarray(list(reversed(pieces)) + [(d_star, 0.0)])
-    breakpoints = np.asarray(sorted(bps))
-    p_star = float(breakpoints[-1]) if breakpoints.size else 0.0
-    return PiecewiseLinearCurve(breakpoints, segments, p_star, d_star)
+    return PiecewiseLinearCurve(np.asarray(sorted(bps)), segments)
 
 
 def breakpoint_estimators(
@@ -240,8 +238,7 @@ def estimator_at(
     last one.
     """
     an = analysis if analysis is not None else analyze(problem)
-    levels, rules = an.supports
-    return mix_supports(levels, rules.__getitem__, p_level)
+    return mix_supports(*an.supports, p_level)
 
 
 def reduced_dual_objective(

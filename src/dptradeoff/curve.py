@@ -66,14 +66,13 @@ class PiecewiseLinearCurve:
 
     ``segments[i]`` is the (intercept, slope) pair active between
     ``breakpoints[i-1]`` and ``breakpoints[i]`` (domain ends implied).
-    The final segment is exactly ``(d_star, 0.0)``: the plateau where the
-    perception budget stops binding, starting at ``p_star``.
+    The final segment has slope exactly 0: the plateau where the
+    perception budget stops binding, at ``d_star``, its intercept, from
+    ``p_star``, the last breakpoint (0 if there is none), on.
     """
 
     breakpoints: np.ndarray
     segments: np.ndarray
-    p_star: float
-    d_star: float
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -90,13 +89,18 @@ class PiecewiseLinearCurve:
         jumps = np.abs((seg[:-1, 0] + seg[:-1, 1] * bp) - (seg[1:, 0] + seg[1:, 1] * bp)) > 1e-9
         if jumps.any():
             raise ProblemError(f"curve discontinuous at breakpoint {bp[jumps.argmax()]!r}")
-        if seg[-1, 1] != 0.0 or seg[-1, 0] != self.d_star:
+        if seg[-1, 1] != 0.0:
             raise ProblemError("final segment must be the exact plateau")
-        expected_p_star = float(bp[-1]) if bp.size else 0.0
-        if self.p_star != expected_p_star:
-            raise ProblemError("p_star must equal the last breakpoint")
         object.__setattr__(self, "breakpoints", _readonly(bp))
         object.__setattr__(self, "segments", _readonly(seg))
+
+    @property
+    def p_star(self) -> float:
+        return float(self.breakpoints[-1]) if self.breakpoints.size else 0.0
+
+    @property
+    def d_star(self) -> float:
+        return float(self.segments[-1, 0])
 
     def value(self, p):
         """Curve value; exact plateau (bitwise d_star) for p >= p_star."""
@@ -151,7 +155,7 @@ def assemble_curve(lines, d_star: float) -> PiecewiseLinearCurve:
             stack.pop()
         stack.append((b, m, start if stack else 0.0))
     env = np.array(stack)  # the plateau is last, and starts at 0 on a flat curve
-    return PiecewiseLinearCurve(env[1:, 2], env[:, :2], float(env[-1, 2]), float(d_star))
+    return PiecewiseLinearCurve(env[1:, 2], env[:, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +287,32 @@ def _sweep(problem: Problem):
         last = i
     picks = [len(path) - 1] + picks[::-1]  # level 0, then the breakpoints upwards
     at = [levels[i] for i in picks]
-    curve = PiecewiseLinearCurve(np.array(at[1:]), np.array(pieces[::-1]), at[-1], d_star)
+    curve = PiecewiseLinearCurve(np.array(at[1:]), np.array(pieces[::-1]))
     points = np.stack([lpmod.basic_point(lp.n, path[i][1], path[i][2]) for i in picks])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
     return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, sol.basis
 
 
-def mix_supports(levels, rule, p_level: float) -> Estimator:
+def mix_supports(levels, rules, p_level: float) -> Estimator:
     """An optimal estimator at ``p_level`` from rules optimal at ``levels``.
 
-    ``levels`` is sorted, and ``rule(i)`` builds the rule optimal at
-    ``levels[i]``; only the one or two rules around ``p_level`` are
-    built.  At or past the last level its rule is returned; between two
-    levels their rules are mixed linearly.  Mean distortion is linear in
-    the rule and the perception index is convex, so on a segment of the
-    curve the mixture stays feasible and lands exactly on the segment.
+    ``levels`` is sorted, and ``rules[i]`` is the estimator optimal at
+    ``levels[i]``.  At or past the last level its rule is returned;
+    between two levels their rules are mixed linearly.  Mean distortion
+    is linear in the rule and the perception index is convex, so on a
+    segment of the curve the mixture stays feasible and lands exactly on
+    the segment.
     """
     check_level(p_level)
     if p_level >= levels[-1]:
-        return rule(len(levels) - 1)
+        return rules[-1]
     hi = bisect_right(levels, p_level)
     p0, p1 = levels[hi - 1], levels[hi]
     if p_level <= p0:
-        return rule(hi - 1)
+        return rules[hi - 1]
     alpha = (p_level - p0) / (p1 - p0)
-    return Estimator((1.0 - alpha) * rule(hi - 1).q + alpha * rule(hi).q)
+    return Estimator((1.0 - alpha) * rules[hi - 1].q + alpha * rules[hi].q)
 
 
 def estimator_on_curve(problem: Problem, report: CurveReport, p_level: float) -> Estimator:
@@ -320,5 +324,4 @@ def estimator_on_curve(problem: Problem, report: CurveReport, p_level: float) ->
     """
     if 1.0 <= p_level < np.inf:
         return problem.minimum[1]
-    supports = report.estimators
-    return mix_supports([p for p, _ in supports], lambda i: supports[i][1], p_level)
+    return mix_supports(*zip(*report.estimators), p_level)

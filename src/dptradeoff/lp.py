@@ -58,6 +58,7 @@ _RATIO_TIE_TOL = 1e-12  # ratio-test window: ratios within it of the least tie
 _DRIVE_OUT_TOL = 1e-9  # smallest row entry that pivots an artificial out of phase one
 FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
+_PIVOT_BUDGET = 100  # pivots per row and column that each phase or walk may take
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
 _BLOCK = 64  # bases the vertex walk takes off its queue as one batch
 VERTEX_BUDGET = 10_000  # bases a vertex walk may visit by default
@@ -229,8 +230,7 @@ def _step(tab: _Tableau, row: int, col: int, iters: int, budget: int) -> int:
         tab.refactor()
     if iters > budget:
         raise IterationLimitError(
-            f"pivot budget {budget} exhausted (cycling is impossible "
-            "under Bland's rule; consider raising max_iter)"
+            f"pivot budget {budget} exhausted (cycling is impossible under Bland's rule)"
         )
     return iters
 
@@ -305,16 +305,17 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     return row, int(cols[(ratios <= ratios.min() + _RATIO_TIE_TOL).argmax()])
 
 
-def solve(lp: StandardLP, *, max_iter: int | None = None) -> LPSolution:
+def solve(lp: StandardLP) -> LPSolution:
     """Two-phase simplex on an equality-form program.
 
     Returns a basic optimal solution with its dual certificate, an
     unbounded status with an improving ray, or an infeasible status with
     a Farkas certificate.  A consistent equality row that depends on the
     others raises SolverError naming it (full row rank, as in ``walk``).
+    A phase past ``_PIVOT_BUDGET * (m + n)`` pivots raises IterationLimitError.
     """
     m, n = lp.m, lp.n
-    budget = max_iter if max_iter is not None else 100 * (m + n)
+    budget = _PIVOT_BUDGET * (m + n)
 
     flip = np.where(lp.b < 0, -1.0, 1.0)
     a = lp.a * flip[:, None]
@@ -366,9 +367,9 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors, flip=1.0) -> 
 
 
 def walk(
-    lp: StandardLP, start, d, span: float, *, max_iter: int | None = None
+    lp: StandardLP, start, d, span: float
 ) -> tuple[LPSolution, list[tuple[float, np.ndarray, np.ndarray, float]]]:
-    """Optimal bases of the programs ``b = lp.b + s d`` as s moves from ``span`` to 0.
+    """Optimal bases of the programs ``b = lp.b + s d`` as s falls from ``span`` to 0.
 
     ``start`` is the columns of an optimal basis at s = ``span``, one per
     row, so ``lp`` has full row rank.  Moving s moves the basic values
@@ -385,12 +386,15 @@ def walk(
     its columns in row order and their values there (``basic_point``
     makes the point), and ``c_B B^-1 d``, the slope of the value in s.
 
-    Raises SolverError when ``start`` covers another row count, names a
-    column out of range, is singular, or is not primal and dual feasible
-    at s = ``span``, and when the program is infeasible on the way.
+    Raises SolverError when ``span`` is negative or NaN, ``start`` covers
+    another row count, names a column out of range, is singular, or is not
+    primal and dual feasible at s = ``span``, or the program is infeasible
+    on the way, and IterationLimitError past ``_PIVOT_BUDGET * (m + n)`` pivots.
     """
     m, n = lp.m, lp.n
-    budget = max_iter if max_iter is not None else 100 * (m + n)
+    budget = _PIVOT_BUDGET * (m + n)
+    if not span >= 0.0:
+        raise SolverError(f"a walk moves s down to 0 from a span >= 0, got {span!r}")
     if len(start) != m:
         raise SolverError(f"start basis covers {len(start)} rows, the program has {m}")
     if not all(0 <= j < n for j in start):
@@ -404,20 +408,18 @@ def walk(
     if tab.xb.min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
         raise SolverError("start basis is not optimal where the walk starts")
 
-    way = -math.copysign(1.0, span)  # s moves towards 0
     tol = _RED_COST_TOL * scale
     s, iters, path = span, 0, []
     while True:
-        fall = -way * tab.rate  # basic values' fall per unit travelled
-        rows = (fall > _PIVOT_COL_TOL).nonzero()[0]
-        xr, fr = tab.xb[rows], fall[rows]
-        if (xr - abs(s) * fr).min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
+        rows = (tab.rate > _PIVOT_COL_TOL).nonzero()[0]  # basic values that fall as s does
+        xr, fr = tab.xb[rows], tab.rate[rows]
+        if (xr - s * fr).min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
             tab.b = lp.b
             break
         steps = np.maximum(xr, 0.0) / fr
         step = float(steps.min())
-        s += way * step
-        tab.xb -= step * fall
+        s -= step
+        tab.xb -= step * tab.rate
         tab.b = lp.b + s * d
         path.append((s, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
         leave, col = _dual_bland(tab, rows[steps <= step + _RATIO_TIE_TOL])

@@ -35,8 +35,8 @@ _MASS_TOL = 1e-12  # input probabilities and metric entries: sums, signs, zeros
 _STOCHASTIC_TOL = 1e-10  # estimator column sums and coupling marginals
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -88,19 +88,21 @@ class JointChannel:
     Every column must carry positive probability: observation symbols
     that can never occur are rejected rather than silently dropped,
     because re-indexing the observation alphabet would corrupt any
-    user-supplied estimator matrices.
+    user-supplied estimator matrices.  Entries in [-1e-12, 0) are set
+    to 0 before the sums are checked, so the channel holds what passed.
     """
 
     p_xy: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p_xy, dtype=float)
+        p = np.array(self.p_xy, dtype=float)  # its own copy, zeroed below
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ProblemError("joint matrix must be 2-D and nonempty")
         _require_finite(p, "joint matrix")
         if np.any(p < -_MASS_TOL):
             i, j = np.unravel_index(int(np.argmin(p)), p.shape)
             raise ProblemError(f"joint matrix entry ({i},{j}) is negative")
+        p[p < 0.0] = 0.0
         total = float(p.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ProblemError(f"joint matrix sums to {total!r}, expected 1")
@@ -500,25 +502,10 @@ class Problem:
     def expected_distortion(self, estimator: Estimator) -> float:
         return expected_distortion(self.channel, self.distortion, estimator)
 
-    def posterior_sampling(self) -> Estimator:
-        return posterior_sampling(self.channel)
-
     def perception_of(self, estimator: Estimator) -> tuple[float, Coupling]:
         """Transport distance between the source marginal and the output."""
         out = output_distribution(estimator, self.p_y)
         return wasserstein1(self.p_x, out, self.metric)
-
-
-def validate_problem(
-    channel: JointChannel, distortion: DistortionMatrix, metric: GroundMetric
-) -> Problem:
-    """Check dimensional consistency and return a cached problem handle.
-
-    Type-level invariants (normalization, metric axioms, positive output
-    columns) are enforced by the component constructors; this adds the
-    cross-checks between them.
-    """
-    return Problem(channel, distortion, metric)
 
 
 def make_problem(p_xy, distortion=None, metric=None) -> Problem:
@@ -527,4 +514,4 @@ def make_problem(p_xy, distortion=None, metric=None) -> Problem:
     n = channel.n_x
     d = DistortionMatrix(distortion) if distortion is not None else DistortionMatrix.hamming(n)
     h = GroundMetric(metric) if metric is not None else GroundMetric.hamming(n)
-    return validate_problem(channel, d, h)
+    return Problem(channel, d, h)

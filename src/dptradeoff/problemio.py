@@ -116,7 +116,6 @@ def generate_instance(
     *,
     random_distortion: bool = False,
     use_random_metric: bool = False,
-    name: str | None = None,
 ) -> dict:
     """Reproducible random instance: uniform draw, normalized to sum one."""
     if n_x < 1 or n_y < 1:
@@ -127,7 +126,7 @@ def generate_instance(
     p = rng.uniform(0.0, 1.0, size=(n_x, n_y))
     p /= p.sum()
     spec: dict = {
-        "name": name if name is not None else f"gen-seed{seed}-{n_x}x{n_y}",
+        "name": f"gen-seed{seed}-{n_x}x{n_y}",
         "seed": int(seed),
         "p_xy": p,
         "distortion": rng.uniform(0.0, 1.0, size=(n_x, n_x)) if random_distortion else None,

@@ -239,7 +239,7 @@ class SolveReport:
     was read from.  ``iterations`` counts the pivots of the walk from
     P = 1 to ``p_level`` plus those of the phase-two confirmation at
     ``p_level``, and ``refactorizations`` the times the walk factored its
-    basis afresh.
+    basis afresh; both read ``solution``.
     """
 
     p_level: float
@@ -251,8 +251,14 @@ class SolveReport:
     form: str
     perception: float
     solution: lpmod.LPSolution = field(repr=False)
-    iterations: int = 0
-    refactorizations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return self.solution.iterations
+
+    @property
+    def refactorizations(self) -> int:
+        return self.solution.refactorizations
 
 
 def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[Estimator]:
@@ -367,7 +373,5 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
         gap=abs(sol.value - dual.objective),
         form=form,
         perception=float(np.sum(plan * problem.metric.h)),
-        iterations=sol.iterations,
-        refactorizations=sol.refactorizations,
         solution=sol,
     )

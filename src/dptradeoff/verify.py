@@ -19,7 +19,7 @@ a phase-one solve shares no basis with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -122,7 +122,7 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
 
 @dataclass(frozen=True, eq=False)
 class VerifyReport:
-    """Cross-method comparison over a grid of perception levels."""
+    """Cross-method comparison over a grid of perception levels; passed with no failures."""
 
     instance: str
     p_values: np.ndarray
@@ -130,8 +130,11 @@ class VerifyReport:
     max_discrepancy: float
     tolerance: float
     grid_band: float | None
-    passed: bool
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def render(self) -> str:
         methods = sorted(self.values)
@@ -252,6 +255,5 @@ def cross_verify(
         max_discrepancy=worst,
         tolerance=exact_tol,
         grid_band=band,
-        passed=not failures,
         failures=tuple(failures),
     )

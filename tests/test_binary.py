@@ -81,13 +81,9 @@ def _reference_zero_perception(problem, an):
 def _reference_estimator_at(problem, an, p_level):
     thresholds = sorted(_reference_breakpoints(an), key=lambda t: t[0])
     levels = [0.0] + [bp for bp, _ in thresholds]
-
-    def rule(i):
-        if i == 0:
-            return _reference_zero_perception(problem, an)
-        return _reference_threshold_rule(an, thresholds[i - 1][1])
-
-    return mix_supports(levels, rule, p_level)
+    rules = [_reference_zero_perception(problem, an)]
+    rules += [_reference_threshold_rule(an, t) for _, t in thresholds]
+    return mix_supports(levels, rules, p_level)
 
 
 def _posterior_columns(shares, masses):

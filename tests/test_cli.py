@@ -44,6 +44,13 @@ class TestGen:
         assert main(["gen", "--seed", "7", "--nx", "3", "--ny", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsysbinary):
+        path = tmp_path / "a.json"
+        assert main(["gen", "--seed", "1", "--nx", "3", "--ny", "4", "--out", str(path)]) == 0
+        capsysbinary.readouterr()
+        assert main(["gen", "--seed", "1", "--nx", "3", "--ny", "4"]) == 0
+        assert capsysbinary.readouterr().out == path.read_bytes()
+
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["gen", "--seed", "7", "--nx", "3", "--ny", "5", "--out", str(a)])

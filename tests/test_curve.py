@@ -478,26 +478,19 @@ class TestHullExtremes:
 class TestPiecewiseLinearCurve:
     def test_rejects_decreasing_slopes(self):
         with pytest.raises(ProblemError, match="non-decreasing"):
-            PiecewiseLinearCurve(
-                np.array([0.5]),
-                np.array([[1.0, -0.1], [1.05, -0.2]]),
-                0.5,
-                1.0,
-            )
+            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, -0.1], [1.05, -0.2]]))
 
     def test_rejects_discontinuity(self):
         with pytest.raises(ProblemError, match="discontinuous"):
-            PiecewiseLinearCurve(
-                np.array([0.5]), np.array([[1.0, -0.5], [0.6, 0.0]]), 0.5, 0.6
-            )
+            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, -0.5], [0.6, 0.0]]))
 
     def test_rejects_positive_slope(self):
         with pytest.raises(ProblemError, match="nonpositive"):
-            PiecewiseLinearCurve(np.array([]), np.array([[1.0, 0.5]]), 0.0, 1.0)
+            PiecewiseLinearCurve(np.array([]), np.array([[1.0, 0.5]]))
 
     def test_rejects_wrong_segment_count(self):
         with pytest.raises(ProblemError, match="segment count must be breakpoint count"):
-            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, 0.0]]), 0.5, 1.0)
+            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, 0.0]]))
 
     @pytest.mark.parametrize(
         "breakpoints", [[0.3, 0.3], [0.4, 0.2], [0.0, 0.5], [-0.1, 0.5], [0.5, 1.5]],
@@ -505,23 +498,22 @@ class TestPiecewiseLinearCurve:
     )
     def test_rejects_breakpoints_outside_or_out_of_order(self, breakpoints):
         with pytest.raises(ProblemError, match=r"increase strictly within \(0, 1\]"):
-            PiecewiseLinearCurve(np.array(breakpoints), np.zeros((3, 2)), breakpoints[-1], 0.0)
+            PiecewiseLinearCurve(np.array(breakpoints), np.zeros((3, 2)))
 
-    @pytest.mark.parametrize(
-        "plateau,d_star", [((0.9, 0.0), 0.95), ((0.9, -1e-13), 0.9)], ids=["intercept", "slope"]
-    )
-    def test_rejects_final_segment_off_the_plateau(self, plateau, d_star):
+    @pytest.mark.parametrize("plateau", [(0.9, -1e-13)], ids=["slope"])
+    def test_rejects_final_segment_off_the_plateau(self, plateau):
         with pytest.raises(ProblemError, match="final segment must be the exact plateau"):
-            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, -0.2], plateau]), 0.5, d_star)
+            PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, -0.2], plateau]))
 
     @pytest.mark.parametrize(
         "breakpoints,segments,p_star",
-        [([0.5], [[1.0, -0.2], [0.9, 0.0]], 0.4), ([], [[0.9, 0.0]], 0.1)],
-        ids=["off-the-last", "flat"],
+        [([0.5], [[1.0, -0.2], [0.9, 0.0]], 0.5), ([], [[0.9, 0.0]], 0.0)],
+        ids=["last-breakpoint", "flat"],
     )
-    def test_rejects_p_star_off_the_last_breakpoint(self, breakpoints, segments, p_star):
-        with pytest.raises(ProblemError, match="p_star must equal the last breakpoint"):
-            PiecewiseLinearCurve(np.array(breakpoints), np.array(segments), p_star, 0.9)
+    def test_p_star_and_d_star_read_off_the_segments(self, breakpoints, segments, p_star):
+        curve = PiecewiseLinearCurve(np.array(breakpoints), np.array(segments))
+        assert (curve.p_star, curve.d_star) == (p_star, 0.9)
+        assert type(curve.p_star) is float and type(curve.d_star) is float
 
     def test_value_and_slope_vectorized(self, indep_problem):
         report = curve_by_vertices(indep_problem)

@@ -92,15 +92,23 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(tv_distance(p, q), abs=1e-12)
 
-    def test_iteration_budget_reported_distinctly(self):
+    def test_iteration_budget_reported_distinctly(self, monkeypatch):
         rng = np.random.default_rng(0)
         lp = random_feasible_lp(rng, 8, 16)
-        with pytest.raises(IterationLimitError, match="budget"):
-            solve(lp, max_iter=1)
+        monkeypatch.setattr(lpmod, "_PIVOT_BUDGET", 0)
+        with pytest.raises(IterationLimitError, match=r"^pivot budget 0 exhausted \(cycling"):
+            solve(lp)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(SolverError, match="non-finite"):
             StandardLP([[np.nan]], [1.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "b, c", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 1.0])], ids=["b-too-long", "c-too-long"]
+    )
+    def test_rejects_inconsistent_dimensions(self, b, c):
+        with pytest.raises(SolverError, match="inconsistent LP dimensions"):
+            StandardLP([[1.0]], b, c)
 
     def test_rejects_a_program_without_columns(self):
         with pytest.raises(SolverError, match="at least one column"):
@@ -179,9 +187,9 @@ class TestRowRank:
         assert dependent_row(lp) == 1
 
 
-def walk_to(lp, start, b_start, **kwargs):
+def walk_to(lp, start, b_start):
     """The walk's solution of ``lp`` from the basis ``start``, optimal at ``b_start``."""
-    return walk(lp, start, np.asarray(b_start) - lp.b, 1.0, **kwargs)[0]
+    return walk(lp, start, np.asarray(b_start) - lp.b, 1.0)[0]
 
 
 class TestWarmStart:
@@ -238,13 +246,21 @@ class TestWarmStart:
             with pytest.raises(SolverError, match="infeasible"):
                 walk_to(moved, first.basis, lp.b)
 
-    def test_pivot_budget_applies(self):
+    def test_pivot_budget_applies(self, monkeypatch):
         prob = random_problem(1, 5, 10, random_distortion=True)
         lp, lay = build_ot_form(prob, 0.0)
         start = _crash_basis(prob, lay)
         assert walk(lp, start, lay.level_direction, 1.0)[0].iterations > 0
+        monkeypatch.setattr(lpmod, "_PIVOT_BUDGET", 0)
         with pytest.raises(IterationLimitError, match="budget"):
-            walk(lp, start, lay.level_direction, 1.0, max_iter=0)
+            walk(lp, start, lay.level_direction, 1.0)
+
+    @pytest.mark.parametrize("span", [-1.0, -1e-300, np.nan], ids=["minus-one", "tiny", "nan"])
+    def test_span_below_zero_raises(self, span):
+        # the walk moves s one way, from the span down to 0
+        lp = StandardLP([[1.0, 1.0]], [1.0], [1.0, 2.0])
+        with pytest.raises(SolverError, match="from a span >= 0"):
+            walk(lp, [0], [1.0], span)
 
     def test_start_of_another_shape_raises(self):
         rng = np.random.default_rng(5)
@@ -384,6 +400,19 @@ class TestVertexEnumeration:
         h = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
         with pytest.raises(SolverError, match="violates"):
             enumerate_vertices(HPolyhedron(g, h), [0, 1])
+
+    @pytest.mark.parametrize(
+        "g, h, message",
+        [
+            (np.zeros((2, 0)), np.zeros(2), "2-D with d >= 1"),
+            (np.eye(2), np.ones(3), "wrong length"),
+            (np.eye(2), [1.0, np.inf], "non-finite"),
+        ],
+        ids=["no-columns", "h-too-long", "infinite"],
+    )
+    def test_malformed_polyhedron_raises(self, g, h, message):
+        with pytest.raises(SolverError, match=message):
+            HPolyhedron(g, h)
 
     @pytest.mark.parametrize("start", [[1], [1, 3, 0], [1, 1], [1, 4]])
     def test_malformed_start_raises(self, start):

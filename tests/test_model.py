@@ -11,14 +11,15 @@ from dptradeoff import (
     Estimator,
     GroundMetric,
     JointChannel,
+    Problem,
     ProblemError,
     expected_distortion,
     make_problem,
     minimum_distortion,
     output_distribution,
     posterior_sampling,
+    solve_dp_at,
     tv_distance,
-    validate_problem,
     wasserstein1,
 )
 
@@ -69,6 +70,23 @@ class TestValidation:
         with pytest.raises(ProblemError, match="sums to"):
             make_problem([[0.5, 0.4], [0.0, 0.0]])
 
+    def test_rounding_negatives_stored_as_zero(self):
+        # entries of -4e-13 pass the sign check; stored as given, they made a
+        # source marginal of -1.6e-12 that every single-level solve rejected
+        prob = make_problem([[0.25 + 2e-13] * 4, [-4e-13] * 4])
+        assert np.array_equal(prob.channel.p_xy[1], np.zeros(4))
+        assert prob.p_x.tolist() == [1.0000000000008, 0.0]
+        for form in ("ot", "tv"):
+            rep = solve_dp_at(prob, 0.1, form)
+            assert rep.value == 0.0
+            assert prob.perception_of(rep.estimator)[0] == 0.0
+
+    def test_rounding_negatives_zeroed_before_the_sum(self):
+        # counted as given, the -5e-13 entries bring the sum back to 1; set to
+        # 0, they leave it 1.5e-12 over
+        with pytest.raises(ProblemError, match="sums to 1.0000000000015"):
+            make_problem([[1 / 3 + 5e-13] * 3, [-5e-13] * 3])
+
     def test_asymmetric_metric_rejected(self):
         with pytest.raises(ProblemError, match="symmetric"):
             make_problem([[0.5, 0.0], [0.0, 0.5]], metric=[[0, 0.2], [0.9, 0]])
@@ -88,7 +106,7 @@ class TestValidation:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ProblemError, match="expected 2x2"):
-            validate_problem(
+            Problem(
                 JointChannel([[0.5, 0.0], [0.0, 0.5]]),
                 DistortionMatrix(np.zeros((3, 3))),
                 GroundMetric.hamming(2),
@@ -104,8 +122,9 @@ class TestValidation:
             ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
             ([[1.0, -1e-9], [0.0, 1.0 + 1e-9]], "negative entry"),
             ([[1.0, 1e308], [0.0, 1e308]], "sums to"),  # finite entries, infinite sum
+            ([1.0, 1.0], "2-D"),
         ],
-        ids=["nan", "negative", "overflow"],
+        ids=["nan", "negative", "overflow", "vector"],
     )
     def test_estimator_rejections(self, q, message):
         with pytest.raises(ProblemError, match=message):
@@ -136,6 +155,47 @@ class TestValidation:
     def test_coupling_marginals_checked(self):
         with pytest.raises(ProblemError, match="row sums"):
             Coupling([[0.5, 0.0], [0.0, 0.5]], [0.7, 0.3], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: JointChannel([0.5, 0.5]), "joint matrix must be 2-D"),
+            (lambda: DistortionMatrix([[0.0, 1.0]]), "distortion matrix must be square"),
+            (lambda: DistortionMatrix([[0.0, -1.0], [1.0, 0.0]]), "negative entry"),
+            (lambda: GroundMetric([[0.0, 1.0]]), "metric matrix must be square"),
+            (lambda: GroundMetric(np.zeros((2, 2))), "positive off the diagonal"),
+            (
+                lambda: Problem(
+                    JointChannel([[0.5, 0.0], [0.0, 0.5]]),
+                    DistortionMatrix.hamming(2),
+                    GroundMetric.hamming(3),
+                ),
+                "metric is 3x3, expected 2x2",
+            ),
+            (lambda: Coupling(np.eye(2) / 2, [1.0], [0.5, 0.5]), "shape"),
+            (lambda: Coupling([[0.6, -0.1], [-0.1, 0.6]], [0.5, 0.5], [0.5, 0.5]), "negative"),
+            (lambda: Coupling(np.eye(2) / 2, [0.5, 0.5], [0.7, 0.3]), "column sums"),
+            (
+                lambda: wasserstein1([0.5, 0.5], [1.0, 0.0, 0.0], GroundMetric.hamming(2)),
+                "share one alphabet",
+            ),
+        ],
+        ids=[
+            "channel-vector",
+            "distortion-not-square",
+            "distortion-negative",
+            "metric-not-square",
+            "metric-zero-off-diagonal",
+            "problem-metric-size",
+            "coupling-shape",
+            "coupling-negative",
+            "coupling-columns",
+            "w1-alphabets",
+        ],
+    )
+    def test_input_rejections(self, build, message):
+        with pytest.raises(ProblemError, match=message):
+            build()
 
     @pytest.mark.parametrize(
         "call",

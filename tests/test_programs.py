@@ -232,6 +232,10 @@ class TestSolveAt:
         assert rep.value == pytest.approx(0.44, abs=1e-9)
         assert rep.value == pytest.approx(binary_dp_oracle(indep_problem, 0.2), abs=1e-12)
 
+    def test_unknown_form_rejected(self, bsc_problem):
+        with pytest.raises(ProblemError, match="unknown program form 'xx'"):
+            solve_dp_at(bsc_problem, 0.1, form="xx")
+
     @pytest.mark.parametrize("form", ["ot", "tv"])
     def test_report_invariants(self, bsc_problem, form):
         poly = dual_polyhedron(bsc_problem)

@@ -38,6 +38,12 @@ class TestGridOracle:
         with pytest.raises(ProblemError, match="perception level"):
             grid_oracle(bsc_problem, p_level, 20)
 
+    def test_one_symbol_source_gives_the_floor(self):
+        # one source symbol: no free degrees of freedom and no transport cost
+        prob = make_problem([[0.2, 0.3, 0.5]], distortion=[[0.4]])
+        for p in [0.0, 0.5, 1.0]:
+            assert grid_oracle(prob, p, 5) == prob.distortion_floor == 0.4
+
     def test_dof_guard(self):
         prob = random_problem(5, 3, 5)  # 10 degrees of freedom
         with pytest.raises(BudgetExceededError, match="degrees of freedom"):
@@ -126,6 +132,21 @@ class TestCrossVerify:
         report = cross_verify(random_problem(1, 3, 4), np.linspace(0, 1, 11))
         assert {"sweep", "vertex"} <= set(report.values)
         assert len(calls) == 1
+
+    def test_vertex_column_dropped_past_its_budget(self):
+        # the 8x4 dual has 31,824 bases, past the default vertex budget
+        prob = instance_to_problem(generate_instance(1, 8, 4))
+        report = cross_verify(prob, np.linspace(0, 1, 11))
+        assert set(report.values) == {"sweep", "pointwise"}
+        assert report.passed, report.failures
+
+    def test_grid_column_infinite_where_no_grid_point_is_feasible(self, bsc_problem):
+        # at P = 0 no point of the 7-step grid meets the source marginal exactly
+        report = cross_verify(bsc_problem, np.linspace(0, 1, 5), grid_steps=7)
+        grid = report.values["grid_oracle"]
+        assert grid[0] == math.inf and np.all(np.isfinite(grid[1:]))
+        assert report.passed, report.failures
+        assert f"grid oracle band: {2 / 7:.3e}" in report.render()
 
     def test_grid_column_skipped_past_its_budget(self):
         # 3x5 has 10 free degrees of freedom, one more than grid_oracle takes
