@@ -104,17 +104,21 @@ class PiecewiseLinearCurve:
 
     def value(self, p):
         """Curve value; exact plateau (bitwise d_star) for p >= p_star."""
-        parr = np.atleast_1d(np.asarray(p, dtype=float))
-        idx = np.searchsorted(self.breakpoints, parr, side="right")
+        parr, idx = self._locate(p)
         out = self.segments[idx, 0] + self.segments[idx, 1] * parr
         out[parr >= self.p_star] = self.d_star
         return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out
 
     def slope(self, p):
-        parr = np.atleast_1d(np.asarray(p, dtype=float))
-        idx = np.searchsorted(self.breakpoints, parr, side="right")
-        out = self.segments[idx, 1]
+        out = self.segments[self._locate(p)[1], 1]
         return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out
+
+    def _locate(self, p):
+        """The levels ``p``, each checked by ``check_level``, and the segment of each."""
+        parr = np.atleast_1d(np.asarray(p, dtype=float))
+        for level in parr.ravel().tolist():
+            check_level(level)
+        return parr, np.searchsorted(self.breakpoints, parr, side="right")
 
     @property
     def slopes(self) -> np.ndarray:
@@ -257,7 +261,7 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
     closed-form optimal basis at P = 1 (``_crash_basis``), on the plateau,
     and passes the optimal bases in order, each with the level s where
     it stops being optimal: entry i is optimal from its s up to entry
-    i-1's, on the line ``c_B . xb - slope * s + slope * P``.  Entries
+    i-1's, on the line ``c_B B^-1 b + P c_B B^-1 d``.  Entries
     shorter than ``_ZERO_LEN_TOL`` are skipped, a slope within
     ``_FLAT_TOL`` of 0 is the exact plateau, and an entry within
     ``_SLOPE_MERGE_TOL`` of its piece's slope joins the piece.  A
@@ -273,7 +277,7 @@ def _sweep(problem: Problem):
     d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
-    lines = np.asarray([(lp.c[basis] @ xb - slope * s, slope) for s, basis, xb, slope in path])
+    lines = np.asarray([(lp.c[basis] @ xb, lp.c[basis] @ rate) for _, basis, xb, rate in path])
     levels = [entry[0] for entry in path]
     pieces, picks, last = [(d_star, 0.0)], [], 0  # the walk starts on the plateau
     for i, (b, m) in enumerate(lines.tolist()):
@@ -285,10 +289,10 @@ def _sweep(problem: Problem):
             pieces.append((b, m))
             picks.append(last)
         last = i
-    picks = [len(path) - 1] + picks[::-1]  # level 0, then the breakpoints upwards
-    at = [levels[i] for i in picks]
+    kept = [path[i] for i in [len(path) - 1] + picks[::-1]]  # level 0, then the breakpoints upwards
+    at = [entry[0] for entry in kept]
     curve = PiecewiseLinearCurve(np.array(at[1:]), np.array(pieces[::-1]))
-    points = np.stack([lpmod.basic_point(lp.n, path[i][1], path[i][2]) for i in picks])
+    points = np.stack([lpmod.basic_point(lp.n, basis, xb + s * rate) for s, basis, xb, rate in kept])
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
     return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, sol.basis

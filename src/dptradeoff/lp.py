@@ -31,8 +31,8 @@ this way: their ``b`` is affine in the perception level, so one level
 is a walk from the optimal basis at P = 1, which is known in closed
 form (a flow that moves only the surplus, so the walk's first pivot
 is where the budget starts to bind), and the whole curve is one walk
-from P = 1 to 0.  The walk records each basis and its basic values,
-not its point.
+from P = 1 to 0.  The walk records each basis with ``B^-1 b`` and
+``B^-1 d``, which give its basic values at every level.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -368,23 +368,23 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors, flip=1.0) -> 
 
 def walk(
     lp: StandardLP, start, d, span: float
-) -> tuple[LPSolution, list[tuple[float, np.ndarray, np.ndarray, float]]]:
+) -> tuple[LPSolution, list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]]:
     """Optimal bases of the programs ``b = lp.b + s d`` as s falls from ``span`` to 0.
 
     ``start`` is the columns of an optimal basis at s = ``span``, one per
-    row, so ``lp`` has full row rank.  Moving s moves the basic values
-    by ``B^-1 d`` per unit and keeps the reduced costs, so a basis stays
-    optimal until a basic value reaches 0; ``_dual_bland`` over the rows
-    that reach 0 together then pivots as the dual simplex just past that
-    point would, so degenerate steps cannot cycle.  At s = 0 the basis is
-    refactored against ``lp.b`` and phase two confirms it, so a start off
-    by rounding still ends optimal.
+    row, so ``lp`` has full row rank.  The tableau stays on ``lp.b``: a
+    basis B keeps its reduced costs and has the basic values
+    ``B^-1 b + s B^-1 d``, so it stays optimal down to the largest s where
+    a falling one reaches 0; ``_dual_bland`` over the rows that reach 0
+    there then pivots as the dual simplex just below would, so degenerate
+    steps cannot cycle.  At s = 0 the basis is refactored and phase two
+    confirms it, so a start off by rounding still ends optimal.
 
     Returns the optimal solution of ``lp`` (``iterations`` counts the
-    walk's pivots and phase two's) and ``(s, basis, xb, slope)`` per basis
-    in walk order: the s where it stops being optimal (0 for the last),
-    its columns in row order and their values there (``basic_point``
-    makes the point), and ``c_B B^-1 d``, the slope of the value in s.
+    walk's pivots and phase two's) and ``(s, basis, B^-1 b, B^-1 d)`` per
+    basis in walk order: the s where it stops being optimal (0 for the
+    last), its columns in row order, and the two vectors that give its
+    basic values ``B^-1 b + s B^-1 d`` at every level s.
 
     Raises SolverError when ``span`` is negative or NaN, ``start`` covers
     another row count, names a column out of range, is singular, or is not
@@ -400,42 +400,33 @@ def walk(
     if not all(0 <= j < n for j in start):
         raise SolverError("start basis names a column out of range")
     d = np.asarray(d, dtype=float)
-    tab = _Tableau(lp.a, lp.b, lp.c, start, d)  # factored against lp.b
-    at_zero = tab.xb.copy()
-    tab.xb += span * tab.rate
-    tab.b = lp.b + span * d
-    scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)), float(np.abs(tab.b).max(initial=0.0)))
-    if tab.xb.min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
+    tab = _Tableau(lp.a, lp.b, lp.c, start, d)
+    scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)), float(np.abs(lp.b + span * d).max(initial=0.0)))
+    if (tab.xb + span * tab.rate).min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
         raise SolverError("start basis is not optimal where the walk starts")
 
     tol = _RED_COST_TOL * scale
     s, iters, path = span, 0, []
     while True:
         rows = (tab.rate > _PIVOT_COL_TOL).nonzero()[0]  # basic values that fall as s does
-        xr, fr = tab.xb[rows], tab.rate[rows]
-        if (xr - s * fr).min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
-            tab.b = lp.b
+        xr = tab.xb[rows]
+        if xr.min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
             break
-        steps = np.maximum(xr, 0.0) / fr
-        step = float(steps.min())
-        s -= step
-        tab.xb -= step * tab.rate
-        tab.b = lp.b + s * d
-        path.append((s, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
-        leave, col = _dual_bland(tab, rows[steps <= step + _RATIO_TIE_TOL])
+        levels = np.minimum(-xr / tab.rate[rows], s)  # where each reaches 0
+        s = float(levels.max())
+        path.append((s, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
+        leave, col = _dual_bland(tab, rows[levels >= s - _RATIO_TIE_TOL])
         if col is None:
             raise SolverError(f"program infeasible past s = {s!r}")
         iters = _step(tab, leave, col, iters, budget)
 
     if iters:
-        tab.refactor()  # against lp.b itself, not the sum of the steps
-    else:
-        tab.xb[:] = at_zero  # the basis is the start's, factored against lp.b
+        tab.refactor()  # against lp.b afresh, not the sum of the updates
     status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
     if status != "optimal":
         raise SolverError(f"phase two ended {status} after the walk")
     sol = _optimal(lp, tab, iters + confirm, tab.refactors)
-    path.append((0.0, tab.basis.copy(), tab.xb.copy(), float(tab.c[tab.basis] @ tab.rate)))
+    path.append((0.0, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
     return sol, path
 
 

@@ -163,18 +163,20 @@ class GroundMetric:
     Axioms (zero diagonal, symmetry, positivity off the diagonal, the
     triangle inequality) are checked at load time; the O(n^3) triangle
     check is cheap at the target scale and prevents meaningless
-    transport values downstream.
+    transport values downstream.  A diagonal within 1e-12 of 0 is set to
+    exactly 0, so no transport cost is negative.
     """
 
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)  # its own copy, its diagonal zeroed below
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
             raise ProblemError("metric matrix must be square and nonempty")
         _require_finite(h, "metric")
         if np.any(np.abs(np.diag(h)) > _MASS_TOL):
             raise ProblemError("metric diagonal must be zero")
+        np.fill_diagonal(h, 0.0)
         if np.any(np.abs(h - h.T) > _MASS_TOL):
             raise ProblemError("metric must be symmetric")
         if np.any(h < -_MASS_TOL) or np.any(h > 1.0 + _MASS_TOL):

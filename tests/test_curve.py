@@ -9,6 +9,7 @@ from dptradeoff import (
     PiecewiseLinearCurve,
     ProblemError,
     assemble_curve,
+    closed_form_curve,
     curve_by_sweep,
     curve_by_vertices,
     estimator_on_curve,
@@ -357,7 +358,8 @@ class TestCurveBySweep:
     )
     def test_estimators_match_a_loop_over_the_levels(self, method, shape, random_metric):
         # the reference: per level, the nearest path entry (first on a tie),
-        # its point, and a stack of one; the stacked pass must match bitwise
+        # its point B^-1 b + s B^-1 d at its own level, and a stack of one;
+        # the stacked pass must match bitwise
         from dptradeoff import lp as lpmod
         from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form
 
@@ -369,8 +371,8 @@ class TestCurveBySweep:
         tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
         assert len(report.estimators) == report.curve.breakpoints.size + 1
         for p, est in report.estimators:
-            _, basis, xb, _ = path[int(np.argmin(np.abs(levels - p)))]
-            x = lpmod.basic_point(lp.n, basis, xb)
+            s, basis, xb, rate = path[int(np.argmin(np.abs(levels - p)))]
+            x = lpmod.basic_point(lp.n, basis, xb + s * rate)
             (want,) = _stochastic_estimator(prob, lay.extract_w(x)[None], tol)
             assert np.array_equal(est.q, want.q), p
 
@@ -523,3 +525,20 @@ class TestPiecewiseLinearCurve:
         slopes = report.curve.slope(ps)
         assert slopes[0] == pytest.approx(-0.2, abs=1e-9)
         assert slopes[-1] == 0.0
+
+    @pytest.mark.parametrize("level", [-0.5, -np.inf, np.nan, np.inf], ids=["negative", "-inf", "nan", "inf"])
+    @pytest.mark.parametrize("method", ["sweep", "vertex", "closed_form"])
+    def test_value_and_slope_reject_what_check_level_rejects(self, method, level):
+        # -0.5 once extrapolated the first segment above D(0), nan read slope 0,
+        # and inf warned of an invalid multiply; every entry of an array counts
+        prob = random_problem(1, *((2, 8) if method == "closed_form" else (3, 4)), random_distortion=True)
+        curve = {
+            "sweep": lambda: curve_by_sweep(prob).curve,
+            "vertex": lambda: curve_by_vertices(prob).curve,
+            "closed_form": lambda: closed_form_curve(prob),
+        }[method]()
+        for query in (level, [0.1, level], np.array([[0.2], [level]])):
+            for read in (curve.value, curve.slope):
+                with pytest.raises(ProblemError, match=r"perception level must be finite and >= 0, got"):
+                    read(query)
+        assert (curve.value(2.0), curve.slope(2.0)) == (curve.d_star, 0.0)  # past 1 stays valid

@@ -104,6 +104,19 @@ class TestValidation:
         with pytest.raises(ProblemError, match="diagonal"):
             GroundMetric([[0.1, 1.0], [1.0, 0.0]])
 
+    def test_rounding_diagonal_stored_as_zero(self):
+        # a diagonal of -5e-13 passes the zero check; stored as given, it made
+        # the transport distance at P = 0 read -5e-13.  The caller's array stays
+        given = np.array([[-5e-13, 1.0, 1.0], [1.0, 5e-13, 1.0], [1.0, 1.0, -5e-13]])
+        metric = GroundMetric(given)
+        assert np.array_equal(np.diag(metric.h), np.zeros(3))
+        assert np.array_equal(metric.h[~np.eye(3, dtype=bool)], np.ones(6))
+        assert given[0, 0] == -5e-13 and given[1, 1] == 5e-13
+        prob = make_problem([[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]], metric=given)
+        rep = solve_dp_at(prob, 0.0)
+        assert prob.perception_of(rep.estimator)[0] >= 0.0
+        assert rep.perception >= 0.0
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ProblemError, match="expected 2x2"):
             Problem(

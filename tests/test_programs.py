@@ -104,6 +104,18 @@ class TestTransportForm:
         assert np.allclose(out, bsc_problem.p_x, atol=1e-10)
         assert rep.perception <= 1e-12
 
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_rounding_diagonal_gives_no_negative_perception(self, form):
+        # a metric diagonal of -5e-13 passes the zero check and is stored as 0:
+        # as given, both perceptions of the P = 0 solve read -5e-13
+        metric = 1.0 - np.eye(3)
+        np.fill_diagonal(metric, -5e-13)
+        prob = make_problem([[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]], metric=metric)
+        assert np.array_equal(np.diag(prob.metric.h), np.zeros(3))
+        rep = solve_dp_at(prob, 0.0, form)
+        assert rep.perception >= 0.0
+        assert prob.perception_of(rep.estimator)[0] >= 0.0
+
     def test_negative_level_rejected(self, bsc_problem):
         with pytest.raises(ProblemError):
             build_ot_form(bsc_problem, -0.1)
@@ -478,7 +490,40 @@ class TestSharedWalk:
         path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
         moved = tv_distance(prob.p_x, output_distribution(prob.minimum[1], prob.p_y))
         assert abs(path[0][0] - moved) <= 1e-12
-        assert all(slope < 0.0 for _, _, _, slope in path[1:])
+        assert all(lp.c[basis] @ rate < 0.0 for _, basis, _, rate in path[1:])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "form,shape,random_metric",
+        [
+            pytest.param(form, (n_x, n_y), rm, id=f"{form}-{n_x}x{n_y}-{'metric' if rm else 'hamming'}")
+            for form, n_x, n_y, rm in [
+                ("ot", 5, 10, False), ("ot", 5, 10, True), ("ot", 8, 20, False), ("ot", 8, 20, True),
+                ("ot", 10, 40, False), ("ot", 10, 40, True), ("tv", 5, 10, False), ("tv", 8, 20, False),
+            ]  # the sign form takes the Hamming metric only
+        ],
+    )
+    def test_every_walked_basis_is_a_certificate(self, form, shape, random_metric, seed):
+        # each entry (s, basis, B^-1 b, B^-1 d) solves B x = b and B x = d, is
+        # feasible at both ends of its interval [s, level of the entry before],
+        # and its line c_B B^-1 b + P c_B B^-1 d is the curve there
+        prob = random_problem(seed, *shape, random_distortion=True, random_metric=random_metric)
+        lp, lay = BUILD[form](prob, 0.0)
+        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        curve = curve_by_sweep(prob).curve if form == "ot" else None
+        tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
+        top = 1.0
+        for s, basis, xb, rate in path:
+            cols = lp.a[:, basis]
+            assert np.abs(cols @ xb - lp.b).max() <= tol, s
+            assert np.abs(cols @ rate - lay.level_direction).max() <= tol, s
+            for t in (s, top):
+                assert (xb + t * rate).min() >= -tol, (s, t)
+            if curve is not None:
+                mid = 0.5 * (s + top)
+                value = lp.c[basis] @ xb + mid * (lp.c[basis] @ rate)
+                assert abs(curve.value(mid) - value) <= 1e-12, s
+            top = s
 
 
 def _highs_cases():
