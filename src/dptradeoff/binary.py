@@ -65,11 +65,6 @@ class StepCdf:
                 acc.append(m)
         return cls(np.asarray(pts), np.cumsum(acc))
 
-    def at(self, u: float) -> float:
-        """Mass of levels <= u (levels within _TIE_TOL of u count as equal)."""
-        idx = int(np.searchsorted(self.points, u + _TIE_TOL, side="right"))
-        return float(self.cumulative[idx - 1]) if idx else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class BinaryAnalysis:
@@ -90,7 +85,6 @@ class BinaryAnalysis:
     thresholds: np.ndarray
     rates: np.ndarray
     d_star: float
-    cdf: StepCdf
     p_first: float
     metric_scale: float
     p_y: np.ndarray
@@ -165,9 +159,8 @@ def analyze(problem: Problem) -> BinaryAnalysis:
     scale = float(problem.metric.h[0, 1])
     cond = problem.conditional
     gaps = 0.5 * (cond[0] - cond[1])
-    cdf = StepCdf.from_samples(gaps, problem.p_y)
     p1 = float(problem.p_x[0])
-    case, thresholds, rates, distances = _walk(cdf, p1)
+    case, thresholds, rates, distances = _walk(StepCdf.from_samples(gaps, problem.p_y), p1)
     return BinaryAnalysis(
         gaps=gaps,
         case=case,
@@ -175,7 +168,6 @@ def analyze(problem: Problem) -> BinaryAnalysis:
         thresholds=thresholds,
         rates=rates,
         d_star=problem.distortion_floor,
-        cdf=cdf,
         p_first=p1,
         metric_scale=scale,
         p_y=problem.p_y,
@@ -254,7 +246,7 @@ def reduced_dual_objective(
 
         sum of first-symbol costs over {gap <= u}
         + sum of second-symbol costs over {gap > u}
-        + 2 (p_first - cdf(u)) u - 2 P |u|,
+        + 2 (p_first - the mass of {gap <= u}) u - 2 P |u|,
 
     with the perception level measured in total-variation units.
     """
@@ -265,9 +257,8 @@ def reduced_dual_objective(
     cost = problem.cost
     included = an.gaps <= gap_value + _TIE_TOL
     base = float(cost[0, included].sum() + cost[1, ~included].sum())
-    return base + 2.0 * (an.p_first - an.cdf.at(gap_value)) * gap_value - 2.0 * p_tv * abs(
-        gap_value
-    )
+    mass = float(an.p_y[included].sum())
+    return base + 2.0 * (an.p_first - mass) * gap_value - 2.0 * p_tv * abs(gap_value)
 
 
 def reduced_dual_optimum(

@@ -12,12 +12,13 @@ parametric walk always, the grid oracle when tiny) on a shared grid of
 perception levels and compares the results pairwise.  Its pointwise
 column solves each level's flow program (``build_ot_form``) by phase one, on
 purpose: the sweep and every ``solve_dp_at`` walk the right-hand side
-from the closed-form optimal basis at P = 1 or an earlier level's, and
-a phase-one solve shares no basis with them.
+from the closed-form optimal basis at P = 1, and a phase-one solve
+shares no basis with them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -33,20 +34,14 @@ from .programs import build_ot_form
 
 
 def _simplex_grid(steps: int, parts: int) -> np.ndarray:
-    """All compositions of ``steps`` into ``parts`` bins, scaled to sum 1."""
-    if parts == 1:
-        return np.ones((1, 1))
-    rows: list[list[int]] = []
+    """All compositions of ``steps`` into ``parts`` bins, scaled to sum 1.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], steps, parts)
-    return np.asarray(rows, dtype=float) / steps
+    Stars and bars: ``parts - 1`` bars among ``steps + parts - 1`` slots,
+    the bins being the gaps between them, in lexicographic order.
+    """
+    slots = steps + parts - 1
+    bars = np.asarray(list(itertools.combinations(range(slots), parts - 1)))
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / steps
 
 
 def _require_steps(steps: int) -> None:
@@ -58,9 +53,10 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     """Upper bound on the curve value from exhaustive grid search.
 
     Guards: at most 9 free degrees of freedom after stochasticity and at
-    most 1e8 grid points.  Returns ``inf`` when no grid point is
-    feasible (possible at very tight perception levels, where the exact
-    output marginal is unreachable on the grid).
+    most 1e7 grid points, about 0.5 GB at 48 bytes a point.  Returns
+    ``inf`` when no grid point is feasible (possible at very tight
+    perception levels, where the exact output marginal is unreachable on
+    the grid).
 
     The returned value is never below the true optimum, and is within
     ``n_y * (max d - min d) / steps`` of it whenever a near-optimal
@@ -72,9 +68,9 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     dof = (n_x - 1) * n_y
     if dof > 9:
         raise BudgetExceededError(f"grid oracle limited to 9 degrees of freedom, got {dof}")
-    if (steps_per_dof + 1) ** dof > 10**8:
+    if (steps_per_dof + 1) ** dof > 10**7:
         raise BudgetExceededError(
-            f"grid of ({steps_per_dof}+1)^{dof} points exceeds the 1e8 budget"
+            f"grid of ({steps_per_dof}+1)^{dof} points exceeds the 1e7 budget"
         )
 
     # k = C(steps + n_x - 1, n_x - 1) <= (steps + 1)^(n_x - 1) columns, so
@@ -104,15 +100,13 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     # grid points are decided without a transport solve; ties go to the LP
     slack = 1e-12
     order = np.argsort(distortion, kind="stable")
-    strides = [k ** (n_y - 1 - j) for j in range(n_y)]
     for flat in order:
         t = tv[flat]
         if c_lo * t > p_level + slack:
             continue
         if c_hi * t <= p_level + slack:
             return float(distortion[flat])
-        digits = [(flat // strides[j]) % k for j in range(n_y)]
-        q = np.column_stack([columns[d] for d in digits])
+        q = np.column_stack(columns[list(np.unravel_index(flat, (k,) * n_y))])
         out = q @ p_y
         w1, _ = wasserstein1(p_x, out / out.sum(), problem.metric)
         if w1 <= p_level + slack:

@@ -136,15 +136,13 @@ REFERENCE_POOLS = {
 class TestStepCdf:
     def test_right_continuity(self):
         cdf = StepCdf.from_samples([-0.4, 0.0, 0.0, 0.3], [0.1, 0.2, 0.3, 0.4])
-        assert cdf.at(-0.4) == pytest.approx(0.1)
-        assert cdf.at(0.0) == pytest.approx(0.6)
-        assert cdf.at(0.3) == pytest.approx(1.0)
-        assert cdf.at(10.0) == pytest.approx(1.0)
+        assert cdf.points.tolist() == [-0.4, 0.0, 0.3]
+        assert cdf.cumulative == pytest.approx([0.1, 0.6, 1.0])
 
     def test_tied_levels_grouped(self):
         cdf = StepCdf.from_samples([0.5, 0.5 + 1e-14], [0.5, 0.5])
         assert cdf.points.shape == (1,)
-        assert cdf.at(0.5) == pytest.approx(1.0)
+        assert cdf.cumulative == pytest.approx([1.0])
 
 
 class TestAnalyze:

@@ -1,6 +1,8 @@
 """Grid oracle bracketing and cross-method verification."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dptradeoff import (
     solve_dp_at,
 )
 from dptradeoff.problemio import generate_instance, instance_to_problem
+from dptradeoff.verify import _simplex_grid
 
 from conftest import random_problem
 
@@ -53,6 +56,26 @@ class TestGridOracle:
         prob = random_problem(6, 2, 8)
         with pytest.raises(BudgetExceededError, match="budget"):
             grid_oracle(prob, 0.5, 200)
+
+    def test_size_guard_builds_no_grid(self):
+        # 16^6 points are past the 1e7 budget, so the 136^3-point grid is never built
+        prob = random_problem(1, 3, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="1e7 budget"):
+                grid_oracle(prob, 0.1, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("parts", range(1, 6))
+    @pytest.mark.parametrize("steps", range(1, 9))
+    def test_simplex_grid_rows(self, steps, parts):
+        rows = [c for c in itertools.product(range(steps + 1), repeat=parts) if sum(c) == steps]
+        expected = np.asarray(rows, dtype=float) / steps
+        grid = _simplex_grid(steps, parts)
+        assert grid.shape == expected.shape and grid.tobytes() == expected.tobytes()
 
     def test_never_below_exact(self, bsc_problem):
         for p in np.linspace(0.0, 1.0, 6):
