@@ -9,7 +9,6 @@ sources.
 
 from .binary import (
     BinaryAnalysis,
-    StepCdf,
     analyze,
     breakpoint_estimators,
     closed_form_curve,

@@ -8,10 +8,10 @@ symbol instead of the second:
 
     gap(y) = (E[d(X, x1) | y] - E[d(X, x2) | y]) / 2.
 
-Accumulating the observation probabilities in ascending gap order gives
-a step CDF, and each of its knots is a threshold rule: "first symbol iff
-gap <= level" puts the CDF's value at that level on the first symbol.
-The greedy rules "gap <= 0" and "gap < 0" are knots.  If the first one
+Gaps within ``_TIE_TOL`` of each other are one level.  Each level is a
+knot: the threshold rule "first symbol iff gap <= level", which puts the
+observation mass at or below that level on the first symbol.  The
+greedy rules "gap <= 0" and "gap < 0" are knots.  If the first one
 leaves the first symbol short of its probability p_first, one walk
 starts there and steps up knot by knot; if the second overfills it, the
 same walk starts there and steps down; otherwise a mixture of the two
@@ -44,49 +44,25 @@ _TIE_TOL = 1e-12  # gap values closer than this are the same cost level
 
 
 @dataclass(frozen=True, eq=False)
-class StepCdf:
-    """Right-continuous step CDF over finitely many jump locations."""
-
-    points: np.ndarray  # sorted distinct jump locations
-    cumulative: np.ndarray  # mass at or below each location
-
-    @classmethod
-    def from_samples(cls, values, masses) -> "StepCdf":
-        values = np.asarray(values, dtype=float)
-        masses = np.asarray(masses, dtype=float)
-        order = np.argsort(values, kind="stable")
-        pts: list[float] = []
-        acc: list[float] = []
-        for v, m in zip(values[order].tolist(), masses[order].tolist()):
-            if pts and v - pts[-1] <= _TIE_TOL:
-                acc[-1] += m
-            else:
-                pts.append(v)
-                acc.append(m)
-        return cls(np.asarray(pts), np.cumsum(acc))
-
-
-@dataclass(frozen=True, eq=False)
 class BinaryAnalysis:
     """Everything the closed form needs, computed once per problem.
 
-    ``breakpoints`` (perception units), ``thresholds`` and ``rates`` hold
-    one entry per knot of the walk, in walk order from the greedy rule's
-    knot toward ``p_first``: the knot's distance from ``p_first``, its
-    gap level, and the gap level its piece trades (see ``_walk``).  The
-    knot's threshold rule is optimal at that distance.  A balanced
-    problem walks no knot.  The optimal rules themselves are built on
-    first use, in ``supports``.
+    ``breakpoints`` (perception units), ``thresholds`` and ``slopes`` hold
+    one entry per linear piece of the curve below its plateau, in walk
+    order from the greedy rule's knot toward ``p_first``: the distance
+    from ``p_first`` of the knot that ends the piece on the right, that
+    knot's gap level, and the piece's slope.  The knot's threshold rule
+    is optimal at that distance.  A balanced problem has no piece.  The
+    optimal rules themselves are built on first use, in ``supports``.
     """
 
     gaps: np.ndarray
     case: str
     breakpoints: np.ndarray
     thresholds: np.ndarray
-    rates: np.ndarray
+    slopes: np.ndarray
     d_star: float
     p_first: float
-    metric_scale: float
     p_y: np.ndarray
 
     @cached_property
@@ -99,20 +75,18 @@ class BinaryAnalysis:
         mass ``p_first``, fractional on the marginal symbol: ``short[i]``
         is the mass missing before the i-th symbol, and the symbols it
         finds short by more than 1e-15 are taken, a prefix, since it only
-        falls.  Then come the breakpoints that end a piece of the curve,
-        in reverse walk order, each with its rule "first iff gap <=
-        threshold".
+        falls.  Then come the breakpoints, in reverse walk order, each
+        with its rule "first iff gap <= threshold".
         """
-        kept = _pieces(self)
         order = np.argsort(self.gaps, kind="stable")
         mass = self.p_y[order]
         short = np.cumsum(np.concatenate([[self.p_first], -mass]))[:-1]
         live = short > 1e-15
-        q = np.zeros((np.count_nonzero(kept) + 1, 2, self.gaps.size))
+        q = np.zeros((self.breakpoints.size + 1, 2, self.gaps.size))
         q[0, 0, order[live]] = np.minimum(mass[live], short[live]) / mass[live]
-        np.less_equal(self.gaps, self.thresholds[kept][::-1, None] + _TIE_TOL, out=q[1:, 0])
+        np.less_equal(self.gaps, self.thresholds[::-1, None] + _TIE_TOL, out=q[1:, 0])
         np.subtract(1.0, q[:, 0], out=q[:, 1])
-        return [0.0] + self.breakpoints[kept][::-1].tolist(), _estimator_stack(q)
+        return [0.0] + self.breakpoints[::-1].tolist(), _estimator_stack(q)
 
 
 def _require_binary(problem: Problem) -> None:
@@ -120,94 +94,83 @@ def _require_binary(problem: Problem) -> None:
         raise ProblemError("closed-form analysis requires a binary source alphabet")
 
 
-def _walk(cdf: StepCdf, p1: float):
-    """The knot walk: ``(case, thresholds, rates, distances)``, per walked knot.
+def analyze(problem: Problem) -> BinaryAnalysis:
+    """Classify a binary problem and walk its knots to the curve's pieces.
 
     Knot k is the rule "first iff gap <= levels[k]", which puts mass
     ``mass[k]`` on the first symbol; knot 0 (level -inf, mass 0) is the
     all-second rule.  The walk starts at a greedy rule's knot and steps
     (+1 when short, -1 when overfilled) while the mass stays on its side
-    of ``p1``.  Per knot: its level, the gap its piece toward P = 0
-    trades (the step's higher-mass knot's level, unsigned), and its
-    distance from ``p1`` in total-variation units.
+    of ``p_first``.  Each walked knot's piece runs from its distance to
+    the next knot's (the last one's to 0) and trades the gap level of the
+    step's higher-mass knot; only pieces longer than ``_TIE_TOL`` in
+    total-variation units are kept.
     """
-    levels = np.concatenate([[-np.inf], cdf.points])
-    mass = np.concatenate([[0.0], cdf.cumulative])
-    # the greedy rules' knots: first iff gap <= 0, and first iff gap < 0
-    le0 = int(np.count_nonzero(levels <= _TIE_TOL)) - 1
-    lt0 = int(np.count_nonzero(levels < -_TIE_TOL)) - 1
-    if p1 - mass[le0] > _TIE_TOL:
-        case, step, k = CASE_UNDER, 1, le0
-    elif mass[lt0] - p1 > _TIE_TOL:
-        case, step, k = CASE_OVER, -1, lt0
-    else:
-        return CASE_BALANCED, np.zeros(0), np.zeros(0), np.zeros(0)
-    knots = [k]
-    masses = mass.tolist()
-    while 0 <= k + step < len(masses) and step * (p1 - masses[k + step]) >= -_TIE_TOL:
-        k += step
-        knots.append(k)
-    knots = np.asarray(knots)
-    # a piece past the last knot is empty and its rate unread: keep the index in range
-    rates = np.abs(levels[np.minimum(np.maximum(knots, knots + step), levels.size - 1)])
-    return case, levels[knots], rates, np.maximum(step * (p1 - mass[knots]), 0.0)
-
-
-def analyze(problem: Problem) -> BinaryAnalysis:
-    """Classify a binary problem and walk its knots."""
     _require_binary(problem)
     scale = float(problem.metric.h[0, 1])
     cond = problem.conditional
     gaps = 0.5 * (cond[0] - cond[1])
     p1 = float(problem.p_x[0])
-    case, thresholds, rates, distances = _walk(StepCdf.from_samples(gaps, problem.p_y), p1)
+    order = np.argsort(gaps, kind="stable")
+    levels, group = [-np.inf], [0.0]
+    for v, m in zip(gaps[order].tolist(), problem.p_y[order].tolist()):
+        if v - levels[-1] <= _TIE_TOL:
+            group[-1] += m
+        else:
+            levels.append(v)
+            group.append(m)
+    levels, mass = np.asarray(levels), np.cumsum(group)
+
+    # the greedy rules' knots: first iff gap <= 0, and first iff gap < 0
+    le0 = int(np.count_nonzero(levels <= _TIE_TOL)) - 1
+    lt0 = int(np.count_nonzero(levels < -_TIE_TOL)) - 1
+    case, step, k = CASE_BALANCED, 0, -1
+    if p1 - mass[le0] > _TIE_TOL:
+        case, step, k = CASE_UNDER, 1, le0
+    elif mass[lt0] - p1 > _TIE_TOL:
+        case, step, k = CASE_OVER, -1, lt0
+    knots = [k] if step else []
+    masses = mass.tolist()
+    while step and 0 <= k + step < len(masses) and step * (p1 - masses[k + step]) >= -_TIE_TOL:
+        k += step
+        knots.append(k)
+
+    knots = np.asarray(knots, dtype=np.intp)
+    ends = np.append(np.maximum(step * (p1 - mass[knots]), 0.0) * scale, 0.0)
+    kept = ends[:-1] - ends[1:] > _TIE_TOL * scale
+    # the traded level is the step's higher-mass knot's, kept in range past the last
+    traded = levels[np.minimum(knots[kept] + (step > 0), levels.size - 1)]
     return BinaryAnalysis(
         gaps=gaps,
         case=case,
-        breakpoints=distances * scale,
-        thresholds=thresholds,
-        rates=rates,
+        breakpoints=ends[:-1][kept],
+        thresholds=levels[knots[kept]],
+        slopes=-2.0 * np.abs(traded) / scale,
         d_star=problem.distortion_floor,
         p_first=p1,
-        metric_scale=scale,
         p_y=problem.p_y,
     )
 
 
-def _pieces(an: BinaryAnalysis) -> np.ndarray:
-    """Which walked knots end a piece of the curve: those whose piece, from
-    the knot's breakpoint to the next one (the last runs on to 0), is
-    longer than _TIE_TOL in total-variation units."""
-    ends = np.append(an.breakpoints, 0.0)
-    return ends[:-1] - ends[1:] > _TIE_TOL * an.metric_scale
-
-
 def closed_form_curve(problem: Problem, analysis: BinaryAnalysis | None = None) -> PiecewiseLinearCurve:
-    """The exact curve: one linear piece per step of the knot walk."""
+    """The exact curve: one linear piece per stored breakpoint, plus the plateau."""
     an = analysis if analysis is not None else analyze(problem)
-    scale, d_star, rates = an.metric_scale, an.d_star, an.rates.tolist()
     ends = np.append(an.breakpoints, 0.0).tolist()
-
-    pieces: list[tuple[float, float]] = []  # (intercept, slope), plateau first
-    bps: list[float] = []
-    value_right = d_star
-    for i in np.flatnonzero(_pieces(an)).tolist():
-        left_h, right_h = ends[i + 1], ends[i]
-        slope = -2.0 * rates[i] / scale
+    pieces: list[tuple[float, float]] = []  # (intercept, slope), in walk order
+    value_right = an.d_star
+    for right_h, left_h, slope in zip(ends, ends[1:], an.slopes.tolist()):
         intercept = value_right - slope * right_h
         pieces.append((intercept, slope))
-        bps.append(right_h)
         value_right = intercept + slope * left_h
-
-    segments = np.asarray(list(reversed(pieces)) + [(d_star, 0.0)])
-    return PiecewiseLinearCurve(np.asarray(sorted(bps)), segments)
+    segments = np.asarray(pieces[::-1] + [(an.d_star, 0.0)])
+    return PiecewiseLinearCurve(an.breakpoints[::-1], segments)
 
 
 def breakpoint_estimators(
     problem: Problem, analysis: BinaryAnalysis | None = None
 ) -> list[tuple[float, Estimator]]:
-    """The analysis's stored deterministic rules at every nonzero breakpoint:
-    the walked knots that end a piece of ``closed_form_curve``, in walk order."""
+    """The analysis's stored deterministic rules at every nonzero breakpoint,
+    in walk order."""
     an = analysis if analysis is not None else analyze(problem)
     levels, rules = an.supports
     return list(zip(levels[:0:-1], rules[:0:-1]))
@@ -253,7 +216,7 @@ def reduced_dual_objective(
     _require_binary(problem)
     check_level(p_level)
     an = analysis if analysis is not None else analyze(problem)
-    p_tv = p_level / an.metric_scale
+    p_tv = p_level / float(problem.metric.h[0, 1])
     cost = problem.cost
     included = an.gaps <= gap_value + _TIE_TOL
     base = float(cost[0, included].sum() + cost[1, ~included].sum())

@@ -266,7 +266,7 @@ def _phase_one(a, b, c, feas_tol, budget):
     ``phase_one.y`` is a Farkas certificate.  A dependent row raises.
     """
     m, n = a.shape
-    a1 = np.hstack([a, np.eye(m)])
+    a1 = np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))])  # sign(b_i) e_i: basic at |b|
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     allowed1 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
     tab = _Tableau(a1, b, c1, list(range(n, n + m)))
@@ -316,18 +316,14 @@ def solve(lp: StandardLP) -> LPSolution:
     """
     m, n = lp.m, lp.n
     budget = _PIVOT_BUDGET * (m + n)
+    feas_tol = FEAS_TOL * max(1.0, float(np.abs(lp.b).max(initial=0.0)))
 
-    flip = np.where(lp.b < 0, -1.0, 1.0)
-    a = lp.a * flip[:, None]
-    b = lp.b * flip
-    feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-
-    tab1, tab2, iters1 = _phase_one(a, b, lp.c, feas_tol, budget)
+    tab1, tab2, iters1 = _phase_one(lp.a, lp.b, lp.c, feas_tol, budget)
     if tab2 is None:
         return LPSolution(
             status="infeasible",
             value=math.inf,
-            certificate=flip * tab1.y,
+            certificate=tab1.y,
             iterations=iters1,
             refactorizations=tab1.refactors,
         )
@@ -346,11 +342,11 @@ def solve(lp: StandardLP) -> LPSolution:
             refactorizations=refactors,
         )
 
-    return _optimal(lp, tab2, iterations, refactors, flip)
+    return _optimal(lp, tab2, iterations, refactors)
 
 
-def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors, flip=1.0) -> LPSolution:
-    """The solution of an optimal tableau whose rows are ``lp``'s times ``flip``."""
+def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution:
+    """The solution of an optimal tableau on ``lp``'s rows."""
     x = tab.point()
     residual = float(np.max(np.abs(lp.a @ x - lp.b), initial=0.0))
     if residual > 1e-7 * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
@@ -360,7 +356,7 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors, flip=1.0) -> 
         x=x,
         value=float(lp.c @ x),
         basis=tuple(np.sort(tab.basis).tolist()),
-        dual=flip * tab.y,
+        dual=tab.y,
         iterations=iterations,
         refactorizations=refactors,
     )

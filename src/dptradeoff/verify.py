@@ -63,21 +63,24 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     feasible grid point exists.
     """
     check_level(p_level)
-    _require_steps(steps_per_dof)
+    return _scan(problem, _grid(problem, steps_per_dof), p_level, {})
+
+
+def _grid(problem: Problem, steps: int):
+    """The guards, then ``(columns, distortion, tv, order)``: a grid point's
+    flat index picks one of the k columns per observation symbol, and
+    ``order`` sorts the points by distortion."""
+    _require_steps(steps)
     n_x, n_y = problem.n_x, problem.n_y
     dof = (n_x - 1) * n_y
     if dof > 9:
         raise BudgetExceededError(f"grid oracle limited to 9 degrees of freedom, got {dof}")
-    if (steps_per_dof + 1) ** dof > 10**7:
-        raise BudgetExceededError(
-            f"grid of ({steps_per_dof}+1)^{dof} points exceeds the 1e7 budget"
-        )
+    if (steps + 1) ** dof > 10**7:
+        raise BudgetExceededError(f"grid of ({steps}+1)^{dof} points exceeds the 1e7 budget")
 
     # k = C(steps + n_x - 1, n_x - 1) <= (steps + 1)^(n_x - 1) columns, so
     # the k^n_y grid points are within the budget just checked
-    columns = _simplex_grid(steps_per_dof, n_x)  # (k, n_x)
-    k = columns.shape[0]
-
+    columns = _simplex_grid(steps, n_x)  # (k, n_x)
     cost = problem.cost
     p_y, p_x = problem.p_y, problem.p_x
     col_cost = [columns @ cost[:, y] for y in range(n_y)]  # (k,) each
@@ -89,7 +92,14 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
         for x in range(n_x)
     ]
     tv = 0.5 * sum(np.abs(out_mass[x] - p_x[x]) for x in range(n_x))
+    return columns, distortion, tv, np.argsort(distortion, kind="stable")
 
+
+def _scan(problem: Problem, grid, p_level: float, w1: dict[int, float]) -> float:
+    """The least distortion on ``grid`` within ``p_level``; ``w1`` caches the
+    transport solves by flat index for scans of the same grid at other levels."""
+    columns, distortion, tv, order = grid
+    n_x, n_y, k = problem.n_x, problem.n_y, columns.shape[0]
     if n_x == 1:
         c_lo = c_hi = 0.0
     else:
@@ -99,17 +109,17 @@ def grid_oracle(problem: Problem, p_level: float, steps_per_dof: int = 50) -> fl
     # transport cost is sandwiched between c_lo * TV and c_hi * TV, so most
     # grid points are decided without a transport solve; ties go to the LP
     slack = 1e-12
-    order = np.argsort(distortion, kind="stable")
     for flat in order:
         t = tv[flat]
         if c_lo * t > p_level + slack:
             continue
         if c_hi * t <= p_level + slack:
             return float(distortion[flat])
-        q = np.column_stack(columns[list(np.unravel_index(flat, (k,) * n_y))])
-        out = q @ p_y
-        w1, _ = wasserstein1(p_x, out / out.sum(), problem.metric)
-        if w1 <= p_level + slack:
+        if flat not in w1:
+            q = np.column_stack(columns[list(np.unravel_index(flat, (k,) * n_y))])
+            out = q @ problem.p_y
+            w1[flat] = wasserstein1(problem.p_x, out / out.sum(), problem.metric)[0]
+        if w1[flat] <= p_level + slack:
             return float(distortion[flat])
     return math.inf
 
@@ -204,7 +214,8 @@ def cross_verify(
     band = None
     if grid_steps is not None:
         try:
-            values["grid_oracle"] = np.asarray([grid_oracle(problem, p, grid_steps) for p in ps])
+            grid, w1 = _grid(problem, grid_steps), {}
+            values["grid_oracle"] = np.asarray([_scan(problem, grid, p, w1) for p in ps])
             spread = float(problem.distortion.d.max() - problem.distortion.d.min())
             band = problem.n_y * spread / grid_steps
         except BudgetExceededError:

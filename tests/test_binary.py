@@ -19,7 +19,7 @@ from dptradeoff import (
     zero_perception_estimator,
 )
 from dptradeoff import binary as binmod
-from dptradeoff.binary import _TIE_TOL, CASE_BALANCED, CASE_OVER, CASE_UNDER, StepCdf, _pieces
+from dptradeoff.binary import _TIE_TOL, CASE_BALANCED, CASE_OVER, CASE_UNDER
 from dptradeoff.curve import mix_supports
 from dptradeoff.model import Estimator
 
@@ -61,8 +61,7 @@ def _reference_threshold_rule(an, threshold):
 
 
 def _reference_breakpoints(an):
-    kept = _pieces(an)
-    return list(zip(an.breakpoints[kept].tolist(), an.thresholds[kept].tolist()))
+    return list(zip(an.breakpoints.tolist(), an.thresholds.tolist()))
 
 
 def _reference_zero_perception(problem, an):
@@ -133,18 +132,6 @@ REFERENCE_POOLS = {
 }
 
 
-class TestStepCdf:
-    def test_right_continuity(self):
-        cdf = StepCdf.from_samples([-0.4, 0.0, 0.0, 0.3], [0.1, 0.2, 0.3, 0.4])
-        assert cdf.points.tolist() == [-0.4, 0.0, 0.3]
-        assert cdf.cumulative == pytest.approx([0.1, 0.6, 1.0])
-
-    def test_tied_levels_grouped(self):
-        cdf = StepCdf.from_samples([0.5, 0.5 + 1e-14], [0.5, 0.5])
-        assert cdf.points.shape == (1,)
-        assert cdf.cumulative == pytest.approx([1.0])
-
-
 class TestAnalyze:
     def test_bsc_underallocated(self, bsc_problem):
         an = analyze(bsc_problem)
@@ -185,6 +172,33 @@ class TestAnalyze:
         prob = random_problem(3, 3, 3)
         with pytest.raises(ProblemError, match="binary"):
             analyze(prob)
+
+    def test_near_tied_gaps_give_one_threshold(self):
+        # gaps 0.05 and 0.05 - 1e-14 are one level; the walk passes it
+        prob = _posterior_columns(np.array([0.45, 0.45 + 1e-14, 0.3]), np.array([0.1, 0.1, 0.8]))
+        an = analyze(prob)
+        assert an.case == CASE_UNDER
+        assert an.thresholds[0] == -np.inf
+        assert an.thresholds[1:].tolist() == [an.gaps[1]]
+
+    def test_breakpoints_step_by_group_mass(self):
+        # the knot of the tied pair puts both symbols' mass, 0.2, on the first
+        prob = _posterior_columns(np.array([0.45, 0.45 + 1e-14, 0.3]), np.array([0.1, 0.1, 0.8]))
+        an = analyze(prob)
+        assert an.breakpoints.size == 2
+        assert an.breakpoints[0] == pytest.approx(an.p_first, abs=1e-15)
+        assert an.breakpoints[0] - an.breakpoints[1] == pytest.approx(0.2, abs=1e-15)
+
+    def test_stored_pieces_make_the_curve(self):
+        for pool in REFERENCE_POOLS.values():
+            for prob in pool():
+                an = analyze(prob)
+                assert an.breakpoints.size == an.thresholds.size == an.slopes.size
+                got = closed_form_curve(prob, an).breakpoints
+                assert got.tobytes() == an.breakpoints[::-1].tobytes()
+        # p_first on a knot: the knot is at distance 0 and ends no piece
+        for case in ("p-first-on-knot-short", "p-first-on-knot-over"):
+            assert analyze(make_problem(*TIE_CASES[case])).breakpoints.tolist() == [0.09375]
 
 
 class TestClosedFormCurve:
@@ -235,20 +249,21 @@ class TestClosedFormCurve:
             assert abs(curve.value(float(p)) - solve_dp_at(prob, float(p)).value) <= 1e-8
 
     def test_distinct_levels_satisfy_mass_recursion(self):
-        # with distinct positive gap levels, consecutive breakpoints differ
-        # by exactly the probability of the symbol being traded
+        # with distinct gap levels, each stored piece is exactly as long as
+        # the probability of the symbol it trades, whose gap level is
+        # minus half the piece's slope (a Hamming metric: scale 1)
         prob = make_problem(
             [[0.5, 0.2, 0.1], [0.05, 0.05, 0.1]],
             distortion=[[0.0, 0.2], [1.0, 0.0]],
         )
         an = analyze(prob)
         assert an.case == CASE_UNDER
-        bps = an.breakpoints
-        assert bps.size == 2  # thresholds at gap levels 0 and 0.02
-        for i in range(1, bps.size):
-            traded = an.thresholds[i]
-            symbol = int(np.argmin(np.abs(an.gaps - traded)))
-            assert bps[i - 1] - bps[i] == pytest.approx(prob.p_y[symbol], abs=1e-12)
+        # p_first = 0.8 sits on the knot at gap level 0.02, which ends no piece
+        assert an.breakpoints.size == 1
+        ends = np.append(an.breakpoints, 0.0)
+        for i, slope in enumerate(an.slopes):
+            symbol = int(np.argmin(np.abs(np.abs(an.gaps) + 0.5 * slope)))
+            assert ends[i] - ends[i + 1] == pytest.approx(prob.p_y[symbol], abs=1e-12)
 
     def test_budget_binding_to_the_domain_edge(self):
         # deterministic source, cheap reconstruction on the other symbol

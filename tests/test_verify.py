@@ -179,15 +179,15 @@ class TestCrossVerify:
 
     def test_grid_oracle_off_its_bracket_fails(self, bsc_problem, monkeypatch):
         # 10 steps on the binary channel: band n_y * 1 / 10 = 0.2, binding
-        # from h_max * n_x / 10 = 0.2 up; the oracle is moved off the exact
-        # value below it at 0.5, above the band at 0.7, and above the band
-        # at 0.1, below the band's floor, where it is not judged
+        # from h_max * n_x / 10 = 0.2 up; the oracle's scan is moved off the
+        # exact value below it at 0.5, above the band at 0.7, and above the
+        # band at 0.1, below the band's floor, where it is not judged
         offsets = {0.1: 0.25, 0.5: -0.01, 0.7: 0.25}
 
-        def oracle(problem, p_level, steps):
+        def scan(problem, grid, p_level, w1):
             return solve_dp_at(problem, p_level).value + offsets.get(round(p_level, 9), 0.0)
 
-        monkeypatch.setattr("dptradeoff.verify.grid_oracle", oracle)
+        monkeypatch.setattr("dptradeoff.verify._scan", scan)
         report = cross_verify(bsc_problem, np.linspace(0, 1, 11), grid_steps=10)
         assert report.grid_band == pytest.approx(0.2)
         assert not report.passed
@@ -195,6 +195,18 @@ class TestCrossVerify:
         below, above = report.failures
         assert below.startswith("grid oracle below exact by 1.000e-02 at P=0.500000")
         assert above.startswith("grid oracle above the band by 5.000e-02 at P=0.700000")
+
+    def test_grid_built_once_for_all_levels(self, bsc_problem, monkeypatch):
+        calls = []
+
+        def counted(steps, parts):
+            calls.append((steps, parts))
+            return _simplex_grid(steps, parts)
+
+        monkeypatch.setattr("dptradeoff.verify._simplex_grid", counted)
+        report = cross_verify(bsc_problem, np.linspace(0, 1, 11), grid_steps=5)
+        assert report.values["grid_oracle"].size == 11
+        assert calls == [(5, 2)]
 
     def test_corrupted_slope_fails_with_location(self, bsc_problem):
         report = cross_verify(
