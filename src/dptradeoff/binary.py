@@ -234,8 +234,6 @@ def reduced_dual_optimum(
     gap is exhaustive.  Independent of both the LP route and the closed
     form.
     """
-    _require_binary(problem)
-    check_level(p_level)
     an = analysis if analysis is not None else analyze(problem)
     candidates = np.concatenate([[0.0], an.gaps])
     return max(

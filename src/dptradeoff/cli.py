@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, curve, binary, gen, verify, w1.  Exit codes: 0 ok,
-1 input error (or stdout closed by its reader, with nothing printed),
-2 solver failure, 3 vertex walk past its bases budget, 4 verification
-failure.
+1 input error, a malformed argument too (or stdout closed by its
+reader, with nothing printed), 2 solver failure, 3 vertex walk past its
+bases budget, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ def _curve_csv(curve) -> str:
 def _active_indices(curve, s2: np.ndarray) -> list[int]:
     out = []
     for a, s in curve.segments:
-        if s2.shape[0] == 0:
-            break
         d = np.hypot(s2[:, 0] - a, s2[:, 1] - s)
         j = int(np.argmin(d))
         if d[j] <= 1e-6 and j not in out:
@@ -106,7 +104,7 @@ def _emit_curve_outputs(args, curve, estimators, method, scatter=None) -> None:
         _write(args.out_csv, _curve_csv(curve))
     if args.out_svg:
         _write(args.out_svg, svgplot.curve_svg(curve, title="distortion-perception curve"))
-        if scatter is not None and scatter.s2_points.size:
+        if scatter is not None:
             _write(
                 args.out_svg.removesuffix(".svg") + ".s2.svg",
                 svgplot.scatter_svg(
@@ -215,8 +213,13 @@ def cmd_w1(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, a subcommand's too, is an input error
+        raise ProblemError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dp",
         description=(
             "Distortion-perception curves for finite channels. Problem files are "
@@ -289,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # NaN compares false
             raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
         code = args.func(args)

@@ -77,6 +77,8 @@ class PiecewiseLinearCurve:
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         seg = np.asarray(self.segments, dtype=float).reshape(-1, 2)
+        _require_finite(bp, "breakpoint vector")
+        _require_finite(seg, "segment table")
         if seg.shape[0] != bp.size + 1:
             raise ProblemError("segment count must be breakpoint count + 1")
         if bp.size and (np.any(np.diff(bp) <= 0) or bp[0] <= 0 or bp[-1] > 1 + 1e-12):
@@ -199,18 +201,16 @@ def hull_extremes(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=int)
-    uniq, first = np.unique(pts, axis=0, return_index=True)
+    uniq, first = np.unique(pts, axis=0, return_index=True)  # rows in lexicographic order
     if uniq.shape[0] == 1:
         return np.array([int(first[0])])
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    ordered = uniq[order]
 
     def chain(seq):
         out: list[int] = []
         for i in seq:
             while len(out) >= 2:
-                o, a = ordered[out[-2]], ordered[out[-1]]
-                b = ordered[i]
+                o, a = uniq[out[-2]], uniq[out[-1]]
+                b = uniq[i]
                 if (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) <= 0:
                     out.pop()
                 else:
@@ -218,13 +218,10 @@ def hull_extremes(points) -> np.ndarray:
             out.append(i)
         return out
 
-    idx = list(range(ordered.shape[0]))
+    idx = list(range(uniq.shape[0]))
     lower = chain(idx)
     upper = chain(idx[::-1])
-    hull_local = lower[:-1] + upper[:-1]
-    if not hull_local:  # all points collinear: the chain keeps only ends
-        hull_local = [0, ordered.shape[0] - 1]
-    return np.sort(first[order][np.asarray(hull_local, dtype=int)])
+    return np.sort(first[lower[:-1] + upper[:-1]])  # each chain keeps both ends
 
 
 def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
@@ -261,7 +258,7 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
     closed-form optimal basis at P = 1 (``_crash_basis``), on the plateau,
     and passes the optimal bases in order, each with the level s where
     it stops being optimal: entry i is optimal from its s up to entry
-    i-1's, on the line ``c_B B^-1 b + P c_B B^-1 d``.  Entries
+    i-1's, on the line ``c_B B^-1 b + P c_B B^-1 e_m``.  Entries
     shorter than ``_ZERO_LEN_TOL`` are skipped, a slope within
     ``_FLAT_TOL`` of 0 is the exact plateau, and an entry within
     ``_SLOPE_MERGE_TOL`` of its piece's slope joins the piece.  A
@@ -276,7 +273,7 @@ def _sweep(problem: Problem):
     """``curve_by_sweep``'s report, the program it walked, and the walk's last basis."""
     d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
-    sol, path = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, 1.0)
+    sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)
     lines = np.asarray([(lp.c[basis] @ xb, lp.c[basis] @ rate) for _, basis, xb, rate in path])
     levels = [entry[0] for entry in path]
     pieces, picks, last = [(d_star, 0.0)], [], 0  # the walk starts on the plateau

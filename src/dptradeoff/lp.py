@@ -11,7 +11,7 @@ m-by-n ``B^-1 A`` that a pivot needs; a pivot updates the inverse and
 the basic values together by one rank-one step in place.  It is
 refactorized from the basis periodically and at termination (unless no
 pivot came after the last refactorization), each time by one LU
-solve of ``B [binv | xb | rate] = [I | b | d]``, with the duals read
+solve of ``B [binv | xb] = [I | b]``, with the duals read
 from that inverse, so the reported point, dual vector, and objective
 come from a fresh solve against the original data rather than
 accumulated updates.
@@ -21,18 +21,18 @@ Phase one is for programs without a known basis.  Like ``walk``,
 row that depends on the others in a ``SolverError``.
 
 ``walk`` starts instead from a known optimal basis, one column per row,
-and moves ``b`` along a direction to its target, one optimal
+and moves the last entry of ``b`` down to its target, one optimal
 basis per interval of the way: the parametric right-hand side of
 Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
 section 5.2.  The reduced costs do not depend on ``b``, so the basis
 stays dual feasible, and where a basic value reaches 0 a dual simplex
 pivot (section 4.5) replaces it.  The distortion programs always solve
-this way: their ``b`` is affine in the perception level, so one level
-is a walk from the optimal basis at P = 1, which is known in closed
+this way: the perception level is the last entry of their ``b``, so one
+level is a walk from the optimal basis at P = 1, which is known in closed
 form (a flow that moves only the surplus, so the walk's first pivot
 is where the budget starts to bind), and the whole curve is one walk
 from P = 1 to 0.  The walk records each basis with ``B^-1 b`` and
-``B^-1 d``, which give its basic values at every level.
+``B^-1 e_m``, which give its basic values at every level.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -123,10 +123,10 @@ class LPSolution:
 class _Tableau:
     """Revised tableau: the basis inverse ``binv``, not ``B^-1 A``.
 
-    It keeps ``B^-1 [I | b | d]`` for a right-hand-side direction ``d``
-    (zero unless given) as one m-by-(m + 2) block whose columns are the
-    views ``binv``, the basic values ``xb`` and ``rate = B^-1 d``, so a
-    pivot updates all three by one rank-one step in place.  It also keeps
+    It keeps ``B^-1 [I | b]`` as one m-by-(m + 1) block whose columns are
+    the views ``binv`` and the basic values ``xb``, so a pivot updates
+    both by one rank-one step in place; ``rate = B^-1 e_m`` is binv's
+    last column (at m = 0, the empty ``xb``).  It also keeps
     the basis as an integer array, the duals ``y = c_B B^-1`` and the
     reduced costs ``red``, and forms a row or a column of ``B^-1 A`` when
     a pivot rule asks.  A row is set to exactly 0 at the other basic
@@ -135,23 +135,23 @@ class _Tableau:
     calls of ``refactor``, which factors the basis afresh, once.
     """
 
-    def __init__(self, a, b, c, basis, d=None):
+    def __init__(self, a, b, c, basis):
         self.a = a
         self.b = b
         self.c = c
-        self.d = np.zeros_like(b) if d is None else d
         self.basis = np.array(basis, dtype=np.intp)
         self.m, self.n = a.shape
         self.refactors = 0
         self.refactor()
 
     def refactor(self):
-        rhs = np.column_stack([np.eye(self.m), self.b, self.d])
+        rhs = np.column_stack([np.eye(self.m), self.b])
         try:
             self.block = np.linalg.solve(self.a[:, self.basis], rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
-        self.binv, self.xb, self.rate = self.block[:, : self.m], self.block[:, -2], self.block[:, -1]
+        self.binv, self.xb = self.block[:, : self.m], self.block[:, -1]
+        self.rate = self.block[:, self.m - 1]
         self.y = self.c[self.basis] @ self.binv
         self.red = self.c - self.y @ self.a
         self.refactors += 1
@@ -363,42 +363,45 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution
 
 
 def walk(
-    lp: StandardLP, start, d, span: float
+    lp: StandardLP, start, span: float
 ) -> tuple[LPSolution, list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]]:
-    """Optimal bases of the programs ``b = lp.b + s d`` as s falls from ``span`` to 0.
+    """Optimal bases of ``lp`` with s added to ``b[-1]`` as s falls from ``span`` to 0.
 
     ``start`` is the columns of an optimal basis at s = ``span``, one per
     row, so ``lp`` has full row rank.  The tableau stays on ``lp.b``: a
     basis B keeps its reduced costs and has the basic values
-    ``B^-1 b + s B^-1 d``, so it stays optimal down to the largest s where
+    ``B^-1 b + s B^-1 e_m``, so it stays optimal down to the largest s where
     a falling one reaches 0; ``_dual_bland`` over the rows that reach 0
     there then pivots as the dual simplex just below would, so degenerate
     steps cannot cycle.  At s = 0 the basis is refactored and phase two
-    confirms it, so a start off by rounding still ends optimal.
+    confirms it, so a start off by rounding still ends optimal.  The start
+    is judged on the scale of its right-hand side, the end on ``lp.b``'s.
 
     Returns the optimal solution of ``lp`` (``iterations`` counts the
-    walk's pivots and phase two's) and ``(s, basis, B^-1 b, B^-1 d)`` per
-    basis in walk order: the s where it stops being optimal (0 for the
-    last), its columns in row order, and the two vectors that give its
-    basic values ``B^-1 b + s B^-1 d`` at every level s.
+    walk's pivots and phase two's) and ``(s, basis, B^-1 b, B^-1 e_m)``
+    per basis in walk order: the s where it stops being optimal (0 for
+    the last), its columns in row order, and the two vectors that give
+    its basic values ``B^-1 b + s B^-1 e_m`` at every level s.
 
-    Raises SolverError when ``span`` is negative or NaN, ``start`` covers
-    another row count, names a column out of range, is singular, or is not
-    primal and dual feasible at s = ``span``, or the program is infeasible
-    on the way, and IterationLimitError past ``_PIVOT_BUDGET * (m + n)`` pivots.
+    Raises SolverError when ``lp`` has no rows, ``span`` is not finite and >= 0,
+    ``start`` covers another row count, names a column out of range, is singular, or
+    is not primal and dual feasible at s = ``span``, or the program is infeasible on
+    the way, and IterationLimitError past ``_PIVOT_BUDGET * (m + n)`` pivots.
     """
     m, n = lp.m, lp.n
     budget = _PIVOT_BUDGET * (m + n)
-    if not span >= 0.0:
-        raise SolverError(f"a walk moves s down to 0 from a span >= 0, got {span!r}")
+    if m == 0:
+        raise SolverError("a walk moves the last right-hand-side entry; the program has no rows")
+    if not 0.0 <= span < math.inf:
+        raise SolverError(f"a walk moves s down to 0 from a span >= 0 that is finite, got {span!r}")
     if len(start) != m:
         raise SolverError(f"start basis covers {len(start)} rows, the program has {m}")
     if not all(0 <= j < n for j in start):
         raise SolverError("start basis names a column out of range")
-    d = np.asarray(d, dtype=float)
-    tab = _Tableau(lp.a, lp.b, lp.c, start, d)
-    scale = max(1.0, float(np.abs(lp.b).max(initial=0.0)), float(np.abs(lp.b + span * d).max(initial=0.0)))
-    if (tab.xb + span * tab.rate).min(initial=0.0) < -FEAS_TOL * scale or tab.red.min() < -FEAS_TOL:
+    tab = _Tableau(lp.a, lp.b, lp.c, start)
+    scale = max(1.0, float(np.abs(lp.b).max()))
+    top = max(scale, abs(lp.b[-1] + span))
+    if (tab.xb + span * tab.rate).min() < -FEAS_TOL * top or tab.red.min() < -FEAS_TOL:
         raise SolverError("start basis is not optimal where the walk starts")
 
     tol = _RED_COST_TOL * scale

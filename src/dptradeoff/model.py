@@ -184,11 +184,8 @@ class GroundMetric:
                 "metric entries must lie in [0, 1]; rescale the metric and "
                 "the perception level jointly"
             )
-        n = h.shape[0]
-        if n > 1:
-            off = h[~np.eye(n, dtype=bool)]
-            if np.any(off <= _MASS_TOL):
-                raise ProblemError("metric must be positive off the diagonal")
+        if np.any(h[~np.eye(h.shape[0], dtype=bool)] <= _MASS_TOL):
+            raise ProblemError("metric must be positive off the diagonal")
         # min_j (h[i,j] + h[j,k]) >= h[i,k] for all i, k
         via = np.min(h[:, :, None] + h[None, :, :], axis=1)
         if np.any(via < h - 1e-9):

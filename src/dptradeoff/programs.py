@@ -95,11 +95,6 @@ class FlowLayout:
     def ix_slack(self) -> int:
         return self.n_vars - 1
 
-    @property
-    def level_direction(self) -> np.ndarray:
-        """The right-hand side's change per unit of perception level."""
-        return (np.arange(self.n_cons) == self.n_cons - 1).astype(float)
-
     def extract_w(self, x: np.ndarray) -> np.ndarray:
         """The joint-mass block of a point, or of each row of a stack of points."""
         return x[..., : self.n_x * self.n_y].reshape(*x.shape[:-1], self.n_x, self.n_y)
@@ -344,9 +339,9 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> list[int]:
 def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:
     """Minimal expected distortion at one perception level, with certificates.
 
-    Programs at two levels differ only in the right-hand side, which is
-    affine in the level (``level_direction``), so the solve walks it
-    (``lp.walk``) from the closed-form optimal basis at P = 1
+    Programs at two levels differ only in the right-hand side's last
+    entry, the level, so the solve walks it (``lp.walk``) from the
+    closed-form optimal basis at P = 1
     (``_crash_basis``), optimal at every level from 1 up, to
     ``p_level``, one basis per piece of the curve in between.
     """
@@ -357,7 +352,7 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
     else:
         raise ProblemError(f"unknown program form {form!r}")
     span = max(1.0, p_level) - p_level
-    sol = lpmod.walk(lp, _crash_basis(problem, lay), lay.level_direction, span)[0]
+    sol = lpmod.walk(lp, _crash_basis(problem, lay), span)[0]
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     (estimator,) = _stochastic_estimator(problem, lay.extract_w(sol.x)[None], tol)

@@ -390,6 +390,26 @@ class TestTolerance:
         assert "input error: --tol must be finite and nonnegative" in capsys.readouterr().err
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["solve", "--input", "x.json", "--P", "abc"], "dp solve: argument --P: invalid float value: 'abc'"),
+         (["curve", "--input", "x.json", "--budget", "1e3"], "dp curve: argument --budget: invalid int value"),
+         (["frobnicate"], "dp: argument command: invalid choice: 'frobnicate'"),
+         (["solve", "--P", "0.1"], "dp solve: the following arguments are required: --input")],
+        ids=["bad-float", "bad-int", "unknown-command", "missing-input"],
+    )
+    def test_is_input_error(self, capsys, argv, message):
+        # argparse's own exit code, 2, is the one for a solver failure
+        assert main(argv) == 1
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+
+
 class TestW1:
     def test_hamming_default(self, capsys):
         assert main(["w1", "--p", "0.6,0.4", "--q", "1,0"]) == 0

@@ -358,7 +358,7 @@ class TestCurveBySweep:
     )
     def test_estimators_match_a_loop_over_the_levels(self, method, shape, random_metric):
         # the reference: per level, the nearest path entry (first on a tie),
-        # its point B^-1 b + s B^-1 d at its own level, and a stack of one;
+        # its point B^-1 b + s B^-1 e_m at its own level, and a stack of one;
         # the stacked pass must match bitwise
         from dptradeoff import lp as lpmod
         from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form
@@ -366,7 +366,7 @@ class TestCurveBySweep:
         prob = random_problem(2, *shape, random_distortion=True, random_metric=random_metric)
         report = method(prob)
         lp, lay = build_ot_form(prob, 0.0)
-        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        path = lpmod.walk(lp, _crash_basis(prob, lay), 1.0)[1]
         levels = np.array([entry[0] for entry in path])
         tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
         assert len(report.estimators) == report.curve.breakpoints.size + 1
@@ -389,7 +389,7 @@ class TestCurveBySweep:
 
     @pytest.mark.parametrize("seed,random_metric", [(4, False), (1, True)], ids=["hamming", "metric"])
     def test_breakpoints_are_walk_levels_at_the_exact_crossings(self, seed, random_metric):
-        # every walked basis's line c_B B^-1 (b + P d), in exact rationals:
+        # every walked basis's line c_B B^-1 (b + P e_m), in exact rationals:
         # the breakpoints are the crossings of consecutive lines.  On the
         # Hamming seed 4 instance the float crossing of two nearly parallel
         # lines is 1.39e-11 off, so the breakpoints are the walk's levels
@@ -398,7 +398,7 @@ class TestCurveBySweep:
 
         prob = random_problem(seed, 8, 20, random_distortion=random_metric, random_metric=random_metric)
         lp, lay = build_ot_form(prob, 0.0)
-        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        path = lpmod.walk(lp, _crash_basis(prob, lay), 1.0)[1]
         tops = [1.0] + [entry[0] for entry in path]
         lines = [
             _exact_line(lp.a, lp.b, lp.c, basis)
@@ -489,6 +489,18 @@ class TestPiecewiseLinearCurve:
     def test_rejects_positive_slope(self):
         with pytest.raises(ProblemError, match="nonpositive"):
             PiecewiseLinearCurve(np.array([]), np.array([[1.0, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "breakpoints,segments,named",
+        [([np.nan], [[1.0, -1.0], [0.5, 0.0]], "breakpoint"), ([], [[np.nan, 0.0]], "segment"),
+         ([0.5], [[np.inf, -1.0], [np.inf, 0.0]], "segment")],
+        ids=["nan-breakpoint", "nan-plateau", "inf-intercepts"],
+    )
+    def test_rejects_non_finite_data(self, breakpoints, segments, named):
+        # a NaN breakpoint once made a curve whose value(0.3) read 0.7, and a
+        # NaN plateau one whose d_star was NaN
+        with pytest.raises(ProblemError, match=f"{named} .* non-finite"):
+            PiecewiseLinearCurve(np.array(breakpoints), np.array(segments))
 
     def test_rejects_wrong_segment_count(self):
         with pytest.raises(ProblemError, match="segment count must be breakpoint count"):

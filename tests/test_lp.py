@@ -1,6 +1,7 @@
 """Simplex core and vertex enumeration."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,8 +189,17 @@ class TestRowRank:
 
 
 def walk_to(lp, start, b_start):
-    """The walk's solution of ``lp`` from the basis ``start``, optimal at ``b_start``."""
-    return walk(lp, start, np.asarray(b_start) - lp.b, 1.0)[0]
+    """The walk's solution of ``lp`` from the basis ``start``, optimal at ``b_start``.
+
+    The walk moves only the last right-hand-side entry, so ``lp`` gains a
+    column ``-(b_start - b)`` and a row ``t = s``: the walk of that program
+    is the walk of ``b + s (b_start - b)``.  The extra entry leaves x, the
+    basis and the dual.
+    """
+    d = np.asarray(b_start, dtype=float) - lp.b
+    a = np.block([[lp.a, -d[:, None]], [np.zeros(lp.n), 1.0]])
+    sol = walk(StandardLP(a, np.append(lp.b, 0.0), np.append(lp.c, 0.0)), [*start, lp.n], 1.0)[0]
+    return replace(sol, x=sol.x[:-1], basis=sol.basis[:-1], dual=sol.dual[:-1])
 
 
 class TestWarmStart:
@@ -200,7 +210,7 @@ class TestWarmStart:
         lps.append(StandardLP(full.a[:-1], full.b[:-1], full.c))  # without its dependent row
         for lp in lps:
             cold = solve(lp)
-            warms = (walk_to(lp, cold.basis, lp.b), walk(lp, cold.basis, np.ones(lp.m), 0.0)[0])
+            warms = (walk_to(lp, cold.basis, lp.b), walk(lp, cold.basis, 0.0)[0])
             for warm in warms:
                 assert warm.status == "optimal"
                 assert warm.iterations == 0
@@ -250,32 +260,60 @@ class TestWarmStart:
         prob = random_problem(1, 5, 10, random_distortion=True)
         lp, lay = build_ot_form(prob, 0.0)
         start = _crash_basis(prob, lay)
-        assert walk(lp, start, lay.level_direction, 1.0)[0].iterations > 0
+        assert walk(lp, start, 1.0)[0].iterations > 0
         monkeypatch.setattr(lpmod, "_PIVOT_BUDGET", 0)
         with pytest.raises(IterationLimitError, match="budget"):
-            walk(lp, start, lay.level_direction, 1.0)
+            walk(lp, start, 1.0)
 
     @pytest.mark.parametrize("span", [-1.0, -1e-300, np.nan], ids=["minus-one", "tiny", "nan"])
     def test_span_below_zero_raises(self, span):
         # the walk moves s one way, from the span down to 0
         lp = StandardLP([[1.0, 1.0]], [1.0], [1.0, 2.0])
         with pytest.raises(SolverError, match="from a span >= 0"):
-            walk(lp, [0], [1.0], span)
+            walk(lp, [0], span)
+
+    @pytest.mark.parametrize(
+        "seed,shape", [(1, (3, 5)), (2, (5, 10)), (3, (8, 20))], ids=["3x5", "5x10", "8x20"]
+    )
+    def test_long_walks_end_where_a_span_of_one_does(self, seed, shape):
+        # the crash basis is optimal at every P >= 1, so a walk from any
+        # larger level takes the pivots of the walk from 1; an end tolerance
+        # scaled by the start's right-hand side once let a walk from 1e9 end
+        # "optimal" at a point with x.min() = -0.0101
+        prob = random_problem(seed, *shape, random_distortion=True)
+        lp, lay = build_ot_form(prob, 0.0)
+        start = _crash_basis(prob, lay)
+        want = walk(lp, start, 1.0)[0]
+        for span in (1e9, 1e12, 1e300):
+            got = walk(lp, start, span)[0]
+            assert got.iterations == want.iterations, span
+            assert np.array_equal(got.x, want.x) and got.value == want.value, span
+        with pytest.raises(SolverError, match="from a span >= 0"):
+            walk(lp, start, np.inf)
+
+    def test_program_without_rows(self):
+        # solve's phase one and phase two factor an empty basis; a walk has
+        # no last right-hand-side entry to move
+        lp = StandardLP(np.zeros((0, 3)), np.zeros(0), [1.0, 0.0, 2.0])
+        sol = solve(lp)
+        assert sol.status == "optimal" and sol.value == 0.0 and sol.basis == ()
+        with pytest.raises(SolverError, match="no rows"):
+            walk(lp, [], 0.0)
 
     def test_start_of_another_shape_raises(self):
         rng = np.random.default_rng(5)
         small = solve(random_feasible_lp(rng, 4, 9))
         with pytest.raises(SolverError, match="rows"):
-            walk(random_feasible_lp(rng, 5, 9), small.basis, np.zeros(5), 0.0)
+            walk(random_feasible_lp(rng, 5, 9), small.basis, 0.0)
         with pytest.raises(SolverError, match="out of range"):
-            walk(random_feasible_lp(rng, 4, 6), small.basis, np.zeros(4), 0.0)
+            walk(random_feasible_lp(rng, 4, 6), small.basis, 0.0)
 
     def test_singular_start_raises(self):
         rng = np.random.default_rng(6)
         lp = random_feasible_lp(rng, 3, 7)
         sol = solve(lp)
         with pytest.raises(SolverError, match="singular"):
-            walk(lp, (sol.basis[0],) * 3, np.zeros(3), 0.0)
+            walk(lp, (sol.basis[0],) * 3, 0.0)
 
     def test_start_infeasible_where_the_walk_starts_raises(self):
         # the optimal basis at b1 = 1, b2 = 0.5 is x1 = b1, x3 = b1 - b2: a
@@ -311,7 +349,7 @@ class TestRevisedTableau:
             pivot(tab, row, col)
             base = tab.a[:, tab.basis]
             binv_a = np.linalg.solve(base, tab.a)
-            xb, rate = np.linalg.solve(base, np.column_stack([tab.b, tab.d])).T
+            xb, rate = np.linalg.solve(base, np.column_stack([tab.b, np.eye(tab.m)[-1]])).T
             red = tab.c - np.linalg.solve(base.T, tab.c[tab.basis]) @ tab.a
             rows = np.array([tab.row(r) for r in range(tab.m)])
             columns = np.column_stack([tab.column(j) for j in range(tab.n)])
@@ -325,7 +363,7 @@ class TestRevisedTableau:
             if start is None:
                 solve(lp)
             else:
-                walk(lp, start, lay.level_direction, span)
+                walk(lp, start, span)
         assert len(checked) > 1000
 
 

@@ -58,7 +58,6 @@ class TestTransportForm:
         # right-hand side: observation marginal, source marginal but the
         # last symbol's, level
         assert np.allclose(lp.b, np.concatenate([p_y, p_x[:1], [0.25]]))
-        assert np.array_equal(lay.level_direction, [0, 0, 0, 1])
         # cost: conditional reconstruction cost on the joint masses, zero elsewhere
         assert np.array_equal(lp.c[:4], bsc_problem.conditional.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
@@ -135,7 +134,6 @@ class TestSignForm:
         # the centre, node 2, has neither source nor output mass; symbol 1,
         # the last, has no row, so the centre's row is row 3
         assert np.allclose(lp.b, np.concatenate([p_y, p_x[:1], [0.0, 0.25]]))
-        assert np.array_equal(lay.level_direction, [0, 0, 0, 0, 1])
         assert np.array_equal(lp.c[:4], bsc_problem.conditional.reshape(-1))
         assert np.all(lp.c[4:] == 0.0)
         for xhat in range(2):
@@ -388,7 +386,7 @@ class TestCrashStart:
         crash = _crash_basis(prob, lay)
         base = lp.a[:, crash]
         assert np.linalg.matrix_rank(base) == lp.m
-        lpmod.walk(lp, crash, lay.level_direction, 0.0)  # optimal at P = 1 as it stands
+        lpmod.walk(lp, crash, 0.0)  # optimal at P = 1 as it stands
         x = lpmod.basic_point(lp.n, crash, np.linalg.solve(base, lp.b))
         r_map = output_distribution(prob.minimum[1], prob.p_y).p
         # the staircase moves only the surplus, so the coupling read off
@@ -487,7 +485,7 @@ class TestSharedWalk:
         costs = np.sort(prob.cost, axis=0)
         assert np.all(costs[1] > costs[0])  # a unique MAP
         lp, lay = build_ot_form(prob, 0.0)
-        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        path = lpmod.walk(lp, _crash_basis(prob, lay), 1.0)[1]
         moved = tv_distance(prob.p_x, output_distribution(prob.minimum[1], prob.p_y))
         assert abs(path[0][0] - moved) <= 1e-12
         assert all(lp.c[basis] @ rate < 0.0 for _, basis, _, rate in path[1:])
@@ -504,19 +502,19 @@ class TestSharedWalk:
         ],
     )
     def test_every_walked_basis_is_a_certificate(self, form, shape, random_metric, seed):
-        # each entry (s, basis, B^-1 b, B^-1 d) solves B x = b and B x = d, is
+        # each entry (s, basis, B^-1 b, B^-1 e_m) solves B x = b and B x = e_m, is
         # feasible at both ends of its interval [s, level of the entry before],
-        # and its line c_B B^-1 b + P c_B B^-1 d is the curve there
+        # and its line c_B B^-1 b + P c_B B^-1 e_m is the curve there
         prob = random_problem(seed, *shape, random_distortion=True, random_metric=random_metric)
         lp, lay = BUILD[form](prob, 0.0)
-        path = lpmod.walk(lp, _crash_basis(prob, lay), lay.level_direction, 1.0)[1]
+        path = lpmod.walk(lp, _crash_basis(prob, lay), 1.0)[1]
         curve = curve_by_sweep(prob).curve if form == "ot" else None
         tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
         top = 1.0
         for s, basis, xb, rate in path:
             cols = lp.a[:, basis]
             assert np.abs(cols @ xb - lp.b).max() <= tol, s
-            assert np.abs(cols @ rate - lay.level_direction).max() <= tol, s
+            assert np.abs(cols @ rate - np.eye(lp.m)[-1]).max() <= tol, s
             for t in (s, top):
                 assert (xb + t * rate).min() >= -tol, (s, t)
             if curve is not None:
