@@ -182,7 +182,6 @@ def cmd_verify(args) -> int:
         instance=spec.get("name") or args.input,
         exact_tol=args.tol,
         grid_steps=args.grid_steps,
-        inject_slope_error=args.inject_slope_error,
     )
     print(report.render())
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -273,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ver, with_outputs=False)
     p_ver.add_argument("--points", type=int, default=21, help="perception grid size")
     p_ver.add_argument("--grid-steps", type=int, default=None)
-    p_ver.add_argument(
-        "--inject-slope-error",
-        type=float,
-        default=0.0,
-        help="perturb the sweep values to exercise the failure path",
-    )
     p_ver.set_defaults(func=cmd_verify)
 
     p_w1 = sub.add_parser("w1", help="transport distance between two pmfs")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -45,6 +46,10 @@ def _simplex_grid(steps: int, parts: int) -> np.ndarray:
 
 
 def _require_steps(steps: int) -> None:
+    try:
+        operator.index(steps)
+    except TypeError:
+        raise ProblemError(f"grid oracle steps must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ProblemError(f"grid oracle needs at least 1 step, got {steps}")
 
@@ -170,19 +175,19 @@ def cross_verify(
     instance: str = "",
     exact_tol: float = 1e-8,
     grid_steps: int | None = None,
-    inject_slope_error: float = 0.0,
 ) -> VerifyReport:
     """Compare every applicable method on a shared perception grid.
 
-    Failures are collected in the report instead of raised.  The
-    ``inject_slope_error`` knob perturbs the sweep values ahead of the
-    comparison (as if one segment slope were off by that much); it exists
-    so the failure path itself can be exercised and observed.  Raises
-    ProblemError on an empty grid or a negative or non-finite ``exact_tol``.
+    Failures are collected in the report instead of raised.  Raises
+    ProblemError, before any solve, on a grid that is empty or not
+    one-dimensional, a negative or non-finite ``exact_tol``, or a
+    ``grid_steps`` that is not an integer of at least 1.
     """
     if not 0.0 <= exact_tol < math.inf:  # a NaN tolerance would pass every comparison
         raise ProblemError(f"exact_tol must be finite and nonnegative, got {exact_tol}")
     ps = np.asarray(p_grid if p_grid is not None else np.linspace(0.0, 1.0, 21), dtype=float)
+    if ps.ndim != 1:
+        raise ProblemError(f"perception grid must be one-dimensional, got shape {ps.shape}")
     if ps.size == 0:
         raise ProblemError("perception grid is empty")
     if grid_steps is not None:
@@ -190,12 +195,7 @@ def cross_verify(
     values: dict[str, np.ndarray] = {}
 
     walked = _sweep(problem)  # the vertex column enumerates from this walk's last basis
-    sweep = walked[0]
-    sweep_vals = np.asarray(sweep.curve.value(ps), dtype=float)
-    if inject_slope_error:
-        ramp = np.maximum(sweep.curve.p_star - ps, 0.0)
-        sweep_vals = sweep_vals + inject_slope_error * ramp
-    values["sweep"] = sweep_vals
+    values["sweep"] = np.asarray(walked[0].curve.value(ps), dtype=float)
 
     if problem.is_binary:
         closed = closed_form_curve(problem)

@@ -7,12 +7,21 @@ package against these, never against itself.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from dptradeoff import HPolyhedron, LPSolution, SolverError, StandardLP, make_problem
+from dptradeoff import (
+    HPolyhedron,
+    LPSolution,
+    PiecewiseLinearCurve,
+    SolverError,
+    StandardLP,
+    make_problem,
+)
+from dptradeoff import verify as verifymod
 from dptradeoff.problemio import generate_instance, instance_to_problem
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
@@ -52,6 +61,26 @@ def edge_problems():
         "tied-columns": make_problem(np.asarray(ties) / np.sum(ties)),
         "skewed": make_problem([[0.3, 3e-11, 0.2], [0.2, 0.0, 0.3 - 3e-11]]),
     }
+
+
+def tilt_sweep(monkeypatch, error):
+    """Make ``cross_verify``'s sweep column read ``sweep + error * max(p_star - P, 0)``.
+
+    Every segment left of ``p_star`` is tilted from ``(a, m)`` to
+    ``(a + error * p_star, m - error)``; the plateau stays, so the curve
+    is still convex and continuous and only the comparison can catch it.
+    """
+    sweep = verifymod._sweep
+
+    def tilted(problem):
+        report, *rest = sweep(problem)
+        curve = report.curve
+        segments = curve.segments.copy()
+        segments[:-1] += (error * curve.p_star, -error)
+        tilt = PiecewiseLinearCurve(curve.breakpoints, segments)
+        return (replace(report, curve=tilt), *rest)
+
+    monkeypatch.setattr(verifymod, "_sweep", tilted)
 
 
 # ---------------------------------------------------------------------------

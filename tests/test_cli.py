@@ -10,13 +10,15 @@ import pytest
 
 from dptradeoff import SolverError
 from dptradeoff.cli import main
-from dptradeoff.curve import curve_by_sweep
+from dptradeoff.curve import curve_by_sweep, curve_by_vertices
 from dptradeoff.problemio import (
     generate_instance,
     instance_to_problem,
     parse_instance,
     serialize_instance,
 )
+
+from conftest import tilt_sweep
 
 
 @pytest.fixture
@@ -178,6 +180,30 @@ class TestCurve:
         assert "polyline" in svg
         assert (tmp_path / "c.s2.svg").exists()  # scatter emitted for vertex method
 
+    @pytest.mark.parametrize(
+        "seed, n_y, marks", [(7, 5, (31, 8, 1, 5)), (21, 4, (23, 8, 1, 5))], ids=["3x5", "3x4"]
+    )
+    def test_s2_scatter_marks(self, tmp_path, seed, n_y, marks):
+        # a grey dot per projected dual vertex, a blue ring per hull extreme,
+        # one polygon through the rings, a red cross per segment of the curve
+        spec = generate_instance(seed, 3, n_y, random_distortion=True)
+        path = tmp_path / "g.json"
+        path.write_text(serialize_instance(spec))
+        out_svg = tmp_path / "c.svg"
+        code = main(["curve", "--input", str(path), "--method", "vertex", "--out-svg", str(out_svg)])
+        assert code == 0
+        svg = (tmp_path / "c.s2.svg").read_text()
+        report = curve_by_vertices(instance_to_problem(spec))
+        expected = (
+            report.s2_points.shape[0],
+            report.hull_extreme_indices.size,
+            1,
+            report.curve.segments.shape[0],
+        )
+        grey, ring, cross = 'r="3" fill="#7f7f7f"', 'fill="none" stroke="#1f6fb2"', 'stroke="#d62728"'
+        found = tuple(svg.count(mark) for mark in (grey, ring, "<polygon", cross))
+        assert found == expected == marks
+
     def test_closed_form_matches_sweep(self, bsc_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["curve", "--input", bsc_file, "--method", "closed-form", "--out-json", str(a)])
@@ -271,10 +297,9 @@ class TestVerify:
         path.write_text(serialize_instance(generate_instance(7, 3, 4, random_distortion=True)))
         assert main(["verify", "--input", str(path), "--points", "7"]) == 0
 
-    def test_injected_error_exits_4(self, bsc_file, capsys):
-        code = main(
-            ["verify", "--input", bsc_file, "--points", "9", "--inject-slope-error", "1e-3"]
-        )
+    def test_injected_error_exits_4(self, bsc_file, capsys, monkeypatch):
+        tilt_sweep(monkeypatch, 1e-3)
+        code = main(["verify", "--input", bsc_file, "--points", "9"])
         assert code == 4
         assert "FAIL" in capsys.readouterr().out
 
@@ -396,8 +421,10 @@ class TestMalformedArguments:
         [(["solve", "--input", "x.json", "--P", "abc"], "dp solve: argument --P: invalid float value: 'abc'"),
          (["curve", "--input", "x.json", "--budget", "1e3"], "dp curve: argument --budget: invalid int value"),
          (["frobnicate"], "dp: argument command: invalid choice: 'frobnicate'"),
-         (["solve", "--P", "0.1"], "dp solve: the following arguments are required: --input")],
-        ids=["bad-float", "bad-int", "unknown-command", "missing-input"],
+         (["solve", "--P", "0.1"], "dp solve: the following arguments are required: --input"),
+         (["verify", "--input", "x.json", "--inject-slope-error", "1e-3"],
+          "dp: unrecognized arguments: --inject-slope-error 1e-3")],
+        ids=["bad-float", "bad-int", "unknown-command", "missing-input", "unknown-option"],
     )
     def test_is_input_error(self, capsys, argv, message):
         # argparse's own exit code, 2, is the one for a solver failure

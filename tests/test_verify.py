@@ -18,7 +18,7 @@ from dptradeoff import (
 from dptradeoff.problemio import generate_instance, instance_to_problem
 from dptradeoff.verify import _simplex_grid
 
-from conftest import random_problem
+from conftest import random_problem, tilt_sweep
 
 
 class TestGridOracle:
@@ -97,6 +97,11 @@ class TestGridOracle:
     def test_steps_below_one_rejected(self, bsc_problem, steps):
         with pytest.raises(ProblemError, match="at least 1 step"):
             grid_oracle(bsc_problem, 0.5, steps)
+
+    def test_steps_not_an_integer_rejected(self, bsc_problem):
+        with pytest.raises(ProblemError, match="steps must be an integer, got 2.5"):
+            grid_oracle(bsc_problem, 0.1, 2.5)
+        assert grid_oracle(bsc_problem, 0.1, np.int64(20)) == grid_oracle(bsc_problem, 0.1, 20)
 
     def test_general_metric_fallback_path(self):
         # unequal off-diagonal distances force transport solves near the
@@ -208,13 +213,29 @@ class TestCrossVerify:
         assert report.values["grid_oracle"].size == 11
         assert calls == [(5, 2)]
 
-    def test_corrupted_slope_fails_with_location(self, bsc_problem):
-        report = cross_verify(
-            bsc_problem, np.linspace(0, 1, 21), inject_slope_error=1e-3
-        )
+    def test_corrupted_slope_fails_with_location(self, bsc_problem, monkeypatch):
+        tilt_sweep(monkeypatch, 1e-3)
+        report = cross_verify(bsc_problem, np.linspace(0, 1, 21))
         assert not report.passed
         assert any("P=" in f for f in report.failures)
         assert "FAIL" in report.render()
+
+    @pytest.mark.parametrize(
+        "grid, kwargs, message",
+        [(0.5, {}, r"one-dimensional, got shape \(\)"),
+         (np.array([[0.1, 0.2]]), {}, r"one-dimensional, got shape \(1, 2\)"),
+         (np.linspace(0, 1, 5), {"grid_steps": 2.5}, "steps must be an integer")],
+        ids=["scalar-grid", "2d-grid", "float-steps"],
+    )
+    def test_malformed_input_rejected_before_any_solve(
+        self, bsc_problem, monkeypatch, grid, kwargs, message
+    ):
+        def forbidden(problem):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr("dptradeoff.verify._sweep", forbidden)
+        with pytest.raises(ProblemError, match=message):
+            cross_verify(bsc_problem, grid, **kwargs)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_bad_tolerance_rejected(self, bsc_problem, tol):
