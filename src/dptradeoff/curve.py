@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp as lpmod
-from .errors import ProblemError
+from .errors import ProblemError, SolverError
 from .model import Estimator, Problem, _readonly, _require_finite, check_level
 from .programs import _crash_basis, _flow_dual, _stochastic_estimator, build_ot_form
 
@@ -247,7 +247,10 @@ def _by_vertices(walked, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     sweep, lp, last_basis = walked
     verts = lpmod.enumerate_vertices(_flow_dual(lp), last_basis, budget=budget)
     lines = _lines(verts, lp.b)
-    curve = assemble_curve(lines, sweep.curve.d_star)
+    try:
+        curve = assemble_curve(lines, sweep.curve.d_star)
+    except ProblemError as exc:  # the enumerated vertices' envelope fails the curve's checks
+        raise SolverError(str(exc)) from exc
     return replace(sweep, curve=curve, method="vertex", s2_points=lines, vertices=verts)
 
 
@@ -274,8 +277,10 @@ def _sweep(problem: Problem):
     d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)
-    lines = np.asarray([(lp.c[basis] @ xb, lp.c[basis] @ rate) for _, basis, xb, rate in path])
-    levels = [entry[0] for entry in path]
+    levels, bases, xbs, rates = zip(*path)
+    bases, xbs, rates = np.array(bases), np.array(xbs), np.array(rates)
+    cb = lp.c[bases][:, None]  # (k, 1, m) @ (k, m, 1): per entry, the dot product c_B @ xb, bit for bit
+    lines = np.concatenate([cb @ xbs[..., None], cb @ rates[..., None]], axis=2)[:, 0]
     pieces, picks, last = [(d_star, 0.0)], [], 0  # the walk starts on the plateau
     for i, (b, m) in enumerate(lines.tolist()):
         if (levels[i - 1] if i else 1.0) - levels[i] < _ZERO_LEN_TOL:
@@ -286,13 +291,17 @@ def _sweep(problem: Problem):
             pieces.append((b, m))
             picks.append(last)
         last = i
-    kept = [path[i] for i in [len(path) - 1] + picks[::-1]]  # level 0, then the breakpoints upwards
-    at = [entry[0] for entry in kept]
-    curve = PiecewiseLinearCurve(np.array(at[1:]), np.array(pieces[::-1]))
-    points = np.stack([lpmod.basic_point(lp.n, basis, xb + s * rate) for s, basis, xb, rate in kept])
+    kept = [len(path) - 1] + picks[::-1]  # level 0, then the breakpoints upwards
+    at = np.array(levels)[kept]
+    try:
+        curve = PiecewiseLinearCurve(at[1:], np.array(pieces[::-1]))
+    except ProblemError as exc:  # the walk's own lines fail the curve's checks: a numeric failure
+        raise SolverError(str(exc)) from exc
+    points = np.zeros((len(kept), lp.n))
+    points[np.arange(len(kept))[:, None], bases[kept]] = xbs[kept] + at[:, None] * rates[kept]
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
-    return CurveReport(curve, "sweep", lines, tuple(zip(at, estimators))), lp, sol.basis
+    return CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators))), lp, sol.basis
 
 
 def mix_supports(levels, rules, p_level: float) -> Estimator:

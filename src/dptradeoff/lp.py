@@ -32,7 +32,11 @@ level is a walk from the optimal basis at P = 1, which is known in closed
 form (a flow that moves only the surplus, so the walk's first pivot
 is where the budget starts to bind), and the whole curve is one walk
 from P = 1 to 0.  The walk records each basis with ``B^-1 b`` and
-``B^-1 e_m``, which give its basic values at every level.
+``B^-1 e_m``, which give its basic values at every level; the sweep
+stacks these records once and reads every line and breakpoint point
+from the stack.  One walk pivot forms one row and one column of
+``B^-1 A``, and takes one rank-one step on ``[B^-1 | B^-1 b]`` and one
+on the reduced costs.
 
 Also provided: vertex enumeration for small pointed H-polyhedra
 ``{p : g p <= h}`` by a walk over the graph of feasible bases with
@@ -141,13 +145,13 @@ class _Tableau:
         self.c = c
         self.basis = np.array(basis, dtype=np.intp)
         self.m, self.n = a.shape
+        self.rhs = np.column_stack([np.eye(self.m), b])  # [I | b], which every refactor solves for
         self.refactors = 0
         self.refactor()
 
     def refactor(self):
-        rhs = np.column_stack([np.eye(self.m), self.b])
         try:
-            self.block = np.linalg.solve(self.a[:, self.basis], rhs)
+            self.block = np.linalg.solve(self.a[:, self.basis], self.rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
         self.binv, self.xb = self.block[:, : self.m], self.block[:, -1]
@@ -178,9 +182,10 @@ class _Tableau:
             raise SolverError("pivot below numeric tolerance")
         line = self.row(row) / piv  # the pivot row of the next basis
         line[col] = 1.0
-        self.block[row] /= piv
+        prow = self.block[row]
+        prow /= piv
         factors[row] = 0.0
-        self.block -= factors[:, None] * self.block[row]
+        self.block -= np.multiply.outer(factors, prow)
         self.red -= self.red[col] * line
         self.basis[row] = col
         self.fresh = False
@@ -296,13 +301,13 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     with the smallest ratio ``red[j] / -row[j]`` enters, ties to the
     smallest index, or None if the row has no negative entry.
     """
-    row = int(rows[tab.basis[rows].argmin()])
+    row = int(rows[0] if rows.size == 1 else rows[tab.basis[rows].argmin()])
     line = tab.row(row)
     cols = (line < -_PIVOT_COL_TOL).nonzero()[0]
     if cols.size == 0:
         return row, None
     ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
-    return row, int(cols[(ratios <= ratios.min() + _RATIO_TIE_TOL).argmax()])
+    return row, int(cols[(ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL).argmax()])
 
 
 def solve(lp: StandardLP) -> LPSolution:
@@ -409,12 +414,12 @@ def walk(
     while True:
         rows = (tab.rate > _PIVOT_COL_TOL).nonzero()[0]  # basic values that fall as s does
         xr = tab.xb[rows]
-        if xr.min(initial=0.0) >= -tol:  # feasible at s = 0: the last basis
+        if not rows.size or xr[xr.argmin()] >= -tol:  # feasible at s = 0: the last basis
             break
-        levels = np.minimum(-xr / tab.rate[rows], s)  # where each reaches 0
-        s = float(levels.max())
+        cut = xr / tab.rate[rows]  # minus the level where each reaches 0
+        s = min(float(-cut[cut.argmin()]), s)
         path.append((s, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
-        leave, col = _dual_bland(tab, rows[levels >= s - _RATIO_TIE_TOL])
+        leave, col = _dual_bland(tab, rows[cut <= _RATIO_TIE_TOL - s])
         if col is None:
             raise SolverError(f"program infeasible past s = {s!r}")
         iters = _step(tab, leave, col, iters, budget)

@@ -63,6 +63,19 @@ def edge_problems():
     }
 
 
+def scaled_distortion_spec(seed=1, scale=1e8):
+    """``dp gen --seed <seed> --nx 3 --ny 5 --random-distortion --random-metric``
+    with every distortion entry multiplied by ``scale``.
+
+    Still a valid problem, but at scales of 1e7 and up the curve's pieces
+    often miss each other at a breakpoint by more than the curve's check
+    allows: a numeric failure, not an input error.
+    """
+    spec = generate_instance(seed, 3, 5, random_distortion=True, use_random_metric=True)
+    spec["distortion"] = spec["distortion"] * scale
+    return spec
+
+
 def tilt_sweep(monkeypatch, error):
     """Make ``cross_verify``'s sweep column read ``sweep + error * max(p_star - P, 0)``.
 

@@ -18,7 +18,7 @@ from dptradeoff.problemio import (
     serialize_instance,
 )
 
-from conftest import tilt_sweep
+from conftest import scaled_distortion_spec, tilt_sweep
 
 
 @pytest.fixture
@@ -386,6 +386,23 @@ class TestSolverError:
         err = capsys.readouterr().err
         assert err.startswith("solver error: pivot below numeric tolerance")
         assert "Traceback" not in err
+
+
+class TestScaledDistortion:
+    # the 3x5 instance of dp gen --seed 1 with its distortions scaled by 1e8:
+    # its curve's pieces miss each other at a breakpoint, which once printed
+    # "input error: curve discontinuous at breakpoint ..." and exited 1
+    @pytest.mark.parametrize(
+        "command",
+        [["curve", "--method", "sweep"], ["curve", "--method", "vertex"], ["verify"]],
+        ids=["sweep", "vertex", "verify"],
+    )
+    def test_never_an_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "scaled.json"
+        path.write_text(serialize_instance(scaled_distortion_spec()))
+        code = main([*command, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code != 1 and "input error" not in err, err
 
 
 class TestBrokenPipe:

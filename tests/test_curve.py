@@ -1,5 +1,6 @@
 """Whole-curve construction: envelopes, sweeps, hulls, estimators."""
 
+from contextlib import suppress
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from dptradeoff import (
     PiecewiseLinearCurve,
     ProblemError,
+    SolverError,
     assemble_curve,
     closed_form_curve,
     curve_by_sweep,
@@ -18,8 +20,15 @@ from dptradeoff import (
     project_vertex,
     solve_dp_at,
 )
+from dptradeoff.problemio import instance_to_problem
 
-from conftest import breakpoint_candidates, edge_problems, highs_dp_oracle, random_problem
+from conftest import (
+    breakpoint_candidates,
+    edge_problems,
+    highs_dp_oracle,
+    random_problem,
+    scaled_distortion_spec,
+)
 
 
 def _exact_line(a, b, c, basis):
@@ -410,6 +419,20 @@ class TestCurveBySweep:
         assert set(breakpoints.tolist()) <= set(tops)
         assert breakpoints.size == len(exact) > 10
         assert np.abs(breakpoints - np.array(sorted(exact), dtype=float)).max() <= 1e-13
+
+
+class TestScaledDistortion:
+    # distortions scaled by 1e7 to 1e8 are valid input, but on most of these
+    # instances the walk's pieces miss each other at a breakpoint by more than
+    # the curve's check allows; a curve the solver built and cannot validate
+    # is a solver failure (or, once programs are solved in normalized units,
+    # a curve), never a ProblemError
+    @pytest.mark.parametrize("build", [curve_by_sweep, curve_by_vertices], ids=["sweep", "vertex"])
+    def test_never_an_input_error(self, build):
+        for scale in (1e7, 3e7, 1e8):
+            for seed in range(1, 21):
+                with suppress(SolverError):
+                    build(instance_to_problem(scaled_distortion_spec(seed, scale)))
 
 
 class TestEstimatorOnCurve:

@@ -359,12 +359,17 @@ class TestRevisedTableau:
             checked.append((row, col))
 
         monkeypatch.setattr(_Tableau, "pivot", pivot_and_check)
+        walked = []  # (pivots checked, pivots taken) per walk
         for lp, start, span in runs:
             if start is None:
                 solve(lp)
             else:
-                walk(lp, start, span)
+                before = len(checked)
+                sol = walk(lp, start, span)[0]
+                walked.append((len(checked) - before, sol.iterations))
         assert len(checked) > 1000
+        # every pivot of each walk goes through the hook, so it checks the walk too
+        assert all(got == want > 0 for got, want in walked), walked
 
 
 class TestBasicColumnMask:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptradeoff import (
     GroundMetric,
@@ -636,3 +638,48 @@ class TestDualPolyhedron:
         basis = list(rep.solution.basis)
         assert len(basis) == poly.d
         assert np.abs(poly.g[basis] @ rep.dual.coords() - poly.h[basis]).max() <= 1e-12
+
+
+@st.composite
+def _sparse_instances(draw):
+    """A problem of 2-6 sources and 2-8 observations, continuous or tied.
+
+    Tied ones have integer masses and costs in half units, so many optima
+    tie; the metric is Hamming or a random one (off-diagonal entries in
+    [0.5, 1], or in {0.5, 1} when tied, so every triangle holds).
+    """
+    n_x, n_y = draw(st.integers(2, 6)), draw(st.integers(2, 8))
+    tied, hamming = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tied:
+        p = rng.integers(0, 4, size=(n_x, n_y)).astype(float)
+        p[0, p.sum(axis=0) == 0.0] = 1.0  # every observation has mass
+        d = rng.integers(0, 3, size=(n_x, n_x)) / 2.0
+        h = rng.integers(1, 3, size=(n_x, n_x)) / 2.0
+    else:
+        p = rng.uniform(size=(n_x, n_y))
+        d = rng.uniform(size=(n_x, n_x))
+        h = rng.uniform(0.5, 1.0, size=(n_x, n_x))
+    h = np.triu(h, 1) + np.triu(h, 1).T
+    return make_problem(p / p.sum(), d, None if hamming else h), hamming
+
+
+class TestRandomizedObservations:
+    # a basic optimum of the flow program has n_y + n_x basic columns, and the
+    # budget row has no joint mass, so beyond one joint mass per observation
+    # it holds at most n_x - 1 (the tv form's centre row takes one more column
+    # from n_y + n_x + 1): every level's estimator is deterministic on all but
+    # n_x - 1 observations
+
+    @staticmethod
+    def _extra_masses(est) -> int:
+        return int(np.maximum((est.q > 1e-12).sum(axis=0) - 1, 0).sum())
+
+    @settings(max_examples=40)
+    @given(_sparse_instances())
+    def test_at_most_n_x_minus_one_beyond_one_per_observation(self, drawn):
+        prob, hamming = drawn
+        estimators = [est for _, est in curve_by_sweep(prob).estimators]
+        for form in ("ot", "tv") if hamming else ("ot",):
+            estimators += [solve_dp_at(prob, p, form=form).estimator for p in (0.0, 0.03, 0.1, 0.25, 0.5)]
+        assert max(map(self._extra_masses, estimators)) <= prob.n_x - 1
