@@ -235,7 +235,7 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     lines; the rest of the report is the sweep's, estimators too, so no
     level is solved.
 
-    Raises ProblemError when ``budget`` is below 1 and BudgetExceededError
+    Raises ProblemError unless ``budget`` is an integer >= 1, and BudgetExceededError
     when the enumeration finds more bases; use ``curve_by_sweep`` then.
     """
     return _by_vertices(_sweep(problem), budget)

@@ -50,6 +50,7 @@ distortion program at P = 0); its budget counts the bases it finds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,9 +390,10 @@ def walk(
     its basic values ``B^-1 b + s B^-1 e_m`` at every level s.
 
     Raises SolverError when ``lp`` has no rows, ``span`` is not finite and >= 0,
-    ``start`` covers another row count, names a column out of range, is singular, or
-    is not primal and dual feasible at s = ``span``, or the program is infeasible on
-    the way, and IterationLimitError past ``_PIVOT_BUDGET * (m + n)`` pivots.
+    ``start`` covers another row count, names a column that is not an integer or
+    out of range, is singular, or is not primal and dual feasible at s = ``span``,
+    or the program is infeasible on the way, and IterationLimitError past
+    ``_PIVOT_BUDGET * (m + n)`` pivots.
     """
     m, n = lp.m, lp.n
     budget = _PIVOT_BUDGET * (m + n)
@@ -399,6 +401,10 @@ def walk(
         raise SolverError("a walk moves the last right-hand-side entry; the program has no rows")
     if not 0.0 <= span < math.inf:
         raise SolverError(f"a walk moves s down to 0 from a span >= 0 that is finite, got {span!r}")
+    try:
+        start = [operator.index(j) for j in start]
+    except TypeError:
+        raise SolverError("start basis names a column that is not an integer") from None
     if len(start) != m:
         raise SolverError(f"start basis covers {len(start)} rows, the program has {m}")
     if not all(0 <= j < n for j in start):
@@ -478,25 +484,37 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     the ratio test then picks exactly one entering row, and the walk
     reaches every vertex.  The walk is breadth first and takes ``_BLOCK``
     queued bases at a time: one batched inverse, one ratio test of all
-    their edges, and one ``_lex_split`` of all their ties.  A vertex is
+    their edges, and one ``_lex_split`` of all their ties, which gathers
+    the tied rows flat and settles each tie on its own rows.  A vertex is
     its set of tight rows, those whose slack is within ``FEAS_TOL`` of 0
     at a basis's point: bases with one set are one vertex, and the first
-    of them found gives its point.  A basis whose point violates a row
-    by more than that, which rounding can give on an ill-conditioned
-    basis, is walked through but gives no vertex.
+    of them found, kept by a dict keyed on the set's packed bytes, gives
+    its point.  A basis whose point violates a row by more than that,
+    which rounding can give on an ill-conditioned basis, is walked
+    through but gives no vertex.
 
-    Raises ProblemError when ``budget`` is below 1, SolverError unless
-    ``start`` names d distinct rows whose matrix is nonsingular and whose
-    point is feasible within ``FEAS_TOL``, and BudgetExceededError past
-    ``budget`` bases found, so callers can fall back to sweep-style methods.
+    Raises ProblemError unless ``budget`` is an integer >= 1, SolverError
+    unless ``start`` names d distinct integer rows whose matrix is
+    nonsingular and whose point is feasible within ``FEAS_TOL``, and
+    BudgetExceededError past ``budget`` bases found, so callers can fall
+    back to sweep-style methods.
     """
-    if budget < 1:
-        raise ProblemError(f"a vertex walk needs a budget of at least 1 basis, got {budget}")
+    try:
+        valid = operator.index(budget) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ProblemError(
+            f"a vertex walk needs a budget of at least 1 basis, in whole bases, got {budget!r}"
+        )
     k, d = poly.k, poly.d
     if d > 16:
         raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
     g, h = poly.g, poly.h
-    start = [int(i) for i in start]
+    try:
+        start = [operator.index(i) for i in start]
+    except TypeError:
+        raise SolverError(f"a start must name {d} distinct rows of {k}, got {start!r}") from None
     if len(start) != d or len(set(start)) != d or not all(0 <= i < k for i in start):
         raise SolverError(f"a start must name {d} distinct rows of {k}, got {start}")
     if not np.linalg.cond(g[start]) < 1.0 / _PIVOT_COL_TOL:
@@ -545,11 +563,15 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
         queue = np.concatenate([queue, np.array(fresh, dtype=int).reshape(-1, d)])
 
     # a vertex is its tight-row set: keep the first basis's point of each
-    # set, in walk order, then sort lexicographically on coordinates rounded
-    # to 1e-9, so the order does not hang on rounding error in a tied
-    # coordinate; the rounding is only a sort key, so it may overflow
-    _, first = np.unique(np.concatenate(tight), axis=0, return_index=True)
-    pts = np.concatenate(points)[np.sort(first)]
+    # set, in walk order, by the set's packed bytes, then sort
+    # lexicographically on coordinates rounded to 1e-9, so the order does not
+    # hang on rounding error in a tied coordinate; the rounding is only a sort
+    # key, so it may overflow
+    tight = np.concatenate(tight)
+    first = {}
+    for i, packed in enumerate(tight.view(np.dtype((np.void, tight.shape[1]))).ravel().tolist()):
+        first.setdefault(packed, i)
+    pts = np.concatenate(points)[list(first.values())]
     with np.errstate(over="ignore"):
         key = np.round(pts, 9)
     return pts[np.lexsort(key.T[::-1])]
@@ -560,18 +582,38 @@ def _lex_split(tied, rates, at, edge, basis, rank):
 
     By the lexicographic rule: tied row i's perturbed slack is ``rates[at[e], i, m]``
     at basis row m's rank, 1 at its own rank and 0 elsewhere; read per unit of the
-    edge's rate in rank order, the least rows stay.
+    edge's rate in rank order, the least rows stay.  Every tied row's rates are
+    gathered once, flat, and each tie is settled on its own list of rows: at a
+    basis row's rank the rows within ``_TIE_TOL * max(1, |least|)`` of the least
+    stay, at a tied row's own rank that row leaves when its ``1 / rate`` exceeds
+    ``_TIE_TOL`` (the others read 0), and the tie stops at one row.
     """
-    rows = np.argsort(~tied, axis=1, kind="stable")[:, : tied.sum(axis=1).max()]  # tied first
-    live = np.take_along_axis(tied, rows, axis=1)
-    e, t, at = np.arange(len(rows)), rows.shape[1], at[:, None]
-    slack = np.concatenate([rates[at, rows], np.broadcast_to(np.eye(t), (len(rows), t, t))], axis=2)
-    lex = slack / np.where(live, rates[at, rows, edge[:, None]], 1.0)[:, :, None]
-    order = np.argsort(np.hstack([rank[basis[at[:, 0]]], np.where(live, rank[rows], rank.size)]), axis=1)
-    for src in order.T:  # one rank position of every tie: a basis row's or a tied row's
-        col = np.where(live, lex[e, :, src], np.inf)
-        least = col.min(axis=1, keepdims=True)
-        live = col <= least + _TIE_TOL * np.maximum(1.0, np.abs(least))
-        if np.count_nonzero(live) == len(rows):  # one row left in every tie
-            break
-    return rows[e, live.argmax(axis=1)]
+    e, rows = np.nonzero(tied)  # every tied row once, tie by tie, rows ascending
+    piv = rates[at[e], rows, edge[e]]
+    n = rows.size
+    # lex[m * n + i]: tied row i's slack at basis row m's rank per unit of its
+    # rate; the flat view makes a float only for each value a tie reads
+    lex = memoryview((rates[at[e], rows] / piv[:, None]).T.ravel())
+    leaves = (1.0 / piv > _TIE_TOL).tolist()
+    # every tie's rank positions in rank order, tie after tie: position p < t * d
+    # is basis row p % d of tie p // d, and position t * d + i is tied row i
+    own = rank[basis[at]]
+    (t, d), td = own.shape, own.size
+    key = np.concatenate([(own + rank.size * np.arange(t)[:, None]).ravel(), rank[rows] + rank.size * e])
+    steps, out, lo = np.argsort(key).tolist(), [], 0
+    for hi in np.cumsum(np.count_nonzero(tied, axis=1)).tolist():
+        live = list(range(lo, hi))
+        for p in steps[d * len(out) + lo : d * (len(out) + 1) + hi]:
+            if p < td:
+                m = p % d * n
+                col = [lex[m + i] for i in live]
+                least = min(col)
+                cut = least + _TIE_TOL * max(1.0, abs(least))
+                live = [i for i, v in zip(live, col) if v <= cut]
+            elif leaves[p - td] and p - td in live:
+                live.remove(p - td)
+            if len(live) == 1:
+                break
+        out.append(live[0])
+        lo = hi
+    return rows[out]

@@ -308,6 +308,17 @@ class TestWarmStart:
         with pytest.raises(SolverError, match="out of range"):
             walk(random_feasible_lp(rng, 4, 6), small.basis, 0.0)
 
+    def test_start_of_non_integer_columns_raises(self):
+        # np.array(start, dtype=np.intp) once truncated 0.5 to column 0, and
+        # the walk ended optimal from a start the caller never named
+        prob = random_problem(1, 3, 5)
+        lp, lay = build_ot_form(prob, 0.0)
+        start = _crash_basis(prob, lay)
+        assert walk(lp, start, 1.0)[0].status == "optimal"
+        for bad in ([j + 0.5 for j in start], [str(j) for j in start], np.asarray(start, dtype=float)):
+            with pytest.raises(SolverError, match="not an integer"):
+                walk(lp, bad, 1.0)
+
     def test_singular_start_raises(self):
         rng = np.random.default_rng(6)
         lp = random_feasible_lp(rng, 3, 7)
@@ -457,7 +468,10 @@ class TestVertexEnumeration:
         with pytest.raises(SolverError, match=message):
             HPolyhedron(g, h)
 
-    @pytest.mark.parametrize("start", [[1], [1, 3, 0], [1, 1], [1, 4]])
+    # int() once truncated [0.5, 1.7] to rows [0, 1] and read "0" as row 0
+    @pytest.mark.parametrize(
+        "start", [[1], [1, 3, 0], [1, 1], [1, 4], [0.5, 1.7], ["0", "1"], np.array([1.0, 3.0])]
+    )
     def test_malformed_start_raises(self, start):
         g = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
         with pytest.raises(SolverError, match="distinct rows"):
@@ -491,6 +505,15 @@ class TestVertexEnumeration:
             enumerate_vertices(HPolyhedron(g, np.ones(4)), [1, 3], budget=budget)
         with pytest.raises(ProblemError, match="at least 1"):
             curve_by_vertices(random_problem(0, 2, 3), budget=budget)
+
+    @pytest.mark.parametrize("budget", [float("nan"), 1.5, 100.0, "100", None])
+    def test_budget_not_an_integer_raises(self, budget):
+        # a NaN budget once passed the budget < 1 guard and never tripped
+        # len(seen) > budget, so the walk ran with no budget at all
+        g = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+        with pytest.raises(ProblemError, match="at least 1 basis, in whole bases"):
+            enumerate_vertices(HPolyhedron(g, np.ones(4)), [1, 3], budget=budget)
+        assert enumerate_vertices(HPolyhedron(g, np.ones(4)), [1, 3], budget=np.int64(4)).shape == (4, 2)
 
     def test_dimension_guard(self):
         g = np.eye(17)
@@ -632,15 +655,21 @@ class TestBlockSize:
                 out.append(rows[0])
             return out
 
-        split, ties = lpmod._lex_split, []
+        split, ties, widths = lpmod._lex_split, [], []
 
         def checked(*args):
             entering = split(*args)
             assert entering.tolist() == by_tie(*args)
             ties.append(entering.size)
+            widths.append(args[0].sum(axis=1))
             return entering
 
         monkeypatch.setattr(lpmod, "_lex_split", checked)
-        for poly, start, _ in self.cases():
+        # the cases tie 2-5 rows; the walk of this 5x4 flow dual (306
+        # vertices) meets 123 ties of 12-17 rows
+        prob = random_problem(0, 5, 4)
+        wide = dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, None
+        for poly, start, _ in [*self.cases(), wide]:
             enumerate_vertices(poly, start)
         assert sum(ties) > 100
+        assert np.count_nonzero(np.concatenate(widths) >= 10) > 100
