@@ -42,11 +42,7 @@ from .model import (
     GroundMetric,
     JointChannel,
     Problem,
-    conditional_cost,
-    cost_matrix,
-    expected_distortion,
     make_problem,
-    minimum_distortion,
     output_distribution,
     posterior_sampling,
     tv_distance,
@@ -93,8 +89,6 @@ __all__ = [
     "build_ot_form",
     "build_tv_form",
     "closed_form_curve",
-    "conditional_cost",
-    "cost_matrix",
     "cross_verify",
     "curve_by_sweep",
     "curve_by_vertices",
@@ -102,11 +96,9 @@ __all__ = [
     "enumerate_vertices",
     "estimator_at",
     "estimator_on_curve",
-    "expected_distortion",
     "grid_oracle",
     "hull_extremes",
     "make_problem",
-    "minimum_distortion",
     "output_distribution",
     "posterior_sampling",
     "project_vertex",

@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-svg", default=None)
 
     p_solve = sub.add_parser("solve", help="solve at one perception level")
-    common(p_solve)
+    common(p_solve, with_outputs=False)
+    p_solve.add_argument("--out-json", default=None)
     p_solve.add_argument("--P", type=float, required=True, help="perception level >= 0")
     p_solve.add_argument("--form", choices=["ot", "tv"], default="ot")
     p_solve.set_defaults(func=cmd_solve)

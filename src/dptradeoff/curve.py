@@ -235,9 +235,12 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     lines; the rest of the report is the sweep's, estimators too, so no
     level is solved.
 
-    Raises ProblemError unless ``budget`` is an integer >= 1, and BudgetExceededError
-    when the enumeration finds more bases; use ``curve_by_sweep`` then.
+    Raises ProblemError unless ``budget`` is an integer >= 1, and
+    BudgetExceededError past 16 dual dimensions (n_y + n_x), both before
+    the sweep, or when the enumeration finds more bases; use
+    ``curve_by_sweep`` then.
     """
+    lpmod._check_walk(budget, problem.n_y + problem.n_x)
     return _by_vertices(_sweep(problem), budget)
 
 

@@ -472,6 +472,22 @@ class HPolyhedron:
         return self.g.shape[1]
 
 
+def _check_walk(budget, d: int) -> None:
+    """Raise ProblemError unless ``budget`` is an integer >= 1, and
+    BudgetExceededError past 16 dimensions: a vertex walk's refusals,
+    which need no polyhedron."""
+    try:
+        valid = operator.index(budget) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ProblemError(
+            f"a vertex walk needs a budget of at least 1 basis, in whole bases, got {budget!r}"
+        )
+    if d > 16:
+        raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
+
+
 def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET) -> np.ndarray:
     """All vertices of a small pointed polyhedron, lexicographically sorted.
 
@@ -499,17 +515,8 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     BudgetExceededError past ``budget`` bases found, so callers can fall
     back to sweep-style methods.
     """
-    try:
-        valid = operator.index(budget) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ProblemError(
-            f"a vertex walk needs a budget of at least 1 basis, in whole bases, got {budget!r}"
-        )
     k, d = poly.k, poly.d
-    if d > 16:
-        raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
+    _check_walk(budget, d)
     g, h = poly.g, poly.h
     try:
         start = [operator.index(i) for i in start]

@@ -312,30 +312,6 @@ class Coupling:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def cost_matrix(channel: JointChannel, distortion: DistortionMatrix) -> np.ndarray:
-    """Output-weighted reconstruction cost, entry (xhat, y).
-
-    ``cost[xhat, y] = sum_x d[x, xhat] p[x, y]``, i.e. the probability of
-    observing y times the conditional expected cost of reconstructing it
-    as xhat.  This is the objective matrix of every program below.
-    """
-    return distortion.d.T @ channel.p_xy
-
-
-def conditional_cost(channel: JointChannel, distortion: DistortionMatrix) -> np.ndarray:
-    """Conditional expected cost E[d(X, xhat) | Y = y], entry (xhat, y)."""
-    return cost_matrix(channel, distortion) / channel.p_y[None, :]
-
-
-def expected_distortion(
-    channel: JointChannel, distortion: DistortionMatrix, estimator: Estimator
-) -> float:
-    """Mean cost of an estimator: the Frobenius inner product cost . q."""
-    if estimator.q.shape != (distortion.n, channel.n_y):
-        raise ProblemError("estimator shape does not match the problem")
-    return float(np.sum(cost_matrix(channel, distortion) * estimator.q))
-
-
 def posterior_sampling(channel: JointChannel) -> Estimator:
     """The estimator that redraws the source from its posterior.
 
@@ -343,22 +319,6 @@ def posterior_sampling(channel: JointChannel) -> Estimator:
     at every perception level, including zero.
     """
     return Estimator(channel.p_xy / channel.p_y[None, :])
-
-
-def minimum_distortion(
-    channel: JointChannel, distortion: DistortionMatrix
-) -> tuple[float, Estimator]:
-    """Unconstrained floor of the expected distortion and a greedy optimum.
-
-    The floor is the sum over observations of the cheapest reconstruction
-    cost; the greedy estimator deterministically picks, per column, the
-    lowest-index minimizer (ties break toward the smaller index so output
-    is reproducible).
-    """
-    cost = cost_matrix(channel, distortion)
-    picks = np.argmin(cost, axis=0)
-    value = float(cost[picks, np.arange(channel.n_y)].sum())
-    return value, Estimator.deterministic(picks, channel.n_x)
 
 
 def output_distribution(estimator: Estimator, p_y) -> Distribution:
@@ -484,22 +444,41 @@ class Problem:
 
     @cached_property
     def cost(self) -> np.ndarray:
-        return _readonly(cost_matrix(self.channel, self.distortion))
+        """Output-weighted reconstruction cost, entry (xhat, y).
+
+        ``cost[xhat, y] = sum_x d[x, xhat] p[x, y]``, i.e. the probability of
+        observing y times the conditional expected cost of reconstructing it
+        as xhat.  This is the objective matrix of every program.
+        """
+        return _readonly(self.distortion.d.T @ self.channel.p_xy)
 
     @cached_property
     def conditional(self) -> np.ndarray:
-        return _readonly(conditional_cost(self.channel, self.distortion))
+        """Conditional expected cost E[d(X, xhat) | Y = y], entry (xhat, y)."""
+        return _readonly(self.cost / self.p_y[None, :])
 
     @cached_property
     def minimum(self) -> tuple[float, Estimator]:
-        return minimum_distortion(self.channel, self.distortion)
+        """Unconstrained floor of the expected distortion and a greedy optimum.
+
+        The floor is the sum over observations of the cheapest reconstruction
+        cost; the greedy estimator deterministically picks, per column, the
+        lowest-index minimizer (ties break toward the smaller index so output
+        is reproducible).
+        """
+        picks = np.argmin(self.cost, axis=0)
+        value = float(self.cost[picks, np.arange(self.n_y)].sum())
+        return value, Estimator.deterministic(picks, self.n_x)
 
     @property
     def distortion_floor(self) -> float:
         return self.minimum[0]
 
     def expected_distortion(self, estimator: Estimator) -> float:
-        return expected_distortion(self.channel, self.distortion, estimator)
+        """Mean cost of an estimator: the Frobenius inner product cost . q."""
+        if estimator.q.shape != self.cost.shape:
+            raise ProblemError("estimator shape does not match the problem")
+        return float(np.sum(self.cost * estimator.q))
 
     def perception_of(self, estimator: Estimator) -> tuple[float, Coupling]:
         """Transport distance between the source marginal and the output."""

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dptradeoff import SolverError
+from dptradeoff import ProblemError, SolverError
 from dptradeoff.cli import main
 from dptradeoff.curve import curve_by_sweep, curve_by_vertices
 from dptradeoff.problemio import (
@@ -101,6 +101,13 @@ class TestSolve:
         q = np.asarray(doc["estimator"])
         assert np.allclose(q.sum(axis=0), 1.0, atol=1e-9)
         assert doc["value"] == pytest.approx(0.8 / 7.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+    def test_curve_output_flags_are_input_errors(self, bsc_file, tmp_path, capsys, flag):
+        out = tmp_path / "x.out"
+        assert main(["solve", "--input", bsc_file, "--P", "0.1", flag, str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: dp: unrecognized arguments: {flag}")
+        assert not out.exists()
 
     def test_malformed_row_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -385,6 +392,16 @@ class TestSolverError:
         assert main([*command, "--input", bsc_file]) == 2
         err = capsys.readouterr().err
         assert err.startswith("solver error: pivot below numeric tolerance")
+        assert "Traceback" not in err
+
+    def test_vertex_envelope_failure_exits_2(self, bsc_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ProblemError("curve discontinuous at breakpoint 0.5")
+
+        monkeypatch.setattr("dptradeoff.curve.assemble_curve", fail)
+        assert main(["curve", "--method", "vertex", "--input", bsc_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: curve discontinuous at breakpoint 0.5")
         assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dptradeoff import (
+    BudgetExceededError,
     PiecewiseLinearCurve,
     ProblemError,
     SolverError,
@@ -20,6 +21,7 @@ from dptradeoff import (
     project_vertex,
     solve_dp_at,
 )
+from dptradeoff import curve as curvemod
 from dptradeoff.problemio import instance_to_problem
 
 from conftest import (
@@ -101,6 +103,17 @@ class TestCurveByVertices:
         report = curve_by_vertices(prob)
         for p in np.linspace(0.0, 1.0, 101):
             assert abs(report.curve.value(p) - solve_dp_at(prob, float(p)).value) <= 1e-8
+
+    def test_refuses_before_the_sweep(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(curvemod, "_sweep", forbidden)
+        prob = random_problem(1, 16, 64, random_distortion=True)
+        with pytest.raises(ProblemError, match="budget of at least 1 basis"):
+            curve_by_vertices(prob, budget=0)
+        with pytest.raises(BudgetExceededError, match="dimension 80 exceeds the enumeration limit 16"):
+            curve_by_vertices(prob)
 
     def test_plateau_is_bitwise_floor(self, bsc_problem):
         report = curve_by_vertices(bsc_problem)
@@ -325,7 +338,6 @@ class TestCurveBySweep:
     def test_one_build_and_no_solves(self, monkeypatch, method, shape):
         # both methods build the program once, walk it once, and never
         # solve a level: the estimators come from the walk's bases
-        from dptradeoff import curve as curvemod
         from dptradeoff import lp as lpmod
         from dptradeoff import programs
 

@@ -13,9 +13,7 @@ from dptradeoff import (
     JointChannel,
     Problem,
     ProblemError,
-    expected_distortion,
     make_problem,
-    minimum_distortion,
     output_distribution,
     posterior_sampling,
     solve_dp_at,
@@ -355,9 +353,7 @@ class TestPosteriorSampling:
 
 class TestMinimumDistortion:
     def test_noiseless(self, noiseless_problem):
-        value, greedy = minimum_distortion(
-            noiseless_problem.channel, noiseless_problem.distortion
-        )
+        value, greedy = noiseless_problem.minimum
         assert value == 0.0
         assert np.allclose(greedy.q, np.eye(2))
 

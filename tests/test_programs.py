@@ -293,6 +293,12 @@ class TestSolveAt:
         with pytest.raises(SolverError, match="off stochastic"):
             _stochastic_estimator(bsc_problem, (q * bsc_problem.p_y)[None], 1e-9)
 
+    def test_negative_entry_is_a_solver_error(self, bsc_problem):
+        q = np.array([[1.0 + 1e-6, 1.0], [-1e-6, 0.0]])  # stochastic, but -6e-7 in mass
+        with pytest.raises(SolverError, match="negative beyond the solver tolerance"):
+            _stochastic_estimator(bsc_problem, (q * bsc_problem.p_y)[None], 1e-9)
+        assert _stochastic_estimator(bsc_problem, (q * bsc_problem.p_y)[None], 1e-6)
+
     def test_estimator_transport_feasibility(self):
         prob = random_problem(77, 3, 4, random_distortion=True, random_metric=True)
         for p in [0.0, 0.1, 0.35, 0.8]:

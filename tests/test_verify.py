@@ -15,6 +15,7 @@ from dptradeoff import (
     make_problem,
     solve_dp_at,
 )
+from dptradeoff import verify
 from dptradeoff.problemio import generate_instance, instance_to_problem
 from dptradeoff.verify import _simplex_grid
 
@@ -103,13 +104,31 @@ class TestGridOracle:
             grid_oracle(bsc_problem, 0.1, 2.5)
         assert grid_oracle(bsc_problem, 0.1, np.int64(20)) == grid_oracle(bsc_problem, 0.1, 20)
 
-    def test_general_metric_fallback_path(self):
+    def test_general_metric_fallback_path(self, monkeypatch):
         # unequal off-diagonal distances force transport solves near the
         # feasibility boundary instead of the sandwich shortcut
         prob = random_problem(11, 3, 2, random_distortion=True, random_metric=True)
         for p in [0.05, 0.3]:
             val = grid_oracle(prob, p, 24)
             assert val >= solve_dp_at(prob, p).value - 1e-9
+
+        # here the cheapest point the sandwich leaves open is accepted by its
+        # own transport solve, the first and only one the scan makes
+        transport, solves = verify.wasserstein1, []
+
+        def counting(*args):
+            solves.append(transport(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(verify, "wasserstein1", counting)
+        prob = random_problem(1, 3, 2, random_distortion=True, random_metric=True)
+        val = grid_oracle(prob, 0.02, 6)
+        assert len(solves) == 1 and solves[0][0] <= 0.02
+        exact = solve_dp_at(prob, 0.02).value
+        band = prob.n_y * float(prob.distortion.d.max() - prob.distortion.d.min()) / 6
+        assert exact < val <= exact + band
+        assert val == pytest.approx(0.48481458, abs=1e-8)
+        assert exact == pytest.approx(0.48173552, abs=1e-8)
 
 
 class TestCrossVerify:
