@@ -1,9 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: ``dp`` solve, curve, binary, gen, verify, w1.
 
-Subcommands: solve, curve, binary, gen, verify, w1.  Exit codes: 0 ok,
-1 input error, a malformed argument too (or stdout closed by its
-reader, with nothing printed), 2 solver failure, 3 vertex walk past its
-bases budget, 4 verification failure.
+Only verify takes ``--tol``; the ``tolerance`` the others print is
+``lp.FEAS_TOL``.  Exit codes: 0 ok, 1 input error, a malformed argument
+too (or stdout closed by its reader, with nothing printed), 2 solver
+failure, 3 vertex walk past its bases budget, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import BudgetExceededError, ProblemError, SolverError
 from .model import Distribution, GroundMetric, wasserstein1
 from .problemio import _fmt
 from .programs import solve_dp_at
-from .verify import cross_verify
+from .verify import EXACT_TOL, cross_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,10 +37,10 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _curve_json(curve, estimators, method: str, tol: float) -> str:
+def _curve_json(curve, estimators, method: str) -> str:
     doc = {
         "method": method,
-        "tolerance": tol,
+        "tolerance": lpmod.FEAS_TOL,
         "breakpoints": [float(b) for b in curve.breakpoints],
         "slopes": [float(s) for s in curve.slopes],
         "p_star": float(curve.p_star),
@@ -80,7 +80,7 @@ def cmd_solve(args) -> int:
     print(f"duality gap = {report.gap:.3e}")
     print(f"perception certificate = {_fmt(report.perception)}")
     print(f"form = {report.form}")
-    print(f"tolerance = {_fmt(args.tol)}")
+    print(f"tolerance = {_fmt(lpmod.FEAS_TOL)}")
     if args.out_json:
         doc = {
             "p_level": report.p_level,
@@ -88,7 +88,7 @@ def cmd_solve(args) -> int:
             "gap": report.gap,
             "perception": report.perception,
             "form": report.form,
-            "tolerance": args.tol,
+            "tolerance": lpmod.FEAS_TOL,
             "estimator": [[float(v) for v in row] for row in report.estimator.q],
             "coupling": [[float(v) for v in row] for row in report.coupling.pi],
         }
@@ -99,7 +99,7 @@ def cmd_solve(args) -> int:
 def _emit_curve_outputs(args, curve, estimators, method, scatter=None) -> None:
     """Write the requested files; ``scatter`` is a report whose S2 points to plot."""
     if args.out_json:
-        _write(args.out_json, _curve_json(curve, estimators, method, args.tol))
+        _write(args.out_json, _curve_json(curve, estimators, method))
     if args.out_csv:
         _write(args.out_csv, _curve_csv(curve))
     if args.out_svg:
@@ -124,12 +124,12 @@ def _closed_form_outputs(args, problem):
     return analysis, curve
 
 
-def _print_curve(curve, tol: float) -> None:
+def _print_curve(curve) -> None:
     print(f"breakpoints = [{', '.join(_fmt(b) for b in curve.breakpoints)}]")
     print(f"slopes = [{', '.join(_fmt(s) for s in curve.slopes)}]")
     print(f"p_star = {_fmt(curve.p_star)}")
     print(f"d_star = {_fmt(curve.d_star)}")
-    print(f"tolerance = {_fmt(tol)}")
+    print(f"tolerance = {_fmt(lpmod.FEAS_TOL)}")
 
 
 def cmd_curve(args) -> int:
@@ -144,7 +144,7 @@ def cmd_curve(args) -> int:
             report = curvemod.curve_by_sweep(problem)
         curve = report.curve
         _emit_curve_outputs(args, curve, report.estimators, args.method, report if vertex else None)
-    _print_curve(curve, args.tol)
+    _print_curve(curve)
     return EXIT_OK
 
 
@@ -152,7 +152,7 @@ def cmd_binary(args) -> int:
     problem, _ = problemio.load_problem(args.input)
     analysis, curve = _closed_form_outputs(args, problem)
     print(f"case = {analysis.case}")
-    _print_curve(curve, args.tol)
+    _print_curve(curve)
     return EXIT_OK
 
 
@@ -174,6 +174,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < np.inf:  # NaN compares false
+        raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
     problem, spec = problemio.load_problem(args.input)
     grid = np.linspace(0.0, 1.0, max(args.points, 0))  # cross_verify rejects an empty grid
     report = cross_verify(
@@ -208,7 +210,7 @@ def cmd_w1(args) -> int:
     print("coupling:")
     for row in coupling.pi:
         print("  " + " ".join(_fmt(v) for v in row))
-    print(f"tolerance = {_fmt(args.tol)}")
+    print(f"tolerance = {_fmt(lpmod.FEAS_TOL)}")
     return EXIT_OK
 
 
@@ -228,17 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_outputs=True):
+    def common(p, outputs=("json", "csv", "svg")):
         p.add_argument("--input", required=True, help="problem JSON file")
-        p.add_argument("--tol", type=float, default=1e-9, help="reporting tolerance")
-        if with_outputs:
-            p.add_argument("--out-json", default=None)
-            p.add_argument("--out-csv", default=None)
-            p.add_argument("--out-svg", default=None)
+        for name in outputs:
+            p.add_argument(f"--out-{name}", default=None)
 
     p_solve = sub.add_parser("solve", help="solve at one perception level")
-    common(p_solve, with_outputs=False)
-    p_solve.add_argument("--out-json", default=None)
+    common(p_solve, outputs=("json",))
     p_solve.add_argument("--P", type=float, required=True, help="perception level >= 0")
     p_solve.add_argument("--form", choices=["ot", "tv"], default="ot")
     p_solve.set_defaults(func=cmd_solve)
@@ -270,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_ver = sub.add_parser("verify", help="cross-check all applicable methods")
-    common(p_ver, with_outputs=False)
+    common(p_ver, outputs=())
     p_ver.add_argument("--points", type=int, default=21, help="perception grid size")
+    p_ver.add_argument("--tol", type=float, default=EXACT_TOL, help="largest gap between exact methods")
     p_ver.add_argument("--grid-steps", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_w1.add_argument("--p", required=True, help="comma-separated pmf")
     p_w1.add_argument("--q", required=True, help="comma-separated pmf")
     p_w1.add_argument("--input", default=None, help="problem file supplying the metric")
-    p_w1.add_argument("--tol", type=float, default=1e-9)
     p_w1.set_defaults(func=cmd_w1)
 
     return parser
@@ -287,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:  # NaN compares false
-            raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # argparse would name the top-level program, not the subcommand
+            raise ProblemError(f"dp {args.command}: unrecognized arguments: {' '.join(extra)}")
         code = args.func(args)
         sys.stdout.flush()  # a reader that left raises here, not at exit
         return code

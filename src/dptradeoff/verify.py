@@ -33,6 +33,8 @@ from .errors import BudgetExceededError, ProblemError
 from .model import Problem, check_level, wasserstein1
 from .programs import build_ot_form
 
+EXACT_TOL = 1e-9  # largest gap allowed between exact methods; ``dp verify --tol``'s default
+
 
 def _simplex_grid(steps: int, parts: int) -> np.ndarray:
     """All compositions of ``steps`` into ``parts`` bins, scaled to sum 1.
@@ -173,7 +175,7 @@ def cross_verify(
     p_grid=None,
     *,
     instance: str = "",
-    exact_tol: float = 1e-8,
+    exact_tol: float = EXACT_TOL,
     grid_steps: int | None = None,
 ) -> VerifyReport:
     """Compare every applicable method on a shared perception grid.

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from dptradeoff import ProblemError, SolverError
-from dptradeoff.cli import main
+from dptradeoff import ProblemError, SolverError, cross_verify, make_problem
+from dptradeoff import lp as lpmod
+from dptradeoff.cli import build_parser, main
 from dptradeoff.curve import curve_by_sweep, curve_by_vertices
 from dptradeoff.problemio import (
     generate_instance,
@@ -106,7 +107,7 @@ class TestSolve:
     def test_curve_output_flags_are_input_errors(self, bsc_file, tmp_path, capsys, flag):
         out = tmp_path / "x.out"
         assert main(["solve", "--input", bsc_file, "--P", "0.1", flag, str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"input error: dp: unrecognized arguments: {flag}")
+        assert capsys.readouterr().err.startswith(f"input error: dp solve: unrecognized arguments: {flag}")
         assert not out.exists()
 
     def test_malformed_row_named(self, tmp_path, capsys):
@@ -446,7 +447,37 @@ class TestTolerance:
     def test_bad_tolerance_is_input_error(self, bsc_file, capsys, command, tol):
         # NaN made `dp verify` pass whatever the methods returned; -1 made it fail
         assert main(command + ["--input", bsc_file, "--tol", tol]) == 1
-        assert "input error: --tol must be finite and nonnegative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command[0] == "verify":
+            assert "input error: --tol must be finite and nonnegative" in err
+        else:  # only `dp verify` applies a tolerance
+            assert err.startswith(f"input error: dp {command[0]}: unrecognized arguments: --tol {tol}")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--P", "0.1"], ["curve", "--method", "sweep"], ["binary"],
+         ["w1", "--p", "0.6,0.4", "--q", "1,0"]],
+    )
+    def test_valid_tolerance_is_refused_outside_verify(self, bsc_file, capsys, command):
+        # these commands once echoed any valid --tol while their checks read lp.FEAS_TOL
+        assert main(command + ["--input", bsc_file, "--tol", "1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: dp {command[0]}: unrecognized arguments: --tol 1e-3\n"
+
+    @pytest.mark.parametrize("command", [["solve", "--P", "0.1"], ["curve", "--method", "sweep"]])
+    def test_printed_tolerance_is_feas_tol(self, bsc_file, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert main(command + ["--input", bsc_file, "--out-json", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("tolerance = ")]
+        assert [float(line.removeprefix("tolerance = ")) for line in lines] == [lpmod.FEAS_TOL]
+        assert json.loads(out.read_text())["tolerance"] == lpmod.FEAS_TOL
+
+    def test_verify_default_is_cross_verify_default(self, bsc_file, capsys):
+        default = build_parser().parse_args(["verify", "--input", bsc_file]).tol
+        report = cross_verify(make_problem([[0.54, 0.06], [0.04, 0.36]]))
+        assert report.tolerance == default
+        assert main(["verify", "--input", bsc_file, "--points", "5"]) == 0
+        assert f"(tolerance {default:.1e})" in capsys.readouterr().out
 
 
 class TestMalformedArguments:
@@ -457,7 +488,7 @@ class TestMalformedArguments:
          (["frobnicate"], "dp: argument command: invalid choice: 'frobnicate'"),
          (["solve", "--P", "0.1"], "dp solve: the following arguments are required: --input"),
          (["verify", "--input", "x.json", "--inject-slope-error", "1e-3"],
-          "dp: unrecognized arguments: --inject-slope-error 1e-3")],
+          "dp verify: unrecognized arguments: --inject-slope-error 1e-3")],
         ids=["bad-float", "bad-int", "unknown-command", "missing-input", "unknown-option"],
     )
     def test_is_input_error(self, capsys, argv, message):
