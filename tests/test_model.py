@@ -1,5 +1,7 @@
 """Core model: validation, elementary quantities, transport distances."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,10 @@ from dptradeoff import (
     Estimator,
     GroundMetric,
     JointChannel,
+    PiecewiseLinearCurve,
     Problem,
     ProblemError,
+    SolverError,
     make_problem,
     output_distribution,
     posterior_sampling,
@@ -22,6 +26,7 @@ from dptradeoff import (
 )
 
 from dptradeoff.model import _estimator_stack
+from dptradeoff.programs import _stochastic_estimator
 from dptradeoff.problemio import random_metric
 
 from conftest import (
@@ -219,6 +224,38 @@ class TestValidation:
             call([0.5, 0.5 + 9e-10], [0.5, 0.5])
         with pytest.raises(ProblemError, match="second distribution has negative entry"):
             call([0.5, 0.5], [1.0 + 1e-9, -1e-9])
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: PiecewiseLinearCurve(np.array([0.3, 0.3]), np.zeros((3, 2))), ProblemError,
+             r"breakpoints must increase strictly within \(0, 1\]"),
+            (lambda: PiecewiseLinearCurve(np.array([0.0, 0.5]), np.zeros((3, 2))), ProblemError,
+             r"breakpoints must increase strictly within \(0, 1\]"),
+            (lambda: PiecewiseLinearCurve(np.array([0.5, 1.5]), np.zeros((3, 2))), ProblemError,
+             r"breakpoints must increase strictly within \(0, 1\]"),
+            (lambda: PiecewiseLinearCurve(np.array([0.5]), np.array([[np.inf, -1.0], [0.5, 0.0]])),
+             ProblemError, r"segment table contains non-finite entries"),
+            (lambda: _stochastic_estimator(
+                make_problem([[0.45, 0.05], [0.05, 0.45]]),
+                np.array([[[0.25, 0.5], [0.0, 0.0]]]), 1e-9),
+             SolverError, r"estimator column off stochastic by mass 0\.25 \(tolerance 1e-09\)"),
+            (lambda: Estimator([[1.0, -1e-9], [0.0, 1.0]]), ProblemError, r"estimator has a negative entry"),
+            (lambda: Estimator([[1.0, 0.5], [0.0, 0.6]]), ProblemError,
+             r"estimator column 1 sums to (np\.float64\()?1\.1\)?, expected 1"),
+            (lambda: Distribution([]), ProblemError, r"distribution must be a nonempty vector"),
+            (lambda: tv_distance([[0.5, 0.5]], [0.5, 0.5]), ProblemError,
+             r"first distribution must be a nonempty vector"),
+        ],
+        ids=["breakpoints-repeated", "breakpoint-at-zero", "breakpoint-past-one", "segments-inf",
+             "off-stochastic", "estimator-negative", "estimator-column-sum", "empty-vector",
+             "matrix-as-vector"],
+    )
+    def test_rejection_messages(self, build, error, message):
+        # the whole message, so a faster check cannot change what it says
+        with pytest.raises(error) as exc:
+            build()
+        assert re.fullmatch(message, str(exc.value))
 
 
 class TestImmutability:
