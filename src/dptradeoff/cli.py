@@ -1,9 +1,10 @@
 """Command-line front end: ``dp`` solve, curve, binary, gen, verify, w1.
 
 Only verify takes ``--tol``; the ``tolerance`` the others print is
-``lp.FEAS_TOL``.  Exit codes: 0 ok, 1 input error, a malformed argument
-too (or stdout closed by its reader, with nothing printed), 2 solver
-failure, 3 vertex walk past its bases budget, 4 verification failure.
+``lp.FEAS_TOL``.  Only ``curve --method vertex`` takes ``--budget``.
+Exit codes: 0 ok, 1 input error, a malformed argument too (or stdout
+closed by its reader, with nothing printed), 2 solver failure, 3 vertex
+walk past its bases budget, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -133,13 +134,16 @@ def _print_curve(curve) -> None:
 
 
 def cmd_curve(args) -> int:
+    vertex = args.method == "vertex"
+    if args.budget is not None and not vertex:
+        raise ProblemError(f"dp curve: --budget applies only to --method vertex, not {args.method}")
     problem, _ = problemio.load_problem(args.input)
     if args.method == "closed-form":
         _, curve = _closed_form_outputs(args, problem)
     else:
-        vertex = args.method == "vertex"
         if vertex:
-            report = curvemod.curve_by_vertices(problem, budget=args.budget)
+            budget = lpmod.VERTEX_BUDGET if args.budget is None else args.budget
+            report = curvemod.curve_by_vertices(problem, budget=budget)
         else:
             report = curvemod.curve_by_sweep(problem)
         curve = report.curve
@@ -219,6 +223,17 @@ class _Parser(argparse.ArgumentParser):
         raise ProblemError(f"{self.prog}: {message}")
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which names the leftover arguments it received
+    itself: argparse would pass them up to ``dp`` with its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dp",
@@ -228,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and 'metric' matrices (both default to Hamming)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def common(p, outputs=("json", "csv", "svg")):
         p.add_argument("--input", required=True, help="problem JSON file")
@@ -249,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument(
         "--budget",
         type=int,
-        default=lpmod.VERTEX_BUDGET,
-        help="most bases the vertex walk may visit before exit 3",
+        default=None,
+        help=f"most bases the vertex walk may visit before exit 3 (--method vertex only; "
+        f"default {lpmod.VERTEX_BUDGET})",
     )
     p_curve.set_defaults(func=cmd_curve)
 
@@ -285,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args, extra = build_parser().parse_known_args(argv)
-        if extra:  # argparse would name the top-level program, not the subcommand
-            raise ProblemError(f"dp {args.command}: unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left raises here, not at exit
         return code

@@ -21,6 +21,8 @@ both pin the plateau bitwise to the unconstrained floor.
 
 from __future__ import annotations
 
+import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -75,23 +77,28 @@ class PiecewiseLinearCurve:
     segments: np.ndarray
 
     def __post_init__(self):
+        """The checks run on Python floats: a curve has a few dozen pieces,
+        and each float operation rounds as numpy's would."""
         bp = np.asarray(self.breakpoints, dtype=float)
         seg = np.asarray(self.segments, dtype=float).reshape(-1, 2)
-        _require_finite(bp, "breakpoint vector")
-        _require_finite(seg, "segment table")
+        at, flat = bp.ravel().tolist(), seg.ravel().tolist()
+        if not all(map(math.isfinite, at)):
+            raise ProblemError("breakpoint vector contains non-finite entries")
+        if not all(map(math.isfinite, flat)):
+            raise ProblemError("segment table contains non-finite entries")
         if seg.shape[0] != bp.size + 1:
             raise ProblemError("segment count must be breakpoint count + 1")
-        if bp.size and (np.any(np.diff(bp) <= 0) or bp[0] <= 0 or bp[-1] > 1 + 1e-12):
+        if at and (any(map(operator.ge, at, at[1:])) or at[0] <= 0 or at[-1] > 1 + 1e-12):
             raise ProblemError("breakpoints must increase strictly within (0, 1]")
-        slopes = seg[:, 1]
-        if np.any(slopes > 1e-10):
+        intercepts, slopes = flat[::2], flat[1::2]
+        if max(slopes) > 1e-10:
             raise ProblemError("curve slopes must be nonpositive")
-        if np.any(np.diff(slopes) < -1e-9):
+        if min(map(operator.sub, slopes[1:], slopes), default=0.0) < -1e-9:
             raise ProblemError("curve slopes must be non-decreasing (convexity)")
-        jumps = np.abs((seg[:-1, 0] + seg[:-1, 1] * bp) - (seg[1:, 0] + seg[1:, 1] * bp)) > 1e-9
-        if jumps.any():
-            raise ProblemError(f"curve discontinuous at breakpoint {bp[jumps.argmax()]!r}")
-        if seg[-1, 1] != 0.0:
+        for p, b0, m0, b1, m1 in zip(at, intercepts, slopes, intercepts[1:], slopes[1:]):
+            if abs((b0 + m0 * p) - (b1 + m1 * p)) > 1e-9:
+                raise ProblemError(f"curve discontinuous at breakpoint {p!r}")
+        if slopes[-1] != 0.0:
             raise ProblemError("final segment must be the exact plateau")
         object.__setattr__(self, "breakpoints", _readonly(bp))
         object.__setattr__(self, "segments", _readonly(seg))
@@ -281,9 +288,9 @@ def _sweep(problem: Problem):
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)
     levels, bases, xbs, rates = zip(*path)
-    bases, xbs, rates = np.array(bases), np.array(xbs), np.array(rates)
-    cb = lp.c[bases][:, None]  # (k, 1, m) @ (k, m, 1): per entry, the dot product c_B @ xb, bit for bit
-    lines = np.concatenate([cb @ xbs[..., None], cb @ rates[..., None]], axis=2)[:, 0]
+    bases, values = np.array(bases), np.array((xbs, rates)).transpose(1, 0, 2)  # entry, B^-1 b or B^-1 e_m, row
+    # (k, 1, 1, m) @ (k, 2, m, 1): per entry, the dot products c_B @ xb and c_B @ rate, bit for bit
+    lines = (lp.c[bases][:, None, None] @ values[..., None]).reshape(-1, 2)
     pieces, picks, last = [(d_star, 0.0)], [], 0  # the walk starts on the plateau
     for i, (b, m) in enumerate(lines.tolist()):
         if (levels[i - 1] if i else 1.0) - levels[i] < _ZERO_LEN_TOL:
@@ -301,7 +308,7 @@ def _sweep(problem: Problem):
     except ProblemError as exc:  # the walk's own lines fail the curve's checks: a numeric failure
         raise SolverError(str(exc)) from exc
     points = np.zeros((len(kept), lp.n))
-    points[np.arange(len(kept))[:, None], bases[kept]] = xbs[kept] + at[:, None] * rates[kept]
+    points[np.arange(len(kept))[:, None], bases[kept]] = values[kept, 0] + at[:, None] * values[kept, 1]
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
     return CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators))), lp, sol.basis

@@ -86,7 +86,7 @@ class StandardLP:
         if b.shape != (a.shape[0],) or c.shape != (a.shape[1],):
             raise SolverError("inconsistent LP dimensions")
         for name, arr in (("a", a), ("b", b), ("c", c)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise SolverError(f"LP field {name} contains non-finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -146,13 +146,14 @@ class _Tableau:
         self.c = c
         self.basis = np.array(basis, dtype=np.intp)
         self.m, self.n = a.shape
-        self.rhs = np.column_stack([np.eye(self.m), b])  # [I | b], which every refactor solves for
+        self.rhs = np.eye(self.m, self.m + 1)  # [I | b], which every refactor solves for
+        self.rhs[:, -1] = b
         self.refactors = 0
         self.refactor()
 
     def refactor(self):
         try:
-            self.block = np.linalg.solve(self.a[:, self.basis], self.rhs)
+            self.block = np.linalg.solve(self.a.take(self.basis, axis=1), self.rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular simplex basis") from exc
         self.binv, self.xb = self.block[:, : self.m], self.block[:, -1]
@@ -354,14 +355,14 @@ def solve(lp: StandardLP) -> LPSolution:
 def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution:
     """The solution of an optimal tableau on ``lp``'s rows."""
     x = tab.point()
-    residual = float(np.max(np.abs(lp.a @ x - lp.b), initial=0.0))
-    if residual > 1e-7 * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
+    residual = float(abs(lp.a @ x - lp.b).max(initial=0.0))
+    if residual > 1e-7 * max(1.0, float(abs(lp.b).max(initial=0.0))):
         raise SolverError(f"optimal point misses the equality rows (residual {residual:g})")
     return LPSolution(
         status="optimal",
         x=x,
         value=float(lp.c @ x),
-        basis=tuple(np.sort(tab.basis).tolist()),
+        basis=tuple(sorted(tab.basis.tolist())),
         dual=tab.y,
         iterations=iterations,
         refactorizations=refactors,
@@ -400,14 +401,14 @@ def walk(
     if m == 0:
         raise SolverError("a walk moves the last right-hand-side entry; the program has no rows")
     if not 0.0 <= span < math.inf:
-        raise SolverError(f"a walk moves s down to 0 from a span >= 0 that is finite, got {span!r}")
+        raise SolverError(f"a walk moves s down to 0 from a span >= 0 that is finite, got {float(span)!r}")
     try:
         start = [operator.index(j) for j in start]
     except TypeError:
         raise SolverError("start basis names a column that is not an integer") from None
     if len(start) != m:
         raise SolverError(f"start basis covers {len(start)} rows, the program has {m}")
-    if not all(0 <= j < n for j in start):
+    if min(start) < 0 or max(start) >= n:
         raise SolverError("start basis names a column out of range")
     tab = _Tableau(lp.a, lp.b, lp.c, start)
     scale = max(1.0, float(np.abs(lp.b).max()))
@@ -427,7 +428,7 @@ def walk(
         path.append((s, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
         leave, col = _dual_bland(tab, rows[cut <= _RATIO_TIE_TOL - s])
         if col is None:
-            raise SolverError(f"program infeasible past s = {s!r}")
+            raise SolverError(f"program infeasible past s = {float(s)!r}")
         iters = _step(tab, leave, col, iters, budget)
 
     if iters:

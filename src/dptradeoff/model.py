@@ -42,14 +42,14 @@ def _readonly(values) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ProblemError(f"{name} contains non-finite entries")
 
 
 def check_level(p_level: float) -> None:
     """Raise ProblemError unless a perception level is finite and >= 0."""
     if not np.isfinite(p_level) or p_level < 0:
-        raise ProblemError(f"perception level must be finite and >= 0, got {p_level!r}")
+        raise ProblemError(f"perception level must be finite and >= 0, got {float(p_level)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +73,8 @@ def _as_prob_vector(dist, name: str = "distribution") -> np.ndarray:
     if p.ndim != 1 or p.size < 1:
         raise ProblemError(f"{name} must be a nonempty vector")
     _require_finite(p, name)
-    if np.any(p < -_MASS_TOL):
-        raise ProblemError(f"{name} has negative entry {p.min():g}")
+    if (least := p.min()) < -_MASS_TOL:
+        raise ProblemError(f"{name} has negative entry {least:g}")
     total = float(p.sum())
     if abs(total - 1.0) > _MASS_TOL:
         raise ProblemError(f"{name} sums to {total!r}, expected 1")
@@ -205,7 +205,7 @@ class GroundMetric:
 
     @property
     def is_hamming(self) -> bool:
-        return bool(np.all(np.abs(self.h - (1.0 - np.eye(self.n))) <= _MASS_TOL))
+        return bool((abs(self.h - (1.0 - np.eye(self.n))) <= _MASS_TOL).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,11 +259,11 @@ def _check_estimators(q: np.ndarray) -> None:
         )
     if not ok:
         _require_finite(q, "estimator")
-        if np.any(q < -_MASS_TOL):
+        if q.min() < -_MASS_TOL:
             raise ProblemError("estimator has a negative entry")
         bad = np.abs(colsum - 1.0) > _STOCHASTIC_TOL
         k, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise ProblemError(f"estimator column {j} sums to {colsum[k, j]!r}, expected 1")
+        raise ProblemError(f"estimator column {j} sums to {float(colsum[k, j])!r}, expected 1")
 
 
 def _estimator_stack(q: np.ndarray) -> list[Estimator]:
@@ -297,11 +297,11 @@ class Coupling:
         if pi.shape != (row.size, col.size):
             raise ProblemError("coupling shape does not match its marginals")
         _require_finite(pi, "coupling")
-        if np.any(pi < -_MASS_TOL):
+        if pi.min() < -_MASS_TOL:
             raise ProblemError("coupling has a negative entry")
-        if np.max(np.abs(pi.sum(axis=1) - row)) > _STOCHASTIC_TOL:
+        if abs(pi.sum(axis=1) - row).max() > _STOCHASTIC_TOL:
             raise ProblemError("coupling row sums do not match the marginal")
-        if np.max(np.abs(pi.sum(axis=0) - col)) > _STOCHASTIC_TOL:
+        if abs(pi.sum(axis=0) - col).max() > _STOCHASTIC_TOL:
             raise ProblemError("coupling column sums do not match the marginal")
         object.__setattr__(self, "pi", _readonly(pi))
         object.__setattr__(self, "row_marginal", _readonly(row))

@@ -36,6 +36,7 @@ rows ``dual_polyhedron`` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class FlowLayout:
     ``k`` runs from node ``tail[k]`` to node ``head[k]``.  Columns: the
     joint masses ``w[xhat, y]``, the arcs, the slack.  Rows: the
     stochasticity rows, the node rows but the last symbol's, the budget.
+    The builds share one layout per shape and arc list (``_layout``), so
+    ``unit_entries`` is computed once per shape.
     """
 
     n_x: int
@@ -102,42 +105,76 @@ class FlowLayout:
     def extract_flow(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_x * self.n_y : -1]
 
+    @cached_property
+    def unit_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat row-major indices of the constraint matrix's +1 and -1 entries.
 
-def _build(problem: Problem, p_level: float, n_nodes: int, tail, head, weight):
-    """The flow program over the arcs ``tail[k] -> head[k]`` of ``weight[k]``.
+        These are all its entries but the arc weights on the budget row.
+        A joint mass has a 1 in its observation's row and its symbol's
+        row, an arc a 1 in its tail's row and a -1 in its head's, the
+        slack a 1 in the budget row; the last symbol has no row, and a
+        centre node takes the row it leaves free.
+        """
+        n_x, n_y, nq = self.n_x, self.n_y, self.n_x * self.n_y
+        cols, arcs = np.arange(nq), nq + np.arange(self.tail.size)
+        node = n_y + np.arange(self.n_nodes) - (np.arange(self.n_nodes) >= n_x)
+        node[n_x - 1] = -1
+
+        def flat(rows, cols):
+            return (rows * self.n_vars + cols)[rows >= 0]
+
+        ones = [flat(cols % n_y, cols), flat(node[cols // n_y], cols), flat(node[self.tail], arcs)]
+        ones.append([self.n_cons * self.n_vars - 1])  # the slack
+        entries = np.concatenate(ones), flat(node[self.head], arcs)
+        for arr in entries:
+            arr.setflags(write=False)
+        return entries
+
+
+@lru_cache(maxsize=32)
+def _layout(n_x: int, n_y: int, form: str) -> FlowLayout:
+    """The layout of one shape and arc list, read-only and shared by every build.
+
+    ``"ot"``: an arc for every ordered pair of distinct symbols, row-major.
+    ``"tv"``: a star, from the centre (node ``n_x``) to each symbol, then back.
+    """
+    if form == "ot":
+        tail, head = np.nonzero(~np.eye(n_x, dtype=bool))
+    else:
+        symbols, centre = np.arange(n_x), np.full(n_x, n_x)
+        tail, head = np.concatenate([centre, symbols]), np.concatenate([symbols, centre])
+    tail.setflags(write=False)
+    head.setflags(write=False)
+    return FlowLayout(n_x, n_y, n_x + (form != "ot"), tail, head)
+
+
+def _build(problem: Problem, p_level: float, lay: FlowLayout, weight):
+    """The flow program of the layout ``lay``, whose arc k has ``weight[k]``.
 
     Cost vector: conditional reconstruction cost on the joint masses,
     zero on the arcs and the slack.  Right-hand side: observation
     marginal, source marginal but its last entry (0 at a centre node),
     and the perception level (the only P-dependent entry, so the
-    right-hand side is affine in P).  The last symbol's node entries are
-    written to a spare row past the budget, which the program leaves out.
+    right-hand side is affine in P).  The matrix is filled from the
+    layout's ``unit_entries`` and the weights.
     """
     check_level(p_level)
-    n_x, n_y = problem.n_x, problem.n_y
-    lay = FlowLayout(n_x, n_y, n_nodes, tail, head)
-    nq = n_x * n_y
-    cols, arcs = np.arange(nq), nq + np.arange(tail.size)
-    node = n_y + np.arange(n_nodes) - (np.arange(n_nodes) >= n_x)  # a centre fills the gap
-    node[n_x - 1] = lay.n_cons  # the spare row
+    ones, minus_ones = lay.unit_entries
+    a = np.zeros(lay.n_cons * lay.n_vars)
+    a[ones] = 1.0
+    a[minus_ones] = -1.0
+    a = a.reshape(lay.n_cons, lay.n_vars)
+    a[-1, problem.n_x * problem.n_y : -1] = weight
 
-    a = np.zeros((lay.n_cons + 1, lay.n_vars))
-    a[cols % n_y, cols] = 1.0
-    a[node[cols // n_y], cols] = 1.0
-    a[node[tail], arcs] = 1.0
-    a[node[head], arcs] = -1.0
-    a[-2, nq:-1] = weight
-    a[-2, -1] = 1.0
-
-    b = np.concatenate([problem.p_y, problem.p_x[:-1], np.zeros(n_nodes - n_x), [p_level]])
-    c = np.concatenate([problem.conditional.reshape(-1), np.zeros(tail.size + 1)])
-    return lpmod.StandardLP(a[:-1], b, c), lay
+    b = np.concatenate([problem.p_y, problem.p_x[:-1], np.zeros(lay.n_nodes - problem.n_x), [p_level]])
+    c = np.concatenate([problem.conditional.reshape(-1), np.zeros(lay.tail.size + 1)])
+    return lpmod.StandardLP(a, b, c), lay
 
 
 def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
     """The flow program over every ordered pair of distinct symbols, any metric."""
-    tail, head = np.nonzero(~np.eye(problem.n_x, dtype=bool))
-    return _build(problem, p_level, problem.n_x, tail, head, problem.metric.h[tail, head])
+    lay = _layout(problem.n_x, problem.n_y, "ot")
+    return _build(problem, p_level, lay, problem.metric.h[lay.tail, lay.head])
 
 
 def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
@@ -148,10 +185,7 @@ def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, F
     """
     if not problem.metric.is_hamming:
         raise ProblemError('the star form ("tv") requires the Hamming ground metric')
-    n_x = problem.n_x
-    symbols, centre = np.arange(n_x), np.full(n_x, n_x)
-    tail, head = np.concatenate([centre, symbols]), np.concatenate([symbols, centre])
-    return _build(problem, p_level, n_x + 1, tail, head, np.full(2 * n_x, 0.5))
+    return _build(problem, p_level, _layout(problem.n_x, problem.n_y, "tv"), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +305,18 @@ def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[E
     takes the column of the unconstrained optimum, which moves the
     distortion and the output law by at most that symbol's mass.
     """
-    if np.any(w < -tol):
+    if w.min(initial=0.0) < -tol:
         raise SolverError("estimator entry negative beyond the solver tolerance")
-    q = np.clip(w, 0.0, None)
+    q = np.maximum(w, 0.0)
     mass = q.sum(axis=1)
-    residual = np.abs(mass - problem.p_y)
-    if np.any(residual > tol):
-        raise SolverError(
-            f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
-        )
-    empty = mass == 0.0
-    q /= np.where(empty, 1.0, mass)[:, None, :]
-    k, y = empty.nonzero()
-    q[k, :, y] = problem.minimum[1].q[:, y].T
+    residual = abs(mass - problem.p_y).max(initial=0.0)
+    if residual > tol:
+        raise SolverError(f"estimator column off stochastic by mass {residual:g} (tolerance {tol:g})")
+    k, y = (mass == 0.0).nonzero()
+    mass[k, y] = 1.0
+    q /= mass[:, None, :]
+    if k.size:
+        q[k, :, y] = problem.minimum[1].q[:, y].T
     return _estimator_stack(q)
 
 
@@ -309,19 +342,22 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> list[int]:
     starts to bind.  Over a star it is one arc per symbol: from the
     centre to a symbol with ``r >= p_x``, to the centre from the others.
     """
-    picks = np.argmin(problem.cost, axis=0)
-    basis = [lay.ix_w(int(xhat), y) for y, xhat in enumerate(picks)]
-    rm = np.bincount(picks, weights=problem.p_y, minlength=problem.n_x)
-    if lay.n_nodes > lay.n_x:  # the star: the centre is node n_x
-        arcs = [(lay.n_x, i) if up else (i, lay.n_x) for i, up in enumerate(rm >= problem.p_x)]
+    n_x, n_y = problem.n_x, problem.n_y
+    picks = problem.cost.argmin(axis=0)
+    rm = np.bincount(picks, weights=problem.p_y, minlength=n_x)
+    basis = (picks * n_y + np.arange(n_y)).tolist()  # the MAP estimator's columns
+    if lay.n_nodes > n_x:  # the star: the centre is node n_x
+        arcs = [(n_x, i) if up else (i, n_x) for i, up in enumerate((rm >= problem.p_x).tolist())]
     else:
-        surplus, deficit = np.clip(problem.p_x - rm, 0.0, None), np.clip(rm - problem.p_x, 0.0, None)
-        src = np.flatnonzero(problem.p_x >= rm).tolist()
-        dst = np.flatnonzero(problem.p_x < rm).tolist()
+        p_x, r = problem.p_x.tolist(), rm.tolist()
+        surplus = [max(p - q, 0.0) for p, q in zip(p_x, r)]
+        deficit = [max(q - p, 0.0) for p, q in zip(p_x, r)]
+        src = [i for i in range(n_x) if p_x[i] >= r[i]]
+        dst = [i for i in range(n_x) if p_x[i] < r[i]]
         if not src or not dst:  # the marginals agree up to rounding: any split spans
-            src, dst = list(range(problem.n_x - 1)), [problem.n_x - 1]
+            src, dst = list(range(n_x - 1)), [n_x - 1]
         arcs, a, b = [], 0, 0
-        for _ in range(problem.n_x - 1):  # a staircase over n_x symbols has n_x - 1 arcs
+        for _ in range(n_x - 1):  # a staircase over n_x symbols has n_x - 1 arcs
             i, j = src[a], dst[b]
             arcs.append((i, j))
             t = min(surplus[i], deficit[j])
@@ -356,7 +392,7 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
 
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     (estimator,) = _stochastic_estimator(problem, lay.extract_w(sol.x)[None], tol)
-    out = np.clip(lay.extract_w(sol.x), 0.0, None).sum(axis=1)
+    out = np.maximum(lay.extract_w(sol.x), 0.0).sum(axis=1)
     plan = _flow_plan(problem.p_x, out, lay.n_nodes, lay.tail, lay.head, lay.extract_flow(sol.x))
     dual = _dual(problem, sol.dual, p_level)
     return SolveReport(
@@ -367,6 +403,6 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
         dual=dual,
         gap=abs(sol.value - dual.objective),
         form=form,
-        perception=float(np.sum(plan * problem.metric.h)),
+        perception=float((plan * problem.metric.h).sum()),
         solution=sol,
     )

@@ -248,6 +248,17 @@ class TestCurve:
         assert main(["curve", "--input", bsc_file, "--method", "vertex", "--budget", budget]) == 1
         assert "input error: a vertex walk needs a budget of at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "5", "10000"])
+    @pytest.mark.parametrize("method", ["sweep", "closed-form"])
+    def test_budget_outside_vertex_is_input_error(self, bsc_file, tmp_path, capsys, method, budget):
+        # neither method walks vertices; --budget 0 with either once exited 0
+        out = tmp_path / "c.json"
+        argv = ["curve", "--input", bsc_file, "--method", method, "--budget", budget, "--out-json", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: dp curve: --budget applies only to --method vertex, not {method}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_vertex_4x8_at_the_default_budget(self, tmp_path):
         # C(45, 12) candidate bases, but the walk visits 364
         path, out_json, out_svg = tmp_path / "big.json", tmp_path / "c.json", tmp_path / "c.svg"
@@ -488,8 +499,11 @@ class TestMalformedArguments:
          (["frobnicate"], "dp: argument command: invalid choice: 'frobnicate'"),
          (["solve", "--P", "0.1"], "dp solve: the following arguments are required: --input"),
          (["verify", "--input", "x.json", "--inject-slope-error", "1e-3"],
-          "dp verify: unrecognized arguments: --inject-slope-error 1e-3")],
-        ids=["bad-float", "bad-int", "unknown-command", "missing-input", "unknown-option"],
+          "dp verify: unrecognized arguments: --inject-slope-error 1e-3"),
+         (["--bogus", "solve", "--input", "x.json", "--P", "0.1"], "dp: unrecognized arguments: --bogus"),
+         (["solve", "--input", "x.json", "--P", "0.1", "--bogus"], "dp solve: unrecognized arguments: --bogus")],
+        ids=["bad-float", "bad-int", "unknown-command", "missing-input", "unknown-option",
+             "unknown-option-before-the-command", "unknown-option-after-the-command"],
     )
     def test_is_input_error(self, capsys, argv, message):
         # argparse's own exit code, 2, is the one for a solver failure

@@ -17,6 +17,7 @@ from dptradeoff import (
     Problem,
     ProblemError,
     SolverError,
+    curve_by_sweep,
     make_problem,
     output_distribution,
     posterior_sampling,
@@ -25,15 +26,17 @@ from dptradeoff import (
     wasserstein1,
 )
 
+from dptradeoff import lp as lpmod
 from dptradeoff.model import _estimator_stack
-from dptradeoff.programs import _stochastic_estimator
-from dptradeoff.problemio import random_metric
+from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form
+from dptradeoff.problemio import instance_to_problem, random_metric
 
 from conftest import (
     cost_matrix_oracle,
     deterministic_minimum_oracle,
     random_distribution,
     random_problem,
+    scaled_distortion_spec,
 )
 
 
@@ -44,6 +47,12 @@ def _pmf_pairs(n_max=6):
             st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n),
         )
     )
+
+
+def _walk_from_p_one(prob):
+    """A built flow program and its optimal basis at P = 1, ``lp.walk``'s first arguments."""
+    lp, lay = build_ot_form(prob, 0.0)
+    return lp, _crash_basis(prob, lay)
 
 
 def _normalize(vals):
@@ -254,6 +263,27 @@ class TestValidation:
     def test_rejection_messages(self, build, error, message):
         # the whole message, so a faster check cannot change what it says
         with pytest.raises(error) as exc:
+            build()
+        assert re.fullmatch(message, str(exc.value))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PiecewiseLinearCurve(np.array([0.5]), np.array([[1.0, -0.5], [0.6, 0.0]])),
+             r"curve discontinuous at breakpoint 0\.5"),
+            (lambda: curve_by_sweep(instance_to_problem(scaled_distortion_spec())),
+             r"curve discontinuous at breakpoint 0\.\d+"),
+            (lambda: Estimator([[0.5], [0.6]]), r"estimator column 0 sums to 1\.1, expected 1"),
+            (lambda: solve_dp_at(make_problem([[0.5, 0.0], [0.0, 0.5]]), np.float64(-0.5)),
+             r"perception level must be finite and >= 0, got -0\.5"),
+            (lambda: lpmod.walk(*_walk_from_p_one(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.float64(-1.0)),
+             r"a walk moves s down to 0 from a span >= 0 that is finite, got -1\.0"),
+        ],
+        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span"],
+    )
+    def test_error_texts_print_plain_numbers(self, build, message):
+        # numpy scalars printed as np.float64(...) once, the CI's scaled sweep too
+        with pytest.raises((ProblemError, SolverError)) as exc:
             build()
         assert re.fullmatch(message, str(exc.value))
 
