@@ -134,13 +134,13 @@ def _print_curve(curve) -> None:
 
 
 def cmd_curve(args) -> int:
-    vertex = args.method == "vertex"
-    if args.budget is not None and not vertex:
+    if args.budget is not None and args.method != "vertex":
         raise ProblemError(f"dp curve: --budget applies only to --method vertex, not {args.method}")
     problem, _ = problemio.load_problem(args.input)
     if args.method == "closed-form":
         _, curve = _closed_form_outputs(args, problem)
     else:
+        vertex = args.method == "vertex"
         if vertex:
             budget = lpmod.VERTEX_BUDGET if args.budget is None else args.budget
             report = curvemod.curve_by_vertices(problem, budget=budget)
@@ -265,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"most bases the vertex walk may visit before exit 3 (--method vertex only; "
-        f"default {lpmod.VERTEX_BUDGET})",
+        help="most bases the vertex walk may visit before exit 3 (--method vertex only)",
     )
     p_curve.set_defaults(func=cmd_curve)
 

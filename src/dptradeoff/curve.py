@@ -288,7 +288,8 @@ def _sweep(problem: Problem):
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)
     levels, bases, xbs, rates = zip(*path)
-    bases, values = np.array(bases), np.array((xbs, rates)).transpose(1, 0, 2)  # entry, B^-1 b or B^-1 e_m, row
+    # values[i, 0] and values[i, 1]: entry i's B^-1 b and B^-1 e_m
+    bases, values = np.array(bases), np.array((xbs, rates)).transpose(1, 0, 2)
     # (k, 1, 1, m) @ (k, 2, m, 1): per entry, the dot products c_B @ xb and c_B @ rate, bit for bit
     lines = (lp.c[bases][:, None, None] @ values[..., None]).reshape(-1, 2)
     pieces, picks, last = [(d_star, 0.0)], [], 0  # the walk starts on the plateau

@@ -401,9 +401,11 @@ def walk(
     if m == 0:
         raise SolverError("a walk moves the last right-hand-side entry; the program has no rows")
     if not 0.0 <= span < math.inf:
-        raise SolverError(f"a walk moves s down to 0 from a span >= 0 that is finite, got {float(span)!r}")
+        raise SolverError(
+            f"a walk moves s down to 0 from a span >= 0 that is finite, got {float(span)!r}"
+        )
     try:
-        start = [operator.index(j) for j in start]
+        start = list(map(operator.index, start))
     except TypeError:
         raise SolverError("start basis names a column that is not an integer") from None
     if len(start) != m:

@@ -131,7 +131,7 @@ class FlowLayout:
         return entries
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
 def _layout(n_x: int, n_y: int, form: str) -> FlowLayout:
     """The layout of one shape and arc list, read-only and shared by every build.
 
@@ -139,13 +139,14 @@ def _layout(n_x: int, n_y: int, form: str) -> FlowLayout:
     ``"tv"``: a star, from the centre (node ``n_x``) to each symbol, then back.
     """
     if form == "ot":
+        n_nodes = n_x
         tail, head = np.nonzero(~np.eye(n_x, dtype=bool))
     else:
-        symbols, centre = np.arange(n_x), np.full(n_x, n_x)
+        n_nodes, symbols, centre = n_x + 1, np.arange(n_x), np.full(n_x, n_x)
         tail, head = np.concatenate([centre, symbols]), np.concatenate([symbols, centre])
-    tail.setflags(write=False)
-    head.setflags(write=False)
-    return FlowLayout(n_x, n_y, n_x + (form != "ot"), tail, head)
+    for arr in (tail, head):
+        arr.setflags(write=False)
+    return FlowLayout(n_x, n_y, n_nodes, tail, head)
 
 
 def _build(problem: Problem, p_level: float, lay: FlowLayout, weight):
@@ -305,13 +306,15 @@ def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[E
     takes the column of the unconstrained optimum, which moves the
     distortion and the output law by at most that symbol's mass.
     """
-    if w.min(initial=0.0) < -tol:
+    if (w < -tol).any():
         raise SolverError("estimator entry negative beyond the solver tolerance")
     q = np.maximum(w, 0.0)
     mass = q.sum(axis=1)
-    residual = abs(mass - problem.p_y).max(initial=0.0)
-    if residual > tol:
-        raise SolverError(f"estimator column off stochastic by mass {residual:g} (tolerance {tol:g})")
+    residual = abs(mass - problem.p_y)
+    if (residual > tol).any():
+        raise SolverError(
+            f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
+        )
     k, y = (mass == 0.0).nonzero()
     mass[k, y] = 1.0
     q /= mass[:, None, :]
