@@ -21,7 +21,6 @@ both pin the plateau bitwise to the unconstrained floor.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -77,15 +76,13 @@ class PiecewiseLinearCurve:
     segments: np.ndarray
 
     def __post_init__(self):
-        """The checks run on Python floats: a curve has a few dozen pieces,
-        and each float operation rounds as numpy's would."""
+        """Past the finiteness checks, the checks run on Python floats: a
+        curve has a few dozen pieces, and each operation rounds as numpy's."""
         bp = np.asarray(self.breakpoints, dtype=float)
         seg = np.asarray(self.segments, dtype=float).reshape(-1, 2)
+        _require_finite(bp, "breakpoint vector")
+        _require_finite(seg, "segment table")
         at, flat = bp.ravel().tolist(), seg.ravel().tolist()
-        if not all(map(math.isfinite, at)):
-            raise ProblemError("breakpoint vector contains non-finite entries")
-        if not all(map(math.isfinite, flat)):
-            raise ProblemError("segment table contains non-finite entries")
         if seg.shape[0] != bp.size + 1:
             raise ProblemError("segment count must be breakpoint count + 1")
         if at and (any(map(operator.ge, at, at[1:])) or at[0] <= 0 or at[-1] > 1 + 1e-12):

@@ -150,7 +150,7 @@ def _layout(n_x: int, n_y: int, form: str) -> FlowLayout:
 
 
 def _build(problem: Problem, p_level: float, lay: FlowLayout, weight):
-    """The flow program of the layout ``lay``, whose arc k has ``weight[k]``.
+    """The flow program of the layout ``lay`` with arc weights ``weight``, one per arc or one for all.
 
     Cost vector: conditional reconstruction cost on the joint masses,
     zero on the arcs and the slack.  Right-hand side: observation
