@@ -109,7 +109,7 @@ class TestTransportForm:
                 want[y, lay.ix_w(xhat, y)] = 1.0
                 if xhat in row:
                     want[row[xhat], lay.ix_w(xhat, y)] = 1.0
-        for k, (i, j) in enumerate(zip(lay.tail.tolist(), lay.head.tolist())):
+        for i, j in zip(lay.tail.tolist(), lay.head.tolist()):
             col = lay.ix_arc(i, j)
             if i in row:
                 want[row[i], col] = 1.0
