@@ -306,7 +306,8 @@ def _sweep(problem: Problem):
     except ProblemError as exc:  # the walk's own lines fail the curve's checks: a numeric failure
         raise SolverError(str(exc)) from exc
     points = np.zeros((len(kept), lp.n))
-    points[np.arange(len(kept))[:, None], bases[kept]] = values[kept, 0] + at[:, None] * values[kept, 1]
+    vals = values[kept]
+    points[np.arange(len(kept))[:, None], bases[kept]] = vals[:, 0] + at[:, None] * vals[:, 1]
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
     return CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators))), lp, sol.basis

@@ -315,10 +315,12 @@ def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[E
         raise SolverError(
             f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
         )
-    k, y = (mass == 0.0).nonzero()
-    mass[k, y] = 1.0
-    q /= mass[:, None, :]
-    if k.size:
+    if mass.all():
+        q /= mass[:, None, :]
+    else:  # an all-zero column takes the MAP column
+        k, y = (mass == 0.0).nonzero()
+        mass[k, y] = 1.0
+        q /= mass[:, None, :]
         q[k, :, y] = problem.minimum[1].q[:, y].T
     return _estimator_stack(q)
 
