@@ -435,11 +435,9 @@ def walk(
 
     if iters:
         tab.refactor()  # against lp.b afresh, not the sum of the updates
-    confirm = 0
-    if tab.red.min() < -_RED_COST_TOL:  # a column improves (else phase two would stop at once)
-        status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
-        if status != "optimal":
-            raise SolverError(f"phase two ended {status} after the walk")
+    status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
+    if status != "optimal":
+        raise SolverError(f"phase two ended {status} after the walk")
     sol = _optimal(lp, tab, iters + confirm, tab.refactors)
     path.append((0.0, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
     return sol, path

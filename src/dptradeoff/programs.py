@@ -36,7 +36,6 @@ rows ``dual_polyhedron`` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,8 +60,6 @@ class FlowLayout:
     ``k`` runs from node ``tail[k]`` to node ``head[k]``.  Columns: the
     joint masses ``w[xhat, y]``, the arcs, the slack.  Rows: the
     stochasticity rows, the node rows but the last symbol's, the budget.
-    The builds share one layout per shape and arc list (``_layout``), so
-    ``unit_entries`` is computed once per shape.
     """
 
     n_x: int
@@ -105,77 +102,42 @@ class FlowLayout:
     def extract_flow(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_x * self.n_y : -1]
 
-    @cached_property
-    def unit_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat row-major indices of the constraint matrix's +1 and -1 entries.
 
-        These are all its entries but the arc weights on the budget row.
-        A joint mass has a 1 in its observation's row and its symbol's
-        row, an arc a 1 in its tail's row and a -1 in its head's, the
-        slack a 1 in the budget row; the last symbol has no row, and a
-        centre node takes the row it leaves free.
-        """
-        n_x, n_y, nq = self.n_x, self.n_y, self.n_x * self.n_y
-        cols, arcs = np.arange(nq), nq + np.arange(self.tail.size)
-        node = n_y + np.arange(self.n_nodes) - (np.arange(self.n_nodes) >= n_x)
-        node[n_x - 1] = -1
-
-        def flat(rows, cols):
-            return (rows * self.n_vars + cols)[rows >= 0]
-
-        ones = [flat(cols % n_y, cols), flat(node[cols // n_y], cols), flat(node[self.tail], arcs)]
-        ones.append([self.n_cons * self.n_vars - 1])  # the slack
-        entries = np.concatenate(ones), flat(node[self.head], arcs)
-        for arr in entries:
-            arr.setflags(write=False)
-        return entries
-
-
-@lru_cache(maxsize=16)
-def _layout(n_x: int, n_y: int, form: str) -> FlowLayout:
-    """The layout of one shape and arc list, read-only and shared by every build.
-
-    ``"ot"``: an arc for every ordered pair of distinct symbols, row-major.
-    ``"tv"``: a star, from the centre (node ``n_x``) to each symbol, then back.
-    """
-    if form == "ot":
-        n_nodes = n_x
-        tail, head = np.nonzero(~np.eye(n_x, dtype=bool))
-    else:
-        n_nodes, symbols, centre = n_x + 1, np.arange(n_x), np.full(n_x, n_x)
-        tail, head = np.concatenate([centre, symbols]), np.concatenate([symbols, centre])
-    for arr in (tail, head):
-        arr.setflags(write=False)
-    return FlowLayout(n_x, n_y, n_nodes, tail, head)
-
-
-def _build(problem: Problem, p_level: float, lay: FlowLayout, weight):
-    """The flow program of the layout ``lay`` with arc weights ``weight``, one per arc or one for all.
+def _build(problem: Problem, p_level: float, n_nodes: int, tail, head, weight):
+    """The flow program over the arcs ``tail[k] -> head[k]`` of ``weight[k]``.
 
     Cost vector: conditional reconstruction cost on the joint masses,
     zero on the arcs and the slack.  Right-hand side: observation
     marginal, source marginal but its last entry (0 at a centre node),
     and the perception level (the only P-dependent entry, so the
-    right-hand side is affine in P).  The matrix is filled from the
-    layout's ``unit_entries`` and the weights.
+    right-hand side is affine in P).  The last symbol's node entries are
+    written to a spare row past the budget, which the program leaves out.
     """
     check_level(p_level)
-    ones, minus_ones = lay.unit_entries
-    a = np.zeros(lay.n_cons * lay.n_vars)
-    a[ones] = 1.0
-    a[minus_ones] = -1.0
-    a = a.reshape(lay.n_cons, lay.n_vars)
-    a[-1, problem.n_x * problem.n_y : -1] = weight
+    n_x, n_y = problem.n_x, problem.n_y
+    lay = FlowLayout(n_x, n_y, n_nodes, tail, head)
+    nq = n_x * n_y
+    cols, arcs = np.arange(nq), nq + np.arange(tail.size)
+    node = n_y + np.arange(n_nodes) - (np.arange(n_nodes) >= n_x)  # a centre fills the gap
+    node[n_x - 1] = lay.n_cons  # the spare row
 
-    b = np.concatenate([problem.p_y, problem.p_x[:-1], np.zeros(lay.n_nodes - problem.n_x), [p_level]])
-    c = np.concatenate([problem.conditional.reshape(-1), np.zeros(lay.tail.size + 1)])
-    return lpmod.StandardLP(a, b, c), lay
+    a = np.zeros((lay.n_cons + 1, lay.n_vars))
+    a[cols % n_y, cols] = 1.0
+    a[node[cols // n_y], cols] = 1.0
+    a[node[tail], arcs] = 1.0
+    a[node[head], arcs] = -1.0
+    a[-2, nq:-1] = weight
+    a[-2, -1] = 1.0
+
+    b = np.concatenate([problem.p_y, problem.p_x[:-1], np.zeros(n_nodes - n_x), [p_level]])
+    c = np.concatenate([problem.conditional.reshape(-1), np.zeros(tail.size + 1)])
+    return lpmod.StandardLP(a[:-1], b, c), lay
 
 
 def build_ot_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
     """The flow program over every ordered pair of distinct symbols, any metric."""
-    lay = _layout(problem.n_x, problem.n_y, "ot")
-    return _build(problem, p_level, lay, problem.metric.h[lay.tail, lay.head])
+    tail, head = np.nonzero(~np.eye(problem.n_x, dtype=bool))
+    return _build(problem, p_level, problem.n_x, tail, head, problem.metric.h[tail, head])
 
 
 def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, FlowLayout]:
@@ -186,7 +148,10 @@ def build_tv_form(problem: Problem, p_level: float) -> tuple[lpmod.StandardLP, F
     """
     if not problem.metric.is_hamming:
         raise ProblemError('the star form ("tv") requires the Hamming ground metric')
-    return _build(problem, p_level, _layout(problem.n_x, problem.n_y, "tv"), 0.5)
+    n_x = problem.n_x
+    symbols, centre = np.arange(n_x), np.full(n_x, n_x)
+    tail, head = np.concatenate([centre, symbols]), np.concatenate([symbols, centre])
+    return _build(problem, p_level, n_x + 1, tail, head, np.full(2 * n_x, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +280,10 @@ def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[E
         raise SolverError(
             f"estimator column off stochastic by mass {residual.max():g} (tolerance {tol:g})"
         )
-    if mass.all():
-        q /= mass[:, None, :]
-    else:  # an all-zero column takes the MAP column
-        k, y = (mass == 0.0).nonzero()
-        mass[k, y] = 1.0
-        q /= mass[:, None, :]
-        q[k, :, y] = problem.minimum[1].q[:, y].T
+    k, y = (mass == 0.0).nonzero()  # an all-zero column takes the MAP column
+    mass[k, y] = 1.0
+    q /= mass[:, None, :]
+    q[k, :, y] = problem.minimum[1].q[:, y].T
     return _estimator_stack(q)
 
 

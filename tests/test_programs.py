@@ -98,7 +98,7 @@ class TestTransportForm:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 3), (4, 7)])
     @pytest.mark.parametrize("form", ["ot", "tv"])
     def test_matrix_matches_an_entry_by_entry_fill(self, form, shape):
-        # the layout's flat index arrays against the documented rows and columns
+        # the index fill against the documented rows and columns
         prob = random_problem(sum(shape), *shape)
         lp, lay = BUILD[form](prob, 0.2)
         n_x, n_y = shape
@@ -118,16 +118,6 @@ class TestTransportForm:
             want[-1, col] = prob.metric.h[i, j] if form == "ot" else 0.5
         want[-1, lay.ix_slack] = 1.0
         assert np.array_equal(lp.a, want)
-
-    def test_one_read_only_layout_per_shape_and_form(self):
-        # builds share the index arrays, never a matrix or anything of a problem
-        first, second = random_problem(1, 3, 4), random_problem(2, 3, 4)
-        _, lay = build_ot_form(first, 0.0)
-        assert build_ot_form(second, 0.3)[1] is lay
-        assert build_tv_form(first, 0.0)[1] is not lay
-        assert build_ot_form(random_problem(1, 4, 3), 0.0)[1] is not lay
-        for arr in (lay.tail, lay.head, *lay.unit_entries):
-            assert arr.dtype.kind == "i" and not arr.flags.writeable
 
     def test_full_row_rank(self, bsc_problem):
         lp, _ = build_ot_form(bsc_problem, 0.5)
