@@ -475,6 +475,11 @@ class HPolyhedron:
         return self.g.shape[1]
 
 
+def _plain(value):
+    """A numpy scalar or array as a Python number or list, for error texts."""
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+
+
 def _check_walk(budget, d: int) -> None:
     """Raise ProblemError unless ``budget`` is an integer >= 1, and
     BudgetExceededError past 16 dimensions: a vertex walk's refusals,
@@ -485,7 +490,8 @@ def _check_walk(budget, d: int) -> None:
         valid = False
     if not valid:
         raise ProblemError(
-            f"a vertex walk needs a budget of at least 1 basis, in whole bases, got {budget!r}"
+            "a vertex walk needs a budget of at least 1 basis, in whole bases, "
+            f"got {_plain(budget)!r}"
         )
     if d > 16:
         raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
@@ -524,7 +530,9 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     try:
         start = [operator.index(i) for i in start]
     except TypeError:
-        raise SolverError(f"a start must name {d} distinct rows of {k}, got {start!r}") from None
+        raise SolverError(
+            f"a start must name {d} distinct rows of {k}, got {_plain(start)!r}"
+        ) from None
     if len(start) != d or len(set(start)) != d or not all(0 <= i < k for i in start):
         raise SolverError(f"a start must name {d} distinct rows of {k}, got {start}")
     if not np.linalg.cond(g[start]) < 1.0 / _PIVOT_COL_TOL:

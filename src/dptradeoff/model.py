@@ -47,8 +47,11 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 
 def check_level(p_level: float) -> None:
-    """Raise ProblemError unless a perception level is finite and >= 0."""
-    if not np.isfinite(p_level) or p_level < 0:
+    """Raise ProblemError unless a perception level is a finite scalar >= 0."""
+    finite = np.isfinite(p_level)
+    if not isinstance(finite, np.bool_):  # a ufunc gives an array only for an array of levels
+        raise ProblemError(f"perception level must be a scalar, got {np.asarray(p_level).tolist()}")
+    if not finite or p_level < 0:
         raise ProblemError(f"perception level must be finite and >= 0, got {float(p_level)!r}")
 
 

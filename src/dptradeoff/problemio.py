@@ -9,6 +9,7 @@ digits so parse/serialize round-trips are byte identical.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -118,6 +119,12 @@ def generate_instance(
     use_random_metric: bool = False,
 ) -> dict:
     """Reproducible random instance: uniform draw, normalized to sum one."""
+    try:
+        seed, n_x, n_y = (operator.index(v) for v in (seed, n_x, n_y))
+    except TypeError:
+        raise ProblemError(
+            f"seed and alphabet sizes must be integers, got {seed!r}, {n_x!r}, {n_y!r}"
+        ) from None
     if n_x < 1 or n_y < 1:
         raise ProblemError("alphabet sizes must be >= 1")
     if seed < 0:

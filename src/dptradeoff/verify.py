@@ -181,9 +181,10 @@ def cross_verify(
     """Compare every applicable method on a shared perception grid.
 
     Failures are collected in the report instead of raised.  Raises
-    ProblemError, before any solve, on a grid that is empty or not
-    one-dimensional, a negative or non-finite ``exact_tol``, or a
-    ``grid_steps`` that is not an integer of at least 1.
+    ProblemError, before any solve, on a grid that is empty, not
+    one-dimensional or holds a level that ``check_level`` rejects, a
+    negative or non-finite ``exact_tol``, or a ``grid_steps`` that is not
+    an integer of at least 1.
     """
     if not 0.0 <= exact_tol < math.inf:  # a NaN tolerance would pass every comparison
         raise ProblemError(f"exact_tol must be finite and nonnegative, got {exact_tol}")
@@ -192,6 +193,8 @@ def cross_verify(
         raise ProblemError(f"perception grid must be one-dimensional, got shape {ps.shape}")
     if ps.size == 0:
         raise ProblemError("perception grid is empty")
+    for level in ps.tolist():
+        check_level(level)
     if grid_steps is not None:
         _require_steps(grid_steps)
     values: dict[str, np.ndarray] = {}

@@ -76,6 +76,30 @@ def scaled_distortion_spec(seed=1, scale=1e8):
     return spec
 
 
+def skewed_masses(rng, n_x, n_y):
+    """A joint law whose observation columns weigh from 1e-12 to 1 before normalizing."""
+    p_xy = rng.uniform(size=(n_x, n_y)) * 10.0 ** rng.uniform(-12, 0, size=n_y)
+    return p_xy / p_xy.sum()
+
+
+def closed_random_metric(rng, n_x):
+    """Random symmetric weights, closed under shortest paths."""
+    h = np.triu(rng.uniform(0.2, 1.0, size=(n_x, n_x)), 1)
+    h = h + h.T
+    for k in range(n_x):
+        h = np.minimum(h, h[:, [k]] + h[[k]])
+    return h
+
+
+def three_symbol_skewed(seed):
+    """Instance dict: 3 x (3 or 4) skewed masses, Hamming distortion, a
+    path-closed random metric."""
+    rng = np.random.default_rng(seed)
+    n_y = int(rng.integers(3, 5))
+    p_xy = skewed_masses(rng, 3, n_y)
+    return {"p_xy": p_xy, "metric": closed_random_metric(rng, 3)}
+
+
 def tilt_sweep(monkeypatch, error):
     """Make ``cross_verify``'s sweep column read ``sweep + error * max(p_star - P, 0)``.
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,55 @@ from dptradeoff.problemio import (
     serialize_instance,
 )
 
-from conftest import scaled_distortion_spec, tilt_sweep
+from conftest import scaled_distortion_spec, three_symbol_skewed, tilt_sweep
+
+# a child interpreter imports the package from this checkout's src/
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+# instance files by name, for ``run``: ``dp gen`` arguments, or the file's text
+INSTANCES = {
+    "i.json": "--seed 1 --nx 13 --ny 20",
+    "s.json": "--seed 1 --nx 3 --ny 4",
+    "b.json": "--seed 1 --nx 2 --ny 8 --random-distortion",
+    "b400.json": "--seed 1 --nx 2 --ny 400 --random-distortion",  # 206 breakpoint rules
+    "r.json": "--seed 1 --nx 5 --ny 6 --random-metric --random-distortion",
+    "w.json": "--seed 1 --nx 6 --ny 4",  # its dual has 2,002 bases, ties of up to 26 rows
+    "e.json": "--seed 1 --nx 8 --ny 4",  # 31,824 bases, past the default budget
+    "big.json": "--seed 1 --nx 16 --ny 64",  # 80 dual dimensions, past the walk's 16
+    # p_first sits on the knot one step past the greedy rule's, at distance 0
+    "knot.json": '{"p_xy": [[0.25, 0.03125, 0.078125], [0.015625, 0.0625, 0.5625]]}',
+    "huge-cost.json": '{"p_xy": [[0.5, 0.5]], "distortion": [[1e308]]}',
+    # observation masses near 1e-9; a merge of vertices 1e-7 apart once dropped a line
+    "ill.json": '{"p_xy": [[0.2, 1e-09, 0.1], [0.1, 2e-09, 0.2], [0.2, 0.0, 0.199999997]], '
+    '"metric": [[0, 0.7, 0.9], [0.7, 0, 0.6], [0.9, 0.6, 0]]}',
+    "skew15.json": serialize_instance(three_symbol_skewed(15)),
+    "skew20.json": serialize_instance(three_symbol_skewed(20)),
+    "tiny-negative.json": '{"p_xy": [[0.2500000000002, 0.2500000000002, 0.2500000000002, '
+    '0.2500000000002], [-4e-13, -4e-13, -4e-13, -4e-13]]}',
+    "tiny-diagonal.json": '{"p_xy": [[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]], '
+    '"metric": [[-5e-13, 1, 1], [1, -5e-13, 1], [1, 1, -5e-13]]}',
+}
+
+
+@pytest.fixture
+def run(tmp_path, monkeypatch, capsys):
+    """``run("solve --input i.json --P 0.1")``: the exit code, stdout and
+    stderr of ``dp`` run in an empty directory that holds only the
+    ``INSTANCES`` file its ``--input`` names."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(command):
+        argv = command.split()
+        name = argv[argv.index("--input") + 1]
+        source = INSTANCES[name]
+        if source.startswith("{"):
+            Path(name).write_text(source)
+        else:
+            assert main(["gen", *source.split(), "--out", name]) == 0
+        capsys.readouterr()
+        return main(argv), *capsys.readouterr()
+
+    return run
 
 
 @pytest.fixture
@@ -135,6 +184,12 @@ class TestSolve:
             values[form] = capsys.readouterr().out.splitlines()[0]
         assert values["tv"].startswith("D(P) = ")
         assert values["tv"] == values["ot"]
+
+    def test_metric_diagonal_below_zero_gives_no_negative_certificate(self, run):
+        # a diagonal of -5e-13 passes the zero check; as given, the certificate read -5e-13
+        code, out, _ = run("solve --input tiny-diagonal.json --P 0")
+        line = next(line for line in out.splitlines() if line.startswith("perception certificate"))
+        assert code == 0 and float(line.split("=")[1]) >= 0.0
 
     def test_sign_form_rejected_for_general_metric(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -305,8 +360,23 @@ class TestBinarySubcommand:
         keys = [line.split(" = ")[0] for line in by_curve]
         assert keys == ["breakpoints", "slopes", "p_star", "d_star", "tolerance"]
 
+    @pytest.mark.parametrize("name", ["b.json", "b400.json", "knot.json"])
+    def test_closed_form_json_lists_estimators(self, run, name):
+        # at 0, then at each breakpoint in order, each column summing to 1
+        assert run(f"curve --input {name} --method closed-form --out-json c.json")[0] == 0
+        doc = json.loads(Path("c.json").read_text())
+        assert [e["p"] for e in doc["estimators"]] == [0.0] + doc["breakpoints"]
+        for e in doc["estimators"]:
+            assert all(abs(sum(col) - 1.0) <= 1e-12 for col in zip(*e["q"]))
+
 
 class TestVerify:
+    @pytest.mark.parametrize("steps, shown", [("3", True), ("8", False)])
+    def test_grid_oracle_joins_within_its_budget(self, run, steps, shown):
+        # 4^8 grid points at 3 steps; 9^8 at 8, past the 1e7 budget
+        code, out, _ = run(f"verify --input b.json --grid-steps {steps}")
+        assert (code, "grid oracle band" in out) == (0, shown)
+
     def test_bsc_passes(self, bsc_file, capsys):
         assert main(["verify", "--input", bsc_file, "--points", "9"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -360,7 +430,7 @@ class TestBadProblemFiles:
         return err
 
     def test_not_utf8(self, tmp_path, capsys):
-        err = self._solve(tmp_path, capsys, b'\xff\xfe{"p_xy": [[1.0]]}')
+        err = self._solve(tmp_path, capsys, b'\xff\xfe{"p_xy": [[1]]}')
         assert "UTF-8" in err
 
     def test_nested_too_deep(self, tmp_path, capsys):
@@ -378,12 +448,13 @@ class TestBadProblemFiles:
             (b'{"p_xy": [[0.5, 0.5]], "metric": "hamming"}', "field 'metric' must be"),
             (b'{"p_xy": [0.5, 0.5]}', "field 'p_xy' row 0 is not an array"),
             (b'{"p_xy": [[0.5, "0.5"]]}', "field 'p_xy' entry (0,1) is not a number"),
+            (b'{"p_xy": [[0.5, true]]}', "field 'p_xy' entry (0,1) is not a number"),
             (b'{"p_xy": [[0.5, 0.5]], "distortion": [[true]]}', "field 'distortion' entry (0,0)"),
             (b'[[0.5, 0.5]]', "instance file must be a JSON object"),
-            (b'{"metric": [[0.0]]}', "missing required field 'p_xy'"),
+            (b'{"metric": [[0]]}', "missing required field 'p_xy'"),
         ],
-        ids=["field-not-list", "metric-not-list", "row-not-list", "string-entry", "true-entry",
-             "not-an-object", "no-p_xy"],
+        ids=["field-not-list", "metric-not-list", "row-not-list", "string-entry", "bool-entry",
+             "true-entry", "not-an-object", "no-p_xy"],
     )
     def test_malformed_schema_names_the_field(self, tmp_path, capsys, data, named):
         assert named in self._solve(tmp_path, capsys, data)
@@ -431,7 +502,7 @@ class TestScaledDistortion:
         path.write_text(serialize_instance(scaled_distortion_spec()))
         code = main([*command, "--input", str(path)])
         err = capsys.readouterr().err
-        assert code != 1 and "input error" not in err, err
+        assert code != 1 and "input error" not in err and "np.float64" not in err, err
 
 
 class TestBrokenPipe:
@@ -446,6 +517,18 @@ class TestBrokenPipe:
             assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
             monkeypatch.undo()
         assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_across_processes(self, tmp_path):
+        # ``dp binary --input b400.json | head -c 1``, with the reader gone before dp writes
+        path = tmp_path / "b400.json"
+        path.write_text(serialize_instance(generate_instance(1, 2, 400, random_distortion=True)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dptradeoff.cli", "binary", "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+        )
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestTolerance:
@@ -548,6 +631,11 @@ class TestW1:
         plan = np.array([[float(v) for v in line.split()] for line in lines[2:7]])
         assert np.allclose(plan, np.outer(np.full(5, 0.2), [1, 0, 0, 0, 0]), rtol=0.0, atol=1e-15)
 
+    def test_marginal_to_itself_is_zero(self, run):
+        # every artificial of phase one starts basic at 0 and must leave the basis
+        code, out, _ = run("w1 --input r.json --p 0.2,0.2,0.2,0.2,0.2 --q 0.2,0.2,0.2,0.2,0.2")
+        assert code == 0 and out.splitlines()[0] == "W1 = 0"
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, bsc_file):
@@ -555,6 +643,50 @@ class TestConsoleEntry:
             [sys.executable, "-m", "dptradeoff.cli", "solve", "--input", bsc_file, "--P", "1"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "D(P) = 0.1" in proc.stdout
+
+
+class TestEndToEnd:
+    # each command on an ``INSTANCES`` file, its exit code, and how its stderr starts
+    EXIT_CODES = [
+        ("curve --input i.json --method sweep --out-json c.json", 0, ""),
+        ("curve --input s.json --method vertex --out-json v.json", 0, ""),
+        ("verify --input s.json", 0, ""),
+        ("binary --input b.json", 0, ""),
+        ("verify --input b.json", 0, ""),
+        ("binary --input b400.json", 0, ""),
+        ("verify --input knot.json", 0, ""),
+        ("verify --input r.json", 0, ""),
+        ("curve --input w.json --method vertex", 0, ""),
+        ("verify --input w.json", 0, ""),
+        ("curve --input e.json --method vertex", 3, "budget exceeded: the vertex walk visited more"),
+        ("curve --input big.json", 3, "budget exceeded: dimension 80 exceeds"),
+        ("solve --input i.json --P 0.1 --out-svg x.svg", 1,
+         "input error: dp solve: unrecognized arguments: --out-svg x.svg"),
+        ("solve --input i.json --P 0.1 --tol 1e-3", 1,
+         "input error: dp solve: unrecognized arguments: --tol 1e-3"),
+        ("curve --input s.json --method vertex --budget 0", 1,
+         "input error: a vertex walk needs a budget of at least 1"),
+        ("verify --input s.json --tol nan", 1, "input error: --tol must be finite and nonnegative"),
+        ("solve --input i.json --P abc", 1, "input error: dp solve: argument --P: invalid float"),
+        ("curve --input s.json --budget 1e3", 1, "input error: dp curve: argument --budget: invalid int"),
+        ("curve --input s.json --method sweep --budget 5", 1,
+         "input error: dp curve: --budget applies only to --method vertex"),
+        ("--bogus solve --input i.json --P 0.1", 1, "input error: dp: unrecognized arguments: --bogus"),
+        ("curve --input huge-cost.json --method vertex", 0, ""),  # 1e308 once overflowed a rounding
+        ("verify --input ill.json --points 101 --tol 1e-12", 0, ""),
+        ("curve --input skew15.json --method sweep", 0, ""),
+        ("verify --input skew20.json --tol 1e-9", 0, ""),
+        ("solve --input tiny-negative.json --P 0.1", 0, ""),
+    ]
+
+    @pytest.mark.parametrize("command, code, err", EXIT_CODES, ids=[row[0] for row in EXIT_CODES])
+    def test_exit_code(self, run, command, code, err):
+        # stderr holds only the exit code's message; a refused command writes
+        # no file next to its instance file
+        got, _, stderr = run(command)
+        assert got == code and stderr.startswith(err) and (stderr == "") == (code == 0)
+        assert code == 0 or len(os.listdir()) == 1

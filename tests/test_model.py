@@ -18,6 +18,7 @@ from dptradeoff import (
     ProblemError,
     SolverError,
     curve_by_sweep,
+    curve_by_vertices,
     make_problem,
     output_distribution,
     posterior_sampling,
@@ -28,8 +29,8 @@ from dptradeoff import (
 
 from dptradeoff import lp as lpmod
 from dptradeoff.model import _estimator_stack
-from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form
-from dptradeoff.problemio import instance_to_problem, random_metric
+from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form, dual_polyhedron
+from dptradeoff.problemio import generate_instance, instance_to_problem, random_metric
 
 from conftest import (
     cost_matrix_oracle,
@@ -255,10 +256,17 @@ class TestValidation:
             (lambda: Distribution([]), ProblemError, r"distribution must be a nonempty vector"),
             (lambda: tv_distance([[0.5, 0.5]], [0.5, 0.5]), ProblemError,
              r"first distribution must be a nonempty vector"),
+            # each ended in a numpy ValueError or TypeError
+            (lambda: solve_dp_at(make_problem([[0.4, 0.1], [0.2, 0.3]]), np.array([0.1])), ProblemError,
+             r"perception level must be a scalar, got \[0\.1\]"),
+            (lambda: generate_instance(1.5, 2, 3), ProblemError,
+             r"seed and alphabet sizes must be integers, got 1\.5, 2, 3"),
+            (lambda: generate_instance(1, 2.5, 3), ProblemError,
+             r"seed and alphabet sizes must be integers, got 1, 2\.5, 3"),
         ],
         ids=["breakpoints-repeated", "breakpoint-at-zero", "breakpoint-past-one", "segments-inf",
              "off-stochastic", "estimator-negative", "estimator-column-sum", "empty-vector",
-             "matrix-as-vector"],
+             "matrix-as-vector", "level-array", "float-seed", "float-size"],
     )
     def test_rejection_messages(self, build, error, message):
         # the whole message, so a faster check cannot change what it says
@@ -278,11 +286,16 @@ class TestValidation:
              r"perception level must be finite and >= 0, got -0\.5"),
             (lambda: lpmod.walk(*_walk_from_p_one(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.float64(-1.0)),
              r"a walk moves s down to 0 from a span >= 0 that is finite, got -1\.0"),
+            (lambda: curve_by_vertices(make_problem([[0.4, 0.1], [0.2, 0.3]]), budget=np.float64(5.0)),
+             r"a vertex walk needs a budget of at least 1 basis, in whole bases, got 5\.0"),
+            (lambda: lpmod.enumerate_vertices(
+                dual_polyhedron(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.array([0, 1, 2.5])),
+             r"a start must name 4 distinct rows of 7, got \[0\.0, 1\.0, 2\.5\]"),
         ],
-        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span"],
+        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span", "budget", "start"],
     )
     def test_error_texts_print_plain_numbers(self, build, message):
-        # numpy scalars printed as np.float64(...) once, the CI's scaled sweep too
+        # numpy scalars printed as np.float64(...) once, the scaled sweep's too
         with pytest.raises((ProblemError, SolverError)) as exc:
             build()
         assert re.fullmatch(message, str(exc.value))

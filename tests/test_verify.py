@@ -19,7 +19,13 @@ from dptradeoff import verify
 from dptradeoff.problemio import generate_instance, instance_to_problem
 from dptradeoff.verify import _simplex_grid
 
-from conftest import random_problem, tilt_sweep
+from conftest import (
+    closed_random_metric,
+    random_problem,
+    skewed_masses,
+    three_symbol_skewed,
+    tilt_sweep,
+)
 
 
 class TestGridOracle:
@@ -243,8 +249,10 @@ class TestCrossVerify:
         "grid, kwargs, message",
         [(0.5, {}, r"one-dimensional, got shape \(\)"),
          (np.array([[0.1, 0.2]]), {}, r"one-dimensional, got shape \(1, 2\)"),
-         (np.linspace(0, 1, 5), {"grid_steps": 2.5}, "steps must be an integer")],
-        ids=["scalar-grid", "2d-grid", "float-steps"],
+         (np.linspace(0, 1, 5), {"grid_steps": 2.5}, "steps must be an integer"),
+         ([0.1, math.nan], {}, "perception level must be finite and >= 0, got nan"),
+         ([-0.1], {}, r"perception level must be finite and >= 0, got -0\.1")],
+        ids=["scalar-grid", "2d-grid", "float-steps", "nan-level", "negative-level"],
     )
     def test_malformed_input_rejected_before_any_solve(
         self, bsc_problem, monkeypatch, grid, kwargs, message
@@ -276,37 +284,14 @@ class TestCrossVerify:
         assert "sweep" in text
 
 
-def _skewed_masses(rng, n_x, n_y):
-    """A joint law whose observation columns weigh from 1e-12 to 1 before normalizing."""
-    p_xy = rng.uniform(size=(n_x, n_y)) * 10.0 ** rng.uniform(-12, 0, size=n_y)
-    return p_xy / p_xy.sum()
-
-
-def _closed_random_metric(rng, n_x):
-    """Random symmetric weights, closed under shortest paths."""
-    h = np.triu(rng.uniform(0.2, 1.0, size=(n_x, n_x)), 1)
-    h = h + h.T
-    for k in range(n_x):
-        h = np.minimum(h, h[:, [k]] + h[[k]])
-    return h
-
-
-def _three_symbol_skewed(seed):
-    """3 x (3 or 4), Hamming distortion, a path-closed random metric."""
-    rng = np.random.default_rng(seed)
-    n_y = int(rng.integers(3, 5))
-    p_xy = _skewed_masses(rng, 3, n_y)
-    return make_problem(p_xy, None, _closed_random_metric(rng, 3))
-
-
 def _mixed_skewed(seed):
     """2-4 x 2-5; a random distortion on odd seeds, a path-closed random
     metric unless ``seed % 3 == 0`` (Hamming then)."""
     rng = np.random.default_rng([7, seed])
     n_x, n_y = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-    p_xy = _skewed_masses(rng, n_x, n_y)
+    p_xy = skewed_masses(rng, n_x, n_y)
     distortion = rng.uniform(size=(n_x, n_x)) if seed % 2 else None
-    metric = _closed_random_metric(rng, n_x) if seed % 3 else None
+    metric = closed_random_metric(rng, n_x) if seed % 3 else None
     return make_problem(p_xy, distortion, metric)
 
 
@@ -330,7 +315,7 @@ class TestSkewedMasses:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_three_symbols(self, seed):
-        self._check(_three_symbol_skewed(seed))
+        self._check(instance_to_problem(three_symbol_skewed(seed)))
 
     @pytest.mark.parametrize("seed", range(100))
     def test_mixed_shapes(self, seed):
