@@ -7,14 +7,15 @@ Solves equality-standard-form programs
 with a two-phase primal simplex under Bland's rule, which cannot cycle.
 The tableau is revised (Bertsimas and Tsitsiklis, section 3.3): it keeps
 the m-by-m basis inverse and forms only the row and the column of the
-m-by-n ``B^-1 A`` that a pivot needs; a pivot updates the inverse and
-the basic values together by one rank-one step in place.  It is
-refactorized from the basis periodically and at termination (unless no
-pivot came after the last refactorization), each time by one LU
-solve of ``B [binv | xb] = [I | b]``, with the duals read
-from that inverse, so the reported point, dual vector, and objective
-come from a fresh solve against the original data rather than
-accumulated updates.
+m-by-n ``B^-1 A`` that a pivot needs; the pivot rule that forms the row
+hands it to the pivot, so the tableau caches nothing between pivots.  A
+pivot updates the inverse and the basic values together by one rank-one
+step in place.  The tableau is refactorized from the basis periodically
+and at termination (unless no pivot came after the last
+refactorization), each time by one LU solve of
+``B [binv | xb] = [I | b]``, with the duals read from that inverse, so
+the reported point, dual vector, and objective come from a fresh solve
+against the original data rather than accumulated updates.
 
 Phase one is for programs without a known basis.  Like ``walk``,
 ``solve`` needs full row rank: phase one names a consistent equality
@@ -126,18 +127,19 @@ class LPSolution:
 
 
 class _Tableau:
-    """Revised tableau: the basis inverse ``binv``, not ``B^-1 A``.
+    """Revised tableau: the basis and its factored block, not ``B^-1 A``.
 
-    It keeps ``B^-1 [I | b]`` as one m-by-(m + 1) block whose columns are
-    the views ``binv`` and the basic values ``xb``, so a pivot updates
-    both by one rank-one step in place; ``rate = B^-1 e_m`` is binv's
-    last column (at m = 0, the empty ``xb``).  It also keeps
-    the basis as an integer array, the duals ``y = c_B B^-1`` and the
-    reduced costs ``red``, and forms a row or a column of ``B^-1 A`` when
-    a pivot rule asks.  A row is set to exactly 0 at the other basic
-    columns and 1 at its own: the product leaves rounding of about 1e-11
-    there, which passes ``_PIVOT_COL_TOL``.  ``refactors`` counts the
-    calls of ``refactor``, which factors the basis afresh, once.
+    It keeps the basis as an integer array, ``B^-1 [I | b]`` as one
+    m-by-(m + 1) block whose columns are the views ``binv`` and the basic
+    values ``xb``, so a pivot updates both by one rank-one step in place
+    (``rate = B^-1 e_m`` is binv's last column; at m = 0, the empty
+    ``xb``), the duals ``y = c_B B^-1`` and the reduced costs ``red``;
+    nothing else.  It forms a row or a column of ``B^-1 A`` when a pivot
+    rule asks, and the rule hands the row it formed to ``pivot``.  A row
+    is set to exactly 0 at the other basic columns and 1 at its own: the
+    product leaves rounding of about 1e-11 there, which passes
+    ``_PIVOT_COL_TOL``.  ``refactors`` counts the calls of ``refactor``,
+    which factors the basis afresh, once.
     """
 
     def __init__(self, a, b, c, basis):
@@ -161,28 +163,25 @@ class _Tableau:
         self.y = self.c[self.basis] @ self.binv
         self.red = self.c - self.y @ self.a
         self.refactors += 1
-        self.fresh = True  # no pivot since the last refactorization
-        self._row = None  # (r, row r of B^-1 A), until the basis changes
 
     def row(self, r: int) -> np.ndarray:
         """Row ``r`` of ``B^-1 A``, exactly 0 and 1 at the basic columns."""
-        if self._row is None or self._row[0] != r:
-            line = self.binv[r] @ self.a
-            line[self.basis] = 0.0
-            line[self.basis[r]] = 1.0
-            self._row = (r, line)
-        return self._row[1]
+        line = self.binv[r] @ self.a
+        line[self.basis] = 0.0
+        line[self.basis[r]] = 1.0
+        return line
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` of ``B^-1 A``."""
         return self.binv @ self.a[:, j]
 
-    def pivot(self, row, col):
+    def pivot(self, row, col, line):
+        """Enter ``col`` for the basic column of ``row``; ``line`` is ``row(row)``."""
         factors = self.column(col)
         piv = factors[row]
         if abs(piv) < _PIVOT_COL_TOL:
             raise SolverError("pivot below numeric tolerance")
-        line = self.row(row) / piv  # the pivot row of the next basis
+        line = line / piv  # the pivot row of the next basis
         line[col] = 1.0
         prow = self.block[row]
         prow /= piv
@@ -190,14 +189,6 @@ class _Tableau:
         self.block -= np.multiply.outer(factors, prow)
         self.red -= self.red[col] * line
         self.basis[row] = col
-        self.fresh = False
-        self._row = None
-
-    def objective(self) -> float:
-        return float(self.c[self.basis] @ self.xb)
-
-    def point(self) -> np.ndarray:
-        return basic_point(self.n, self.basis, self.xb)
 
 
 def basic_point(n: int, basis, values) -> np.ndarray:
@@ -207,11 +198,10 @@ def basic_point(n: int, basis, values) -> np.ndarray:
     return x
 
 
-def _entering(tab: _Tableau, allowed: np.ndarray) -> int | None:
+def _entering(tab: _Tableau, cols: int) -> int | None:
     basic = np.zeros(tab.n, dtype=bool)
     basic[tab.basis] = True
-    mask = allowed & ~basic & (tab.red < -_RED_COST_TOL)
-    idx = np.nonzero(mask)[0]
+    idx = np.nonzero(~basic[:cols] & (tab.red[:cols] < -_RED_COST_TOL))[0]
     if idx.size == 0:
         return None
     return int(idx[0])  # Bland: smallest improving index
@@ -229,9 +219,9 @@ def _leaving(tab: _Tableau, col: int) -> int | None:
     return int(tied[np.argmin(tab.basis[tied])])
 
 
-def _step(tab: _Tableau, row: int, col: int, iters: int, budget: int) -> int:
+def _step(tab: _Tableau, row: int, col: int, line, iters: int, budget: int) -> int:
     """One counted pivot, with the periodic refactorization and the budget."""
-    tab.pivot(row, col)
+    tab.pivot(row, col, line)
     iters += 1
     if iters % _REFRESH_EVERY == 0:
         tab.refactor()
@@ -242,18 +232,20 @@ def _step(tab: _Tableau, row: int, col: int, iters: int, budget: int) -> int:
     return iters
 
 
-def _optimize(tab: _Tableau, allowed, budget):
-    """Run pivots to a terminal state; returns ('optimal'|'unbounded', ray).
+def _optimize(tab: _Tableau, cols: int, budget):
+    """Run pivots to a terminal state; returns ('optimal'|'unbounded', ray, pivots).
 
-    An ``optimal`` tableau is always fresh: its point and duals come from
-    a refactorization, not from accumulated updates.
+    Only the first ``cols`` columns may enter.  The tableau starts fresh,
+    so it is fresh at each multiple of ``_REFRESH_EVERY`` pivots, where
+    ``_step`` refactors it; an ``optimal`` tableau is always fresh: its
+    point and duals come from a refactorization, not accumulated updates.
     """
     iters = 0
     while True:
-        col = _entering(tab, allowed)
-        if col is None and not tab.fresh:
+        col = _entering(tab, cols)
+        if col is None and iters % _REFRESH_EVERY:
             tab.refactor()  # confirm optimality against fresh data
-            col = _entering(tab, allowed)
+            col = _entering(tab, cols)
         if col is None:
             return "optimal", None, iters
         row = _leaving(tab, col)
@@ -262,7 +254,7 @@ def _optimize(tab: _Tableau, allowed, budget):
             ray[col] = 1.0
             ray[tab.basis] = -tab.column(col)
             return "unbounded", ray, iters
-        iters = _step(tab, row, col, iters, budget)
+        iters = _step(tab, row, col, tab.row(row), iters, budget)
 
 
 def _phase_one(a, b, c, feas_tol, budget):
@@ -275,12 +267,11 @@ def _phase_one(a, b, c, feas_tol, budget):
     m, n = a.shape
     a1 = np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))])  # sign(b_i) e_i: basic at |b|
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    allowed1 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
     tab = _Tableau(a1, b, c1, list(range(n, n + m)))
-    status, _, iters = _optimize(tab, allowed1, budget)
+    status, _, iters = _optimize(tab, n, budget)  # artificials never enter
     if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
         raise SolverError("phase one ended in an impossible state")
-    if tab.objective() > feas_tol:
+    if float(tab.c[tab.basis] @ tab.xb) > feas_tol:
         return tab, None, iters
 
     # drive artificials out of the basis; one that cannot leave still sits
@@ -288,16 +279,16 @@ def _phase_one(a, b, c, feas_tol, budget):
     for row in range(m):
         if tab.basis[row] < n:
             continue
-        structural = tab.row(row)[:n]
-        cand = int(np.argmax(np.abs(structural)))
-        if abs(structural[cand]) <= _DRIVE_OUT_TOL:
+        line = tab.row(row)
+        cand = int(np.argmax(np.abs(line[:n])))
+        if abs(line[cand]) <= _DRIVE_OUT_TOL:
             raise SolverError(f"equality row {row} is linearly dependent on the others")
-        tab.pivot(row, cand)
+        tab.pivot(row, cand, line)
     return tab, _Tableau(a, b, c, tab.basis), iters
 
 
-def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
-    """The leaving row of ``rows`` and the entering column, by the dual Bland rule.
+def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None, np.ndarray]:
+    """The leaving row of ``rows``, the entering column and the row of ``B^-1 A``.
 
     The row whose basic column has the smallest index leaves; the column
     with the smallest ratio ``red[j] / -row[j]`` enters, ties to the
@@ -307,9 +298,9 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None]:
     line = tab.row(row)
     cols = (line < -_PIVOT_COL_TOL).nonzero()[0]
     if cols.size == 0:
-        return row, None
+        return row, None, line
     ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
-    return row, int(cols[(ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL).argmax()])
+    return row, int(cols[(ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL).argmax()]), line
 
 
 def solve(lp: StandardLP) -> LPSolution:
@@ -335,14 +326,14 @@ def solve(lp: StandardLP) -> LPSolution:
             refactorizations=tab1.refactors,
         )
 
-    status, ray, iters2 = _optimize(tab2, np.ones(n, dtype=bool), budget)
+    status, ray, iters2 = _optimize(tab2, n, budget)
     iterations = iters1 + iters2
     refactors = tab1.refactors + tab2.refactors
 
     if status == "unbounded":
         return LPSolution(
             status="unbounded",
-            x=tab2.point(),
+            x=basic_point(n, tab2.basis, tab2.xb),
             value=-math.inf,
             ray=ray,
             iterations=iterations,
@@ -354,7 +345,7 @@ def solve(lp: StandardLP) -> LPSolution:
 
 def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution:
     """The solution of an optimal tableau on ``lp``'s rows."""
-    x = tab.point()
+    x = basic_point(tab.n, tab.basis, tab.xb)
     residual = float(abs(lp.a @ x - lp.b).max(initial=0.0))
     if residual > 1e-7 * max(1.0, float(abs(lp.b).max(initial=0.0))):
         raise SolverError(f"optimal point misses the equality rows (residual {residual:g})")
@@ -428,14 +419,14 @@ def walk(
         cut = xr / tab.rate[rows]  # minus the level where each reaches 0
         s = min(float(-cut[cut.argmin()]), s)
         path.append((s, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
-        leave, col = _dual_bland(tab, rows[cut <= _RATIO_TIE_TOL - s])
+        leave, col, line = _dual_bland(tab, rows[cut <= _RATIO_TIE_TOL - s])
         if col is None:
             raise SolverError(f"program infeasible past s = {float(s)!r}")
-        iters = _step(tab, leave, col, iters, budget)
+        iters = _step(tab, leave, col, line, iters, budget)
 
     if iters:
         tab.refactor()  # against lp.b afresh, not the sum of the updates
-    status, _, confirm = _optimize(tab, np.ones(n, dtype=bool), budget)
+    status, _, confirm = _optimize(tab, n, budget)
     if status != "optimal":
         raise SolverError(f"phase two ended {status} after the walk")
     sol = _optimal(lp, tab, iters + confirm, tab.refactors)
@@ -538,9 +529,6 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     if not np.linalg.cond(g[start]) < 1.0 / _PIVOT_COL_TOL:
         raise SolverError(f"start rows {start} are singular")
     zero = FEAS_TOL * max(1.0, float(np.abs(h).max()))
-    excess = float(np.max(g @ np.linalg.solve(g[start], h[start]) - h))
-    if excess > zero:
-        raise SolverError(f"start point violates a row by {excess:g}")
 
     # row i's right-hand side is perturbed by eps^(1 + rank[i]): the start
     # basis takes the smallest perturbations, so every row that is tight at
@@ -558,6 +546,8 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
         slack = h - point @ g.T
         slack[np.abs(slack) <= zero] = 0.0
         feasible = np.all(slack >= 0.0, axis=1)  # past a row: rounding, not a vertex
+        if not points and not feasible[0]:  # the first block starts with the start
+            raise SolverError(f"start point violates a row by {-slack[0].min():g}")
         points.append(point[feasible])
         tight.append(np.packbits(slack[feasible] == 0.0, axis=1))
         rates = -(g @ inv)  # rates[l, i, j]: row i's growth along edge j of basis l

@@ -14,6 +14,7 @@ import operator
 import numpy as np
 
 from .errors import ProblemError
+from .lp import _plain
 from .model import Problem, make_problem
 
 
@@ -123,7 +124,8 @@ def generate_instance(
         seed, n_x, n_y = (operator.index(v) for v in (seed, n_x, n_y))
     except TypeError:
         raise ProblemError(
-            f"seed and alphabet sizes must be integers, got {seed!r}, {n_x!r}, {n_y!r}"
+            "seed and alphabet sizes must be integers, got "
+            + ", ".join(repr(_plain(v)) for v in (seed, n_x, n_y))
         ) from None
     if n_x < 1 or n_y < 1:
         raise ProblemError("alphabet sizes must be >= 1")

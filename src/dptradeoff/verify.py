@@ -51,7 +51,9 @@ def _require_steps(steps: int) -> None:
     try:
         operator.index(steps)
     except TypeError:
-        raise ProblemError(f"grid oracle steps must be an integer, got {steps!r}") from None
+        raise ProblemError(
+            f"grid oracle steps must be an integer, got {lpmod._plain(steps)!r}"
+        ) from None
     if steps < 1:
         raise ProblemError(f"grid oracle needs at least 1 step, got {steps}")
 

@@ -356,8 +356,8 @@ class TestRevisedTableau:
         def close(got, want):
             return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
-        def pivot_and_check(tab, row, col):
-            pivot(tab, row, col)
+        def pivot_and_check(tab, row, col, line):
+            pivot(tab, row, col, line)
             base = tab.a[:, tab.basis]
             binv_a = np.linalg.solve(base, tab.a)
             xb, rate = np.linalg.solve(base, np.column_stack([tab.b, np.eye(tab.m)[-1]])).T
@@ -383,6 +383,29 @@ class TestRevisedTableau:
         assert all(got == want > 0 for got, want in walked), walked
 
 
+    @pytest.mark.parametrize(
+        "seed, shape, phases, refactors",
+        [(3, (20, 40), [64, 63], 4), (0, (30, 60), [123, 100], 6)],
+        ids=["20x40", "30x60"],
+    )
+    def test_refactorizations_of_a_cold_solve(self, monkeypatch, seed, shape, phases, refactors):
+        # each phase factors at its start and every lp._REFRESH_EVERY pivots,
+        # and once more to confirm optimality unless its last pivot fell on
+        # such a refactorization: 64 and 63 pivots give 2 + 2, 123 and 100
+        # give 3 + 3
+        optimize, pivots = lpmod._optimize, []
+
+        def counted(*args):
+            out = optimize(*args)
+            pivots.append(out[2])
+            return out
+
+        monkeypatch.setattr(lpmod, "_optimize", counted)
+        sol = solve(random_feasible_lp(np.random.default_rng(seed), *shape))
+        assert pivots == phases and phases[1] % lpmod._REFRESH_EVERY
+        assert (sol.iterations, sol.refactorizations) == (sum(phases), refactors)
+
+
 class TestBasicColumnMask:
     def test_dual_bland_never_enters_a_basic_column(self, monkeypatch):
         # a formed row reads about -2e-11 at some basic column here unless it
@@ -391,9 +414,9 @@ class TestBasicColumnMask:
         bland, entered = lpmod._dual_bland, []
 
         def watched(tab, rows):
-            row, col = bland(tab, rows)
+            row, col, line = bland(tab, rows)
             entered.append(col in tab.basis)
-            return row, col
+            return row, col, line
 
         monkeypatch.setattr(lpmod, "_dual_bland", watched)
         rep = solve_dp_at(prob, 0.0)
@@ -445,15 +468,30 @@ class TestVertexEnumeration:
     def test_singular_start_raises(self):
         # a strip between two parallel lines: no two rows meet at a point
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(SolverError, match="singular"):
+        with pytest.raises(SolverError) as exc:
             enumerate_vertices(HPolyhedron(g, np.ones(2)), [0, 1])
+        assert str(exc.value) == "start rows [0, 1] are singular"
 
     def test_infeasible_start_raises(self):
         # (1, 1) solves the first two rows of the simplex but breaks x + y <= 1
         g = np.array([[1.0, 0], [0, 1], [1, 1], [-1, 0], [0, -1]])
         h = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(SolverError, match="violates"):
+        with pytest.raises(SolverError) as exc:
             enumerate_vertices(HPolyhedron(g, h), [0, 1])
+        assert str(exc.value) == "start point violates a row by 1"
+
+    def test_start_refusals_in_the_caller_order(self):
+        # rows 1 and 0 meet at (0.4, 0.2), where x + y <= 0.5 is short by
+        # 0.1; the excess is read off the walk's first block, and a start
+        # that is singular is refused before its point is looked at
+        g = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
+        poly = HPolyhedron(g, np.array([1.0, 1.0, 0.5, 2.0]))
+        with pytest.raises(SolverError) as exc:
+            enumerate_vertices(poly, [1, 0])
+        assert str(exc.value) == "start point violates a row by 0.1"
+        with pytest.raises(SolverError) as exc:
+            enumerate_vertices(poly, [3, 2])
+        assert str(exc.value) == "start rows [3, 2] are singular"
 
     @pytest.mark.parametrize(
         "g, h, message",

@@ -31,6 +31,7 @@ from dptradeoff import lp as lpmod
 from dptradeoff.model import _estimator_stack
 from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form, dual_polyhedron
 from dptradeoff.problemio import generate_instance, instance_to_problem, random_metric
+from dptradeoff.verify import cross_verify, grid_oracle
 
 from conftest import (
     cost_matrix_oracle,
@@ -291,8 +292,15 @@ class TestValidation:
             (lambda: lpmod.enumerate_vertices(
                 dual_polyhedron(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.array([0, 1, 2.5])),
              r"a start must name 4 distinct rows of 7, got \[0\.0, 1\.0, 2\.5\]"),
+            (lambda: grid_oracle(make_problem([[0.4, 0.1], [0.2, 0.3]]), 0.1, np.float64(2.5)),
+             r"grid oracle steps must be an integer, got 2\.5"),
+            (lambda: cross_verify(make_problem([[0.4, 0.1], [0.2, 0.3]]), grid_steps=np.float64(2.5)),
+             r"grid oracle steps must be an integer, got 2\.5"),
+            (lambda: generate_instance(np.float64(1.5), 2, 2),
+             r"seed and alphabet sizes must be integers, got 1\.5, 2, 2"),
         ],
-        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span", "budget", "start"],
+        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span", "budget", "start",
+             "grid-steps", "cross-verify-steps", "generate-seed"],
     )
     def test_error_texts_print_plain_numbers(self, build, message):
         # numpy scalars printed as np.float64(...) once, the scaled sweep's too
