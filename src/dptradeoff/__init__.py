@@ -25,7 +25,6 @@ from .curve import (
     curve_by_vertices,
     estimator_on_curve,
     hull_extremes,
-    project_vertex,
 )
 from .errors import (
     BudgetExceededError,
@@ -44,7 +43,6 @@ from .model import (
     Problem,
     make_problem,
     output_distribution,
-    posterior_sampling,
     tv_distance,
     wasserstein1,
 )
@@ -54,7 +52,6 @@ from .programs import (
     SolveReport,
     build_ot_form,
     build_tv_form,
-    dual_polyhedron,
     solve_dp_at,
 )
 from .verify import VerifyReport, cross_verify, grid_oracle
@@ -92,7 +89,6 @@ __all__ = [
     "cross_verify",
     "curve_by_sweep",
     "curve_by_vertices",
-    "dual_polyhedron",
     "enumerate_vertices",
     "estimator_at",
     "estimator_on_curve",
@@ -100,8 +96,6 @@ __all__ = [
     "hull_extremes",
     "make_problem",
     "output_distribution",
-    "posterior_sampling",
-    "project_vertex",
     "reduced_dual_objective",
     "reduced_dual_optimum",
     "solve",

@@ -38,19 +38,6 @@ _ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
 _FLAT_TOL = 1e-11  # slopes within this of 0 are the plateau
 
 
-def project_vertex(vertex, problem: Problem) -> np.ndarray:
-    """Project dual vertices to the lines ``intercept + slope * P``.
-
-    ``vertex`` is one vertex of ``dual_polyhedron`` (n_y + n_x
-    coordinates) or a stack of them, one per row; the result is one
-    (intercept, slope) pair or an ``(n, 2)`` array to match.
-    """
-    coords = np.asarray(vertex, dtype=float)
-    if coords.ndim not in (1, 2) or coords.shape[-1] != problem.n_y + problem.n_x:
-        raise ProblemError("vertex has the wrong dimension for this problem")
-    return _lines(coords, build_ot_form(problem, 0.0)[0].b)
-
-
 def _lines(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(intercept, slope) rows: ``weights``, the right-hand side of the
     flow program at P = 0, give the intercept."""
@@ -232,7 +219,7 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     """Exact curve from full dual vertex enumeration.
 
     The vertices are those of the flow program's dual
-    (``dual_polyhedron``), read off the one build the walk uses.  The
+    (``programs._flow_dual``), read off the one build the walk uses.  The
     enumeration starts at the last basis of ``curve_by_sweep``'s walk,
     optimal at P = 0: dual row j is program column j, so that basis is
     d rows of a dual vertex.  The curve is the envelope of the vertices'

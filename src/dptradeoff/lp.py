@@ -4,8 +4,11 @@ Solves equality-standard-form programs
 
     min c.x   subject to   a x = b,  x >= 0
 
-with a two-phase primal simplex under Bland's rule, which cannot cycle.
-The tableau is revised (Bertsimas and Tsitsiklis, section 3.3): it keeps
+of full row rank by the primal simplex under Bland's rule, which cannot
+cycle, from a basis the caller gives: every program the package solves
+has one in closed form (a north-west-corner staircase, Bertsimas and
+Tsitsiklis, *Introduction to Linear Optimization*, chapter 7), so there
+is no phase one.  The tableau is revised (section 3.3): it keeps
 the m-by-m basis inverse and forms only the row and the column of the
 m-by-n ``B^-1 A`` that a pivot needs; the pivot rule that forms the row
 hands it to the pivot, so the tableau caches nothing between pivots.  A
@@ -17,17 +20,12 @@ refactorization), each time by one LU solve of
 the reported point, dual vector, and objective come from a fresh solve
 against the original data rather than accumulated updates.
 
-Phase one is for programs without a known basis.  Like ``walk``,
-``solve`` needs full row rank: phase one names a consistent equality
-row that depends on the others in a ``SolverError``.
-
-``walk`` starts instead from a known optimal basis, one column per row,
-and moves the last entry of ``b`` down to its target, one optimal
-basis per interval of the way: the parametric right-hand side of
-Bertsimas and Tsitsiklis, *Introduction to Linear Optimization*,
-section 5.2.  The reduced costs do not depend on ``b``, so the basis
-stays dual feasible, and where a basic value reaches 0 a dual simplex
-pivot (section 4.5) replaces it.  The distortion programs always solve
+``solve`` starts from a primal feasible basis.  ``walk`` starts from an
+optimal basis, one column per row, and moves the last entry of ``b``
+down to its target, one optimal basis per interval of the way: the
+parametric right-hand side of section 5.2.  The reduced costs do not
+depend on ``b``, so the basis stays dual feasible, and where a basic
+value reaches 0 a dual simplex pivot (section 4.5) replaces it.  The distortion programs always solve
 this way: the perception level is the last entry of their ``b``, so one
 level is a walk from the optimal basis at P = 1, which is known in closed
 form (a flow that moves only the surplus, so the walk's first pivot
@@ -61,10 +59,9 @@ from .errors import BudgetExceededError, IterationLimitError, ProblemError, Solv
 _RED_COST_TOL = 1e-10  # reduced cost improving, or basic value infeasible, below -tol
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
 _RATIO_TIE_TOL = 1e-12  # ratio-test window: ratios within it of the least tie
-_DRIVE_OUT_TOL = 1e-9  # smallest row entry that pivots an artificial out of phase one
 FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
-_PIVOT_BUDGET = 100  # pivots per row and column that each phase or walk may take
+_PIVOT_BUDGET = 100  # pivots per row and column that a walk or a simplex run may take
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
 _BLOCK = 64  # bases the vertex walk takes off its queue as one batch
 VERTEX_BUDGET = 10_000  # bases a vertex walk may visit by default
@@ -104,26 +101,20 @@ class StandardLP:
 
 @dataclass(frozen=True, eq=False)
 class LPSolution:
-    """Terminal simplex state.
+    """An optimal simplex state.
 
-    For ``optimal`` status, ``x`` is a basic optimal point, ``dual`` the
-    multiplier vector recovered from the final basis and ``basis`` the
-    optimal column set.  ``unbounded`` carries an improving ray (a
-    c-decreasing direction in the recession cone); ``infeasible``
-    carries a Farkas certificate y with ``y.a <= 0`` and ``y.b > 0``.
+    ``x`` is a basic optimal point, ``dual`` the multiplier vector
+    recovered from the final basis and ``basis`` the optimal column set.
     ``iterations`` counts pivots and ``refactorizations`` fresh
-    factorizations, phase one's included.
+    factorizations.
     """
 
-    status: str
-    x: np.ndarray | None = None
-    value: float = math.nan
-    basis: tuple[int, ...] | None = None
-    dual: np.ndarray | None = None
-    ray: np.ndarray | None = None
-    certificate: np.ndarray | None = None
-    iterations: int = 0
-    refactorizations: int = 0
+    x: np.ndarray
+    value: float
+    basis: tuple[int, ...]
+    dual: np.ndarray
+    iterations: int
+    refactorizations: int
 
 
 class _Tableau:
@@ -198,10 +189,10 @@ def basic_point(n: int, basis, values) -> np.ndarray:
     return x
 
 
-def _entering(tab: _Tableau, cols: int) -> int | None:
+def _entering(tab: _Tableau) -> int | None:
     basic = np.zeros(tab.n, dtype=bool)
     basic[tab.basis] = True
-    idx = np.nonzero(~basic[:cols] & (tab.red[:cols] < -_RED_COST_TOL))[0]
+    idx = np.nonzero(~basic & (tab.red < -_RED_COST_TOL))[0]
     if idx.size == 0:
         return None
     return int(idx[0])  # Bland: smallest improving index
@@ -232,59 +223,27 @@ def _step(tab: _Tableau, row: int, col: int, line, iters: int, budget: int) -> i
     return iters
 
 
-def _optimize(tab: _Tableau, cols: int, budget):
-    """Run pivots to a terminal state; returns ('optimal'|'unbounded', ray, pivots).
+def _optimize(tab: _Tableau, budget) -> int:
+    """Run pivots to optimality; returns their number.
 
-    Only the first ``cols`` columns may enter.  The tableau starts fresh,
-    so it is fresh at each multiple of ``_REFRESH_EVERY`` pivots, where
-    ``_step`` refactors it; an ``optimal`` tableau is always fresh: its
-    point and duals come from a refactorization, not accumulated updates.
+    The tableau starts fresh, so it is fresh at each multiple of
+    ``_REFRESH_EVERY`` pivots, where ``_step`` refactors it; an optimal
+    tableau is always fresh: its point and duals come from a
+    refactorization, not accumulated updates.  Raises SolverError when
+    an entering column has no leaving row: the program is unbounded.
     """
     iters = 0
     while True:
-        col = _entering(tab, cols)
+        col = _entering(tab)
         if col is None and iters % _REFRESH_EVERY:
             tab.refactor()  # confirm optimality against fresh data
-            col = _entering(tab, cols)
+            col = _entering(tab)
         if col is None:
-            return "optimal", None, iters
+            return iters
         row = _leaving(tab, col)
         if row is None:
-            ray = np.zeros(tab.n)
-            ray[col] = 1.0
-            ray[tab.basis] = -tab.column(col)
-            return "unbounded", ray, iters
+            raise SolverError(f"program unbounded below: column {col} enters with no leaving row")
         iters = _step(tab, row, col, tab.row(row), iters, budget)
-
-
-def _phase_one(a, b, c, feas_tol, budget):
-    """A first feasible basis by minimizing the total artificial mass.
-
-    Returns ``(phase_one, tableau, pivots)``: the phase-one tableau, and
-    the phase-two tableau, or None when the program is infeasible and
-    ``phase_one.y`` is a Farkas certificate.  A dependent row raises.
-    """
-    m, n = a.shape
-    a1 = np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))])  # sign(b_i) e_i: basic at |b|
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    tab = _Tableau(a1, b, c1, list(range(n, n + m)))
-    status, _, iters = _optimize(tab, n, budget)  # artificials never enter
-    if status != "optimal":  # a sum of nonnegatives cannot be unbounded below
-        raise SolverError("phase one ended in an impossible state")
-    if float(tab.c[tab.basis] @ tab.xb) > feas_tol:
-        return tab, None, iters
-
-    # drive artificials out of the basis; one that cannot leave still sits
-    # in its own row (artificials never enter), which depends on the others
-    for row in range(m):
-        if tab.basis[row] < n:
-            continue
-        line = tab.row(row)
-        cand = int(np.argmax(np.abs(line[:n])))
-        if abs(line[cand]) <= _DRIVE_OUT_TOL:
-            raise SolverError(f"equality row {row} is linearly dependent on the others")
-        tab.pivot(row, cand, line)
-    return tab, _Tableau(a, b, c, tab.basis), iters
 
 
 def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None, np.ndarray]:
@@ -303,44 +262,38 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None, np.nd
     return row, int(cols[(ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL).argmax()]), line
 
 
-def solve(lp: StandardLP) -> LPSolution:
-    """Two-phase simplex on an equality-form program.
+def _start(lp: StandardLP, start) -> _Tableau:
+    """The tableau of ``start``, the columns of a basis of ``lp`` in row order.
 
-    Returns a basic optimal solution with its dual certificate, an
-    unbounded status with an improving ray, or an infeasible status with
-    a Farkas certificate.  A consistent equality row that depends on the
-    others raises SolverError naming it (full row rank, as in ``walk``).
-    A phase past ``_PIVOT_BUDGET * (m + n)`` pivots raises IterationLimitError.
+    Raises SolverError unless ``start`` names one integer column per
+    row, each in range, with a nonsingular matrix.
     """
-    m, n = lp.m, lp.n
-    budget = _PIVOT_BUDGET * (m + n)
-    feas_tol = FEAS_TOL * max(1.0, float(np.abs(lp.b).max(initial=0.0)))
+    try:
+        start = list(map(operator.index, start))
+    except TypeError:
+        raise SolverError("start basis names a column that is not an integer") from None
+    if len(start) != lp.m:
+        raise SolverError(f"start basis covers {len(start)} rows, the program has {lp.m}")
+    if min(start, default=0) < 0 or max(start, default=0) >= lp.n:
+        raise SolverError("start basis names a column out of range")
+    return _Tableau(lp.a, lp.b, lp.c, start)
 
-    tab1, tab2, iters1 = _phase_one(lp.a, lp.b, lp.c, feas_tol, budget)
-    if tab2 is None:
-        return LPSolution(
-            status="infeasible",
-            value=math.inf,
-            certificate=tab1.y,
-            iterations=iters1,
-            refactorizations=tab1.refactors,
-        )
 
-    status, ray, iters2 = _optimize(tab2, n, budget)
-    iterations = iters1 + iters2
-    refactors = tab1.refactors + tab2.refactors
+def solve(lp: StandardLP, start) -> LPSolution:
+    """Primal simplex from ``start``, the columns of a primal feasible basis.
 
-    if status == "unbounded":
-        return LPSolution(
-            status="unbounded",
-            x=basic_point(n, tab2.basis, tab2.xb),
-            value=-math.inf,
-            ray=ray,
-            iterations=iterations,
-            refactorizations=refactors,
-        )
-
-    return _optimal(lp, tab2, iterations, refactors)
+    Returns a basic optimal solution with its duals.  Raises SolverError
+    when ``start`` fails ``walk``'s start check (one integer column per
+    row, each in range, nonsingular) or is not primal feasible within
+    ``FEAS_TOL`` on the scale of ``lp.b``, or when the program is
+    unbounded, and IterationLimitError past ``_PIVOT_BUDGET * (m + n)``
+    pivots.
+    """
+    tab = _start(lp, start)
+    if tab.xb.min(initial=0.0) < -FEAS_TOL * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
+        raise SolverError("start basis is not primal feasible")
+    iters = _optimize(tab, _PIVOT_BUDGET * (lp.m + lp.n))
+    return _optimal(lp, tab, iters, tab.refactors)
 
 
 def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution:
@@ -350,7 +303,6 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution
     if residual > 1e-7 * max(1.0, float(abs(lp.b).max(initial=0.0))):
         raise SolverError(f"optimal point misses the equality rows (residual {residual:g})")
     return LPSolution(
-        status="optimal",
         x=x,
         value=float(lp.c @ x),
         basis=tuple(sorted(tab.basis.tolist())),
@@ -371,39 +323,30 @@ def walk(
     ``B^-1 b + s B^-1 e_m``, so it stays optimal down to the largest s where
     a falling one reaches 0; ``_dual_bland`` over the rows that reach 0
     there then pivots as the dual simplex just below would, so degenerate
-    steps cannot cycle.  At s = 0 the basis is refactored and phase two
-    confirms it, so a start off by rounding still ends optimal.  The start
+    steps cannot cycle.  At s = 0 the basis is refactored and the primal
+    simplex confirms it, so a start off by rounding still ends optimal.  The start
     is judged on the scale of its right-hand side, the end on ``lp.b``'s.
 
     Returns the optimal solution of ``lp`` (``iterations`` counts the
-    walk's pivots and phase two's) and ``(s, basis, B^-1 b, B^-1 e_m)``
+    walk's pivots and the confirmation's) and ``(s, basis, B^-1 b, B^-1 e_m)``
     per basis in walk order: the s where it stops being optimal (0 for
     the last), its columns in row order, and the two vectors that give
     its basic values ``B^-1 b + s B^-1 e_m`` at every level s.
 
     Raises SolverError when ``lp`` has no rows, ``span`` is not finite and >= 0,
-    ``start`` covers another row count, names a column that is not an integer or
-    out of range, is singular, or is not primal and dual feasible at s = ``span``,
+    ``start`` fails ``solve``'s start check (one integer column per row, each in
+    range, nonsingular) or is not primal and dual feasible at s = ``span``,
     or the program is infeasible on the way, and IterationLimitError past
     ``_PIVOT_BUDGET * (m + n)`` pivots.
     """
-    m, n = lp.m, lp.n
-    budget = _PIVOT_BUDGET * (m + n)
-    if m == 0:
+    budget = _PIVOT_BUDGET * (lp.m + lp.n)
+    if lp.m == 0:
         raise SolverError("a walk moves the last right-hand-side entry; the program has no rows")
     if not 0.0 <= span < math.inf:
         raise SolverError(
             f"a walk moves s down to 0 from a span >= 0 that is finite, got {float(span)!r}"
         )
-    try:
-        start = list(map(operator.index, start))
-    except TypeError:
-        raise SolverError("start basis names a column that is not an integer") from None
-    if len(start) != m:
-        raise SolverError(f"start basis covers {len(start)} rows, the program has {m}")
-    if min(start) < 0 or max(start) >= n:
-        raise SolverError("start basis names a column out of range")
-    tab = _Tableau(lp.a, lp.b, lp.c, start)
+    tab = _start(lp, start)
     scale = max(1.0, float(np.abs(lp.b).max()))
     top = max(scale, abs(lp.b[-1] + span))
     if (tab.xb + span * tab.rate).min() < -FEAS_TOL * top or tab.red.min() < -FEAS_TOL:
@@ -426,10 +369,7 @@ def walk(
 
     if iters:
         tab.refactor()  # against lp.b afresh, not the sum of the updates
-    status, _, confirm = _optimize(tab, n, budget)
-    if status != "optimal":
-        raise SolverError(f"phase two ended {status} after the walk")
-    sol = _optimal(lp, tab, iters + confirm, tab.refactors)
+    sol = _optimal(lp, tab, iters + _optimize(tab, budget), tab.refactors)
     path.append((0.0, tab.basis.copy(), tab.xb.copy(), tab.rate.copy()))
     return sol, path
 

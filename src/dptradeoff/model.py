@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ProblemError, SolverError
+from .errors import ProblemError
 
 _MASS_TOL = 1e-12  # input probabilities and metric entries: sums, signs, zeros
 _STOCHASTIC_TOL = 1e-10  # estimator column sums and coupling marginals
@@ -315,15 +315,6 @@ class Coupling:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def posterior_sampling(channel: JointChannel) -> Estimator:
-    """The estimator that redraws the source from its posterior.
-
-    Its output marginal reproduces the source marginal, so it is feasible
-    at every perception level, including zero.
-    """
-    return Estimator(channel.p_xy / channel.p_y[None, :])
-
-
 def output_distribution(estimator: Estimator, p_y) -> Distribution:
     """Marginal of the reconstruction: q matrix applied to the observation law.
 
@@ -370,13 +361,55 @@ def _flow_plan(p, r, n_nodes: int, tail, head, flow) -> np.ndarray:
     return passes[:n_x, :n_x] * stops
 
 
+def _staircase(supply: list, demand: list) -> list[tuple[int, int]]:
+    """The north-west-corner staircase from ``supply`` to ``demand``, as (i, j) cells.
+
+    It ships ``min(supply[i], demand[j])`` at each cell and moves on from
+    the side that is used up (from i on a tie, unless i is the last), so
+    ``len(supply) + len(demand) - 1`` cells carry equal totals with no
+    negative shipment.  The cells form a spanning tree of the two sides,
+    hence a basis of the transport rows (Bertsimas and Tsitsiklis,
+    chapter 7), primal feasible where the totals agree.
+    """
+    supply, demand = list(supply), list(demand)
+    cells, i, j = [], 0, 0
+    for _ in range(len(supply) + len(demand) - 1):
+        cells.append((i, j))
+        t = min(supply[i], demand[j])
+        supply[i] -= t
+        demand[j] -= t
+        if (supply[i] <= demand[j] and i < len(supply) - 1) or j == len(demand) - 1:
+            i += 1
+        else:
+            j += 1
+    return cells
+
+
+def _transfer_tree(p: list, r: list) -> list[tuple[int, int]]:
+    """The ``len(p) - 1`` arcs (i, j) of a spanning tree whose flow turns ``p`` into ``r``.
+
+    The symbols split into the surplus (``p >= r``; a symbol with
+    ``p == r`` joins with zero mass) and the deficit; if a side is empty,
+    the two agree up to rounding and the last symbol alone forms the
+    deficit side.  The arcs are the staircase from the surplus to the
+    deficit, so the flow moves exactly the total variation.
+    """
+    src = [i for i in range(len(p)) if p[i] >= r[i]]
+    dst = [i for i in range(len(p)) if p[i] < r[i]]
+    if not src or not dst:  # the two agree up to rounding: any split spans
+        src, dst = list(range(len(p) - 1)), [len(p) - 1]
+    cells = _staircase([max(p[i] - r[i], 0.0) for i in src], [max(r[j] - p[j], 0.0) for j in dst])
+    return [(src[a], dst[b]) for a, b in cells]
+
+
 def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     """Minimal transport cost between two pmfs under a ground metric.
 
     Solves the Kantorovich-Rubinstein form with the simplex core: flows
     on every ordered pair of distinct symbols, of weight ``h[i, j]``, with
     node rows ``out(i) - in(i) = p[i] - q[i]`` but the last symbol's,
-    which is minus the sum of the others.  Returns the coupling read off
+    which is minus the sum of the others, from the primal feasible tree
+    ``_transfer_tree(p, q)``.  Returns the coupling read off
     the optimal flow by ``solve_dp_at``'s rule and, as the value, its
     cost ``sum(pi * h)``, which is the flow's weight up to rounding and
     the triangle check's allowance.
@@ -394,9 +427,8 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     tail, head = np.nonzero(~np.eye(n, dtype=bool))
     nodes = np.arange(n - 1)[:, None]
     a = (nodes == tail) - (nodes == head).astype(float)  # node-arc incidence
-    sol = lp.solve(lp.StandardLP(a, (pv - qv)[:-1], metric.h[tail, head]))
-    if sol.status != "optimal":
-        raise SolverError(f"transport program ended with status {sol.status}")
+    start = sorted(i * (n - 1) + j - (j > i) for i, j in _transfer_tree(pv.tolist(), qv.tolist()))
+    sol = lp.solve(lp.StandardLP(a, (pv - qv)[:-1], metric.h[tail, head]), start)
     plan = _flow_plan(pv, qv, n, tail, head, sol.x)
     return float(np.sum(plan * metric.h)), Coupling(plan, pv, qv)
 

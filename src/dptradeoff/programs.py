@@ -30,7 +30,7 @@ and ``price >= 0``.  The budget row's multiplier, negated, is that
 nonnegative price; it enters the dual objective as ``-price * P``, so
 optimal bases directly expose the local slope of D(P).  The star's
 symbol potentials are feasible for the complete graph's dual, whose
-rows ``dual_polyhedron`` returns.
+rows ``_flow_dual`` reads off the built program.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .model import (
     Problem,
     _estimator_stack,
     _flow_plan,
+    _transfer_tree,
     check_level,
     output_distribution,
 )
@@ -175,7 +176,8 @@ class DualSolution:
     objective: float
 
     def coords(self) -> np.ndarray:
-        """``dual_polyhedron``'s coordinates (stochasticity, potential[:-1], price)."""
+        """The flow dual's coordinates (stochasticity, potential[:-1], price), as
+        ``_flow_dual`` orders them."""
         return np.concatenate([self.stochasticity, self.potential[:-1], [self.perception_price]])
 
 
@@ -207,18 +209,6 @@ def _flow_dual(lp: lpmod.StandardLP) -> lpmod.HPolyhedron:
     return lpmod.HPolyhedron(g, lp.c)
 
 
-def dual_polyhedron(problem: Problem) -> lpmod.HPolyhedron:
-    """H-representation of the complete graph's flow dual.
-
-    Coordinates: (stochasticity[n_y], potential[n_x - 1], price),
-    dimension n_y + n_x: the last symbol has no row, so its potential
-    is pinned to 0.  Rows follow the program's columns: one per
-    (reconstruction, observation) pair, one per ordered pair of
-    distinct symbols, and the price nonnegativity row.
-    """
-    return _flow_dual(build_ot_form(problem, 0.0)[0])
-
-
 # ---------------------------------------------------------------------------
 # Single-level solve
 # ---------------------------------------------------------------------------
@@ -232,7 +222,7 @@ class SolveReport:
     distance (under Hamming, the total variation up to rounding).
     ``solution`` is the optimal LP solution the report
     was read from.  ``iterations`` counts the pivots of the walk from
-    P = 1 to ``p_level`` plus those of the phase-two confirmation at
+    P = 1 to ``p_level`` plus those of the primal confirmation at
     ``p_level``, and ``refactorizations`` the times the walk factored its
     basis afresh; both read ``solution``.
     """
@@ -298,11 +288,8 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> list[int]:
     The basis is the MAP estimator entries, a spanning tree of arcs that
     carries the source marginal to the MAP output marginal ``r``, and
     the budget slack, which at P = 1 is at least ``1 - TV(p_x, r)``.
-    The tree splits the symbols into the source surplus (``p_x >= r``; a
-    symbol with ``p_x == r`` joins with zero mass) and the output
-    deficit; if a side is empty, the marginals agree up to rounding and
-    the last symbol alone forms the deficit side.  Over every pair of
-    symbols it is a north-west-corner staircase from the surplus to the
+    Over every pair of symbols the tree is ``model._transfer_tree``, a
+    north-west-corner staircase from the source surplus to the output
     deficit, ``n_x - 1`` arcs, so the mass it moves is exactly
     ``TV(p_x, r)``, its least weight under Hamming and nearly so under
     another metric, and the walk's first pivot is where the budget
@@ -316,24 +303,7 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> list[int]:
     if lay.n_nodes > n_x:  # the star: the centre is node n_x
         arcs = [(n_x, i) if up else (i, n_x) for i, up in enumerate((rm >= problem.p_x).tolist())]
     else:
-        p_x, r = problem.p_x.tolist(), rm.tolist()
-        surplus = [max(p - q, 0.0) for p, q in zip(p_x, r)]
-        deficit = [max(q - p, 0.0) for p, q in zip(p_x, r)]
-        src = [i for i in range(n_x) if p_x[i] >= r[i]]
-        dst = [i for i in range(n_x) if p_x[i] < r[i]]
-        if not src or not dst:  # the marginals agree up to rounding: any split spans
-            src, dst = list(range(n_x - 1)), [n_x - 1]
-        arcs, a, b = [], 0, 0
-        for _ in range(n_x - 1):  # a staircase over n_x symbols has n_x - 1 arcs
-            i, j = src[a], dst[b]
-            arcs.append((i, j))
-            t = min(surplus[i], deficit[j])
-            surplus[i] -= t
-            deficit[j] -= t
-            if (surplus[i] <= deficit[j] and a < len(src) - 1) or b == len(dst) - 1:
-                a += 1
-            else:
-                b += 1
+        arcs = _transfer_tree(problem.p_x.tolist(), rm.tolist())
     basis += [lay.ix_arc(i, j) for i, j in arcs]
     basis.append(lay.ix_slack)
     return sorted(basis)

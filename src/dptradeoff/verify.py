@@ -10,10 +10,12 @@ Lipschitz band, and the report keeps that honest.
 binary sources, vertex enumeration when affordable, the sweep's
 parametric walk always, the grid oracle when tiny) on a shared grid of
 perception levels and compares the results pairwise.  Its pointwise
-column solves each level's flow program (``build_ot_form``) by phase one, on
-purpose: the sweep and every ``solve_dp_at`` walk the right-hand side
-from the closed-form optimal basis at P = 1, and a phase-one solve
-shares no basis with them.
+column solves each level's flow program (``build_ot_form``) by the primal
+simplex from another start, on purpose: the sweep and every
+``solve_dp_at`` walk the right-hand side by dual pivots from the MAP
+basis at P = 1, and the pointwise column pivots primal from the
+staircase of joint masses from ``p_y`` to ``p_x``, with zero flow and
+the slack at P, so it shares neither the start nor the pivots with them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import lp as lpmod
 from .binary import closed_form_curve
 from .curve import _by_vertices, _sweep
 from .errors import BudgetExceededError, ProblemError
-from .model import Problem, check_level, wasserstein1
+from .model import Problem, _staircase, check_level, wasserstein1
 from .programs import build_ot_form
 
 EXACT_TOL = 1e-9  # largest gap allowed between exact methods; ``dp verify --tol``'s default
@@ -172,6 +174,20 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _pointwise(problem: Problem, ps) -> np.ndarray:
+    """D at each level of ``ps`` by the primal simplex from the transport
+    staircase: each observation's mass goes to the source symbols in
+    north-west-corner order, so the output law is ``p_x`` and the start is
+    feasible with zero flow and the slack at P."""
+    cells = _staircase(problem.p_y.tolist(), problem.p_x.tolist())
+    values = []
+    for p in ps:
+        lp, lay = build_ot_form(problem, p)
+        start = sorted(lay.ix_w(x, y) for y, x in cells) + [lay.ix_slack]
+        values.append(lpmod.solve(lp, start).value)
+    return np.asarray(values)
+
+
 def cross_verify(
     problem: Problem,
     p_grid=None,
@@ -214,9 +230,7 @@ def cross_verify(
     except BudgetExceededError:
         pass
 
-    values["pointwise"] = np.asarray(
-        [lpmod.solve(build_ot_form(problem, p)[0]).value for p in ps]
-    )
+    values["pointwise"] = _pointwise(problem, ps)
 
     band = None
     if grid_steps is not None:

@@ -632,7 +632,7 @@ class TestW1:
         assert np.allclose(plan, np.outer(np.full(5, 0.2), [1, 0, 0, 0, 0]), rtol=0.0, atol=1e-15)
 
     def test_marginal_to_itself_is_zero(self, run):
-        # every artificial of phase one starts basic at 0 and must leave the basis
+        # p = q: the start is the fallback tree, every arc at 0 flow
         code, out, _ = run("w1 --input r.json --p 0.2,0.2,0.2,0.2,0.2 --q 0.2,0.2,0.2,0.2,0.2")
         assert code == 0 and out.splitlines()[0] == "W1 = 0"
 

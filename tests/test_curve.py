@@ -17,8 +17,8 @@ from dptradeoff import (
     curve_by_vertices,
     estimator_on_curve,
     hull_extremes,
+    build_ot_form,
     make_problem,
-    project_vertex,
     solve_dp_at,
 )
 from dptradeoff import curve as curvemod
@@ -48,17 +48,22 @@ def _exact_line(a, b, c, basis):
     return sum(yi * Fraction(bi) for yi, bi in zip(y, b)), y[-1]
 
 
+def _project(coords, problem):
+    """Dual points to the lines ``intercept + slope * P``, as the vertex method projects them."""
+    return curvemod._lines(np.asarray(coords, dtype=float), build_ot_form(problem, 0.0)[0].b)
+
+
 class TestProjection:
     def test_floor_vertex_projects_to_floor_line(self, bsc_problem):
         w = bsc_problem.conditional.min(axis=0)
         coords = np.concatenate([w, np.zeros(2)])
-        intercept, slope = project_vertex(coords, bsc_problem)
+        intercept, slope = _project(coords, bsc_problem)
         assert intercept == pytest.approx(bsc_problem.distortion_floor, abs=1e-12)
         assert slope == 0.0
 
     def test_zero_price_means_zero_slope(self, bsc_problem):
         coords = np.concatenate([np.zeros(3), [0.0]])
-        assert project_vertex(coords, bsc_problem)[1] == 0.0
+        assert _project(coords, bsc_problem)[1] == 0.0
 
     def test_active_vertex_matches_closed_form(self, bsc_problem):
         # some projected vertex carries the left-segment line exactly
@@ -74,15 +79,10 @@ class TestProjection:
 
     def test_stack_projects_row_by_row(self, bsc_problem):
         verts = curve_by_vertices(bsc_problem).vertices
-        lines = project_vertex(verts, bsc_problem)
+        lines = _project(verts, bsc_problem)
         assert lines.shape == (verts.shape[0], 2)
         for vertex, line in zip(verts, lines):
-            assert np.allclose(project_vertex(vertex, bsc_problem), line, rtol=0.0, atol=1e-15)
-
-    def test_wrong_dimension_rejected(self, bsc_problem):
-        for size in (3, 6):  # 6: the coordinates of the 2x2 transport dual
-            with pytest.raises(ProblemError):
-                project_vertex(np.zeros(size), bsc_problem)
+            assert np.allclose(_project(vertex, bsc_problem), line, rtol=0.0, atol=1e-15)
 
 
 class TestCurveByVertices:

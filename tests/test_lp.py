@@ -1,6 +1,5 @@
 """Simplex core and vertex enumeration."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +20,13 @@ from dptradeoff import (
 )
 from dptradeoff import lp as lpmod
 from dptradeoff.lp import _TIE_TOL, _Tableau, walk
-from dptradeoff.programs import _crash_basis, build_ot_form, dual_polyhedron, solve_dp_at
+from dptradeoff.programs import _crash_basis, build_ot_form, solve_dp_at
 
 from conftest import (
     brute_force_vertices,
+    cold_solve,
     dual_check,
+    flow_dual,
     highs_dp_oracle,
     random_problem,
     transport_dual,
@@ -44,6 +45,11 @@ TRANSPORT_3X4_STARTS = {
 }
 
 
+# x1 + x2 = 1, x1 - x3 = 0.5 at costs (1, 2, 0): the basis [0, 2] is optimal,
+# [0, 1] feasible but not optimal, [1, 2] infeasible (x3 = -0.5)
+_TWO_ROWS = StandardLP([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [1.0, 0.5], [1.0, 2.0, 0.0])
+
+
 def random_feasible_lp(rng, m, n):
     """Feasible by construction (b = a @ x0) and bounded (c >= 0)."""
     a = rng.normal(size=(m, n))
@@ -55,30 +61,13 @@ def random_feasible_lp(rng, m, n):
 
 class TestSolve:
     def test_single_equality(self):
-        sol = solve(StandardLP([[1.0]], [1.0], [1.0]))
-        assert sol.status == "optimal"
+        sol = solve(StandardLP([[1.0]], [1.0], [1.0]), [0])
         assert sol.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_unbounded_with_ray(self):
-        # min -x  s.t.  x - s = 0 allows unbounded growth along (1, 1)
-        lp = StandardLP([[1.0, -1.0]], [0.0], [-1.0, 0.0])
-        sol = solve(lp)
-        assert sol.status == "unbounded"
-        assert sol.ray is not None
-        assert np.allclose(lp.a @ sol.ray, 0.0, atol=1e-12)
-        assert lp.c @ sol.ray < -1e-9
-
-    def test_infeasible_with_certificate(self):
-        lp = StandardLP([[1.0]], [-1.0], [0.0])
-        sol = solve(lp)
-        assert sol.status == "infeasible"
-        y = sol.certificate
-        assert y @ lp.b > 1e-9
-        assert np.all(y @ lp.a <= 1e-9)
 
     def test_transportation_value_equals_tv(self):
         # both row sums and the first column sum: the last column sum is
-        # the others' total less the first, so it is left out
+        # the others' total less the first, so it is left out; the start is
+        # the north-west-corner staircase x00 = 0.6, x10 = 0.4, x11 = 0
         p, q = np.array([0.6, 0.4]), np.array([1.0, 0.0])
         a = np.array(
             [
@@ -89,8 +78,7 @@ class TestSolve:
         )
         b = np.concatenate([p, q[:1]])
         c = GroundMetric.hamming(2).h.reshape(-1)
-        sol = solve(StandardLP(a, b, c))
-        assert sol.status == "optimal"
+        sol = solve(StandardLP(a, b, c), [0, 2, 3])
         assert sol.value == pytest.approx(tv_distance(p, q), abs=1e-12)
 
     def test_iteration_budget_reported_distinctly(self, monkeypatch):
@@ -98,7 +86,7 @@ class TestSolve:
         lp = random_feasible_lp(rng, 8, 16)
         monkeypatch.setattr(lpmod, "_PIVOT_BUDGET", 0)
         with pytest.raises(IterationLimitError, match=r"^pivot budget 0 exhausted \(cycling"):
-            solve(lp)
+            cold_solve(lp)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(SolverError, match="non-finite"):
@@ -113,7 +101,7 @@ class TestSolve:
 
     def test_rejects_a_program_without_columns(self):
         with pytest.raises(SolverError, match="at least one column"):
-            solve(StandardLP(np.zeros((1, 0)), [0.0], np.zeros(0)))
+            solve(StandardLP(np.zeros((1, 0)), [0.0], np.zeros(0)), [0])
 
 
 class TestRandomInstances:
@@ -123,8 +111,7 @@ class TestRandomInstances:
             m = int(rng.integers(1, 21))
             n = int(rng.integers(m, 41))
             lp = random_feasible_lp(rng, m, n)
-            sol = solve(lp)
-            assert sol.status == "optimal", f"trial {trial}"
+            sol = cold_solve(lp)
             scale = max(1.0, np.abs(lp.b).max())
             assert np.max(np.abs(lp.a @ sol.x - lp.b)) <= 1e-9 * scale
             assert np.min(sol.x) >= -1e-10
@@ -141,51 +128,6 @@ def transport_lp(p, q):
         a[i, i * n : (i + 1) * n] = 1.0
         a[n + i, i::n] = 1.0
     return StandardLP(a, np.concatenate([p, q]), GroundMetric.hamming(n).h.reshape(-1))
-
-
-def dependent_row(lp):
-    """The row ``solve`` names as linearly dependent on the others."""
-    with pytest.raises(SolverError, match="linearly dependent") as info:
-        solve(lp)
-    return int(re.search(r"equality row (\d+) ", str(info.value)).group(1))
-
-
-class TestRowRank:
-    def test_consistent_dependent_row_raises(self):
-        # both marginals of a coupling: either set of rows sums to 1
-        lp = transport_lp(np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.2, 0.6]))
-        row = dependent_row(lp)
-        rank = np.linalg.matrix_rank(lp.a)
-        assert np.linalg.matrix_rank(np.delete(lp.a, row, axis=0)) == rank == lp.m - 1
-        kept = solve(StandardLP(np.delete(lp.a, row, axis=0), np.delete(lp.b, row), lp.c))
-        assert kept.status == "optimal"
-        assert kept.value == pytest.approx(0.5, abs=1e-12)  # TV of the marginals
-
-    def test_combination_of_rows_raises(self):
-        # a random combination of the other rows, at a random place, with
-        # right-hand sides of both signs so that some rows are flipped
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            m = int(rng.integers(2, 8))
-            base = random_feasible_lp(rng, m - 1, int(rng.integers(m, 16)))
-            at = int(rng.integers(0, m))
-            a = np.insert(base.a, at, rng.normal(size=m - 1) @ base.a, axis=0)
-            x0 = rng.uniform(0.0, 1.0, base.n)
-            row = dependent_row(StandardLP(a, a @ x0, base.c))
-            assert np.linalg.matrix_rank(np.delete(a, row, axis=0)) == m - 1
-
-    def test_inconsistent_dependent_rows_are_infeasible(self):
-        # marginals of unequal mass: the dependent rows contradict each other
-        lp = transport_lp(np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.2, 0.5]))
-        sol = solve(lp)
-        assert sol.status == "infeasible"
-        y = sol.certificate
-        assert np.all(y @ lp.a <= 1e-9)
-        assert y @ lp.b > 1e-9
-
-    def test_zero_row_with_zero_right_hand_side_raises(self):
-        lp = StandardLP([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [1.0, 2.0, 0.0])
-        assert dependent_row(lp) == 1
 
 
 def walk_to(lp, start, b_start):
@@ -209,10 +151,9 @@ class TestWarmStart:
         full = transport_lp([0.6, 0.3, 0.1], [0.2, 0.2, 0.6])
         lps.append(StandardLP(full.a[:-1], full.b[:-1], full.c))  # without its dependent row
         for lp in lps:
-            cold = solve(lp)
+            cold = cold_solve(lp)
             warms = (walk_to(lp, cold.basis, lp.b), walk(lp, cold.basis, 0.0)[0])
             for warm in warms:
-                assert warm.status == "optimal"
                 assert warm.iterations == 0
                 assert warm.refactorizations == 1
                 assert warm.basis == cold.basis
@@ -225,12 +166,11 @@ class TestWarmStart:
             m = int(rng.integers(1, 21))
             n = int(rng.integers(m, 41))
             lp = random_feasible_lp(rng, m, n)
-            first = solve(lp)
+            first = cold_solve(lp)
             # a @ (x0 + u / 10) for the generator's feasible x0
             moved = StandardLP(lp.a, lp.b + lp.a @ rng.uniform(0.0, 0.1, n), lp.c)
-            cold = solve(moved)
+            cold = cold_solve(moved)
             warm = walk_to(moved, first.basis, lp.b)
-            assert warm.status == cold.status == "optimal", f"trial {trial}"
             assert warm.value == pytest.approx(cold.value, abs=1e-9), f"trial {trial}"
             scale = max(1.0, np.abs(moved.b).max())
             assert np.max(np.abs(moved.a @ warm.x - moved.b)) <= 1e-9 * scale
@@ -240,21 +180,13 @@ class TestWarmStart:
             cold_pivots += cold.iterations
         assert warm_pivots < cold_pivots
 
-    def test_infeasible_b_gives_certificate(self):
-        # x1 + x2 = b1, x1 - x3 = b2: infeasible once b1 < 0 or b2 > b1.
-        # The cold solve certifies it; the walk stops where the program ends.
-        lp = StandardLP([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [1.0, 0.5], [1.0, 2.0, 0.0])
-        first = solve(lp)
-        assert first.status == "optimal"
+    def test_infeasible_b_stops_the_walk(self):
+        # _TWO_ROWS at b: infeasible once b1 < 0 or b2 > b1; the walk from
+        # its optimal basis stops where the program ends
+        lp = _TWO_ROWS
         for b in ([1.0, 2.0], [-1.0, -3.0]):
-            moved = StandardLP(lp.a, b, lp.c)
-            cold = solve(moved)
-            assert cold.status == "infeasible"
-            y = cold.certificate
-            assert np.all(y @ moved.a <= 1e-9)
-            assert y @ moved.b > 0
-            with pytest.raises(SolverError, match="infeasible"):
-                walk_to(moved, first.basis, lp.b)
+            with pytest.raises(SolverError, match="infeasible past s = "):
+                walk_to(StandardLP(lp.a, b, lp.c), (0, 2), lp.b)
 
     def test_pivot_budget_applies(self, monkeypatch):
         prob = random_problem(1, 5, 10, random_distortion=True)
@@ -292,17 +224,17 @@ class TestWarmStart:
             walk(lp, start, np.inf)
 
     def test_program_without_rows(self):
-        # solve's phase one and phase two factor an empty basis; a walk has
-        # no last right-hand-side entry to move
+        # solve factors an empty basis; a walk has no last right-hand-side
+        # entry to move
         lp = StandardLP(np.zeros((0, 3)), np.zeros(0), [1.0, 0.0, 2.0])
-        sol = solve(lp)
-        assert sol.status == "optimal" and sol.value == 0.0 and sol.basis == ()
+        sol = solve(lp, [])
+        assert sol.value == 0.0 and sol.basis == ()
         with pytest.raises(SolverError, match="no rows"):
             walk(lp, [], 0.0)
 
     def test_start_of_another_shape_raises(self):
         rng = np.random.default_rng(5)
-        small = solve(random_feasible_lp(rng, 4, 9))
+        small = cold_solve(random_feasible_lp(rng, 4, 9))
         with pytest.raises(SolverError, match="rows"):
             walk(random_feasible_lp(rng, 5, 9), small.basis, 0.0)
         with pytest.raises(SolverError, match="out of range"):
@@ -314,7 +246,7 @@ class TestWarmStart:
         prob = random_problem(1, 3, 5)
         lp, lay = build_ot_form(prob, 0.0)
         start = _crash_basis(prob, lay)
-        assert walk(lp, start, 1.0)[0].status == "optimal"
+        walk(lp, start, 1.0)
         for bad in ([j + 0.5 for j in start], [str(j) for j in start], np.asarray(start, dtype=float)):
             with pytest.raises(SolverError, match="not an integer"):
                 walk(lp, bad, 1.0)
@@ -322,20 +254,68 @@ class TestWarmStart:
     def test_singular_start_raises(self):
         rng = np.random.default_rng(6)
         lp = random_feasible_lp(rng, 3, 7)
-        sol = solve(lp)
+        sol = cold_solve(lp)
         with pytest.raises(SolverError, match="singular"):
             walk(lp, (sol.basis[0],) * 3, 0.0)
 
     def test_start_infeasible_where_the_walk_starts_raises(self):
-        # the optimal basis at b1 = 1, b2 = 0.5 is x1 = b1, x3 = b1 - b2: a
-        # start claimed at b2 = 2 has x3 = -1 there
-        lp = StandardLP([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [1.0, 0.5], [1.0, 2.0, 0.0])
-        first = solve(lp)
+        # the optimal basis of _TWO_ROWS is x1 = b1, x3 = b1 - b2: a start
+        # claimed at b2 = 2 has x3 = -1 there
+        lp = _TWO_ROWS
         with pytest.raises(SolverError, match="not optimal"):
-            walk_to(lp, first.basis, [1.0, 2.0])
+            walk_to(lp, (0, 2), [1.0, 2.0])
         # a basis that is feasible there but not dual feasible: x2 for x1
         with pytest.raises(SolverError, match="not optimal"):
             walk_to(lp, (1, 2), [1.0, -0.5])
+
+
+def _walk_at_b(lp, start):
+    return walk(lp, start, 0.0)
+
+
+# min -x subject to x - s = 0: x grows without bound along (1, 1)
+_UNBOUNDED = StandardLP([[1.0, -1.0]], [0.0], [-1.0, 0.0])
+
+
+class TestStartRefusals:
+    """``solve`` and ``walk`` share one start check; each refusal's whole text."""
+
+    @pytest.mark.parametrize(
+        "run, lp, start, message",
+        [
+            pytest.param(run, _TWO_ROWS, start, message, id=f"{name}-{case}")
+            for name, run in (("solve", solve), ("walk", _walk_at_b))
+            for case, start, message in (
+                ("length", [0], "start basis covers 1 rows, the program has 2"),
+                ("out-of-range", [0, 3], "start basis names a column out of range"),
+                ("negative", [-1, 0], "start basis names a column out of range"),
+                ("not-an-integer", [0, 2.0], "start basis names a column that is not an integer"),
+                ("singular", [0, 0], "singular simplex basis"),
+            )
+        ]
+        + [
+            pytest.param(solve, _TWO_ROWS, [1, 2], "start basis is not primal feasible",
+                         id="solve-infeasible"),
+            pytest.param(_walk_at_b, _TWO_ROWS, [1, 2], "start basis is not optimal where the walk starts",
+                         id="walk-infeasible"),
+            pytest.param(_walk_at_b, _TWO_ROWS, [0, 1], "start basis is not optimal where the walk starts",
+                         id="walk-not-optimal"),
+            pytest.param(solve, _UNBOUNDED, [1], "program unbounded below: column 0 enters with no leaving row",
+                         id="solve-unbounded"),
+        ],
+    )
+    def test_refusal(self, run, lp, start, message):
+        with pytest.raises(SolverError) as exc:
+            run(lp, start)
+        assert str(exc.value) == message
+
+    def test_accepted_starts(self):
+        # the same program from the optimal start takes no pivot, and from the
+        # feasible one takes one; the walk accepts the optimal start
+        for start, pivots in (([0, 2], 0), ([2, 0], 0), ([0, 1], 1)):
+            sol = solve(_TWO_ROWS, start)
+            assert (sol.basis, sol.value, sol.iterations) == ((0, 2), 1.0, pivots)
+        assert walk(_TWO_ROWS, [0, 2], 0.0)[0].basis == (0, 2)
 
 
 class TestRevisedTableau:
@@ -349,7 +329,7 @@ class TestRevisedTableau:
         prob = random_problem(1, 5, 10, random_distortion=True, random_metric=True)
         ot, lay = build_ot_form(prob, 0.1)
         zero = build_ot_form(prob, 0.0)[0]
-        runs += [(ot, None, None), (zero, solve(ot).basis, 0.1)]
+        runs += [(ot, None, None), (zero, cold_solve(ot).basis, 0.1)]
         runs.append((zero, _crash_basis(prob, lay), 1.0))
         pivot, checked = _Tableau.pivot, []
 
@@ -373,7 +353,7 @@ class TestRevisedTableau:
         walked = []  # (pivots checked, pivots taken) per walk
         for lp, start, span in runs:
             if start is None:
-                solve(lp)
+                cold_solve(lp)
             else:
                 before = len(checked)
                 sol = walk(lp, start, span)[0]
@@ -396,12 +376,11 @@ class TestRevisedTableau:
         optimize, pivots = lpmod._optimize, []
 
         def counted(*args):
-            out = optimize(*args)
-            pivots.append(out[2])
-            return out
+            pivots.append(optimize(*args))
+            return pivots[-1]
 
         monkeypatch.setattr(lpmod, "_optimize", counted)
-        sol = solve(random_feasible_lp(np.random.default_rng(seed), *shape))
+        sol = cold_solve(random_feasible_lp(np.random.default_rng(seed), *shape))
         assert pivots == phases and phases[1] % lpmod._REFRESH_EVERY
         assert (sol.iterations, sol.refactorizations) == (sum(phases), refactors)
 
@@ -429,21 +408,15 @@ class TestDualCheck:
     def test_gap_small_on_optimal(self):
         rng = np.random.default_rng(7)
         lp = random_feasible_lp(rng, 5, 9)
-        sol = solve(lp)
+        sol = cold_solve(lp)
         assert dual_check(lp, sol) <= 1e-10
-
-    def test_requires_optimal_status(self):
-        lp = StandardLP([[1.0]], [-1.0], [0.0])
-        sol = solve(lp)
-        with pytest.raises(SolverError, match="optimal"):
-            dual_check(lp, sol)
 
     def test_perturbed_dual_reported(self):
         import dataclasses
 
         rng = np.random.default_rng(11)
         lp = random_feasible_lp(rng, 4, 8)
-        sol = solve(lp)
+        sol = cold_solve(lp)
         bad = dataclasses.replace(sol, dual=sol.dual + 1.0)
         with pytest.raises(SolverError, match="infeasible at column"):
             dual_check(lp, bad)
@@ -591,8 +564,7 @@ class TestVertexEnumeration:
         k = g.shape[0]
         a = np.hstack([g, np.eye(k)])
         cc = np.concatenate([c, np.zeros(k)])
-        sol = solve(StandardLP(a, h, cc))
-        assert sol.status == "optimal"
+        sol = cold_solve(StandardLP(a, h, cc))
         assert sol.value == pytest.approx(best, abs=1e-8)
 
 
@@ -614,7 +586,7 @@ class TestWalkAgainstBruteForce:
             n_x + n_y, n_x, n_y,
             random_distortion=random_distortion, random_metric=random_metric,
         )
-        self.assert_same(dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis)
+        self.assert_same(flow_dual(prob), solve_dp_at(prob, 0.0).solution.basis)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_boxes_with_random_cuts(self, seed):
@@ -659,9 +631,9 @@ class TestBlockSize:
         for seed, bases in [(0, 80), (1, 79), (4, 78)]:  # test_lexicographic_rule_on_degenerate_dual
             yield transport_dual(random_problem(seed, 3, 4)), TRANSPORT_3X4_STARTS[seed], bases
         prob = random_problem(0, 3, 4)  # its flow dual: 23 vertices on 28 bases
-        yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, 28
+        yield flow_dual(prob), solve_dp_at(prob, 0.0).solution.basis, 28
         prob = random_problem(2, 3, 5, random_metric=True)
-        yield dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, None
+        yield flow_dual(prob), solve_dp_at(prob, 0.0).solution.basis, None
 
     @pytest.mark.parametrize("block", [1, 10_000])
     def test_same_vertices_and_budget_thresholds(self, monkeypatch, block):
@@ -706,7 +678,7 @@ class TestBlockSize:
         # the cases tie 2-5 rows; the walk of this 5x4 flow dual (306
         # vertices) meets 123 ties of 12-17 rows
         prob = random_problem(0, 5, 4)
-        wide = dual_polyhedron(prob), solve_dp_at(prob, 0.0).solution.basis, None
+        wide = flow_dual(prob), solve_dp_at(prob, 0.0).solution.basis, None
         for poly, start, _ in [*self.cases(), wide]:
             enumerate_vertices(poly, start)
         assert sum(ties) > 100

@@ -21,7 +21,6 @@ from dptradeoff import (
     curve_by_vertices,
     make_problem,
     output_distribution,
-    posterior_sampling,
     solve_dp_at,
     tv_distance,
     wasserstein1,
@@ -29,13 +28,15 @@ from dptradeoff import (
 
 from dptradeoff import lp as lpmod
 from dptradeoff.model import _estimator_stack
-from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form, dual_polyhedron
+from dptradeoff.programs import _crash_basis, _stochastic_estimator, build_ot_form
 from dptradeoff.problemio import generate_instance, instance_to_problem, random_metric
 from dptradeoff.verify import cross_verify, grid_oracle
 
 from conftest import (
+    closed_random_metric,
     cost_matrix_oracle,
     deterministic_minimum_oracle,
+    flow_dual,
     random_distribution,
     random_problem,
     scaled_distortion_spec,
@@ -290,7 +291,7 @@ class TestValidation:
             (lambda: curve_by_vertices(make_problem([[0.4, 0.1], [0.2, 0.3]]), budget=np.float64(5.0)),
              r"a vertex walk needs a budget of at least 1 basis, in whole bases, got 5\.0"),
             (lambda: lpmod.enumerate_vertices(
-                dual_polyhedron(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.array([0, 1, 2.5])),
+                flow_dual(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.array([0, 1, 2.5])),
              r"a start must name 4 distinct rows of 7, got \[0\.0, 1\.0, 2\.5\]"),
             (lambda: grid_oracle(make_problem([[0.4, 0.1], [0.2, 0.3]]), 0.1, np.float64(2.5)),
              r"grid oracle steps must be an integer, got 2\.5"),
@@ -420,22 +421,12 @@ class TestExpectedDistortion:
 
 
 class TestPosteriorSampling:
-    def test_noiseless_posterior_is_identity(self, noiseless_problem):
-        assert np.allclose(posterior_sampling(noiseless_problem.channel).q, np.eye(2))
-
-    def test_independent_posterior_is_prior(self, indep_problem):
-        post = posterior_sampling(indep_problem.channel)
-        assert np.allclose(post.q, [[0.6, 0.6], [0.4, 0.4]])
-
-    def test_bsc_posterior_bayes(self, bsc_problem):
-        post = posterior_sampling(bsc_problem.channel)
-        expected = [[0.54 / 0.58, 0.06 / 0.42], [0.04 / 0.58, 0.36 / 0.42]]
-        assert np.allclose(post.q, expected)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_output_marginal_reproduces_source(self, seed):
+        # the estimator that redraws the source from its posterior, p(x | y),
+        # outputs the source law
         prob = random_problem(seed, 3, 5)
-        out = output_distribution(posterior_sampling(prob.channel), prob.p_y)
+        out = output_distribution(Estimator(prob.channel.p_xy / prob.p_y), prob.p_y)
         assert np.allclose(out.p, prob.p_x, atol=1e-14)
 
 
@@ -601,6 +592,32 @@ class TestWasserstein:
         assert np.abs(coupling.pi.sum(axis=1) - p).max() <= 1e-12
         assert np.abs(coupling.pi.sum(axis=0) - q).max() <= 1e-12
         assert abs(np.sum(coupling.pi * h.h) - value) <= 1e-15
+
+    @staticmethod
+    def pool():
+        """300 pairs: n = 2-8, Hamming or a closed random metric, one in five with p = q."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 7
+            h = closed_random_metric(rng, n) if seed % 2 else GroundMetric.hamming(n).h
+            p = random_distribution(rng, n)
+            yield p, (p if seed % 5 == 0 else random_distribution(rng, n)), GroundMetric(h)
+
+    def test_pool_matches_highs(self, monkeypatch):
+        # each program starts from the surplus-to-deficit staircase, and the
+        # pool's pivot total pins that start
+        solve, pivots = lpmod.solve, []
+
+        def counted(lp, start):
+            sol = solve(lp, start)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", counted)
+        for p, q, h in self.pool():
+            value = wasserstein1(p, q, h)[0]
+            assert abs(value - self._dense_highs(p, q, h.h)) <= 1e-12
+        assert (len(pivots), sum(pivots)) == (300, 228)
 
     def test_single_symbol(self):
         value, coupling = wasserstein1([1.0], [1.0], GroundMetric.hamming(1))

@@ -12,7 +12,6 @@ from dptradeoff import (
     build_ot_form,
     build_tv_form,
     curve_by_sweep,
-    dual_polyhedron,
     make_problem,
     solve_dp_at,
     tv_distance,
@@ -24,8 +23,10 @@ from dptradeoff.programs import _crash_basis, _stochastic_estimator
 
 from conftest import (
     binary_dp_oracle,
+    cold_solve,
     dual_check,
     edge_problems,
+    flow_dual,
     highs_dp_oracle,
     random_distribution,
     random_problem,
@@ -200,7 +201,7 @@ class TestSignForm:
     @pytest.mark.parametrize("shape", [(13, 20), (16, 64)], ids=lambda s: "x".join(map(str, s)))
     def test_large_alphabets_match_transport_form(self, shape):
         prob = random_problem(1, *shape)
-        poly = dual_polyhedron(prob)
+        poly = flow_dual(prob)
         for p in (0.0, 0.1, 0.3):
             tv = solve_dp_at(prob, p, form="tv")
             assert abs(tv.value - solve_dp_at(prob, p, form="ot").value) <= 1e-12, p
@@ -235,9 +236,9 @@ class TestFullRowRank:
     def test_wasserstein1_program(self, metric, n, monkeypatch):
         solve, programs = lpmod.solve, []
 
-        def captured(lp, **kwargs):
+        def captured(lp, start):
             programs.append(lp)
-            return solve(lp, **kwargs)
+            return solve(lp, start)
 
         monkeypatch.setattr(lpmod, "solve", captured)
         rng = np.random.default_rng(n)
@@ -274,7 +275,7 @@ class TestSolveAt:
 
     @pytest.mark.parametrize("form", ["ot", "tv"])
     def test_report_invariants(self, bsc_problem, form):
-        poly = dual_polyhedron(bsc_problem)
+        poly = flow_dual(bsc_problem)
         for p in [0.0, 0.005, 0.02, 0.3, 1.0]:
             rep = solve_dp_at(bsc_problem, p, form=form)
             assert rep.gap <= 1e-8
@@ -437,16 +438,19 @@ class TestCrashStart:
 
     @pytest.mark.parametrize("prob, form", _crash_cases())
     def test_never_enters_phase_one(self, prob, form, monkeypatch):
+        # a single-level solve only walks from the crash basis: it never
+        # calls lp.solve, the primal simplex that needs a feasible start
         def guarded(*args):
-            raise AssertionError("a single-level solve entered phase one")
+            raise AssertionError("a single-level solve called lp.solve")
 
-        monkeypatch.setattr(lpmod, "_phase_one", guarded)
+        monkeypatch.setattr(lpmod, "solve", guarded)
         for p in (0.0, 0.05, 0.2, 1.0):
             assert solve_dp_at(prob, p, form=form).gap <= 1e-8
 
     def test_refactorizations_counted(self):
         # the start, one at lp._REFRESH_EVERY pivots, and the end of the walk;
-        # phase two takes no pivot after that, so it adds no confirmation
+        # the primal confirmation takes no pivot after that, so it adds no
+        # refactorization
         rep = solve_dp_at(random_problem(1, 16, 64, random_distortion=True), 0.1)
         assert rep.iterations > lpmod._REFRESH_EVERY
         assert (rep.iterations, rep.refactorizations) == (107, 3)
@@ -456,7 +460,7 @@ class TestCrashStart:
         for p in (0.0, 0.05, 0.3, 1.0):
             lp = BUILD[form](prob, p)[0]
             rep = solve_dp_at(prob, p, form=form)
-            assert rep.value == pytest.approx(lpmod.solve(lp).value, abs=1e-9), p
+            assert rep.value == pytest.approx(cold_solve(lp).value, abs=1e-9), p
             assert dual_check(lp, rep.solution) <= 1e-9
             assert rep.perception <= p + 1e-9
             moved = np.sum(rep.coupling.pi * prob.metric.h)
@@ -596,7 +600,7 @@ class TestAgainstHighs:
     @pytest.mark.parametrize("prob, form", _highs_cases())
     def test_matches_highs(self, prob, form):
         pytest.importorskip("scipy")
-        poly = dual_polyhedron(prob)
+        poly = flow_dual(prob)
         for p in (0.0, 0.05, 0.2, 0.6):
             rep = solve_dp_at(prob, p, form=form)
             assert rep.value == pytest.approx(highs_dp_oracle(prob, p), abs=1e-9), p
@@ -610,19 +614,19 @@ class TestAgainstHighs:
 
 class TestDualPolyhedron:
     def test_counts_2x2(self, bsc_problem):
-        poly = dual_polyhedron(bsc_problem)
+        poly = flow_dual(bsc_problem)
         assert poly.d == 4
         assert poly.k == 7
 
     def test_counts_3x5(self):
         prob = random_problem(3, 3, 5)
-        poly = dual_polyhedron(prob)
+        poly = flow_dual(prob)
         assert poly.d == 8
         assert poly.k == 22
 
     def test_floor_point_feasible(self, bsc_problem):
         # stochasticity duals at the columnwise cost minimum, rest zero
-        poly = dual_polyhedron(bsc_problem)
+        poly = flow_dual(bsc_problem)
         w = bsc_problem.conditional.min(axis=0)
         point = np.concatenate([w, np.zeros(2)])
         assert np.all(poly.g @ point <= poly.h + 1e-12)
@@ -632,7 +636,7 @@ class TestDualPolyhedron:
         )
 
     def test_solved_duals_lie_inside(self, bsc_problem):
-        poly = dual_polyhedron(bsc_problem)
+        poly = flow_dual(bsc_problem)
         for p in [0.0, 0.01, 0.5]:
             rep = solve_dp_at(bsc_problem, p)
             assert np.all(poly.g @ rep.dual.coords() <= poly.h + 1e-9)
@@ -660,7 +664,7 @@ class TestDualPolyhedron:
             -prob.metric.h[tail, head][:, None],
         ])
         price_row = np.eye(n_y + n_x)[-1:] * -1.0
-        poly = dual_polyhedron(prob)
+        poly = flow_dual(prob)
         assert np.array_equal(poly.g, np.vstack([estimator_rows, arc_rows, price_row]))
         assert np.array_equal(poly.h, np.concatenate([prob.conditional.reshape(-1), np.zeros(tail.size + 1)]))
         # the P = 0 basis names d rows tight at its dual: the start of the
