@@ -11,8 +11,9 @@ product with the P-independent right-hand side, and minus its price.
   and estimators off that path.  No enumeration, so it reaches problems
   whose dual polyhedron is too large to enumerate.
 * ``curve_by_vertices``: take the same walk, enumerate all dual vertices
-  by a basis walk from its last basis, and take the upper envelope of
-  their lines (``assemble_curve``).  Its estimators are the sweep's.
+  by a basis walk from its last basis and its bases of nondegenerate
+  vertices, and take the upper envelope of their lines
+  (``assemble_curve``).  Its estimators are the sweep's.
 
 The two share the walk but not the code that turns bases or lines into
 a curve, so each checks the other.  They agree up to solver tolerance;
@@ -33,9 +34,13 @@ from .errors import ProblemError, SolverError
 from .model import Estimator, Problem, _readonly, _require_finite, check_level
 from .programs import _crash_basis, _flow_dual, _stochastic_estimator, build_ot_form
 
-_SLOPE_MERGE_TOL = 1e-12  # lines within this slope gap collapse to one
-_ZERO_LEN_TOL = 1e-12  # minimum breakpoint spacing kept in a curve
-_FLAT_TOL = 1e-11  # slopes within this of 0 are the plateau
+_SLOPE_MERGE_TOL = 1e-12  # slope (cost per level): lines within this slope gap collapse to one
+_ZERO_LEN_TOL = 1e-12  # level: minimum breakpoint spacing kept in a curve
+_FLAT_TOL = 1e-11  # slope: slopes within this of 0 are the plateau
+_PAST_ONE_TOL = 1e-12  # level: how far past 1 a curve's last breakpoint may lie
+_SLOPE_SIGN_TOL = 1e-10  # slope: the largest positive slope a curve accepts
+_CONVEXITY_TOL = 1e-9  # slope: the largest drop from one piece's slope to the next's
+_CONTINUITY_TOL = 1e-9  # cost: the largest gap between two pieces at their breakpoint
 
 
 def _lines(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -72,15 +77,15 @@ class PiecewiseLinearCurve:
         at, flat = bp.ravel().tolist(), seg.ravel().tolist()
         if seg.shape[0] != bp.size + 1:
             raise ProblemError("segment count must be breakpoint count + 1")
-        if at and (any(map(operator.ge, at, at[1:])) or at[0] <= 0 or at[-1] > 1 + 1e-12):
+        if at and (any(map(operator.ge, at, at[1:])) or at[0] <= 0 or at[-1] > 1 + _PAST_ONE_TOL):
             raise ProblemError("breakpoints must increase strictly within (0, 1]")
         intercepts, slopes = flat[::2], flat[1::2]
-        if max(slopes) > 1e-10:
+        if max(slopes) > _SLOPE_SIGN_TOL:
             raise ProblemError("curve slopes must be nonpositive")
-        if min(map(operator.sub, slopes[1:], slopes), default=0.0) < -1e-9:
+        if min(map(operator.sub, slopes[1:], slopes), default=0.0) < -_CONVEXITY_TOL:
             raise ProblemError("curve slopes must be non-decreasing (convexity)")
         for p, b0, m0, b1, m1 in zip(at, intercepts, slopes, intercepts[1:], slopes[1:]):
-            if abs((b0 + m0 * p) - (b1 + m1 * p)) > 1e-9:
+            if abs((b0 + m0 * p) - (b1 + m1 * p)) > _CONTINUITY_TOL:
                 raise ProblemError(f"curve discontinuous at breakpoint {p!r}")
         if slopes[-1] != 0.0:
             raise ProblemError("final segment must be the exact plateau")
@@ -222,9 +227,12 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     (``programs._flow_dual``), read off the one build the walk uses.  The
     enumeration starts at the last basis of ``curve_by_sweep``'s walk,
     optimal at P = 0: dual row j is program column j, so that basis is
-    d rows of a dual vertex.  The curve is the envelope of the vertices'
-    lines; the rest of the report is the sweep's, estimators too, so no
-    level is solved.
+    d rows of a dual vertex.  It also starts from the walk's other bases
+    of nondegenerate dual vertices: such a vertex has one basis, which
+    the walk from the last basis reaches anyway, so the bases found and
+    their count against ``budget`` stay the same, in fewer blocks.  The
+    curve is the envelope of the vertices' lines; the rest of the report
+    is the sweep's, estimators too, so no level is solved.
 
     Raises ProblemError unless ``budget`` is an integer >= 1, and
     BudgetExceededError past 16 dual dimensions (n_y + n_x), both before
@@ -237,9 +245,11 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
 
 def _by_vertices(walked, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """``curve_by_vertices`` from ``_sweep``'s result, so a caller that
-    already has the sweep walks once."""
-    sweep, lp, last_basis = walked
-    verts = lpmod.enumerate_vertices(_flow_dual(lp), last_basis, budget=budget)
+    already has the sweep walks once.  ``lp._walk_vertices`` takes the
+    walk's bases as extra starts and keeps those of nondegenerate
+    vertices, each the one basis of a vertex the walk reaches anyway."""
+    sweep, lp, last_basis, path = walked
+    verts = lpmod._walk_vertices(_flow_dual(lp), last_basis, path, budget)
     lines = _lines(verts, lp.b)
     try:
         curve = assemble_curve(lines, sweep.curve.d_star)
@@ -267,7 +277,10 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
 
 
 def _sweep(problem: Problem):
-    """``curve_by_sweep``'s report, the program it walked, and the walk's last basis."""
+    """``curve_by_sweep``'s report, the program it walked, the walk's last
+    basis, and every basis of the walk, one row each: ``_by_vertices``
+    starts its vertex walk at the last basis and from those of the rest
+    whose dual vertex is nondegenerate, which that walk reaches anyway."""
     d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)
@@ -297,7 +310,8 @@ def _sweep(problem: Problem):
     points[np.arange(len(kept))[:, None], bases[kept]] = vals[:, 0] + at[:, None] * vals[:, 1]
     tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
     estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
-    return CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators))), lp, sol.basis
+    report = CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators)))
+    return report, lp, sol.basis, bases
 
 
 def mix_supports(levels, rules, p_level: float) -> Estimator:

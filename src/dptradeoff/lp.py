@@ -44,6 +44,10 @@ dual feasible sets whose vertices determine entire tradeoff curves.  The
 walk is breadth first, in blocks of bases, from a vertex basis the
 caller already has (for the dual polyhedron, the optimal basis of the
 distortion program at P = 0); its budget counts the bases it finds.
+The curve's vertex walk also starts from the parametric walk's bases
+of nondegenerate dual vertices: such a vertex has one basis, which the
+walk from the start reaches anyway, so it finds the same bases, in
+fewer blocks.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ _RED_COST_TOL = 1e-10  # reduced cost improving, or basic value infeasible, belo
 _PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
 _RATIO_TIE_TOL = 1e-12  # ratio-test window: ratios within it of the least tie
 FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
+_RESIDUAL_TOL = 1e-7  # equality-row residual, in units of the right-hand side, of an optimal point
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _PIVOT_BUDGET = 100  # pivots per row and column that a walk or a simplex run may take
 _TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
@@ -300,7 +305,7 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution
     """The solution of an optimal tableau on ``lp``'s rows."""
     x = basic_point(tab.n, tab.basis, tab.xb)
     residual = float(abs(lp.a @ x - lp.b).max(initial=0.0))
-    if residual > 1e-7 * max(1.0, float(abs(lp.b).max(initial=0.0))):
+    if residual > _RESIDUAL_TOL * max(1.0, float(abs(lp.b).max(initial=0.0))):
         raise SolverError(f"optimal point misses the equality rows (residual {residual:g})")
     return LPSolution(
         x=x,
@@ -447,13 +452,36 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     of them found, kept by a dict keyed on the set's packed bytes, gives
     its point.  A basis whose point violates a row by more than that,
     which rounding can give on an ill-conditioned basis, is walked
-    through but gives no vertex.
+    through but gives no vertex.  ``curve_by_vertices`` also starts the
+    walk from the sweep's bases of nondegenerate vertices
+    (``_walk_vertices``): the walk from ``start`` reaches each of them,
+    so the bases found, the budget's count and the vertices are the same.
 
     Raises ProblemError unless ``budget`` is an integer >= 1, SolverError
     unless ``start`` names d distinct integer rows whose matrix is
     nonsingular and whose point is feasible within ``FEAS_TOL``, and
     BudgetExceededError past ``budget`` bases found, so callers can fall
     back to sweep-style methods.
+    """
+    return _walk_vertices(poly, start, (), budget)
+
+
+def _walk_vertices(poly: HPolyhedron, start, seeds, budget) -> np.ndarray:
+    """``enumerate_vertices`` from ``start`` and, in the same walk, from ``seeds``.
+
+    ``seeds`` holds bases, d in-range rows each, which the first block
+    takes right after the start.  A seed stays only if its point is
+    feasible with exactly d tight rows: a nondegenerate vertex has one
+    basis, which is lexicographically feasible under any ranks, so the
+    walk from the start reaches it and leaves it by the edges it takes
+    from it here.  The bases found and their count against ``budget``
+    are then the walk's from the start alone, and so are the vertices,
+    but for the point of a degenerate vertex, which comes from the first
+    of its bases found; a shallower walk takes fewer blocks.  Any other
+    seed leaves the walk before the budget counts it and gives no
+    vertex: a degenerate vertex's other bases can lie outside the
+    start's lexicographic graph.  Raises SolverError, as well as
+    ``enumerate_vertices``'s refusals, when a seed is singular.
     """
     k, d = poly.k, poly.d
     _check_walk(budget, d)
@@ -476,39 +504,56 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     rank = np.empty(k, dtype=int)
     rank[[i for i in range(k) if i not in start] + list(start)] = np.arange(k)
 
+    # the queue holds each basis as a tuple of its sorted rows; the first
+    # block takes the start and every seed that differs from it
+    queue = list(dict.fromkeys(tuple(sorted(b)) for b in [start, *np.asarray(seeds).tolist()]))
+    seen, take = set(queue), max(_BLOCK, len(queue))
     points, tight = [], []
-    seen = {tuple(sorted(start))}
-    queue = np.array([sorted(start)])
-    while queue.size:
-        basis, queue = queue[:_BLOCK], queue[_BLOCK:]
-        inv = np.linalg.inv(g[basis])  # (L, d, d)
+    while queue:
+        basis = np.array(queue[:take])
+        del queue[:take]
+        try:
+            inv = np.linalg.inv(g[basis])  # (L, d, d)
+        except np.linalg.LinAlgError:  # the start is checked, and a pivot keeps a basis regular
+            raise SolverError("a seed basis of the vertex walk is singular") from None
         point = (inv @ h[basis][:, :, None])[:, :, 0]
         slack = h - point @ g.T
-        slack[np.abs(slack) <= zero] = 0.0
-        feasible = np.all(slack >= 0.0, axis=1)  # past a row: rounding, not a vertex
-        if not points and not feasible[0]:  # the first block starts with the start
-            raise SolverError(f"start point violates a row by {-slack[0].min():g}")
+        slack[abs(slack) <= zero] = 0.0
+        feasible = (slack >= 0.0).all(axis=1)  # past a row: rounding, not a vertex
+        if not points:  # the first block: the start, then the seeds
+            if not feasible[0]:
+                raise SolverError(f"start point violates a row by {-slack[0].min():g}")
+            keep = feasible & ((slack == 0.0).sum(axis=1) == d)  # nondegenerate seeds stay
+            keep[0] = True
+            if not keep.all():
+                seen.difference_update(map(tuple, basis[~keep].tolist()))
+                basis, inv, point, slack = basis[keep], inv[keep], point[keep], slack[keep]
+                feasible = feasible[keep]
+            take = _BLOCK
         points.append(point[feasible])
         tight.append(np.packbits(slack[feasible] == 0.0, axis=1))
-        rates = -(g @ inv)  # rates[l, i, j]: row i's growth along edge j of basis l
+        rates = g @ inv
+        np.negative(rates, out=rates)  # rates[l, i, j]: row i's growth along edge j of basis l
         rates[np.arange(len(basis))[:, None], basis] = 0.0
-        bounded = rates > _PIVOT_COL_TOL * np.abs(inv).max(axis=1, keepdims=True)
+        bounded = rates > _PIVOT_COL_TOL * abs(inv).max(axis=1, keepdims=True)
         ratios = np.divide(slack[:, :, None], rates, out=np.full(rates.shape, np.inf), where=bounded)
         best = ratios.min(axis=1, keepdims=True)
-        tied = bounded & (ratios <= best + _TIE_TOL * np.maximum(1.0, np.abs(best)))
-        at, edge = np.nonzero(bounded.any(axis=1))  # the other edges are rays
+        tied = ratios <= best + _TIE_TOL * np.maximum(1.0, abs(best))
+        tied &= bounded
+        at, edge = bounded.any(axis=1).nonzero()  # the other edges are rays
         tied = tied[at, :, edge]
         entering = tied.argmax(axis=1)
-        if (split := np.flatnonzero(tied.sum(axis=1) > 1)).size:
+        if (split := (tied.sum(axis=1) > 1).nonzero()[0]).size:
             entering[split] = _lex_split(tied[split], rates, at[split], edge[split], basis, rank)
         nbrs = basis[at]
         nbrs[np.arange(at.size), edge] = entering
-        keys = dict.fromkeys(map(tuple, np.sort(nbrs, axis=1).tolist()))  # each once, in order
+        nbrs.sort(axis=1)
+        keys = dict.fromkeys(map(tuple, nbrs.tolist()))  # each once, in order
         fresh = [key for key in keys if key not in seen]
         seen.update(fresh)
         if len(seen) > budget:
             raise BudgetExceededError(f"the vertex walk visited more than {budget} bases")
-        queue = np.concatenate([queue, np.array(fresh, dtype=int).reshape(-1, d)])
+        queue += fresh
 
     # a vertex is its tight-row set: keep the first basis's point of each
     # set, in walk order, by the set's packed bytes, then sort

@@ -217,7 +217,9 @@ def cross_verify(
         _require_steps(grid_steps)
     values: dict[str, np.ndarray] = {}
 
-    walked = _sweep(problem)  # the vertex column enumerates from this walk's last basis
+    # the vertex column enumerates from this walk's last basis, and also from
+    # its bases of nondegenerate dual vertices, which it would reach anyway
+    walked = _sweep(problem)
     values["sweep"] = np.asarray(walked[0].curve.value(ps), dtype=float)
 
     if problem.is_binary:

@@ -15,6 +15,7 @@ from dptradeoff import (
     closed_form_curve,
     curve_by_sweep,
     curve_by_vertices,
+    enumerate_vertices,
     estimator_on_curve,
     hull_extremes,
     build_ot_form,
@@ -23,6 +24,7 @@ from dptradeoff import (
 )
 from dptradeoff import curve as curvemod
 from dptradeoff.problemio import instance_to_problem
+from dptradeoff.programs import _flow_dual
 
 from conftest import (
     breakpoint_candidates,
@@ -159,6 +161,25 @@ class TestCurveByVertices:
             assert np.min(gaps[np.triu_indices(len(gaps), 1)]) > 1e-12, seed
             sweep = curve_by_sweep(prob).curve.value(ps)
             assert np.max(np.abs(report.curve.value(ps) - sweep)) <= 1e-9, seed
+
+    def test_seeded_walk_finds_the_start_walks_bases(self):
+        # the walk also starts from the sweep's bases of nondegenerate
+        # vertices; seeding it with every basis of the sweep, the degenerate
+        # P = 1 basis on the plateau vertex too, finds 284 bases here
+        prob = random_problem(3, 4, 6, random_distortion=True)
+        curve_by_vertices(prob, budget=220)
+        with pytest.raises(BudgetExceededError, match="more than 219 bases"):
+            curve_by_vertices(prob, budget=219)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 4), (3, 5), (4, 6)], ids="{0[0]}x{0[1]}".format)
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_seeded_walk_gives_the_start_walks_vertices(self, shape, seed):
+        prob = random_problem(seed, *shape, random_distortion=True, random_metric=seed % 2 == 0)
+        _, lp, last_basis, _ = curvemod._sweep(prob)
+        alone = enumerate_vertices(_flow_dual(lp), last_basis)
+        seeded = curve_by_vertices(prob).vertices
+        assert seeded.shape == alone.shape
+        assert seeded.tobytes() == alone.tobytes()
 
 
 def _tangent_lines(seed):

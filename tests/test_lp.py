@@ -1,5 +1,6 @@
 """Simplex core and vertex enumeration."""
 
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -683,3 +684,81 @@ class TestBlockSize:
             enumerate_vertices(poly, start)
         assert sum(ties) > 100
         assert np.count_nonzero(np.concatenate(widths) >= 10) > 100
+
+
+# a square pyramid: the base z >= 0, four sides through the apex (0, 0, 1)
+# and the redundant x <= 2.  The corners are nondegenerate; the apex is
+# tight on the four sides, so it carries four bases
+_PYRAMID = HPolyhedron(
+    np.array([[0.0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [1, 0, 0]]),
+    np.array([0.0, 1, 1, 1, 1, 2]),
+)
+_PYRAMID_START = [0, 1, 3]  # the corner (1, 1, 0)
+
+
+def _least_budget(walk):
+    """The fewest bases ``walk(budget)`` finishes within, and its vertices."""
+    for budget in range(1, 100):
+        with suppress(BudgetExceededError):
+            return budget, walk(budget)
+    raise AssertionError("the walk found more than 99 bases")
+
+
+class TestSeededWalk:
+    """``lp._walk_vertices``: seeds change neither the vertices nor the bases found."""
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [[[1, 2, 3]], [[0, 3, 5]], [[3, 1, 0]], [[0, 2, 4]], [[1, 2, 3], [0, 3, 5], [0, 1, 3], [0, 2, 4]]],
+        ids=["degenerate-apex", "infeasible", "the-start", "other-corner", "all"],
+    )
+    def test_vertices_and_budget_of_the_single_start(self, seeds):
+        alone = _least_budget(lambda b: enumerate_vertices(_PYRAMID, _PYRAMID_START, budget=b))
+        seeded = _least_budget(lambda b: lpmod._walk_vertices(_PYRAMID, _PYRAMID_START, seeds, b))
+        assert alone[1].shape == (5, 3)
+        assert seeded[0] == alone[0]
+        assert seeded[1].tobytes() == alone[1].tobytes()
+
+    def test_singular_seed_is_a_solver_error(self):
+        # the base and the two x sides have no y column
+        with pytest.raises(SolverError) as exc:
+            lpmod._walk_vertices(_PYRAMID, _PYRAMID_START, [[0, 1, 2]], lpmod.VERTEX_BUDGET)
+        assert str(exc.value) == "a seed basis of the vertex walk is singular"
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([0, 1], "a start must name 3 distinct rows of 6, got [0, 1]"),
+            ([0, 1, 2], "start rows [0, 1, 2] are singular"),
+            ([0, 3, 5], "start point violates a row by 1"),
+        ],
+    )
+    def test_start_refusals_with_seeds(self, start, message):
+        # the refusals and their texts are enumerate_vertices's, seeds or not
+        for seeds in [(), [[0, 2, 4]]]:
+            with pytest.raises(SolverError) as exc:
+                lpmod._walk_vertices(_PYRAMID, start, seeds, lpmod.VERTEX_BUDGET)
+            assert str(exc.value) == message
+        with pytest.raises(SolverError) as exc:
+            enumerate_vertices(_PYRAMID, start)
+        assert str(exc.value) == message
+
+    def test_seeds_take_the_walk_in_one_block(self, monkeypatch):
+        # the 4-cube is simple, so every basis is a nondegenerate seed: with
+        # all 16 seeded, the first block finds every neighbour already seen
+        blocks, inv = [], np.linalg.inv
+
+        def counted(a):
+            blocks.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(lpmod, "_BLOCK", 1)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        cube = HPolyhedron(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+        corners = [[i if bit else i + 4 for i, bit in enumerate(bits)] for bits in np.ndindex(*[2] * 4)]
+        alone = enumerate_vertices(cube, [4, 5, 6, 7], budget=16)
+        assert blocks == [1] * 16
+        blocks.clear()
+        seeded = lpmod._walk_vertices(cube, [4, 5, 6, 7], corners, 16)
+        assert blocks == [16]
+        assert seeded.tobytes() == alone.tobytes()
