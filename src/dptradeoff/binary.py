@@ -40,7 +40,10 @@ CASE_UNDER = "x1_underallocated"
 CASE_OVER = "x1_overallocated"
 CASE_BALANCED = "balanced"
 
-_TIE_TOL = 1e-12  # gap values closer than this are the same cost level
+_TIE_TOL = 1e-12  # cost: gap values closer than this are the same cost level
+_MASS_TIE_TOL = 1e-12  # mass: a knot's mass this near p_first counts as equal to it
+_PIECE_TOL = 1e-12  # level: in total variation, times the metric's scale, a shorter piece drops
+_SHORT_TOL = 1e-15  # mass: the exact-marginal fill takes a symbol it finds short by more
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +77,14 @@ class BinaryAnalysis:
         reconstruction in ascending gap order (ties in symbol order) up to
         mass ``p_first``, fractional on the marginal symbol: ``short[i]``
         is the mass missing before the i-th symbol, and the symbols it
-        finds short by more than 1e-15 are taken, a prefix, since it only
+        finds short by more than ``_SHORT_TOL`` are taken, a prefix, since it only
         falls.  Then come the breakpoints, in reverse walk order, each
         with its rule "first iff gap <= threshold".
         """
         order = np.argsort(self.gaps, kind="stable")
         mass = self.p_y[order]
         short = np.cumsum(np.concatenate([[self.p_first], -mass]))[:-1]
-        live = short > 1e-15
+        live = short > _SHORT_TOL
         q = np.zeros((self.breakpoints.size + 1, 2, self.gaps.size))
         q[0, 0, order[live]] = np.minimum(mass[live], short[live]) / mass[live]
         np.less_equal(self.gaps, self.thresholds[::-1, None] + _TIE_TOL, out=q[1:, 0])
@@ -103,8 +106,9 @@ def analyze(problem: Problem) -> BinaryAnalysis:
     (+1 when short, -1 when overfilled) while the mass stays on its side
     of ``p_first``.  Each walked knot's piece runs from its distance to
     the next knot's (the last one's to 0) and trades the gap level of the
-    step's higher-mass knot; only pieces longer than ``_TIE_TOL`` in
-    total-variation units are kept.
+    step's higher-mass knot; only pieces longer than ``_PIECE_TOL`` in
+    total-variation units are kept.  Masses are judged against ``p_first``
+    within ``_MASS_TIE_TOL``, and gap levels within ``_TIE_TOL``.
     """
     _require_binary(problem)
     scale = float(problem.metric.h[0, 1])
@@ -125,19 +129,19 @@ def analyze(problem: Problem) -> BinaryAnalysis:
     le0 = int(np.count_nonzero(levels <= _TIE_TOL)) - 1
     lt0 = int(np.count_nonzero(levels < -_TIE_TOL)) - 1
     case, step, k = CASE_BALANCED, 0, -1
-    if p1 - mass[le0] > _TIE_TOL:
+    if p1 - mass[le0] > _MASS_TIE_TOL:
         case, step, k = CASE_UNDER, 1, le0
-    elif mass[lt0] - p1 > _TIE_TOL:
+    elif mass[lt0] - p1 > _MASS_TIE_TOL:
         case, step, k = CASE_OVER, -1, lt0
     knots = [k] if step else []
     masses = mass.tolist()
-    while step and 0 <= k + step < len(masses) and step * (p1 - masses[k + step]) >= -_TIE_TOL:
+    while step and 0 <= k + step < len(masses) and step * (p1 - masses[k + step]) >= -_MASS_TIE_TOL:
         k += step
         knots.append(k)
 
     knots = np.asarray(knots, dtype=np.intp)
     ends = np.append(np.maximum(step * (p1 - mass[knots]), 0.0) * scale, 0.0)
-    kept = ends[:-1] - ends[1:] > _TIE_TOL * scale
+    kept = ends[:-1] - ends[1:] > _PIECE_TOL * scale
     # the traded level is the step's higher-mass knot's, kept in range past the last
     traded = levels[np.minimum(knots[kept] + (step > 0), levels.size - 1)]
     return BinaryAnalysis(

@@ -32,6 +32,8 @@ EXIT_SOLVER = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
+_ACTIVE_TOL = 1e-6  # cost: a dual point this near a piece's (intercept, slope) is its line
+
 
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -42,17 +44,12 @@ def _curve_json(curve, estimators, method: str) -> str:
     doc = {
         "method": method,
         "tolerance": lpmod.FEAS_TOL,
-        "breakpoints": [float(b) for b in curve.breakpoints],
-        "slopes": [float(s) for s in curve.slopes],
+        "breakpoints": curve.breakpoints.tolist(),
+        "slopes": curve.slopes.tolist(),
         "p_star": float(curve.p_star),
         "d_star": float(curve.d_star),
-        "segments": [
-            {"intercept": float(a), "slope": float(s)} for a, s in curve.segments
-        ],
-        "estimators": [
-            {"p": float(p), "q": [[float(v) for v in row] for row in est.q]}
-            for p, est in estimators
-        ],
+        "segments": [{"intercept": a, "slope": s} for a, s in curve.segments.tolist()],
+        "estimators": [{"p": float(p), "q": est.q.tolist()} for p, est in estimators],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -69,7 +66,7 @@ def _active_indices(curve, s2: np.ndarray) -> list[int]:
     for a, s in curve.segments:
         d = np.hypot(s2[:, 0] - a, s2[:, 1] - s)
         j = int(np.argmin(d))
-        if d[j] <= 1e-6 and j not in out:
+        if d[j] <= _ACTIVE_TOL and j not in out:
             out.append(j)
     return out
 
@@ -90,8 +87,8 @@ def cmd_solve(args) -> int:
             "perception": report.perception,
             "form": report.form,
             "tolerance": lpmod.FEAS_TOL,
-            "estimator": [[float(v) for v in row] for row in report.estimator.q],
-            "coupling": [[float(v) for v in row] for row in report.coupling.pi],
+            "estimator": report.estimator.q.tolist(),
+            "coupling": report.coupling.pi.tolist(),
         }
         _write(args.out_json, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK

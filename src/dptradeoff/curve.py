@@ -308,8 +308,7 @@ def _sweep(problem: Problem):
     points = np.zeros((len(kept), lp.n))
     vals = values[kept]
     points[np.arange(len(kept))[:, None], bases[kept]] = vals[:, 0] + at[:, None] * vals[:, 1]
-    tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
-    estimators = _stochastic_estimator(problem, lay.extract_w(points), tol)
+    estimators = _stochastic_estimator(problem, lay.extract_w(points), lp.feas_tol)
     report = CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators)))
     return report, lp, sol.basis, bases
 

@@ -60,14 +60,22 @@ import numpy as np
 
 from .errors import BudgetExceededError, IterationLimitError, ProblemError, SolverError
 
-_RED_COST_TOL = 1e-10  # reduced cost improving, or basic value infeasible, below -tol
-_PIVOT_COL_TOL = 1e-11  # smallest admissible pivot magnitude
-_RATIO_TIE_TOL = 1e-12  # ratio-test window: ratios within it of the least tie
-FEAS_TOL = 1e-9  # residual, in units of the right-hand side, accepted as feasible
-_RESIDUAL_TOL = 1e-7  # equality-row residual, in units of the right-hand side, of an optimal point
+# Tolerances, one unit each.  "mass" is the unit of a program's right-hand
+# side b, which holds masses and a level, a transported mass, in every
+# program the package builds; "cost" is the unit of c, and so of the
+# dual's right-hand side h; "ratio" has none.  A tolerance said to be on
+# b's scale is multiplied by ``_scale(b)``, and one on h's by ``_scale(h)``.
+FEAS_TOL = 1e-9  # mass: on b's scale, a basic value or a row residual this far off 0 is feasible
+_RESIDUAL_TOL = 1e-7  # mass: on b's scale, the largest equality-row residual of an optimal point
+_BASIC_TOL = 1e-10  # mass: on b's scale, a walk ends where no falling basic value is below -tol
+_RATIO_TIE_TOL = 1e-12  # mass: primal ratio-test window: steps or levels within it of the least tie
+_RED_COST_TOL = 1e-10  # cost: a nonbasic reduced cost below -tol improves
+_DUAL_FEAS_TOL = 1e-9  # cost: a reduced cost, or on h's scale a row's slack, this far off 0 is 0
+_DUAL_TIE_TOL = 1e-12  # cost: dual ratio-test window: ratios within it of the least tie
+_PIVOT_COL_TOL = 1e-11  # ratio: smallest admissible pivot magnitude
+_TIE_TOL = 1e-9  # ratio: relative gap under which two vertex-walk step lengths tie
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _PIVOT_BUDGET = 100  # pivots per row and column that a walk or a simplex run may take
-_TIE_TOL = 1e-9  # relative gap under which two vertex-walk step lengths tie
 _BLOCK = 64  # bases the vertex walk takes off its queue as one batch
 VERTEX_BUDGET = 10_000  # bases a vertex walk may visit by default
 
@@ -102,6 +110,17 @@ class StandardLP:
     @property
     def n(self) -> int:
         return self.a.shape[1]
+
+    @property
+    def feas_tol(self) -> float:
+        """``FEAS_TOL`` on ``b``'s scale: how far, in mass, a basic value may
+        lie below 0, or a row's residual off 0, and still count as feasible."""
+        return FEAS_TOL * _scale(self.b)
+
+
+def _scale(v) -> float:
+    """``max(1, |v|∞)``: the scale on which a tolerance in ``v``'s unit is read."""
+    return max(1.0, float(np.abs(v).max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +283,7 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None, np.nd
     if cols.size == 0:
         return row, None, line
     ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]
-    return row, int(cols[(ratios <= ratios[ratios.argmin()] + _RATIO_TIE_TOL).argmax()]), line
+    return row, int(cols[(ratios <= ratios[ratios.argmin()] + _DUAL_TIE_TOL).argmax()]), line
 
 
 def _start(lp: StandardLP, start) -> _Tableau:
@@ -290,12 +309,12 @@ def solve(lp: StandardLP, start) -> LPSolution:
     Returns a basic optimal solution with its duals.  Raises SolverError
     when ``start`` fails ``walk``'s start check (one integer column per
     row, each in range, nonsingular) or is not primal feasible within
-    ``FEAS_TOL`` on the scale of ``lp.b``, or when the program is
+    ``lp.feas_tol``, ``FEAS_TOL`` on the scale of ``lp.b``, or when the program is
     unbounded, and IterationLimitError past ``_PIVOT_BUDGET * (m + n)``
     pivots.
     """
     tab = _start(lp, start)
-    if tab.xb.min(initial=0.0) < -FEAS_TOL * max(1.0, float(np.abs(lp.b).max(initial=0.0))):
+    if tab.xb.min(initial=0.0) < -lp.feas_tol:
         raise SolverError("start basis is not primal feasible")
     iters = _optimize(tab, _PIVOT_BUDGET * (lp.m + lp.n))
     return _optimal(lp, tab, iters, tab.refactors)
@@ -305,7 +324,7 @@ def _optimal(lp: StandardLP, tab: _Tableau, iterations, refactors) -> LPSolution
     """The solution of an optimal tableau on ``lp``'s rows."""
     x = basic_point(tab.n, tab.basis, tab.xb)
     residual = float(abs(lp.a @ x - lp.b).max(initial=0.0))
-    if residual > _RESIDUAL_TOL * max(1.0, float(abs(lp.b).max(initial=0.0))):
+    if residual > _RESIDUAL_TOL * _scale(lp.b):
         raise SolverError(f"optimal point misses the equality rows (residual {residual:g})")
     return LPSolution(
         x=x,
@@ -329,8 +348,10 @@ def walk(
     a falling one reaches 0; ``_dual_bland`` over the rows that reach 0
     there then pivots as the dual simplex just below would, so degenerate
     steps cannot cycle.  At s = 0 the basis is refactored and the primal
-    simplex confirms it, so a start off by rounding still ends optimal.  The start
-    is judged on the scale of its right-hand side, the end on ``lp.b``'s.
+    simplex confirms it, so a start off by rounding still ends optimal.  The start's
+    basic values are judged by ``FEAS_TOL`` on the scale of its right-hand side and
+    its reduced costs by ``_DUAL_FEAS_TOL``; the walk ends where no falling basic
+    value is below ``-_BASIC_TOL`` on ``lp.b``'s scale.
 
     Returns the optimal solution of ``lp`` (``iterations`` counts the
     walk's pivots and the confirmation's) and ``(s, basis, B^-1 b, B^-1 e_m)``
@@ -352,12 +373,12 @@ def walk(
             f"a walk moves s down to 0 from a span >= 0 that is finite, got {float(span)!r}"
         )
     tab = _start(lp, start)
-    scale = max(1.0, float(np.abs(lp.b).max()))
+    scale = _scale(lp.b)
     top = max(scale, abs(lp.b[-1] + span))
-    if (tab.xb + span * tab.rate).min() < -FEAS_TOL * top or tab.red.min() < -FEAS_TOL:
+    if (tab.xb + span * tab.rate).min() < -FEAS_TOL * top or tab.red.min() < -_DUAL_FEAS_TOL:
         raise SolverError("start basis is not optimal where the walk starts")
 
-    tol = _RED_COST_TOL * scale
+    tol = _BASIC_TOL * scale
     s, iters, path = span, 0, []
     while True:
         rows = (tab.rate > _PIVOT_COL_TOL).nonzero()[0]  # basic values that fall as s does
@@ -447,10 +468,11 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     queued bases at a time: one batched inverse, one ratio test of all
     their edges, and one ``_lex_split`` of all their ties, which gathers
     the tied rows flat and settles each tie on its own rows.  A vertex is
-    its set of tight rows, those whose slack is within ``FEAS_TOL`` of 0
-    at a basis's point: bases with one set are one vertex, and the first
-    of them found, kept by a dict keyed on the set's packed bytes, gives
-    its point.  A basis whose point violates a row by more than that,
+    its set of tight rows, those whose slack is within ``_DUAL_FEAS_TOL``
+    of 0, on ``h``'s scale (``h`` is in cost, the dual's right-hand side
+    being the program's costs), at a basis's point: bases with one set are
+    one vertex, and the first of them found, kept by a dict keyed on the
+    set's packed bytes, gives its point.  A basis whose point violates a row by more than that,
     which rounding can give on an ill-conditioned basis, is walked
     through but gives no vertex.  ``curve_by_vertices`` also starts the
     walk from the sweep's bases of nondegenerate vertices
@@ -459,7 +481,7 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
 
     Raises ProblemError unless ``budget`` is an integer >= 1, SolverError
     unless ``start`` names d distinct integer rows whose matrix is
-    nonsingular and whose point is feasible within ``FEAS_TOL``, and
+    nonsingular and whose point is feasible within that tolerance, and
     BudgetExceededError past ``budget`` bases found, so callers can fall
     back to sweep-style methods.
     """
@@ -496,7 +518,7 @@ def _walk_vertices(poly: HPolyhedron, start, seeds, budget) -> np.ndarray:
         raise SolverError(f"a start must name {d} distinct rows of {k}, got {start}")
     if not np.linalg.cond(g[start]) < 1.0 / _PIVOT_COL_TOL:
         raise SolverError(f"start rows {start} are singular")
-    zero = FEAS_TOL * max(1.0, float(np.abs(h).max()))
+    zero = _DUAL_FEAS_TOL * _scale(h)
 
     # row i's right-hand side is perturbed by eps^(1 + rank[i]): the start
     # basis takes the smallest perturbations, so every row that is tight at

@@ -29,10 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lp
 from .errors import ProblemError
 
-_MASS_TOL = 1e-12  # input probabilities and metric entries: sums, signs, zeros
-_STOCHASTIC_TOL = 1e-10  # estimator column sums and coupling marginals
+_MASS_TOL = 1e-12  # mass: slack of the sums and signs of probabilities, and a column's least mass
+_STOCHASTIC_TOL = 1e-10  # mass: estimator column sums and coupling marginals
+_METRIC_TOL = 1e-12  # metric: entry-wise slack of the axioms, but the triangle's, and of Hamming
+_TRIANGLE_TOL = 1e-9  # metric: how far a pair's entry may exceed its shortest detour
 
 
 def _readonly(values) -> np.ndarray:
@@ -177,21 +180,21 @@ class GroundMetric:
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
             raise ProblemError("metric matrix must be square and nonempty")
         _require_finite(h, "metric")
-        if np.any(np.abs(np.diag(h)) > _MASS_TOL):
+        if np.any(np.abs(np.diag(h)) > _METRIC_TOL):
             raise ProblemError("metric diagonal must be zero")
         np.fill_diagonal(h, 0.0)
-        if np.any(np.abs(h - h.T) > _MASS_TOL):
+        if np.any(np.abs(h - h.T) > _METRIC_TOL):
             raise ProblemError("metric must be symmetric")
-        if np.any(h < -_MASS_TOL) or np.any(h > 1.0 + _MASS_TOL):
+        if np.any(h < -_METRIC_TOL) or np.any(h > 1.0 + _METRIC_TOL):
             raise ProblemError(
                 "metric entries must lie in [0, 1]; rescale the metric and "
                 "the perception level jointly"
             )
-        if np.any(h[~np.eye(h.shape[0], dtype=bool)] <= _MASS_TOL):
+        if np.any(h[~np.eye(h.shape[0], dtype=bool)] <= _METRIC_TOL):
             raise ProblemError("metric must be positive off the diagonal")
         # min_j (h[i,j] + h[j,k]) >= h[i,k] for all i, k
         via = np.min(h[:, :, None] + h[None, :, :], axis=1)
-        if np.any(via < h - 1e-9):
+        if np.any(via < h - _TRIANGLE_TOL):
             i, k = np.unravel_index(int(np.argmin(via - h)), h.shape)
             raise ProblemError(
                 f"metric violates the triangle inequality at pair ({i},{k})"
@@ -208,7 +211,7 @@ class GroundMetric:
 
     @property
     def is_hamming(self) -> bool:
-        return bool((abs(self.h - (1.0 - np.eye(self.n))) <= _MASS_TOL).all())
+        return bool((abs(self.h - (1.0 - np.eye(self.n))) <= _METRIC_TOL).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,8 +417,6 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     cost ``sum(pi * h)``, which is the flow's weight up to rounding and
     the triangle check's allowance.
     """
-    from . import lp  # deferred: lp has no model dependency
-
     pv = _as_prob_vector(p, "first distribution")
     qv = _as_prob_vector(q, "second distribution")
     n = pv.size

@@ -254,12 +254,13 @@ def _stochastic_estimator(problem: Problem, w: np.ndarray, tol: float) -> list[E
     (``curve._sweep``) the blocks of the path entries at its breakpoints, so its
     estimators come from one stacked pass, and ``model._estimator_stack``
     checks them once more, as ``Estimator`` does, without a copy.  The
-    solver meets each row ``sum(w[:, y]) = p_y`` within ``tol``, so
-    negative entries and residuals are judged against ``tol`` in mass
-    units.  A column with positive mass is divided by it; one that is
-    all zeros, as a symbol with less mass than ``tol`` may come back,
-    takes the column of the unconstrained optimum, which moves the
-    distortion and the output law by at most that symbol's mass.
+    solver meets each row ``sum(w[:, y]) = p_y`` within ``tol``, the
+    program's ``lp.feas_tol``, so negative entries and residuals are
+    judged against ``tol`` in mass units.  A column with positive mass
+    is divided by it; one that is all zeros, as a symbol with less mass
+    than ``tol`` may come back, takes the column of the unconstrained
+    optimum, which moves the distortion and the output law by at most
+    that symbol's mass.
     """
     if (w < -tol).any():
         raise SolverError("estimator entry negative beyond the solver tolerance")
@@ -327,8 +328,7 @@ def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveRepo
     span = max(1.0, p_level) - p_level
     sol = lpmod.walk(lp, _crash_basis(problem, lay), span)[0]
 
-    tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
-    (estimator,) = _stochastic_estimator(problem, lay.extract_w(sol.x)[None], tol)
+    (estimator,) = _stochastic_estimator(problem, lay.extract_w(sol.x)[None], lp.feas_tol)
     out = np.maximum(lay.extract_w(sol.x), 0.0).sum(axis=1)
     plan = _flow_plan(problem.p_x, out, lay.n_nodes, lay.tail, lay.head, lay.extract_flow(sol.x))
     dual = _dual(problem, sol.dual, p_level)

@@ -35,7 +35,9 @@ from .errors import BudgetExceededError, ProblemError
 from .model import Problem, _staircase, check_level, wasserstein1
 from .programs import build_ot_form
 
-EXACT_TOL = 1e-9  # largest gap allowed between exact methods; ``dp verify --tol``'s default
+EXACT_TOL = 1e-9  # cost: largest gap allowed between exact methods; ``dp verify --tol``'s default
+_GRID_TOL = 1e-9  # cost: how far the grid oracle may fall below exact, or rise above its band
+_SCAN_TOL = 1e-12  # level: a grid point this far past the level is still within it
 
 
 def _simplex_grid(steps: int, parts: int) -> np.ndarray:
@@ -119,18 +121,18 @@ def _scan(problem: Problem, grid, p_level: float, w1: dict[int, float]) -> float
 
     # transport cost is sandwiched between c_lo * TV and c_hi * TV, so most
     # grid points are decided without a transport solve; ties go to the LP
-    slack = 1e-12
+    limit = p_level + _SCAN_TOL
     for flat in order:
         t = tv[flat]
-        if c_lo * t > p_level + slack:
+        if c_lo * t > limit:
             continue
-        if c_hi * t <= p_level + slack:
+        if c_hi * t <= limit:
             return float(distortion[flat])
         if flat not in w1:
             q = np.column_stack(columns[list(np.unravel_index(flat, (k,) * n_y))])
             out = q @ problem.p_y
             w1[flat] = wasserstein1(problem.p_x, out / out.sum(), problem.metric)[0]
-        if w1[flat] <= p_level + slack:
+        if w1[flat] <= limit:
             return float(distortion[flat])
     return math.inf
 
@@ -266,11 +268,11 @@ def cross_verify(
         for j in range(ps.size):
             if not np.isfinite(gv[j]):
                 continue  # no feasible grid point at this level
-            if gv[j] < ref[j] - 1e-9:
+            if gv[j] < ref[j] - _GRID_TOL:
                 failures.append(
                     f"grid oracle below exact by {ref[j] - gv[j]:.3e} at P={ps[j]:.6f}"
                 )
-            if ps[j] >= band_floor and gv[j] > ref[j] + band + 1e-9:
+            if ps[j] >= band_floor and gv[j] > ref[j] + band + _GRID_TOL:
                 failures.append(
                     f"grid oracle above the band by {gv[j] - ref[j] - band:.3e}"
                     f" at P={ps[j]:.6f}"

@@ -196,29 +196,32 @@ def binary_dp_oracle(problem, p_level):
 def highs_dp_oracle(problem, p_level):
     """Curve value from scipy's HiGHS on the transport program, built here.
 
-    Variables are the estimator ``q[xhat, y]`` and a coupling
+    Variables are the joint masses ``w[xhat, y] = p_y[y] q[xhat, y]``
+    of the estimator, as in the package's program, and a coupling
     ``pi[x, xhat]`` between the source marginal and the output marginal
-    ``q p_y``; the perception budget is an inequality row.  Callers skip
-    the test when scipy is missing.
+    ``sum_y w[:, y]``; the rows are ``sum_xhat w[xhat, y] = p_y[y]``, the
+    costs ``problem.conditional``, and the perception budget is an
+    inequality row.  HiGHS's feasibility tolerance is 1e-10 in these mass
+    units, so it may still miss by about that where an observation
+    weighs less.  Callers skip the test when scipy is missing.
     """
     from scipy.optimize import linprog
 
-    p_xy = np.asarray(problem.channel.p_xy, float)
-    d, h = problem.distortion.d, problem.metric.h
-    n_x, n_y = p_xy.shape
-    p_x, p_y = p_xy.sum(axis=1), p_xy.sum(axis=0)
+    h = problem.metric.h
+    n_x, n_y = problem.n_x, problem.n_y
+    p_x, p_y = problem.p_x, problem.p_y
     nq = n_x * n_y
     a_eq = np.zeros((n_y + 2 * n_x, nq + n_x * n_x))
     for y in range(n_y):
-        a_eq[y, y:nq:n_y] = 1.0  # column y of q sums to 1
+        a_eq[y, y:nq:n_y] = 1.0  # column y of w is p_y[y]
     for x in range(n_x):
         a_eq[n_y + x, nq + x * n_x : nq + (x + 1) * n_x] = 1.0  # row x of pi is p_x[x]
     for xhat in range(n_x):
-        a_eq[n_y + n_x + xhat, xhat * n_y : (xhat + 1) * n_y] = p_y
+        a_eq[n_y + n_x + xhat, xhat * n_y : (xhat + 1) * n_y] = 1.0
         a_eq[n_y + n_x + xhat, nq + xhat :: n_x] = -1.0  # column xhat of pi is the output mass
-    b_eq = np.concatenate([np.ones(n_y), p_x, np.zeros(n_x)])
+    b_eq = np.concatenate([p_y, p_x, np.zeros(n_x)])
     a_ub = np.concatenate([np.zeros(nq), h.reshape(-1)])[None, :]
-    c = np.concatenate([(d.T @ p_xy).reshape(-1), np.zeros(n_x * n_x)])
+    c = np.concatenate([problem.conditional.reshape(-1), np.zeros(n_x * n_x)])
     res = linprog(
         c, A_ub=a_ub, b_ub=[p_level], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},

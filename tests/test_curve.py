@@ -410,7 +410,7 @@ class TestCurveBySweep:
         lp, lay = build_ot_form(prob, 0.0)
         path = lpmod.walk(lp, _crash_basis(prob, lay), 1.0)[1]
         levels = np.array([entry[0] for entry in path])
-        tol = lpmod.FEAS_TOL * max(1.0, float(np.abs(lp.b).max()))
+        tol = lp.feas_tol
         assert len(report.estimators) == report.curve.breakpoints.size + 1
         for p, est in report.estimators:
             s, basis, xb, rate = path[int(np.argmin(np.abs(levels - p)))]

@@ -1,13 +1,19 @@
-"""Package surface and the end-to-end experiment script."""
+"""Package surface, its tolerances and the end-to-end experiment script."""
 
+import ast
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tokenize
 
 import dptradeoff
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "dptradeoff").glob("*.py"))
+UNITS = {"mass", "level", "cost", "slope", "metric", "ratio"}
 
 
 def test_exports_resolve_without_duplicates():
@@ -29,3 +35,41 @@ def test_hull_experiment_script_writes_artifacts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("curve.svg", "s2.svg", "curve.json"):
         assert (tmp_path / name).is_file(), name
+
+
+def _constants(tree):
+    """The module-level assignments to UPPER_CASE names, with their names."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = [getattr(target, "id", "") for target in node.targets]
+            if all(name.lstrip("_").isupper() for name in names):
+                yield node, names
+
+
+def test_every_small_float_is_a_named_constant():
+    # a float below 1e-5 in magnitude is a tolerance: it is written once, as a
+    # module-level UPPER_CASE name next to its module's other tolerances
+    stray = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        named = {id(c) for node, _ in _constants(tree) for c in ast.walk(node)}
+        stray += [
+            f"{path.name}:{c.lineno}"
+            for c in ast.walk(tree)
+            if isinstance(c, ast.Constant) and type(c.value) is float
+            and 0.0 < abs(c.value) < 1e-5 and id(c) not in named
+        ]
+    assert not stray, stray
+
+
+def test_every_tolerance_comment_begins_with_its_unit():
+    unitless = []
+    for path in SOURCES:
+        text = path.read_text()
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        comments = {t.start[0]: t.string for t in tokens if t.type == tokenize.COMMENT}
+        for node, names in _constants(ast.parse(text, str(path))):
+            word = re.match(r"#\s*([a-z]+)", comments.get(node.end_lineno, ""))
+            if any(n.endswith("_TOL") for n in names) and (not word or word[1] not in UNITS):
+                unitless.append(f"{path.name}:{node.lineno} {' = '.join(names)}")
+    assert not unitless, unitless

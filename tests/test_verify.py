@@ -343,7 +343,7 @@ class TestPointwiseColumn:
 
     def test_pool_matches_highs_and_the_walk(self, monkeypatch):
         # HiGHS, at its feasibility tolerance of 1e-10, misses the skewed
-        # draws by up to 7e-11 (and calls two infeasible), so past the first
+        # draws by up to 4e-11 where an observation weighs less, so past the first
         # 160 instances the yardstick is the dual walk of solve_dp_at, which
         # shares neither the start nor the pivots; the pool's pivot total
         # pins the staircase start
