@@ -11,8 +11,8 @@ product with the P-independent right-hand side, and minus its price.
   and estimators off that path.  No enumeration, so it reaches problems
   whose dual polyhedron is too large to enumerate.
 * ``curve_by_vertices``: take the same walk, enumerate all dual vertices
-  by a basis walk from its last basis and its bases of nondegenerate
-  vertices, and take the upper envelope of their lines
+  by a basis walk from its last basis, with its bases as seeds
+  (``lp._walk_vertices``), and take the upper envelope of their lines
   (``assemble_curve``).  Its estimators are the sweep's.
 
 The two share the walk but not the code that turns bases or lines into
@@ -227,12 +227,10 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     (``programs._flow_dual``), read off the one build the walk uses.  The
     enumeration starts at the last basis of ``curve_by_sweep``'s walk,
     optimal at P = 0: dual row j is program column j, so that basis is
-    d rows of a dual vertex.  It also starts from the walk's other bases
-    of nondegenerate dual vertices: such a vertex has one basis, which
-    the walk from the last basis reaches anyway, so the bases found and
-    their count against ``budget`` stay the same, in fewer blocks.  The
-    curve is the envelope of the vertices' lines; the rest of the report
-    is the sweep's, estimators too, so no level is solved.
+    d rows of a dual vertex, and the walk's bases are its seeds
+    (``lp._walk_vertices``).  The curve is the envelope of the vertices'
+    lines; the rest of the report is the sweep's, estimators too, so no
+    level is solved.
 
     Raises ProblemError unless ``budget`` is an integer >= 1, and
     BudgetExceededError past 16 dual dimensions (n_y + n_x), both before
@@ -245,9 +243,8 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
 
 def _by_vertices(walked, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """``curve_by_vertices`` from ``_sweep``'s result, so a caller that
-    already has the sweep walks once.  ``lp._walk_vertices`` takes the
-    walk's bases as extra starts and keeps those of nondegenerate
-    vertices, each the one basis of a vertex the walk reaches anyway."""
+    already has the sweep walks once; the walk's bases are the vertex
+    walk's seeds (``lp._walk_vertices``)."""
     sweep, lp, last_basis, path = walked
     verts = lpmod._walk_vertices(_flow_dual(lp), last_basis, path, budget)
     lines = _lines(verts, lp.b)
@@ -278,9 +275,8 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
 
 def _sweep(problem: Problem):
     """``curve_by_sweep``'s report, the program it walked, the walk's last
-    basis, and every basis of the walk, one row each: ``_by_vertices``
-    starts its vertex walk at the last basis and from those of the rest
-    whose dual vertex is nondegenerate, which that walk reaches anyway."""
+    basis, and every basis of the walk, one row each, which
+    ``_by_vertices`` takes as seeds (``lp._walk_vertices``)."""
     d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)
@@ -305,9 +301,7 @@ def _sweep(problem: Problem):
         curve = PiecewiseLinearCurve(at[1:], np.array(pieces[::-1]))
     except ProblemError as exc:  # the walk's own lines fail the curve's checks: a numeric failure
         raise SolverError(str(exc)) from exc
-    points = np.zeros((len(kept), lp.n))
-    vals = values[kept]
-    points[np.arange(len(kept))[:, None], bases[kept]] = vals[:, 0] + at[:, None] * vals[:, 1]
+    points = lpmod.basic_point(lp.n, bases[kept], values[kept, 0] + at[:, None] * values[kept, 1])
     estimators = _stochastic_estimator(problem, lay.extract_w(points), lp.feas_tol)
     report = CurveReport(curve, "sweep", lines, tuple(zip(at.tolist(), estimators)))
     return report, lp, sol.basis, bases

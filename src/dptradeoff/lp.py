@@ -44,10 +44,8 @@ dual feasible sets whose vertices determine entire tradeoff curves.  The
 walk is breadth first, in blocks of bases, from a vertex basis the
 caller already has (for the dual polyhedron, the optimal basis of the
 distortion program at P = 0); its budget counts the bases it finds.
-The curve's vertex walk also starts from the parametric walk's bases
-of nondegenerate dual vertices: such a vertex has one basis, which the
-walk from the start reaches anyway, so it finds the same bases, in
-fewer blocks.
+The curve's vertex walk takes the parametric walk's bases as seeds
+(``_walk_vertices``).
 """
 
 from __future__ import annotations
@@ -207,9 +205,9 @@ class _Tableau:
 
 
 def basic_point(n: int, basis, values) -> np.ndarray:
-    """The n-vector with ``values`` at the columns ``basis`` and 0 elsewhere."""
-    x = np.zeros(n)
-    x[basis] = values
+    """The n-vector with ``values`` at the columns ``basis``, 0 elsewhere; a row per basis of a stack."""
+    x = np.zeros((*np.shape(basis)[:-1], n))
+    np.put_along_axis(x, np.asarray(basis), values, axis=-1)
     return x
 
 
@@ -437,15 +435,20 @@ def _plain(value):
     return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
-def _check_walk(budget, d: int) -> None:
-    """Raise ProblemError unless ``budget`` is an integer >= 1, and
-    BudgetExceededError past 16 dimensions: a vertex walk's refusals,
-    which need no polyhedron."""
+def _is_count(value) -> bool:
+    """Whether ``operator.index`` takes ``value``, and it is no bool: True is no count."""
     try:
-        valid = operator.index(budget) >= 1
+        operator.index(value)
     except TypeError:
-        valid = False
-    if not valid:
+        return False
+    return not isinstance(value, bool)
+
+
+def _check_walk(budget, d: int) -> None:
+    """Raise ProblemError unless ``budget`` is an integer >= 1 (``_is_count``),
+    and BudgetExceededError past 16 dimensions: a vertex walk's refusals,
+    which need no polyhedron."""
+    if not (_is_count(budget) and budget >= 1):
         raise ProblemError(
             "a vertex walk needs a budget of at least 1 basis, in whole bases, "
             f"got {_plain(budget)!r}"
@@ -474,10 +477,8 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     one vertex, and the first of them found, kept by a dict keyed on the
     set's packed bytes, gives its point.  A basis whose point violates a row by more than that,
     which rounding can give on an ill-conditioned basis, is walked
-    through but gives no vertex.  ``curve_by_vertices`` also starts the
-    walk from the sweep's bases of nondegenerate vertices
-    (``_walk_vertices``): the walk from ``start`` reaches each of them,
-    so the bases found, the budget's count and the vertices are the same.
+    through but gives no vertex.  ``curve_by_vertices`` takes the sweep's
+    bases as seeds (``_walk_vertices``).
 
     Raises ProblemError unless ``budget`` is an integer >= 1, SolverError
     unless ``start`` names d distinct integer rows whose matrix is

@@ -388,8 +388,23 @@ def _staircase(supply: list, demand: list) -> list[tuple[int, int]]:
     return cells
 
 
-def _transfer_tree(p: list, r: list) -> list[tuple[int, int]]:
-    """The ``len(p) - 1`` arcs (i, j) of a spanning tree whose flow turns ``p`` into ``r``.
+def _arc_place(n_nodes: int, tail, head, i, j):
+    """The place of arc ``i -> j``, or of each arc of arrays ``i`` and ``j``, in
+    the arc list ``tail[k] -> head[k]`` over ``n_nodes`` nodes: the one rule for
+    an arc's column.  KeyError for an arc the list lacks or a node out of range."""
+    place = np.full((n_nodes, n_nodes), -1)
+    place[tail, head] = np.arange(len(tail))
+    try:
+        k = place.ravel()[np.ravel_multi_index((i, j), place.shape)]
+    except ValueError:  # a node out of range
+        raise KeyError((i, j)) from None
+    if (k < 0).any():
+        raise KeyError((i, j))
+    return k
+
+
+def _transfer_tree(p: list, r: list) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the ``len(p) - 1`` arcs of a spanning tree whose flow turns ``p`` into ``r``.
 
     The symbols split into the surplus (``p >= r``; a symbol with
     ``p == r`` joins with zero mass) and the deficit; if a side is empty,
@@ -402,7 +417,7 @@ def _transfer_tree(p: list, r: list) -> list[tuple[int, int]]:
     if not src or not dst:  # the two agree up to rounding: any split spans
         src, dst = list(range(len(p) - 1)), [len(p) - 1]
     cells = _staircase([max(p[i] - r[i], 0.0) for i in src], [max(r[j] - p[j], 0.0) for j in dst])
-    return [(src[a], dst[b]) for a, b in cells]
+    return np.array([(src[a], dst[b]) for a, b in cells], dtype=np.intp).reshape(-1, 2).T
 
 
 def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
@@ -412,10 +427,11 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     on every ordered pair of distinct symbols, of weight ``h[i, j]``, with
     node rows ``out(i) - in(i) = p[i] - q[i]`` but the last symbol's,
     which is minus the sum of the others, from the primal feasible tree
-    ``_transfer_tree(p, q)``.  Returns the coupling read off
-    the optimal flow by ``solve_dp_at``'s rule and, as the value, its
-    cost ``sum(pi * h)``, which is the flow's weight up to rounding and
-    the triangle check's allowance.
+    ``_transfer_tree(p, q)``, whose columns ``_arc_place`` reads off the
+    arc list.  Returns the coupling read off the optimal flow by
+    ``solve_dp_at``'s rule and, as the value, its cost ``sum(pi * h)``,
+    which is the flow's weight up to rounding and the triangle check's
+    allowance.
     """
     pv = _as_prob_vector(p, "first distribution")
     qv = _as_prob_vector(q, "second distribution")
@@ -428,7 +444,7 @@ def wasserstein1(p, q, metric: GroundMetric) -> tuple[float, Coupling]:
     tail, head = np.nonzero(~np.eye(n, dtype=bool))
     nodes = np.arange(n - 1)[:, None]
     a = (nodes == tail) - (nodes == head).astype(float)  # node-arc incidence
-    start = sorted(i * (n - 1) + j - (j > i) for i, j in _transfer_tree(pv.tolist(), qv.tolist()))
+    start = np.sort(_arc_place(n, tail, head, *_transfer_tree(pv.tolist(), qv.tolist())))
     sol = lp.solve(lp.StandardLP(a, (pv - qv)[:-1], metric.h[tail, head]), start)
     plan = _flow_plan(pv, qv, n, tail, head, sol.x)
     return float(np.sum(plan * metric.h)), Coupling(plan, pv, qv)

@@ -45,6 +45,7 @@ from .model import (
     Coupling,
     Estimator,
     Problem,
+    _arc_place,
     _estimator_stack,
     _flow_plan,
     _transfer_tree,
@@ -77,20 +78,14 @@ class FlowLayout:
     def n_cons(self) -> int:
         return self.n_y + self.n_nodes
 
-    def ix_w(self, xhat: int, y: int) -> int:
+    def ix_w(self, xhat, y):
         return xhat * self.n_y + y
 
-    def ix_arc(self, tail: int, head: int) -> int:
-        """The arc ``tail -> head``'s column: the complete graph's arcs are its
-        ordered pairs, row-major; the star's run from the centre (node
-        ``n_x``) to each symbol, then back."""
-        n = self.n_x
-        if tail != head and 0 <= min(tail, head) and max(tail, head) < self.n_nodes:
-            if self.n_nodes == n:
-                return n * self.n_y + tail * (n - 1) + head - (head > tail)
-            if n in (tail, head):
-                return n * self.n_y + (head if tail == n else n + tail)
-        raise KeyError((tail, head))
+    def ix_arc(self, tail, head):
+        """The arc ``tail -> head``'s column, or each arc's of two arrays: its
+        place in the arc list, past the joint masses.  KeyError for an arc
+        the list does not hold."""
+        return self.n_x * self.n_y + _arc_place(self.n_nodes, self.tail, self.head, tail, head)
 
     @property
     def ix_slack(self) -> int:
@@ -297,17 +292,16 @@ def _crash_basis(problem: Problem, lay: FlowLayout) -> list[int]:
     starts to bind.  Over a star it is one arc per symbol: from the
     centre to a symbol with ``r >= p_x``, to the centre from the others.
     """
-    n_x, n_y = problem.n_x, problem.n_y
+    n_x = problem.n_x
     picks = problem.cost.argmin(axis=0)
     rm = np.bincount(picks, weights=problem.p_y, minlength=n_x)
-    basis = (picks * n_y + np.arange(n_y)).tolist()  # the MAP estimator's columns
     if lay.n_nodes > n_x:  # the star: the centre is node n_x
-        arcs = [(n_x, i) if up else (i, n_x) for i, up in enumerate((rm >= problem.p_x).tolist())]
+        up, symbols = rm >= problem.p_x, np.arange(n_x)
+        tail, head = np.where(up, n_x, symbols), np.where(up, symbols, n_x)
     else:
-        arcs = _transfer_tree(problem.p_x.tolist(), rm.tolist())
-    basis += [lay.ix_arc(i, j) for i, j in arcs]
-    basis.append(lay.ix_slack)
-    return sorted(basis)
+        tail, head = _transfer_tree(problem.p_x.tolist(), rm.tolist())
+    map_cols = lay.ix_w(picks, np.arange(problem.n_y))
+    return np.sort(np.concatenate([map_cols, lay.ix_arc(tail, head), [lay.ix_slack]])).tolist()
 
 
 def solve_dp_at(problem: Problem, p_level: float, form: str = "ot") -> SolveReport:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -52,12 +51,8 @@ def _simplex_grid(steps: int, parts: int) -> np.ndarray:
 
 
 def _require_steps(steps: int) -> None:
-    try:
-        operator.index(steps)
-    except TypeError:
-        raise ProblemError(
-            f"grid oracle steps must be an integer, got {lpmod._plain(steps)!r}"
-        ) from None
+    if not lpmod._is_count(steps):
+        raise ProblemError(f"grid oracle steps must be an integer, got {lpmod._plain(steps)!r}")
     if steps < 1:
         raise ProblemError(f"grid oracle needs at least 1 step, got {steps}")
 
@@ -219,8 +214,7 @@ def cross_verify(
         _require_steps(grid_steps)
     values: dict[str, np.ndarray] = {}
 
-    # the vertex column enumerates from this walk's last basis, and also from
-    # its bases of nondegenerate dual vertices, which it would reach anyway
+    # the vertex column's walk takes this walk's bases as seeds (lp._walk_vertices)
     walked = _sweep(problem)
     values["sweep"] = np.asarray(walked[0].curve.value(ps), dtype=float)
 

@@ -11,6 +11,7 @@ import pytest
 
 from dptradeoff import ProblemError, SolverError, cross_verify, make_problem
 from dptradeoff import lp as lpmod
+from dptradeoff import svgplot
 from dptradeoff.cli import build_parser, main
 from dptradeoff.curve import curve_by_sweep, curve_by_vertices
 from dptradeoff.problemio import (
@@ -242,6 +243,10 @@ class TestCurve:
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert (tmp_path / "c.s2.svg").exists()  # scatter emitted for vertex method
+
+    def test_s2_scatter_of_no_points(self):
+        svg = svgplot.scatter_svg(np.empty((0, 2)), [])
+        assert svg.startswith("<svg") and ">no points</text>" in svg and "<circle" not in svg
 
     @pytest.mark.parametrize(
         "seed, n_y, marks", [(7, 5, (31, 8, 1, 5)), (21, 4, (23, 8, 1, 5))], ids=["3x5", "3x4"]

@@ -511,6 +511,10 @@ class TestEstimatorOnCurve:
 
 
 class TestHullExtremes:
+    def test_no_points(self):
+        extremes = hull_extremes(np.empty((0, 2)))
+        assert extremes.tolist() == [] and extremes.dtype.kind == "i"
+
     def test_single_point(self):
         assert hull_extremes([(0.3, -0.1)]).tolist() == [0]
 

@@ -363,6 +363,21 @@ class TestRevisedTableau:
         # every pivot of each walk goes through the hook, so it checks the walk too
         assert all(got == want > 0 for got, want in walked), walked
 
+    def test_pivot_on_a_zero_entry_refused(self):
+        # from the basis [0, 1], column 2 of B^-1 A is (1, 0): row 1 cannot take it
+        tab = _Tableau(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.ones(2), np.zeros(3), [0, 1])
+        with pytest.raises(SolverError) as exc:
+            tab.pivot(1, 2, tab.row(1))
+        assert str(exc.value) == "pivot below numeric tolerance"
+
+    def test_optimal_point_off_the_rows_refused(self):
+        # the optimal basis [0, 2] of _TWO_ROWS has x = (1, 0, 0.5); 1.5 in
+        # place of 1 misses both rows by 0.5
+        tab = lpmod._start(_TWO_ROWS, [0, 2])
+        tab.xb[0] += 0.5
+        with pytest.raises(SolverError) as exc:
+            lpmod._optimal(_TWO_ROWS, tab, 0, 1)
+        assert str(exc.value) == "optimal point misses the equality rows (residual 0.5)"
 
     @pytest.mark.parametrize(
         "seed, shape, phases, refactors",
@@ -518,7 +533,7 @@ class TestVertexEnumeration:
         with pytest.raises(ProblemError, match="at least 1"):
             curve_by_vertices(random_problem(0, 2, 3), budget=budget)
 
-    @pytest.mark.parametrize("budget", [float("nan"), 1.5, 100.0, "100", None])
+    @pytest.mark.parametrize("budget", [float("nan"), 1.5, 100.0, "100", None, True])
     def test_budget_not_an_integer_raises(self, budget):
         # a NaN budget once passed the budget < 1 guard and never tripped
         # len(seen) > budget, so the walk ran with no budget at all

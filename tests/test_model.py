@@ -175,6 +175,10 @@ class TestValidation:
     def test_estimator_stack_of_nothing(self):
         assert _estimator_stack(np.empty((0, 2, 3))) == []
 
+    def test_estimator_shape(self):
+        est = Estimator.deterministic([0, 2], 3)
+        assert (est.n_x, est.n_y) == (3, 2)
+
     @pytest.mark.parametrize("assignment", [[-1, 0], [0.7, 1.2], [0, 2]])
     def test_deterministic_assignments_checked(self, assignment):
         with pytest.raises(ProblemError, match="integers in"):
@@ -290,6 +294,8 @@ class TestValidation:
              r"a walk moves s down to 0 from a span >= 0 that is finite, got -1\.0"),
             (lambda: curve_by_vertices(make_problem([[0.4, 0.1], [0.2, 0.3]]), budget=np.float64(5.0)),
              r"a vertex walk needs a budget of at least 1 basis, in whole bases, got 5\.0"),
+            (lambda: curve_by_vertices(make_problem([[0.4, 0.1], [0.2, 0.3]]), budget=True),
+             r"a vertex walk needs a budget of at least 1 basis, in whole bases, got True"),
             (lambda: lpmod.enumerate_vertices(
                 flow_dual(make_problem([[0.4, 0.1], [0.2, 0.3]])), np.array([0, 1, 2.5])),
              r"a start must name 4 distinct rows of 7, got \[0\.0, 1\.0, 2\.5\]"),
@@ -297,11 +303,16 @@ class TestValidation:
              r"grid oracle steps must be an integer, got 2\.5"),
             (lambda: cross_verify(make_problem([[0.4, 0.1], [0.2, 0.3]]), grid_steps=np.float64(2.5)),
              r"grid oracle steps must be an integer, got 2\.5"),
+            (lambda: grid_oracle(make_problem([[0.4, 0.1], [0.2, 0.3]]), 0.1, True),
+             r"grid oracle steps must be an integer, got True"),
+            (lambda: cross_verify(make_problem([[0.4, 0.1], [0.2, 0.3]]), grid_steps=True),
+             r"grid oracle steps must be an integer, got True"),
             (lambda: generate_instance(np.float64(1.5), 2, 2),
              r"seed and alphabet sizes must be integers, got 1\.5, 2, 2"),
         ],
-        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span", "budget", "start",
-             "grid-steps", "cross-verify-steps", "generate-seed"],
+        ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span", "budget", "bool-budget",
+             "start", "grid-steps", "cross-verify-steps", "bool-grid-steps", "bool-cross-verify-steps",
+             "generate-seed"],
     )
     def test_error_texts_print_plain_numbers(self, build, message):
         # numpy scalars printed as np.float64(...) once, the scaled sweep's too

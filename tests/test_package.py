@@ -37,6 +37,21 @@ def test_hull_experiment_script_writes_artifacts(tmp_path):
         assert (tmp_path / name).is_file(), name
 
 
+def test_code_line_count_skips_prose(tmp_path):
+    # blank, comment-only and docstring lines are prose; a multi-line string
+    # that is no docstring is code
+    source = tmp_path / "m.py"
+    source.write_text(
+        '"""Module\n\ndocstring."""\n\n# a comment\n'
+        'def f():\n    """One line."""\n    x = """a\n    b"""  # trailing\n    return x\n'
+    )
+    script = ROOT / "scripts" / "count_code_lines.py"
+    proc = subprocess.run([sys.executable, str(script), str(source), str(source)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "8 code lines\n"
+
+
 def _constants(tree):
     """The module-level assignments to UPPER_CASE names, with their names."""
     for node in tree.body:

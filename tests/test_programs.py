@@ -19,7 +19,7 @@ from dptradeoff import (
 )
 from dptradeoff import lp as lpmod
 from dptradeoff.model import _flow_plan, output_distribution
-from dptradeoff.programs import _crash_basis, _stochastic_estimator
+from dptradeoff.programs import _build, _crash_basis, _stochastic_estimator
 
 from conftest import (
     binary_dp_oracle,
@@ -95,6 +95,17 @@ class TestTransportForm:
                 if (i, j) not in arcs:
                     with pytest.raises(KeyError):
                         lay.ix_arc(i, j)
+
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_arc_columns_of_arrays(self, form):
+        # one call maps arrays of arcs; any arc the list lacks fails the call
+        _, lay = BUILD[form](make_problem(np.full((4, 3), 1.0 / 12)), 0.1)
+        base = lay.n_x * lay.n_y
+        cols = lay.ix_arc(lay.tail[::-1], lay.head[::-1])
+        assert cols.tolist() == (base + np.arange(lay.tail.size))[::-1].tolist()
+        for tail, head in [([0, 1], [1, 1]), ([-1], [0]), ([0], [lay.n_nodes]), (0, -1)]:
+            with pytest.raises(KeyError):
+                lay.ix_arc(np.array(tail), np.array(head))
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 3), (4, 7)])
     @pytest.mark.parametrize("form", ["ot", "tv"])
@@ -454,6 +465,22 @@ class TestCrashStart:
         rep = solve_dp_at(random_problem(1, 16, 64, random_distortion=True), 0.1)
         assert rep.iterations > lpmod._REFRESH_EVERY
         assert (rep.iterations, rep.refactorizations) == (107, 3)
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    @pytest.mark.parametrize("form", ["ot", "tv"])
+    def test_any_arc_order_walks(self, form, seed):
+        # an arc's column is its place in the arc list: with the list
+        # reordered, the crash basis still walks to the built form's value
+        metric = form == "ot" and seed % 2 == 0
+        prob = random_problem(seed, 4, 6, random_distortion=True, random_metric=metric)
+        _, lay = BUILD[form](prob, 0.0)
+        order = np.random.default_rng(seed).permutation(lay.tail.size)
+        tail, head = lay.tail[order], lay.head[order]
+        weight = prob.metric.h[tail, head] if form == "ot" else np.full(tail.size, 0.5)
+        for p in (0.0, 0.05, 0.3):
+            lp, shuffled = _build(prob, p, lay.n_nodes, tail, head, weight)
+            sol = lpmod.walk(lp, _crash_basis(prob, shuffled), 1.0 - p)[0]
+            assert abs(sol.value - solve_dp_at(prob, p, form=form).value) <= 1e-12, p
 
     @pytest.mark.parametrize("prob, form", _edge_cases())
     def test_edge_cases_match_phase_one(self, prob, form):
