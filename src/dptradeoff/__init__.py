@@ -5,6 +5,10 @@ level (transport distance between source and reconstruction marginals),
 as an exact piecewise-linear curve with optimal estimators: by linear
 programming, by dual vertex enumeration, or in closed form for binary
 sources.
+
+``import dptradeoff`` loads the solver core; ``verify``, whose
+cross-checks no solve, curve or closed form calls, loads on first use of
+one of its names.
 """
 
 from .binary import (
@@ -54,7 +58,6 @@ from .programs import (
     build_tv_form,
     solve_dp_at,
 )
-from .verify import VerifyReport, cross_verify, grid_oracle
 
 __version__ = "0.1.0"
 
@@ -104,3 +107,13 @@ __all__ = [
     "wasserstein1",
     "zero_perception_estimator",
 ]
+
+
+def __getattr__(name: str):
+    """``verify`` and its exported names, imported on first access (PEP 562)."""
+    if name not in ("verify", "VerifyReport", "cross_verify", "grid_oracle"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .verify import VerifyReport, cross_verify, grid_oracle  # binds ``verify`` as well
+
+    globals().update(VerifyReport=VerifyReport, cross_verify=cross_verify, grid_oracle=grid_oracle)
+    return globals()[name]

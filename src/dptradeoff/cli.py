@@ -19,12 +19,11 @@ import numpy as np
 from . import binary as binmod
 from . import curve as curvemod
 from . import lp as lpmod
-from . import problemio, svgplot
+from . import problemio
 from .errors import BudgetExceededError, ProblemError, SolverError
 from .model import Distribution, GroundMetric, wasserstein1
 from .problemio import _fmt
 from .programs import solve_dp_at
-from .verify import EXACT_TOL, cross_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -101,6 +100,8 @@ def _emit_curve_outputs(args, curve, estimators, method, scatter=None) -> None:
     if args.out_csv:
         _write(args.out_csv, _curve_csv(curve))
     if args.out_svg:
+        from . import svgplot
+
         _write(args.out_svg, svgplot.curve_svg(curve, title="distortion-perception curve"))
         if scatter is not None:
             _write(
@@ -175,6 +176,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import cross_verify
+
     if not 0.0 <= args.tol < np.inf:  # NaN compares false
         raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
     problem, spec = problemio.load_problem(args.input)
@@ -213,6 +216,17 @@ def cmd_w1(args) -> int:
         print("  " + " ".join(_fmt(v) for v in row))
     print(f"tolerance = {_fmt(lpmod.FEAS_TOL)}")
     return EXIT_OK
+
+
+class _ExactTol(str):
+    """``dp verify --tol``'s default, ``verify.EXACT_TOL``: argparse converts
+    a str default by the option's type only when it parses ``verify``
+    without ``--tol``, so no other command loads ``verify``."""
+
+    def __float__(self) -> float:
+        from .verify import EXACT_TOL
+
+        return EXACT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="cross-check all applicable methods")
     common(p_ver, outputs=())
     p_ver.add_argument("--points", type=int, default=21, help="perception grid size")
-    p_ver.add_argument("--tol", type=float, default=EXACT_TOL, help="largest gap between exact methods")
+    p_ver.add_argument("--tol", type=float, default=_ExactTol(), help="largest gap between exact methods")
     p_ver.add_argument("--grid-steps", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 

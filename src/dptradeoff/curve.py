@@ -12,7 +12,7 @@ product with the P-independent right-hand side, and minus its price.
   whose dual polyhedron is too large to enumerate.
 * ``curve_by_vertices``: take the same walk, enumerate all dual vertices
   by a basis walk from its last basis, with its bases as seeds
-  (``lp._walk_vertices``), and take the upper envelope of their lines
+  (``lp.enumerate_vertices``), and take the upper envelope of their lines
   (``assemble_curve``).  Its estimators are the sweep's.
 
 The two share the walk but not the code that turns bases or lines into
@@ -228,7 +228,7 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
     enumeration starts at the last basis of ``curve_by_sweep``'s walk,
     optimal at P = 0: dual row j is program column j, so that basis is
     d rows of a dual vertex, and the walk's bases are its seeds
-    (``lp._walk_vertices``).  The curve is the envelope of the vertices'
+    (``lp.enumerate_vertices``).  The curve is the envelope of the vertices'
     lines; the rest of the report is the sweep's, estimators too, so no
     level is solved.
 
@@ -244,9 +244,9 @@ def curve_by_vertices(problem: Problem, *, budget: int = lpmod.VERTEX_BUDGET) ->
 def _by_vertices(walked, budget: int = lpmod.VERTEX_BUDGET) -> CurveReport:
     """``curve_by_vertices`` from ``_sweep``'s result, so a caller that
     already has the sweep walks once; the walk's bases are the vertex
-    walk's seeds (``lp._walk_vertices``)."""
+    walk's seeds (``lp.enumerate_vertices``)."""
     sweep, lp, last_basis, path = walked
-    verts = lpmod._walk_vertices(_flow_dual(lp), last_basis, path, budget)
+    verts = lpmod.enumerate_vertices(_flow_dual(lp), last_basis, budget=budget, seeds=path)
     lines = _lines(verts, lp.b)
     try:
         curve = assemble_curve(lines, sweep.curve.d_star)
@@ -276,7 +276,7 @@ def curve_by_sweep(problem: Problem) -> CurveReport:
 def _sweep(problem: Problem):
     """``curve_by_sweep``'s report, the program it walked, the walk's last
     basis, and every basis of the walk, one row each, which
-    ``_by_vertices`` takes as seeds (``lp._walk_vertices``)."""
+    ``_by_vertices`` takes as seeds (``lp.enumerate_vertices``)."""
     d_star = problem.distortion_floor
     lp, lay = build_ot_form(problem, 0.0)
     sol, path = lpmod.walk(lp, _crash_basis(problem, lay), 1.0)

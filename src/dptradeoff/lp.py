@@ -45,7 +45,7 @@ walk is breadth first, in blocks of bases, from a vertex basis the
 caller already has (for the dual polyhedron, the optimal basis of the
 distortion program at P = 0); its budget counts the bases it finds.
 The curve's vertex walk takes the parametric walk's bases as seeds
-(``_walk_vertices``).
+(``enumerate_vertices``).
 """
 
 from __future__ import annotations
@@ -457,7 +457,9 @@ def _check_walk(budget, d: int) -> None:
         raise BudgetExceededError(f"dimension {d} exceeds the enumeration limit 16")
 
 
-def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET) -> np.ndarray:
+def enumerate_vertices(
+    poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET, seeds=()
+) -> np.ndarray:
     """All vertices of a small pointed polyhedron, lexicographically sorted.
 
     Walks the graph of feasible bases (d rows with a nonsingular matrix)
@@ -477,34 +479,26 @@ def enumerate_vertices(poly: HPolyhedron, start, *, budget: int = VERTEX_BUDGET)
     one vertex, and the first of them found, kept by a dict keyed on the
     set's packed bytes, gives its point.  A basis whose point violates a row by more than that,
     which rounding can give on an ill-conditioned basis, is walked
-    through but gives no vertex.  ``curve_by_vertices`` takes the sweep's
-    bases as seeds (``_walk_vertices``).
+    through but gives no vertex.
+
+    ``seeds`` holds bases, d in-range rows each, which the first block
+    takes right after the start (``curve_by_vertices`` seeds the sweep's
+    bases).  A seed stays only if its point is feasible with exactly d
+    tight rows: a nondegenerate vertex has one basis, which is
+    lexicographically feasible under any ranks, so the walk from the
+    start reaches it and leaves it by the edges it takes from it here.
+    The bases found and their count against ``budget`` are then the
+    walk's from the start alone, and so are the vertices, but for the
+    point of a degenerate vertex, which comes from the first of its bases
+    found; a shallower walk takes fewer blocks.  Any other seed leaves the
+    walk before the budget counts it and gives no vertex: a degenerate
+    vertex's other bases can lie outside the start's lexicographic graph.
 
     Raises ProblemError unless ``budget`` is an integer >= 1, SolverError
     unless ``start`` names d distinct integer rows whose matrix is
-    nonsingular and whose point is feasible within that tolerance, and
-    BudgetExceededError past ``budget`` bases found, so callers can fall
-    back to sweep-style methods.
-    """
-    return _walk_vertices(poly, start, (), budget)
-
-
-def _walk_vertices(poly: HPolyhedron, start, seeds, budget) -> np.ndarray:
-    """``enumerate_vertices`` from ``start`` and, in the same walk, from ``seeds``.
-
-    ``seeds`` holds bases, d in-range rows each, which the first block
-    takes right after the start.  A seed stays only if its point is
-    feasible with exactly d tight rows: a nondegenerate vertex has one
-    basis, which is lexicographically feasible under any ranks, so the
-    walk from the start reaches it and leaves it by the edges it takes
-    from it here.  The bases found and their count against ``budget``
-    are then the walk's from the start alone, and so are the vertices,
-    but for the point of a degenerate vertex, which comes from the first
-    of its bases found; a shallower walk takes fewer blocks.  Any other
-    seed leaves the walk before the budget counts it and gives no
-    vertex: a degenerate vertex's other bases can lie outside the
-    start's lexicographic graph.  Raises SolverError, as well as
-    ``enumerate_vertices``'s refusals, when a seed is singular.
+    nonsingular and whose point is feasible within that tolerance, or
+    when a seed is singular, and BudgetExceededError past ``budget``
+    bases found, so callers can fall back to sweep-style methods.
     """
     k, d = poly.k, poly.d
     _check_walk(budget, d)

@@ -14,7 +14,7 @@ import operator
 import numpy as np
 
 from .errors import ProblemError
-from .lp import _plain
+from .lp import _is_count, _plain
 from .model import Problem, make_problem
 
 
@@ -46,19 +46,22 @@ def serialize_instance(spec: dict) -> str:
 def _check_matrix(raw, key: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ProblemError(f"field {key!r} must be a nonempty 2-D array")
-    width = None
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise ProblemError(f"field {key!r} row {i} is not an array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ProblemError(
-                f"field {key!r} row {i} has {len(row)} entries, expected {width}"
-            )
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ProblemError(f"field {key!r} entry ({i},{j}) is not a number")
+    # one pass over the entries' exact types (a bool's is not int) accepts
+    # what JSON gives a valid matrix; the loop runs only to name the first
+    # bad row or entry
+    width = len(raw[0]) if isinstance(raw[0], list) else -1
+    if not (
+        all(type(row) is list and len(row) == width for row in raw)
+        and {type(v) for row in raw for v in row} <= {int, float}
+    ):
+        for i, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise ProblemError(f"field {key!r} row {i} is not an array")
+            if len(row) != width:  # row 0, a list, gave the width
+                raise ProblemError(f"field {key!r} row {i} has {len(row)} entries, expected {width}")
+            for j, v in enumerate(row):
+                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                    raise ProblemError(f"field {key!r} entry ({i},{j}) is not a number")
     try:
         return np.asarray(raw, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
@@ -120,13 +123,12 @@ def generate_instance(
     use_random_metric: bool = False,
 ) -> dict:
     """Reproducible random instance: uniform draw, normalized to sum one."""
-    try:
-        seed, n_x, n_y = (operator.index(v) for v in (seed, n_x, n_y))
-    except TypeError:
+    if not all(_is_count(v) for v in (seed, n_x, n_y)):
         raise ProblemError(
             "seed and alphabet sizes must be integers, got "
             + ", ".join(repr(_plain(v)) for v in (seed, n_x, n_y))
-        ) from None
+        )
+    seed, n_x, n_y = (operator.index(v) for v in (seed, n_x, n_y))
     if n_x < 1 or n_y < 1:
         raise ProblemError("alphabet sizes must be >= 1")
     if seed < 0:

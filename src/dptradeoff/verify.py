@@ -214,7 +214,7 @@ def cross_verify(
         _require_steps(grid_steps)
     values: dict[str, np.ndarray] = {}
 
-    # the vertex column's walk takes this walk's bases as seeds (lp._walk_vertices)
+    # the vertex column's walk takes this walk's bases as seeds (lp.enumerate_vertices)
     walked = _sweep(problem)
     values["sweep"] = np.asarray(walked[0].curve.value(ps), dtype=float)
 

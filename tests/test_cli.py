@@ -455,11 +455,14 @@ class TestBadProblemFiles:
             (b'{"p_xy": [[0.5, "0.5"]]}', "field 'p_xy' entry (0,1) is not a number"),
             (b'{"p_xy": [[0.5, true]]}', "field 'p_xy' entry (0,1) is not a number"),
             (b'{"p_xy": [[0.5, 0.5]], "distortion": [[true]]}', "field 'distortion' entry (0,0)"),
+            (b'{"p_xy": [[0.5, 0.5], [0.0]]}', "field 'p_xy' row 1 has 1 entries, expected 2"),
+            (b'{"p_xy": [[0.5, null]]}', "field 'p_xy' entry (0,1) is not a number"),
+            (b'{"p_xy": [[0.5, [0.5]]]}', "field 'p_xy' entry (0,1) is not a number"),
             (b'[[0.5, 0.5]]', "instance file must be a JSON object"),
             (b'{"metric": [[0]]}', "missing required field 'p_xy'"),
         ],
         ids=["field-not-list", "metric-not-list", "row-not-list", "string-entry", "bool-entry",
-             "true-entry", "not-an-object", "no-p_xy"],
+             "true-entry", "ragged-row", "null-entry", "nested-entry", "not-an-object", "no-p_xy"],
     )
     def test_malformed_schema_names_the_field(self, tmp_path, capsys, data, named):
         assert named in self._solve(tmp_path, capsys, data)

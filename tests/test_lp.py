@@ -720,7 +720,7 @@ def _least_budget(walk):
 
 
 class TestSeededWalk:
-    """``lp._walk_vertices``: seeds change neither the vertices nor the bases found."""
+    """``enumerate_vertices``'s ``seeds`` change neither the vertices nor the bases found."""
 
     @pytest.mark.parametrize(
         "seeds",
@@ -729,7 +729,7 @@ class TestSeededWalk:
     )
     def test_vertices_and_budget_of_the_single_start(self, seeds):
         alone = _least_budget(lambda b: enumerate_vertices(_PYRAMID, _PYRAMID_START, budget=b))
-        seeded = _least_budget(lambda b: lpmod._walk_vertices(_PYRAMID, _PYRAMID_START, seeds, b))
+        seeded = _least_budget(lambda b: enumerate_vertices(_PYRAMID, _PYRAMID_START, budget=b, seeds=seeds))
         assert alone[1].shape == (5, 3)
         assert seeded[0] == alone[0]
         assert seeded[1].tobytes() == alone[1].tobytes()
@@ -737,7 +737,7 @@ class TestSeededWalk:
     def test_singular_seed_is_a_solver_error(self):
         # the base and the two x sides have no y column
         with pytest.raises(SolverError) as exc:
-            lpmod._walk_vertices(_PYRAMID, _PYRAMID_START, [[0, 1, 2]], lpmod.VERTEX_BUDGET)
+            enumerate_vertices(_PYRAMID, _PYRAMID_START, seeds=[[0, 1, 2]])
         assert str(exc.value) == "a seed basis of the vertex walk is singular"
 
     @pytest.mark.parametrize(
@@ -752,7 +752,7 @@ class TestSeededWalk:
         # the refusals and their texts are enumerate_vertices's, seeds or not
         for seeds in [(), [[0, 2, 4]]]:
             with pytest.raises(SolverError) as exc:
-                lpmod._walk_vertices(_PYRAMID, start, seeds, lpmod.VERTEX_BUDGET)
+                enumerate_vertices(_PYRAMID, start, seeds=seeds)
             assert str(exc.value) == message
         with pytest.raises(SolverError) as exc:
             enumerate_vertices(_PYRAMID, start)
@@ -774,6 +774,6 @@ class TestSeededWalk:
         alone = enumerate_vertices(cube, [4, 5, 6, 7], budget=16)
         assert blocks == [1] * 16
         blocks.clear()
-        seeded = lpmod._walk_vertices(cube, [4, 5, 6, 7], corners, 16)
+        seeded = enumerate_vertices(cube, [4, 5, 6, 7], budget=16, seeds=corners)
         assert blocks == [16]
         assert seeded.tobytes() == alone.tobytes()

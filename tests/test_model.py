@@ -309,10 +309,14 @@ class TestValidation:
              r"grid oracle steps must be an integer, got True"),
             (lambda: generate_instance(np.float64(1.5), 2, 2),
              r"seed and alphabet sizes must be integers, got 1\.5, 2, 2"),
+            (lambda: generate_instance(1, True, 3),
+             r"seed and alphabet sizes must be integers, got 1, True, 3"),
+            (lambda: generate_instance(False, 2, 3),
+             r"seed and alphabet sizes must be integers, got False, 2, 3"),
         ],
         ids=["breakpoint", "scaled-sweep", "column-sum", "level", "span", "budget", "bool-budget",
              "start", "grid-steps", "cross-verify-steps", "bool-grid-steps", "bool-cross-verify-steps",
-             "generate-seed"],
+             "generate-seed", "bool-generate-size", "bool-generate-seed"],
     )
     def test_error_texts_print_plain_numbers(self, build, message):
         # numpy scalars printed as np.float64(...) once, the scaled sweep's too

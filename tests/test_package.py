@@ -9,7 +9,10 @@ import subprocess
 import sys
 import tokenize
 
+import pytest
+
 import dptradeoff
+from dptradeoff.problemio import generate_instance, serialize_instance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dptradeoff").glob("*.py"))
@@ -21,6 +24,36 @@ def test_exports_resolve_without_duplicates():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(dptradeoff, name, None) is not None, name
+
+
+def _python(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter on this tree's package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["cross_verify", "grid_oracle", "VerifyReport"])
+def test_verify_loads_on_first_access(name):
+    out = _python(
+        "import sys, dptradeoff\n"
+        "print('dptradeoff.verify' in sys.modules)\n"
+        f"print(dptradeoff.{name} is dptradeoff.verify.{name})\n"
+    )
+    assert out == "False\nTrue\n"
+
+
+def test_dp_solve_loads_neither_verify_nor_svgplot(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text(serialize_instance(generate_instance(1, 2, 8, random_distortion=True)))
+    out = _python(
+        "import sys\n"
+        "from dptradeoff.cli import main\n"
+        f"assert main(['solve', '--input', {str(path)!r}, '--P', '0.1']) == 0\n"
+        "print(sorted({'dptradeoff.verify', 'dptradeoff.svgplot'} & set(sys.modules)))\n"
+    )
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_hull_experiment_script_writes_artifacts(tmp_path):
