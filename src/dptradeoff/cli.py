@@ -2,6 +2,8 @@
 
 Only verify takes ``--tol``; the ``tolerance`` the others print is
 ``lp.FEAS_TOL``.  Only ``curve --method vertex`` takes ``--budget``.
+An option left off the command line is not passed on, so it takes the
+library function's own default.
 Exit codes: 0 ok, 1 input error, a malformed argument too (or stdout
 closed by its reader, with nothing printed), 2 solver failure, 3 vertex
 walk past its bases budget, 4 verification failure.
@@ -70,9 +72,15 @@ def _active_indices(curve, s2: np.ndarray) -> list[int]:
     return out
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the command line sets; each is
+    parsed with a suppressed default, so an omitted one is absent."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def cmd_solve(args) -> int:
     problem, _ = problemio.load_problem(args.input)
-    report = solve_dp_at(problem, args.P, form=args.form)
+    report = solve_dp_at(problem, args.P, **_given(args, "form"))
     print(f"D(P) = {_fmt(report.value)}")
     print(f"duality gap = {report.gap:.3e}")
     print(f"perception certificate = {_fmt(report.perception)}")
@@ -119,7 +127,9 @@ def _closed_form_outputs(args, problem):
     """Closed-form curve and its estimators, written to the requested files."""
     analysis = binmod.analyze(problem)
     curve = binmod.closed_form_curve(problem, analysis)
-    _emit_curve_outputs(args, curve, list(zip(*analysis.supports)), "closed-form")
+    # the rules, a (pieces + 1) x 2 x n_y stack, only for the JSON file that lists them
+    estimators = list(zip(*analysis.supports)) if args.out_json else None
+    _emit_curve_outputs(args, curve, estimators, "closed-form")
     return analysis, curve
 
 
@@ -132,7 +142,7 @@ def _print_curve(curve) -> None:
 
 
 def cmd_curve(args) -> int:
-    if args.budget is not None and args.method != "vertex":
+    if "budget" in args and args.method != "vertex":
         raise ProblemError(f"dp curve: --budget applies only to --method vertex, not {args.method}")
     problem, _ = problemio.load_problem(args.input)
     if args.method == "closed-form":
@@ -140,8 +150,7 @@ def cmd_curve(args) -> int:
     else:
         vertex = args.method == "vertex"
         if vertex:
-            budget = lpmod.VERTEX_BUDGET if args.budget is None else args.budget
-            report = curvemod.curve_by_vertices(problem, budget=budget)
+            report = curvemod.curve_by_vertices(problem, **_given(args, "budget"))
         else:
             report = curvemod.curve_by_sweep(problem)
         curve = report.curve
@@ -178,17 +187,15 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import cross_verify
 
-    if not 0.0 <= args.tol < np.inf:  # NaN compares false
-        raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
+    options = _given(args, "grid_steps")
+    if "tol" in args:
+        if not 0.0 <= args.tol < np.inf:  # NaN compares false
+            raise ProblemError(f"--tol must be finite and nonnegative, got {args.tol}")
+        options["exact_tol"] = args.tol
+    if "points" in args:  # a grid of 0 or fewer levels is empty, which cross_verify rejects
+        options["p_grid"] = np.linspace(0.0, 1.0, max(args.points, 0))
     problem, spec = problemio.load_problem(args.input)
-    grid = np.linspace(0.0, 1.0, max(args.points, 0))  # cross_verify rejects an empty grid
-    report = cross_verify(
-        problem,
-        grid,
-        instance=spec.get("name") or args.input,
-        exact_tol=args.tol,
-        grid_steps=args.grid_steps,
-    )
+    report = cross_verify(problem, instance=spec.get("name") or args.input, **options)
     print(report.render())
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -216,17 +223,6 @@ def cmd_w1(args) -> int:
         print("  " + " ".join(_fmt(v) for v in row))
     print(f"tolerance = {_fmt(lpmod.FEAS_TOL)}")
     return EXIT_OK
-
-
-class _ExactTol(str):
-    """``dp verify --tol``'s default, ``verify.EXACT_TOL``: argparse converts
-    a str default by the option's type only when it parses ``verify``
-    without ``--tol``, so no other command loads ``verify``."""
-
-    def __float__(self) -> float:
-        from .verify import EXACT_TOL
-
-        return EXACT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve at one perception level")
     common(p_solve, outputs=("json",))
     p_solve.add_argument("--P", type=float, required=True, help="perception level >= 0")
-    p_solve.add_argument("--form", choices=["ot", "tv"], default="ot")
+    p_solve.add_argument("--form", choices=["ot", "tv"], default=argparse.SUPPRESS)
     p_solve.set_defaults(func=cmd_solve)
 
     p_curve = sub.add_parser("curve", help="construct the whole curve")
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument(
         "--budget",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         help="most bases the vertex walk may visit before exit 3 (--method vertex only)",
     )
     p_curve.set_defaults(func=cmd_curve)
@@ -295,9 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="cross-check all applicable methods")
     common(p_ver, outputs=())
-    p_ver.add_argument("--points", type=int, default=21, help="perception grid size")
-    p_ver.add_argument("--tol", type=float, default=_ExactTol(), help="largest gap between exact methods")
-    p_ver.add_argument("--grid-steps", type=int, default=None)
+    p_ver.add_argument("--points", type=int, default=argparse.SUPPRESS, help="perception grid size")
+    p_ver.add_argument(
+        "--tol", type=float, default=argparse.SUPPRESS, help="largest gap between exact methods"
+    )
+    p_ver.add_argument("--grid-steps", type=int, default=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_w1 = sub.add_parser("w1", help="transport distance between two pmfs")

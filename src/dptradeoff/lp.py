@@ -71,6 +71,7 @@ _RED_COST_TOL = 1e-10  # cost: a nonbasic reduced cost below -tol improves
 _DUAL_FEAS_TOL = 1e-9  # cost: a reduced cost, or on h's scale a row's slack, this far off 0 is 0
 _DUAL_TIE_TOL = 1e-12  # cost: dual ratio-test window: ratios within it of the least tie
 _PIVOT_COL_TOL = 1e-11  # ratio: smallest admissible pivot magnitude
+_DUAL_PIVOT_TOL = 1e-9  # ratio: smallest dual pivot, against the row's own basic entry, which row() sets to 1
 _TIE_TOL = 1e-9  # ratio: relative gap under which two vertex-walk step lengths tie
 _REFRESH_EVERY = 64  # pivots between tableau refactorizations
 _PIVOT_BUDGET = 100  # pivots per row and column that a walk or a simplex run may take
@@ -273,11 +274,16 @@ def _dual_bland(tab: _Tableau, rows: np.ndarray) -> tuple[int, int | None, np.nd
 
     The row whose basic column has the smallest index leaves; the column
     with the smallest ratio ``red[j] / -row[j]`` enters, ties to the
-    smallest index, or None if the row has no negative entry.
+    smallest index, or None if the row has no entry below
+    ``-_DUAL_PIVOT_TOL``.  That tolerance, not ``_PIVOT_COL_TOL``, keeps
+    an entry of rounding noise from entering, whose basis loses the
+    digits that judge the next rows' signs.  The rule still cannot cycle:
+    it keeps the least index among the admissible entries, and a row with
+    no entry in [-1e-9, -1e-11) keeps its admissible set.
     """
     row = int(rows[0] if rows.size == 1 else rows[tab.basis[rows].argmin()])
     line = tab.row(row)
-    cols = (line < -_PIVOT_COL_TOL).nonzero()[0]
+    cols = (line < -_DUAL_PIVOT_TOL).nonzero()[0]
     if cols.size == 0:
         return row, None, line
     ratios = np.maximum(tab.red[cols], 0.0) / -line[cols]

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from dptradeoff import ProblemError, SolverError, cross_verify, make_problem
+from dptradeoff import binary as binmod
 from dptradeoff import lp as lpmod
 from dptradeoff import svgplot
-from dptradeoff.cli import build_parser, main
+from dptradeoff.cli import main
 from dptradeoff.curve import curve_by_sweep, curve_by_vertices
 from dptradeoff.problemio import (
     generate_instance,
     instance_to_problem,
+    load_problem,
     parse_instance,
     serialize_instance,
 )
@@ -374,6 +376,23 @@ class TestBinarySubcommand:
         for e in doc["estimators"]:
             assert all(abs(sum(col) - 1.0) <= 1e-12 for col in zip(*e["q"]))
 
+    def test_rules_are_built_only_for_the_json_file(self, run, monkeypatch):
+        # the rules are a (pieces + 1) x 2 x n_y stack that only --out-json lists
+        commands = ["binary --input b400.json", "curve --input b400.json --method closed-form"]
+        outputs = [run(f"{command} --out-json {i}.json") for i, command in enumerate(commands)]
+        assert Path("0.json").read_bytes() == Path("1.json").read_bytes()
+        analysis = binmod.analyze(load_problem("b400.json")[0])
+        rules = [{"p": p, "q": est.q.tolist()} for p, est in zip(*analysis.supports)]
+        assert json.loads(Path("0.json").read_text())["estimators"] == rules
+
+        def unread(self):
+            raise AssertionError("the rules were built")
+
+        monkeypatch.setattr(binmod.BinaryAnalysis, "supports", property(unread))
+        assert [run(command) for command in commands] == outputs
+        with pytest.raises(AssertionError, match="the rules were built"):
+            run(f"{commands[0]} --out-json 2.json")
+
 
 class TestVerify:
     @pytest.mark.parametrize("steps, shown", [("3", True), ("8", False)])
@@ -575,11 +594,13 @@ class TestTolerance:
         assert json.loads(out.read_text())["tolerance"] == lpmod.FEAS_TOL
 
     def test_verify_default_is_cross_verify_default(self, bsc_file, capsys):
-        default = build_parser().parse_args(["verify", "--input", bsc_file]).tol
-        report = cross_verify(make_problem([[0.54, 0.06], [0.04, 0.36]]))
-        assert report.tolerance == default
-        assert main(["verify", "--input", bsc_file, "--points", "5"]) == 0
-        assert f"(tolerance {default:.1e})" in capsys.readouterr().out
+        # without --tol and --points, dp verify prints the report that
+        # cross_verify renders with its own defaults
+        report = cross_verify(make_problem([[0.54, 0.06], [0.04, 0.36]]), instance="bsc")
+        assert main(["verify", "--input", bsc_file]) == 0
+        out = capsys.readouterr().out
+        assert f"(tolerance {report.tolerance:.1e})" in out
+        assert out == report.render() + "\n"
 
 
 class TestMalformedArguments:

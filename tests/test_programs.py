@@ -12,6 +12,7 @@ from dptradeoff import (
     build_ot_form,
     build_tv_form,
     curve_by_sweep,
+    curve_by_vertices,
     make_problem,
     solve_dp_at,
     tv_distance,
@@ -646,6 +647,106 @@ class TestAgainstHighs:
             if form == "tv":
                 assert abs(rep.value - solve_dp_at(prob, p).value) <= 1e-12, p
                 assert rep.gap <= 1e-12, p
+
+
+def _line_metric(x):
+    """L1 metric on points of a line, with its many exact triangle equalities."""
+    x = np.asarray(x)
+    return abs(x[:, None] - x[None, :])
+
+
+def _reproducer_a():
+    """L1 metric on seven points of the plane; h[i, j] for i < j, row by row."""
+    p_xy = [[0.03539414284110137, 0.3369627331924885], [0.0023913198813810947, 0.1745109819695727],
+            [1.0565545140858651e-06, 0.0011214143986740636], [0.004130528397147785, 0.030686437697246535],
+            [0.06515051266681325, 0.021890595418593943], [0.0189292418358897, 0.2526478708624114],
+            [0.04049645599787888, 0.015686708286286533]]
+    upper = [0.2996839353252816, 0.8252977333192407, 0.923539540641601, 0.39815666882227574,
+             0.11204563047142077, 0.24159825470183274, 0.525613797993959, 0.6238556053163195,
+             0.6946065232645233, 0.36006812624549933, 0.37614439468368055, 0.09824180732236042,
+             0.4811377645616096, 0.8856819242394584, 0.9017581926776396, 0.579169255504394,
+             0.9839237315618188, 1.0, 0.5102022992936965, 0.6397549235241086, 0.12955262423041197]
+    h = np.zeros((7, 7))
+    h[np.triu_indices(7, 1)] = upper
+    return make_problem(p_xy, None, h + h.T)
+
+
+def _reproducer_b():
+    """L1 metric on seven points of a line, two of them 2.6e-5 apart."""
+    p_xy = [[0.021639527353539266, 0.19844397805529554], [0.09876826525935344, 0.0029456758657968357],
+            [0.22483667704637325, 0.07915944654344874], [0.00248703071628978, 0.0006171469755180208],
+            [0.060038666251617065, 0.019362842279870292], [0.037338067441732486, 8.902434254125386e-05],
+            [0.09830131820780155, 0.15597233366082272]]
+    h = _line_metric([0.30465572623613835, 0.9749044933256326, 0.9748788967781354, 0.1247300747144311,
+                      0.5405876000543142, 0.43686961752115294, 0.2802020242254375])
+    return make_problem(p_xy, None, h / h.max())
+
+
+def _reproducer_c():
+    """Hamming distortion, L1 metric on eight points of a line."""
+    p_xy = [[0.005199813984049263, 0.06141163049302655], [0.117845645209985, 0.07389880102999635],
+            [0.011452654776841662, 0.10406791808825772], [0.03102018734656117, 0.0692886936812143],
+            [0.12472457232824763, 0.08905208381359249], [0.06517430747563642, 0.0035984552454143247],
+            [0.0595276283654723, 0.036226649955081174], [0.12176607992108707, 0.025744878285536683]]
+    h = _line_metric([0.0, 0.23123682528234016, 0.05848947489837301, 0.808109078667705,
+                      0.5294156287563163, 0.4798963653185099, 0.4708994620032463, 1.0])
+    return make_problem(p_xy, None, h)
+
+
+def _reproducer_d():
+    """Hamming distortion, L1 metric on six points of a line, one observation."""
+    p_xy = [[2.682727287045564e-10], [1.2156340625705207e-06], [0.3811639076626458],
+            [5.236216231733933e-09], [0.5923666808747836], [0.026468190324019057]]
+    h = _line_metric([0.5320721591625094, 0.0, 0.7629317998929734, 1.0, 0.9972679227483026,
+                      0.27616438752181127])
+    return make_problem(p_xy, None, h)
+
+
+LEVELS_21 = np.linspace(0.0, 1.0, 21)
+
+
+class TestRoundingNoisePivots:
+    """The dual ratio test once pivoted on entries of B^-1 A of about 2e-11,
+    rounding noise that the L1 metric's triangle equalities leave; the bases
+    that followed lost the digits that judge a row's sign (ROADMAP item 23)."""
+
+    def test_reproducer_a_by_all_three_methods(self):
+        # once: SolverError: program infeasible past s = 2.1442575728886226e-05
+        pytest.importorskip("scipy")
+        prob = _reproducer_a()
+        oracle = np.array([highs_dp_oracle(prob, p) for p in LEVELS_21])
+        assert abs(oracle[0] - 0.6813684411532236) <= 1e-12
+        by_level = [solve_dp_at(prob, p).value for p in LEVELS_21]
+        np.testing.assert_allclose(by_level, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve_by_sweep(prob).curve.value(LEVELS_21), oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve_by_vertices(prob).curve.value(LEVELS_21), oracle, rtol=0, atol=1e-12)
+
+    def test_reproducer_c_by_sweep_and_at_zero(self):
+        # once: the sweep raised "curve slopes must be non-decreasing (convexity)"
+        pytest.importorskip("scipy")
+        prob = _reproducer_c()
+        oracle = np.array([highs_dp_oracle(prob, p) for p in LEVELS_21])
+        assert abs(solve_dp_at(prob, 0.0).value - oracle[0]) <= 1e-12
+        np.testing.assert_allclose(curve_by_sweep(prob).curve.value(LEVELS_21), oracle, rtol=0, atol=1e-12)
+
+
+class TestUnitFaults:
+    """Faults of absolute tolerances against steep slopes, open as ROADMAP
+    item 13: its units fix must turn each of these into a pass."""
+
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason="ROADMAP item 13: absolute continuity check")
+    def test_reproducer_b_sweep(self):
+        # the pieces meet 2.42e-9 apart: "curve discontinuous at breakpoint 3.062342739389359e-06"
+        curve_by_sweep(_reproducer_b())
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: D(0) reads 3.08e-9 low")
+    def test_reproducer_d_at_zero(self):
+        # one observation, so D(0) = 1 - sum p_x^2; both read 0.5031152227060877, 3.08e-9 low
+        prob = _reproducer_d()
+        exact = 0.503115225784228
+        assert abs(exact - (1.0 - np.sum(prob.p_x**2))) <= 1e-15
+        assert abs(solve_dp_at(prob, 0.0).value - exact) <= 1e-12
+        assert abs(curve_by_sweep(prob).curve.value(0.0) - exact) <= 1e-12
 
 
 class TestDualPolyhedron:
